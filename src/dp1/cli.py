@@ -19,7 +19,9 @@ from . import cubic, engine, surface as surface_mod
 from .engine import GenerationConfig
 from .rational import format_rational
 from .surface import (
+    SINGULAR_MOD_EVERY_PRIME,
     DegenerateSurfaceError,
+    OracleDisagreementError,
     Surface,
     SurfaceParams,
     WPoint,
@@ -81,16 +83,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _parse_primes(text: str) -> List[int]:
+    return [int(p) for p in text.split(",")]
+
+
 def cmd_smooth(args) -> int:
     S = _load_surface(args.surface)
-    try:
-        verdict = smoothness_check(S)
-    except DegenerateSurfaceError as exc:
-        _emit({"verdict": "degenerate", "detail": str(exc)}, args)
-        return EXIT_NEGATIVE
+    verdict = smoothness_check(S)
     payload = {"verdict": verdict.kind, "witnesses": _witness_json(verdict)}
     if args.primes:
-        primes = [int(p) for p in args.primes.split(",")]
+        primes = _parse_primes(args.primes)
         payload["cross_check"] = surface_mod.smoothness_cross_check(S, primes)["mod_p"]
     _emit(payload, args)
     return EXIT_OK if verdict.smooth else EXIT_NEGATIVE
@@ -167,6 +169,24 @@ def sample_params(rng: random.Random, height: int) -> SurfaceParams:
     return SurfaceParams(*vals, rand_rat(nonzero=True))
 
 
+def cross_check_result(S: Surface, primes: Sequence[int]):
+    """The mod-p cross-check of one census tuple, as it goes into its row.
+
+    That is the per-prime scan results, "degenerate", or, for the
+    cross-check's known false alarm on a surface smooth over Q with bad
+    reduction at every prime given, the error's text: the census goes on.
+    Any other OracleDisagreementError propagates.
+    """
+    try:
+        return surface_mod.smoothness_cross_check(S, primes)["mod_p"]
+    except DegenerateSurfaceError:
+        return "degenerate"
+    except OracleDisagreementError as exc:
+        if not str(exc).startswith(SINGULAR_MOD_EVERY_PRIME):
+            raise
+        return f"OracleDisagreementError: {exc}"
+
+
 def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
     """Smoothness verdict plus a brute-force seed search for one tuple."""
     row: dict = {"params": S.params.to_json(), "picard_rank": "not computed"}
@@ -192,21 +212,33 @@ def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
 
 
 def search_params(
-    tuples: Sequence[SurfaceParams], seed_box: Tuple[int, int, int, int]
+    tuples: Sequence[SurfaceParams],
+    seed_box: Tuple[int, int, int, int],
+    primes: Optional[Sequence[int]] = None,
 ) -> dict:
     """Census over explicit parameter tuples; certification is by finding a
-    small seed passing every hypothesis."""
+    small seed passing every hypothesis.
+
+    With primes, each row also records its mod-p cross-check
+    (``cross_check_result``), decided on the same Surface as the row.
+    """
     if not tuples:
         raise ValueError("no parameter tuples to scan")
-    rows = [census_row(Surface(p), seed_box) for p in tuples]
-    return {
-        "rows": rows,
-        "summary": {
-            "scanned": len(rows),
-            "smooth": sum(r["smooth"] == "smooth" for r in rows),
-            "certified": sum(bool(r["certified"]) for r in rows),
-        },
+    rows = []
+    for p in tuples:
+        S = Surface(p)
+        row = census_row(S, seed_box)
+        if primes:
+            row["cross_check"] = cross_check_result(S, primes)
+        rows.append(row)
+    summary = {
+        "scanned": len(rows),
+        "smooth": sum(r["smooth"] == "smooth" for r in rows),
+        "certified": sum(bool(r["certified"]) for r in rows),
     }
+    if primes:
+        summary["cross_checked"] = sum(isinstance(r["cross_check"], dict) for r in rows)
+    return {"rows": rows, "summary": summary}
 
 
 def cmd_search_params(args) -> int:
@@ -217,7 +249,10 @@ def cmd_search_params(args) -> int:
     if args.surface:
         with open(args.surface) as fh:
             tuples.insert(0, SurfaceParams.from_json(json.load(fh)))
-    payload = search_params(tuples, (args.x_num, args.x_den, args.t_num, args.t_den))
+    primes = _parse_primes(args.primes) if args.primes else None
+    payload = search_params(
+        tuples, (args.x_num, args.x_den, args.t_num, args.t_den), primes
+    )
     _emit(payload, args)
     return EXIT_OK
 
@@ -306,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-den", type=int, default=1, dest="x_den")
     p.add_argument("--t-num", type=int, default=2, dest="t_num")
     p.add_argument("--t-den", type=int, default=2, dest="t_den")
+    p.add_argument("--primes", help='also cross-check each tuple mod these primes, e.g. "7,11,13"')
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_search_params)
@@ -325,6 +361,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except DegenerateSurfaceError as exc:
+        _emit({"verdict": "degenerate", "detail": str(exc)}, args)
+        return EXIT_NEGATIVE
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

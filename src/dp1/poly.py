@@ -93,15 +93,19 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
+        """Product by convolving integer numerators over one common
+        denominator, so only the output coefficients are normalised."""
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        a, da = _integer_form(self)
+        b, db = _integer_form(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return UniPoly([Fraction(c, den) for c in out])
 
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
@@ -115,8 +119,9 @@ class UniPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
@@ -183,9 +188,14 @@ class UniPoly:
 
 # -- integer-polynomial helpers (gcd via primitive PRS) ----------------
 
-def _clear_denominators(f: UniPoly) -> List[int]:
+def _integer_form(f: UniPoly) -> Tuple[List[int], int]:
+    """Integer numerators over the least common denominator: f = cs / den."""
     den = math.lcm(*(c.denominator for c in f.coeffs)) if f.coeffs else 1
-    return [int(c * den) for c in f.coeffs]
+    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
+
+
+def _clear_denominators(f: UniPoly) -> List[int]:
+    return _integer_form(f)[0]
 
 
 def _content(cs: Sequence[int]) -> int:
@@ -477,13 +487,16 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
+        if n < 0:
+            raise ValueError("negative power")
         result = MultiPoly.constant(self.nvars, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def substitute(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":

@@ -197,6 +197,9 @@ class Surface:
         self.A_s = self.A_t.reverse(4)
         self.B_s = self.B_t.reverse(6)
         self.f_s = self.f.reverse(3)
+        # smoothness_check's verdict, or the message of its
+        # DegenerateSurfaceError, once decided
+        self._smoothness = None
 
     @staticmethod
     def build(params: SurfaceParams) -> "Surface":
@@ -312,7 +315,22 @@ def finite_smoothness_check(S: Surface) -> SmoothnessVerdict:
 
 
 def smoothness_check(S: Surface) -> SmoothnessVerdict:
-    """Decide smoothness of the branch sextic in both affine charts of P¹."""
+    """Decide smoothness of the branch sextic in both affine charts of P¹.
+
+    The decision is made once per Surface: later calls return the same
+    verdict, or raise DegenerateSurfaceError again.
+    """
+    if S._smoothness is None:
+        try:
+            S._smoothness = _decide_smoothness(S)
+        except DegenerateSurfaceError as exc:
+            S._smoothness = str(exc)
+    if isinstance(S._smoothness, str):
+        raise DegenerateSurfaceError(S._smoothness)
+    return S._smoothness
+
+
+def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
     witnesses: List[Tuple[str, UniPoly]] = []
     for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s)):
         for wpoly in _chart_singular_witnesses(A, B):
@@ -423,6 +441,12 @@ class OracleDisagreementError(RuntimeError):
     """Mod-p oracle contradicts the symbolic smoothness verdict."""
 
 
+# Start of the message raised when a surface declared smooth is singular mod
+# every usable prime.  Bad reduction at all the primes given does this to a
+# few surfaces that are smooth over Q, so the census records it and goes on.
+SINGULAR_MOD_EVERY_PRIME = "declared smooth but singular mod every prime"
+
+
 def smoothness_cross_check(S: Surface, primes: Sequence[int] = (7, 11, 13, 17, 19)) -> dict:
     """Compare the symbolic verdict with the mod-p oracle at several primes.
 
@@ -446,7 +470,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int] = (7, 11, 13, 17, 1
     if verdict.smooth:
         if usable and all(v == "singular" for v in usable.values()):
             raise OracleDisagreementError(
-                f"declared smooth but singular mod every prime: {per_prime}"
+                f"{SINGULAR_MOD_EVERY_PRIME}: {per_prime}"
             )
     elif has_rational_witness:
         bad = [p for p, v in usable.items() if v == "smooth"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from dp1.surface import SurfaceParams
 WORKED = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "3", "f": ["0", "0", "0", "1"]}
 WORKED_2 = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "2", "f": ["0", "0", "0", "1"]}
 SINGULAR = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "1", "f": ["0", "0", "0", "1"]}
+DEGENERATE = {"a": "0", "b": "0", "c": "0", "d": "0", "e": "0", "f": ["0", "0", "0", "1"]}
 
 
 @pytest.fixture
@@ -62,6 +64,19 @@ def test_smooth_with_primes(surface_file, capsys):
     )
     assert code == 0
     assert out["cross_check"]["7"] == "smooth" or out["cross_check"][7] == "smooth"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("smooth", []),
+    ("classify", []),
+    ("fibers", []),
+    ("check", ["--seed", "[1:1:0:1]"]),
+    ("generate", ["--seed", "[1:1:0:1]"]),
+])
+def test_degenerate_surface_exit_one(surface_file, capsys, command, extra):
+    code, out = run(capsys, command, "--surface", surface_file(DEGENERATE), *extra)
+    assert code == 1
+    assert out == {"verdict": "degenerate", "detail": "discriminant vanishes identically"}
 
 
 def test_identities(surface_file, capsys):
@@ -154,6 +169,39 @@ def test_search_params_reproducible(surface_file, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1["summary"]["scanned"] == 3
+
+
+def test_search_params_output_unchanged_without_primes(capsys):
+    # SHA-256 of this command's output as first released, before --primes
+    code = main(["search-params", "--samples", "12", "--height", "3", "--rng-seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36073e9293bdd45591b3db6f4cdc1861b041abe0ea6db20789a47a48528310ae"
+    )
+
+
+def test_search_params_primes_records_cross_check(capsys):
+    argv = ["search-params", "--samples", "2", "--height", "5", "--rng-seed", "8"]
+    _, plain = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--primes", "7,11,13")
+    assert code == 0
+    rows = out["rows"]
+    assert rows[0]["cross_check"] == {"7": "smooth", "11": "singular", "13": "smooth"}
+    # smooth over Q, bad reduction at 7, 11 and 13: the known false alarm
+    assert rows[1]["cross_check"].startswith(
+        "OracleDisagreementError: declared smooth but singular mod every prime"
+    )
+    assert rows[1]["smooth"] == "smooth"
+    assert [{k: v for k, v in r.items() if k != "cross_check"} for r in rows] == plain["rows"]
+    assert out["summary"] == dict(plain["summary"], cross_checked=1)
+
+
+def test_search_params_primes_degenerate_tuple():
+    out = search_params([SurfaceParams.from_json(DEGENERATE)], (5, 1, 2, 2), (7, 11))
+    row = out["rows"][0]
+    assert row["smooth"] == "degenerate" and row["cross_check"] == "degenerate"
+    assert out["summary"]["cross_checked"] == 0
 
 
 def test_search_params_zero_samples_rejected(capsys):

@@ -108,6 +108,57 @@ def test_squarefree_factorization_budget():
 
 small_rat = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 small_poly = st.lists(small_rat, min_size=1, max_size=4).map(UniPoly)
+small_multi = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rat, max_size=4
+).map(lambda terms: MultiPoly(2, terms))
+
+
+def schoolbook_product(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Reference product: one Fraction multiply-add per coefficient pair."""
+    if f.is_zero() or g.is_zero():
+        return UniPoly.zero()
+    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
+# zero coefficients, negative values and denominators up to 2^64
+wide_rat = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=2 ** 64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wide_rat, max_size=8).map(UniPoly), st.lists(wide_rat, max_size=8).map(UniPoly))
+def test_product_matches_schoolbook(f, g):
+    assert f * g == schoolbook_product(f, g)
+
+
+def test_product_matches_schoolbook_examples():
+    big = Fraction(-(3 ** 80), 2 ** 127 - 1)
+    cases = [
+        (UniPoly.zero(), P(1, 2)),
+        (P(0, 0, 5), UniPoly.zero()),
+        (P(0, Fraction(1, 3), 0, -2), P(Fraction(-7, 6), 0, 0, Fraction(1, 10 ** 30))),
+        (P(big, 0, Fraction(5, 2 ** 61 - 1)), P(Fraction(1, 2 ** 89 - 1), -big)),
+        (P(Fraction(1, 2), Fraction(1, 2)), P(2, -2)),
+    ]
+    for f, g in cases:
+        assert f * g == schoolbook_product(f, g)
+        assert g * f == schoolbook_product(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_poly, small_multi, st.integers(0, 6))
+def test_power_is_repeated_product(f, m, n):
+    for p, one in ((f, UniPoly.constant(1)), (m, MultiPoly.constant(2, 1))):
+        expected = one
+        for _ in range(n):
+            expected = expected * p
+        assert p ** n == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,6 +214,13 @@ def test_multi_substitute_binomial():
 def test_multi_product_difference_of_squares():
     X0, X1 = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
     assert (X0 + X1) * (X0 - X1) == X0 ** 2 - X1 ** 2
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError):
+        P(1, 1) ** -1
+    with pytest.raises(ValueError):
+        MultiPoly.var(2, 0) ** -1
 
 
 def test_multi_arity_mismatch():

@@ -7,6 +7,7 @@ from conftest import random_params, random_smooth_surface
 from dp1.poly import UniPoly
 from dp1.surface import (
     DegenerateSurfaceError,
+    SmoothnessVerdict,
     Surface,
     SurfaceParams,
     WPoint,
@@ -15,6 +16,7 @@ from dp1.surface import (
     singular_fiber_report,
     smoothness_check,
     smoothness_cross_check,
+    _chart_singular_witnesses,
 )
 
 
@@ -95,6 +97,40 @@ def test_modp_scan_rejects_bad_characteristic(worked_surface):
         modp_singular_scan(worked_surface, 2)
     with pytest.raises(ValueError):
         modp_singular_scan(worked_surface, 9)
+
+
+def uncached_verdict(S: Surface) -> SmoothnessVerdict:
+    """The two-chart decision, made afresh from the chart polynomials."""
+    witnesses = tuple(
+        (chart, wpoly)
+        for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s))
+        for wpoly in _chart_singular_witnesses(A, B)
+    )
+    return SmoothnessVerdict("singular" if witnesses else "smooth", witnesses)
+
+
+def test_memoized_verdict_matches_uncached_decision(singular_fixture):
+    rng = random.Random(53)
+    surfaces = [singular_fixture] + [Surface(random_params(rng, height=3)) for _ in range(40)]
+    kinds = set()
+    for S in surfaces:
+        expected = uncached_verdict(S)
+        first = smoothness_check(S)
+        assert first == expected
+        assert smoothness_check(S) is first
+        # the memo is per instance: a new Surface decides afresh
+        assert smoothness_check(Surface(S.params)) == expected
+        kinds.add(expected.kind)
+    assert kinds == {"smooth", "singular"}
+
+
+def test_degenerate_surface_raises_on_every_call():
+    S = Surface(SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1))
+    with pytest.raises(DegenerateSurfaceError):
+        uncached_verdict(S)
+    for _ in range(3):
+        with pytest.raises(DegenerateSurfaceError, match="vanishes identically"):
+            smoothness_check(S)
 
 
 def test_cross_check_on_worked(worked_surface, singular_fixture):
