@@ -9,7 +9,7 @@ point on the fiber, hypothesis checks, and bounded point generation.
 import json
 from fractions import Fraction
 
-from dp1.cubic import classify_singularities, tangent_plane, tangent_point, theta
+from dp1.cubic import classify_singularities, tangent_point, tangent_section, theta
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.rational import format_rational
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
@@ -29,10 +29,10 @@ def main() -> None:
     print("cubic model singularities:", json.dumps(rep.to_json()))
 
     print("theta(seed):", theta(S, P))
-    plane = tangent_plane(S, P)
-    print("tangent plane:", tuple(format_rational(c) for c in plane.as_tuple()))
+    section = tangent_section(S, P)
+    print("tangent plane:", tuple(format_rational(c) for c in section.plane.as_tuple()))
 
-    t, Q = tangent_point(S, P)
+    t, Q = tangent_point(section)
     print(f"tangent point: ({format_rational(Q.x)}, {format_rational(Q.y)}) "
           f"on fiber t = {format_rational(t)}")
     assert (t, Q.x, Q.y) == (Fraction(-1), Fraction(17, 4), Fraction(71, 8))

@@ -92,8 +92,7 @@ def cmd_smooth(args) -> int:
     verdict = smoothness_check(S)
     payload = {"verdict": verdict.kind, "witnesses": _witness_json(verdict)}
     if args.primes:
-        primes = _parse_primes(args.primes)
-        payload["cross_check"] = surface_mod.smoothness_cross_check(S, primes)["mod_p"]
+        payload["cross_check"] = cross_check_result(S, _parse_primes(args.primes))
     _emit(payload, args)
     return EXIT_OK if verdict.smooth else EXIT_NEGATIVE
 
@@ -127,7 +126,7 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     S = _load_surface(args.surface)
     P = WPoint.parse(args.seed)
-    found = engine.cp_sweep(S, P, args.t_height)
+    found = engine.cp_sweep(cubic.tangent_section(S, P), args.t_height)
     payload = {
         "surface": S.params.to_json(),
         "seed": str(P),
@@ -170,11 +169,12 @@ def sample_params(rng: random.Random, height: int) -> SurfaceParams:
 
 
 def cross_check_result(S: Surface, primes: Sequence[int]):
-    """The mod-p cross-check of one census tuple, as it goes into its row.
+    """The mod-p cross-check of one surface, as it goes into its census row
+    or its ``smooth --primes`` report.
 
     That is the per-prime scan results, "degenerate", or, for the
     cross-check's known false alarm on a surface smooth over Q with bad
-    reduction at every prime given, the error's text: the census goes on.
+    reduction at every prime given, the error's text, so the caller goes on.
     Any other OracleDisagreementError propagates.
     """
     try:

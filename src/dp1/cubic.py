@@ -116,10 +116,13 @@ def tangent_plane(S: Surface, P: WPoint) -> PlaneForm:
 
 @dataclass(frozen=True)
 class TangentData:
-    """Weighted-degree-3 pullback ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w) + δw³."""
+    """The tangent section at ``point``: the tangent plane at θ(point),
+    pulled back to ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w) + δw³ (weighted
+    degree 3)."""
 
     plane: PlaneForm
     surface: Surface
+    point: WPoint
 
     def evaluate(self, P: WPoint) -> Fraction:
         x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
@@ -133,8 +136,9 @@ class TangentData:
         return (a, b, g * self.surface.f(Fraction(t)) + d)
 
 
-def pullback_plane(S: Surface, plane: PlaneForm) -> TangentData:
-    return TangentData(plane, S)
+def tangent_section(S: Surface, P: WPoint) -> TangentData:
+    """The tangent section at P: the tangent plane at θ(P), pulled back."""
+    return TangentData(tangent_plane(S, P), S, P)
 
 
 def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -> UniPoly:
@@ -150,13 +154,14 @@ def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -
     return curve - lin2
 
 
-def tangent_point(S: Surface, P: WPoint) -> Tuple[Fraction, ECPoint]:
-    """Third intersection of the fiber-restricted tangent line with P's fiber.
+def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
+    """Third intersection of the tangent section at P with P's own fiber.
 
     Geometrically this is the forced extra rational point of the tangent
     section on P's own fiber; it must coincide with −[2]P under the group
     law, and both routes are checked against each other.
     """
+    S, P = ell.surface, ell.point
     if P.w == 0:
         raise ValueError("tangent construction needs w != 0")
     t0 = P.t()
@@ -164,7 +169,6 @@ def tangent_point(S: Surface, P: WPoint) -> Tuple[Fraction, ECPoint]:
     E = S.fiber_at(t0)
     if y0 == 0:
         raise TwoTorsionSeedError("seed is 2-torsion; the tangent line is vertical")
-    ell = pullback_plane(S, tangent_plane(S, P))
     a, b, c0 = ell.restrict_to_fiber(t0)
     assert b != 0  # b = -2*y0*w0^3 up to scaling, nonzero off 2-torsion
     cubic = fiber_line_cubic(E, (a, b, c0))
@@ -316,8 +320,7 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
     E = S.fiber_at(P.t())
     if E.is_singular():
         raise ValueError("fiber of P is singular")
-    ell = pullback_plane(S, tangent_plane(S, R))
-    a, b, c0 = ell.restrict_to_fiber(P.t())
+    a, b, c0 = tangent_section(S, R).restrict_to_fiber(P.t())
     if a == 0 and b == 0:
         if c0 == 0:
             raise DegenerateRestrictionError("plane restricts to zero on the fiber")

@@ -102,8 +102,9 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
     while n:
         if n & 1:
             result = add(E, result, base)
-        base = add(E, base, base)
         n >>= 1
+        if n:
+            base = add(E, base, base)
     return result
 
 

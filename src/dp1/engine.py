@@ -3,8 +3,9 @@
 The engine expands a verified seed by four mechanisms, breadth-first over
 fibers: group-law multiples on the seed's fiber, the tangent-section point
 −[2]P, multisection hops to other fibers sharing the same (x, y), and a
-bounded-height sweep of the tangent section across fibers.  Every emitted
-point is re-verified against the surface equation before it is reported.
+bounded-height sweep of the tangent section across fibers.  Each candidate
+is deduplicated on its affine (t, x, y) and verified once, on its fiber,
+before it is reported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
-from .elliptic import ECPoint
+from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
 from .rational import bit_size, format_rational, is_square
 from .surface import Surface, WPoint, smoothness_check
@@ -126,15 +127,14 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[Fraction, ECPoint]
 
 
 def cp_sweep(
-    S: Surface, P: WPoint, t_height_bound: int
+    ell: cubic.TangentData, t_height_bound: int
 ) -> List[Tuple[Fraction, ECPoint]]:
-    """Sweep the tangent section of P across bounded-height fibers.
+    """Sweep the tangent section at P across bounded-height fibers.
 
-    Restricts the pulled-back tangent plane to each fiber, solves the
-    resulting line/curve intersection for rational points, and excludes P
-    itself.
+    Restricts the section to each fiber, solves the resulting line/curve
+    intersection for rational points, and excludes P itself.
     """
-    ell = cubic.pullback_plane(S, cubic.tangent_plane(S, P))
+    S, P = ell.surface, ell.point
     p_t = P.t() if P.w != 0 else None
     p_xy = P.affine_xy() if P.w != 0 else None
     out: List[Tuple[Fraction, ECPoint]] = []
@@ -183,7 +183,6 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class PointRecord:
-    wpoint: WPoint
     t: Fraction
     point: ECPoint
     provenance: str
@@ -231,43 +230,48 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
     if not hyp.overall:
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
     report = GenerationReport()
-    seen: Set[WPoint] = set()
+    # affine (t, x, y) is canonical: one key per point of the w = 1 chart
+    seen: Set[Tuple[Fraction, Fraction, Fraction]] = set()
 
-    def emit(t: Fraction, Q: ECPoint, provenance: str) -> bool:
-        """Record a candidate; returns True when it is new and kept."""
+    def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> bool:
+        """Record a candidate on fiber E; returns True when it is new and kept.
+
+        Each kept point is verified here, once, on its fiber.
+        """
         if Q.is_infinity:
             return False
+        t = E.t
         if not _within_cap(t, Q, cfg.bit_cap):
             report.truncated = True
             report.skipped.append(f"bit cap exceeded ({provenance})")
             return False
-        wp = WPoint.from_affine(t, Q.x, Q.y)
-        if wp in seen:
+        key = (t, Q.x, Q.y)
+        if key in seen:
             return False
-        if not S.membership(wp):
-            raise AssertionError(f"generated point {wp} fails membership")
-        seen.add(wp)
-        report.points.append(PointRecord(wp, t, Q, provenance))
+        if not elliptic.on_curve(E, Q):
+            raise AssertionError(f"generated point {Q} fails fiber t={t}")
+        seen.add(key)
+        report.points.append(PointRecord(t, Q, provenance))
         report.fibers[t] = report.fibers.get(t, 0) + 1
         return True
 
-    t_seed = seed.t()
     x0, y0 = seed.affine_xy()
-    emit(t_seed, ECPoint(x0, y0), "seed")
-    frontier: List[Tuple[Fraction, ECPoint]] = [(t_seed, ECPoint(x0, y0))]
+    E0, Q0 = S.fiber_at(seed.t()), ECPoint(x0, y0)
+    emit(E0, Q0, "seed")
+    frontier: List[Tuple[FiberCurve, ECPoint]] = [(E0, Q0)]
 
     for _level in range(cfg.depth):
-        next_frontier: List[Tuple[Fraction, ECPoint]] = []
+        next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
         known_fibers = set(report.fibers)
-        for t, Q in frontier:
+        for E, Q in frontier:
             if len(report.points) >= cfg.max_points:
                 report.truncated = True
                 break
-            E = S.fiber_at(t)
+            t = E.t
             if E.is_singular():
                 report.skipped.append(f"singular fiber t={t}")
                 continue
-            newly: List[Tuple[Fraction, ECPoint]] = []
+            newly: List[Tuple[FiberCurve, ECPoint]] = []
             # group-law multiples on this fiber
             if elliptic.torsion_status(E, Q) is None:
                 acc = Q
@@ -279,38 +283,41 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
                         report.truncated = True
                         report.skipped.append(f"bit cap exceeded (multiple({n}))")
                         break
-                    if emit(t, acc, f"multiple({n})"):
-                        newly.append((t, acc))
+                    if emit(E, acc, f"multiple({n})"):
+                        newly.append((E, acc))
             else:
                 report.skipped.append(f"torsion point on fiber t={t}")
-            # tangent-section point
-            wp = WPoint.from_affine(t, Q.x, Q.y)
+            # tangent-section point, then a bounded-height sweep of the
+            # same section
             if Q.y != 0:
-                tq_t, tq = cubic.tangent_point(S, wp)
-                if emit(tq_t, tq, "tangent"):
-                    newly.append((tq_t, tq))
-                # bounded-height sweep of the same tangent section
-                for ts, Qs in cp_sweep(S, wp, cfg.t_height_bound):
-                    if S.fiber_at(ts).is_singular():
+                ell = cubic.tangent_section(S, WPoint.from_affine(t, Q.x, Q.y))
+                _, tq = cubic.tangent_point(ell)
+                if emit(E, tq, "tangent"):
+                    newly.append((E, tq))
+                for ts, Qs in cp_sweep(ell, cfg.t_height_bound):
+                    Es = S.fiber_at(ts)
+                    if Es.is_singular():
                         continue
-                    if emit(ts, Qs, f"sweep({ts})"):
-                        newly.append((ts, Qs))
+                    if emit(Es, Qs, f"sweep({ts})"):
+                        newly.append((Es, Qs))
             else:
                 report.skipped.append(f"2-torsion point on fiber t={t}")
             # multisection hops
             for th, Qh in u_hop(S, t, Q):
-                if S.fiber_at(th).is_singular():
+                Eh = S.fiber_at(th)
+                if Eh.is_singular():
                     continue
-                if emit(th, Qh, "hop"):
-                    newly.append((th, Qh))
+                if emit(Eh, Qh, "hop"):
+                    newly.append((Eh, Qh))
             next_frontier.extend(
-                (tn, Qn) for tn, Qn in newly if tn not in known_fibers
+                (En, Qn) for En, Qn in newly if En.t not in known_fibers
             )
         frontier = next_frontier
         if len(report.points) >= cfg.max_points:
             report.truncated = True
             break
-    report.all_verified = all(S.membership(r.wpoint) for r in report.points)
+    # emit verified every kept point and raised on any failure
+    report.all_verified = True
     return report
 
 

@@ -47,10 +47,6 @@ class UniPoly:
     def constant(c) -> "UniPoly":
         return UniPoly((c,))
 
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0, 1))
-
     # -- basic queries ------------------------------------------------
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -165,12 +161,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.lc())
 
-    def shift_mul_x(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def reverse(self, n: Optional[int] = None) -> "UniPoly":
         """Coefficient reversal t^n · f(1/t), n defaulting to deg f.
 
@@ -250,54 +240,6 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         r = _int_prem(a, b)
         a, b = b, _primitive(r) if r else []
     return UniPoly(a).monic()
-
-
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant via exact Gaussian elimination on the Sylvester matrix."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = f.degree(), g.degree()
-    if m == 0:
-        return f.lc() ** n
-    if n == 0:
-        return g.lc() ** m
-    size = m + n
-    rows: List[List[Fraction]] = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] * inv
-            for cidx in range(col, size):
-                rows[r][cidx] -= factor * rows[col][cidx]
-    return det
-
-
-def discriminant(f: UniPoly) -> Fraction:
-    if f.degree() < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    n = f.degree()
-    fp = f.derivative()
-    if fp.is_zero():
-        return Fraction(0)
-    res = resultant(f, fp)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / f.lc()
 
 
 def is_separable(f: UniPoly) -> bool:
@@ -385,14 +327,6 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
                     roots.append((cand, mult))
     roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
     return roots
-
-
-def rational_roots_flat(f: UniPoly) -> List[Fraction]:
-    """Rational roots repeated per multiplicity."""
-    out: List[Fraction] = []
-    for r, m in rational_roots(f):
-        out.extend([r] * m)
-    return out
 
 
 # -- sparse multivariate polynomials ----------------------------------
@@ -543,11 +477,6 @@ class MultiPoly:
             return -1
         return max(e[idx] for e in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coefficient_of(self, idx: int, power: int) -> "MultiPoly":
         """Coefficient of (variable idx)^power, as a polynomial with that
         variable's exponent zeroed."""
@@ -558,12 +487,3 @@ class MultiPoly:
                 nexp[idx] = 0
                 terms[tuple(nexp)] = c
         return MultiPoly(self.nvars, terms)
-
-    def to_json_terms(self) -> List[list]:
-        """Serializable term list [[e0,...,ek], "p/q"] in canonical order."""
-        out = []
-        for exp, c in self.sorted_terms():
-            if isinstance(c, QuadExt):
-                raise ValueError("QuadExt coefficients do not serialize")
-            out.append([list(exp), str(c)])
-        return out

@@ -163,10 +163,6 @@ class WPoint:
     def __str__(self) -> str:
         return f"[{self.x}:{self.y}:{self.z}:{self.w}]"
 
-    @property
-    def is_base_point(self) -> bool:
-        return (self.x, self.y, self.z, self.w) == (1, 1, 0, 0)
-
     def t(self) -> Fraction:
         if self.w == 0:
             raise ValueError("fiber parameter undefined for w = 0")
@@ -176,9 +172,6 @@ class WPoint:
         if self.w == 0:
             raise ValueError("affine coordinates undefined for w = 0")
         return Fraction(self.x, self.w ** 2), Fraction(self.y, self.w ** 3)
-
-
-BASE_POINT = WPoint(1, 1, 0, 0)
 
 
 class Surface:
@@ -200,10 +193,6 @@ class Surface:
         # smoothness_check's verdict, or the message of its
         # DegenerateSurfaceError, once decided
         self._smoothness = None
-
-    @staticmethod
-    def build(params: SurfaceParams) -> "Surface":
-        return Surface(params)
 
     # -- weighted forms ----------------------------------------------
     def A_form(self, z: Fraction, w: Fraction) -> Fraction:

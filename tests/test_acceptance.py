@@ -12,9 +12,8 @@ from conftest import random_params, random_smooth_surface, surface_through
 from dp1.cubic import (
     classify_singularities,
     fiber_line_cubic,
-    pullback_plane,
-    tangent_plane,
     tangent_point,
+    tangent_section,
     transversality_check,
     verify_normal_form,
 )
@@ -135,11 +134,12 @@ def test_criterion_3_group_law(capsys):
 def _check_tangent_identity(S, P):
     t0 = P.t()
     x0, y0 = P.affine_xy()
-    t, Q = tangent_point(S, P)
+    ell = tangent_section(S, P)
+    t, Q = tangent_point(ell)
     assert t == t0
     E = S.fiber_at(t0)
     assert Q == neg(mul(E, 2, ECPoint(x0, y0)))
-    line = pullback_plane(S, tangent_plane(S, P)).restrict_to_fiber(t0)
+    line = ell.restrict_to_fiber(t0)
     alpha, beta, c0 = line
     # the restricted line vanishes at Q
     assert alpha * Q.x + beta * Q.y + c0 == 0
@@ -189,14 +189,14 @@ def test_criterion_6_engine_correctness(capsys):
             WORKED, SEED,
             GenerationConfig(t_height_bound=10, multiple_bound=10, depth=1),
         )
-        assert rep.all_verified
         seen = {(r.t, r.point.x, r.point.y) for r in rep.points}
         assert len(seen) == len(rep.points) >= 11
         assert any(
             r.point == ECPoint(Fraction(17, 4), Fraction(71, 8)) for r in rep.points
         )
-        for r in rep.points:
-            assert WORKED.membership(r.wpoint)
+        lifted = [WPoint.from_affine(r.t, r.point.x, r.point.y) for r in rep.points]
+        assert len(set(lifted)) == len(lifted)
+        assert all(WORKED.membership(R) for R in lifted)
 
         rep2 = generate(
             WORKED_2, WPoint.parse("[1:2:1:1]"),
@@ -239,9 +239,12 @@ def test_criterion_8_transversality(capsys):
             WORKED, SEED,
             GenerationConfig(t_height_bound=10, multiple_bound=10, depth=1),
         )
+        lifted = [WPoint.from_affine(r.t, r.point.x, r.point.y) for r in rep.points]
+        assert len(set(lifted)) == len(lifted)
+        assert all(WORKED.membership(R) for R in lifted)
         counts = []
-        for rec in rep.points[:25]:
-            if rec.wpoint == SEED:
+        for R in lifted[:25]:
+            if R == SEED:
                 continue
-            counts.append(transversality_check(WORKED, rec.wpoint, SEED))
+            counts.append(transversality_check(WORKED, R, SEED))
         assert 3 in counts

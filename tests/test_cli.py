@@ -66,6 +66,21 @@ def test_smooth_with_primes(surface_file, capsys):
     assert out["cross_check"]["7"] == "smooth" or out["cross_check"][7] == "smooth"
 
 
+def test_smooth_primes_records_false_alarm(surface_file, capsys):
+    # smooth over Q, bad reduction at 7, 11 and 13: the cross-check's known
+    # false alarm is reported, not raised
+    params = {"a": "2/5", "b": "-1/2", "c": "-1", "d": "-2", "e": "-1/5",
+              "f": ["1/4", "1", "5/3", "-4"]}
+    code, out = run(
+        capsys, "smooth", "--surface", surface_file(params), "--primes", "7,11,13"
+    )
+    assert code == 0
+    assert out["verdict"] == "smooth"
+    assert out["cross_check"].startswith(
+        "OracleDisagreementError: declared smooth but singular mod every prime"
+    )
+
+
 @pytest.mark.parametrize("command, extra", [
     ("smooth", []),
     ("classify", []),

@@ -9,9 +9,9 @@ from dp1.cubic import (
     TwoTorsionSeedError,
     classify_singularities,
     fiber_line_cubic,
-    pullback_plane,
     tangent_plane,
     tangent_point,
+    tangent_section,
     theta,
     transversality_check,
     verify_normal_form,
@@ -68,7 +68,7 @@ def test_euler_relation_random():
 
 
 def test_pullback_and_restriction(worked_surface, worked_seed):
-    ell = pullback_plane(worked_surface, tangent_plane(worked_surface, worked_seed))
+    ell = tangent_section(worked_surface, worked_seed)
     assert ell.restrict_to_fiber(Fraction(-1)) == (3, -2, 5)
     assert ell.restrict_to_fiber(Fraction(0)) == (3, -2, 5)
     assert ell.evaluate(worked_seed) == 0
@@ -81,13 +81,13 @@ def test_restricted_cubic_worked(worked_surface, worked_seed):
 
 
 def test_tangent_point_worked(worked_surface, worked_seed):
-    t, Q = tangent_point(worked_surface, worked_seed)
+    t, Q = tangent_point(tangent_section(worked_surface, worked_seed))
     assert t == Fraction(-1)
     assert (Q.x, Q.y) == (Fraction(17, 4), Fraction(71, 8))
 
 
 def test_tangent_point_is_minus_double(worked_surface, worked_seed):
-    t, Q = tangent_point(worked_surface, worked_seed)
+    t, Q = tangent_point(tangent_section(worked_surface, worked_seed))
     E = worked_surface.fiber_at(t)
     assert Q == elliptic.neg(elliptic.mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
 
@@ -98,7 +98,7 @@ def test_tangent_point_rejects_two_torsion():
     P = WPoint.from_affine(Fraction(0), Fraction(2), Fraction(0))
     assert S.membership(P)
     with pytest.raises(TwoTorsionSeedError):
-        tangent_point(S, P)
+        tangent_point(tangent_section(S, P))
 
 
 def test_tangent_point_random_pairs():
@@ -112,7 +112,7 @@ def test_tangent_point_random_pairs():
         x0, y0 = P.affine_xy()
         if y0 == 0:
             continue
-        t, Q = tangent_point(S, P)  # internal cross-checks assert the identity
+        t, Q = tangent_point(tangent_section(S, P))  # internal cross-checks assert the identity
         assert elliptic.on_curve(E, Q)
         checked += 1
 
@@ -167,9 +167,10 @@ def test_transversality_generic_hits_three(worked_surface, worked_seed):
     )
     counts = []
     for rec in rep.points[:25]:
-        if rec.wpoint == worked_seed:
+        R = WPoint.from_affine(rec.t, rec.point.x, rec.point.y)
+        if R == worked_seed:
             continue
-        counts.append(transversality_check(worked_surface, rec.wpoint, worked_seed))
+        counts.append(transversality_check(worked_surface, R, worked_seed))
     assert 3 in counts
 
 

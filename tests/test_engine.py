@@ -5,6 +5,7 @@ import pytest
 
 from conftest import surface_through
 from dp1 import elliptic
+from dp1.cubic import tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -89,18 +90,18 @@ def test_u_hop_linear_when_c_zero():
 
 
 def test_cp_sweep_finds_tangent_point(worked_surface, worked_seed):
-    found = cp_sweep(worked_surface, worked_seed, 2)
+    found = cp_sweep(tangent_section(worked_surface, worked_seed), 2)
     assert (Fraction(-1), ECPoint(Fraction(17, 4), Fraction(71, 8))) in found
 
 
 def test_cp_sweep_excludes_seed(worked_surface, worked_seed):
-    found = cp_sweep(worked_surface, worked_seed, 2)
+    found = cp_sweep(tangent_section(worked_surface, worked_seed), 2)
     assert (Fraction(-1), ECPoint(Fraction(-1), Fraction(1))) not in found
 
 
 def test_cp_sweep_no_root_at_zero(worked_surface, worked_seed):
     # at t = 0 the cubic 4x³−9x²−30x−13 has no rational root
-    found = cp_sweep(worked_surface, worked_seed, 1)
+    found = cp_sweep(tangent_section(worked_surface, worked_seed), 1)
     assert not any(t == 0 for t, _ in found)
 
 
@@ -199,5 +200,8 @@ def test_every_generated_point_on_surface_random():
         if not rep_h.overall:
             continue
         rep = generate(S, P, GenerationConfig(t_height_bound=3, multiple_bound=3, depth=1, bit_cap=512))
-        assert rep.all_verified
+        lifted = [WPoint.from_affine(r.t, r.point.x, r.point.y) for r in rep.points]
+        assert len(set(lifted)) == len(lifted)
+        for R in lifted:
+            assert S.membership(R)
         done += 1

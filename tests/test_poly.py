@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,9 @@ from hypothesis import strategies as st
 from dp1.poly import (
     MultiPoly,
     UniPoly,
-    discriminant,
     gcd,
     is_separable,
     rational_roots,
-    rational_roots_flat,
-    resultant,
     squarefree_factorization,
     squarefree_part,
 )
@@ -20,6 +18,57 @@ from dp1.poly import (
 
 def P(*coeffs) -> UniPoly:
     return UniPoly(coeffs)
+
+
+# Resultant and discriminant are oracles for gcd and is_separable: a route
+# to "common root" and "repeated root" that shares no code with the PRS gcd.
+def resultant(f: UniPoly, g: UniPoly) -> Fraction:
+    """Reference resultant: exact Gaussian elimination on the Sylvester matrix."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial is undefined")
+    m, n = f.degree(), g.degree()
+    if m == 0:
+        return f.lc() ** n
+    if n == 0:
+        return g.lc() ** m
+    size = m + n
+    rows: List[List[Fraction]] = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col] == 0:
+                continue
+            factor = rows[r][col] * inv
+            for cidx in range(col, size):
+                rows[r][cidx] -= factor * rows[col][cidx]
+    return det
+
+
+def discriminant(f: UniPoly) -> Fraction:
+    """Reference discriminant (−1)^(n(n−1)/2) · Res(f, f′) / lc(f)."""
+    if f.degree() < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    n = f.degree()
+    fp = f.derivative()
+    if fp.is_zero():
+        return Fraction(0)
+    res = resultant(f, fp)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res / f.lc()
 
 
 def test_basic_arithmetic():
@@ -80,7 +129,7 @@ def test_separability():
 def test_rational_roots_worked_examples():
     f = P(-17, -30, -9, 4)
     assert rational_roots(f) == [(Fraction(-1), 2), (Fraction(17, 4), 1)]
-    assert rational_roots_flat(P(1, 0, 0, 1)) == [Fraction(-1)]
+    assert rational_roots(P(1, 0, 0, 1)) == [(Fraction(-1), 1)]
     assert rational_roots(P(2, 0, 0, 1)) == []
 
 
@@ -231,4 +280,4 @@ def test_multi_arity_mismatch():
 def test_multi_serialization_deterministic():
     X0, X1 = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
     f = (X0 + X1) ** 2
-    assert f.to_json_terms() == [[[0, 2], "1"], [[1, 1], "2"], [[2, 0], "1"]]
+    assert f.sorted_terms() == [((0, 2), 1), ((1, 1), 2), ((2, 0), 1)]
