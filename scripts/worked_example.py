@@ -29,7 +29,7 @@ def main() -> None:
     print("cubic model singularities:", json.dumps(rep.to_json()))
 
     print("theta(seed):", theta(S, P))
-    section = tangent_section(S, P)
+    section = tangent_section(S, *S.fiber_point(P))
     print("tangent plane:", tuple(format_rational(c) for c in section.plane.as_tuple()))
 
     t, Q = tangent_point(section)

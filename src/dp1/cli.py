@@ -25,7 +25,6 @@ from .surface import (
     Surface,
     SurfaceParams,
     WPoint,
-    discriminant_form,
     singular_fiber_report,
     smoothness_check,
 )
@@ -126,14 +125,19 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     S = _load_surface(args.surface)
     P = WPoint.parse(args.seed)
-    found = engine.cp_sweep(cubic.tangent_section(S, P), args.t_height)
+    if not S.membership(P):
+        raise ValueError(f"{P} is not on the surface")
+    if P.w == 0:
+        # the tangent plane at a w = 0 point is X3 = 0: it meets no affine fiber
+        raise ValueError("tangent construction needs w != 0")
+    found = engine.cp_sweep(cubic.tangent_section(S, *S.fiber_point(P)), args.t_height)
     payload = {
         "surface": S.params.to_json(),
         "seed": str(P),
         "points": [
-            {"t": format_rational(t), "x": format_rational(q.x),
-             "y": format_rational(q.y), "provenance": f"sweep({t})"}
-            for t, q in found
+            {"t": format_rational(E.t), "x": format_rational(q.x),
+             "y": format_rational(q.y), "provenance": f"sweep({E.t})"}
+            for E, q in found
         ],
     }
     _emit(payload, args)
@@ -260,9 +264,8 @@ def cmd_search_params(args) -> int:
 def cmd_fibers(args) -> int:
     S = _load_surface(args.surface)
     report = singular_fiber_report(S)
-    form = discriminant_form(S)
     payload = {
-        "z12_coefficient": format_rational(form.z12_coefficient),
+        "z12_coefficient": format_rational(S.discriminant_t()[12]),
         "multiplicity_at_infinity": report.multiplicity_at_infinity,
         "total_multiplicity": report.total_multiplicity,
         "factors": [

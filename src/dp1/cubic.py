@@ -97,38 +97,39 @@ class PlaneForm:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
 
-def tangent_plane(S: Surface, P: WPoint) -> PlaneForm:
-    """Gradient of the cubic form at θ(P); contains θ(P) by Euler's relation."""
+def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
+    """Gradient of the cubic form at the point X of W, in any representative.
+
+    The gradient is quadratic, so rescaling X by μ scales it by μ² > 0, and
+    dividing by the content leaves one plane per point.  Euler's relation
+    X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
+    """
     F = cubic_form(S)
-    pt = [Fraction(v) for v in theta(S, P)]
+    pt = [Fraction(v) for v in X]
     grads = [F.partial(i).evaluate(pt) for i in range(4)]
     if not any(grads):
-        raise SingularImageError(f"theta({P}) is a singular point of W")
+        raise SingularImageError(f"[{':'.join(map(str, pt))}] is a singular point of W")
     # divide by the content only; the gradient's own orientation is kept
     num_gcd = math.gcd(*(gcomp.numerator for gcomp in grads))
     den_lcm = math.lcm(*(gcomp.denominator for gcomp in grads))
     scale = Fraction(num_gcd, den_lcm)
     grads = [gcomp / scale for gcomp in grads]
     plane = PlaneForm(*grads)
-    assert plane.evaluate(pt) == 0
+    if plane.evaluate(pt) != 0:
+        raise ValueError(f"[{':'.join(map(str, pt))}] is not on the cubic model W")
     return plane
 
 
 @dataclass(frozen=True)
 class TangentData:
-    """The tangent section at ``point``: the tangent plane at θ(point),
-    pulled back to ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w) + δw³ (weighted
-    degree 3)."""
+    """The tangent section at ``point`` on ``fiber``: the tangent plane at
+    θ = (x, y, f(t), 1), pulled back to ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w)
+    + δw³ (weighted degree 3)."""
 
     plane: PlaneForm
     surface: Surface
-    point: WPoint
-
-    def evaluate(self, P: WPoint) -> Fraction:
-        x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
-        a, b, g, d = self.plane.as_tuple()
-        fh = self.surface.f_hom(z, w) if (z, w) != (0, 0) else Fraction(0)
-        return a * x * w + b * y + g * fh + d * w ** 3
+    fiber: FiberCurve
+    point: ECPoint
 
     def restrict_to_fiber(self, t: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
         """Affine line αx + βy + c0 = 0 on the Weierstrass fiber at t."""
@@ -136,9 +137,10 @@ class TangentData:
         return (a, b, g * self.surface.f(Fraction(t)) + d)
 
 
-def tangent_section(S: Surface, P: WPoint) -> TangentData:
-    """The tangent section at P: the tangent plane at θ(P), pulled back."""
-    return TangentData(tangent_plane(S, P), S, P)
+def tangent_section(S: Surface, E: FiberCurve, Q: ECPoint) -> TangentData:
+    """The tangent section at the affine point Q of the fiber E of S."""
+    theta_q = (Q.x, Q.y, S.f(E.t), Fraction(1))
+    return TangentData(tangent_plane(S, theta_q), S, E, Q)
 
 
 def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -> UniPoly:
@@ -161,16 +163,12 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
     section on P's own fiber; it must coincide with −[2]P under the group
     law, and both routes are checked against each other.
     """
-    S, P = ell.surface, ell.point
-    if P.w == 0:
-        raise ValueError("tangent construction needs w != 0")
-    t0 = P.t()
-    x0, y0 = P.affine_xy()
-    E = S.fiber_at(t0)
+    E, P = ell.fiber, ell.point
+    t0, x0, y0 = E.t, P.x, P.y
     if y0 == 0:
         raise TwoTorsionSeedError("seed is 2-torsion; the tangent line is vertical")
     a, b, c0 = ell.restrict_to_fiber(t0)
-    assert b != 0  # b = -2*y0*w0^3 up to scaling, nonzero off 2-torsion
+    assert b != 0  # b = -2*y0 up to scaling, nonzero off 2-torsion
     cubic = fiber_line_cubic(E, (a, b, c0))
     # the tangency forces a double root at x0
     dbl = UniPoly((-x0, 1)) ** 2
@@ -181,9 +179,8 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
     y3 = -(a * x3 + c0) / b
     Q = ECPoint(x3, y3)
     assert elliptic.on_curve(E, Q)
-    group_law_route = elliptic.neg(elliptic.mul(E, 2, ECPoint(x0, y0)))
+    group_law_route = elliptic.neg(elliptic.mul(E, 2, P))
     assert Q == group_law_route, "geometric and group-law routes disagree"
-    assert ell.evaluate(WPoint.from_affine(t0, x3, y3)) == 0
     return t0, Q
 
 
@@ -320,7 +317,7 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
     E = S.fiber_at(P.t())
     if E.is_singular():
         raise ValueError("fiber of P is singular")
-    a, b, c0 = tangent_section(S, R).restrict_to_fiber(P.t())
+    a, b, c0 = tangent_section(S, *S.fiber_point(R)).restrict_to_fiber(P.t())
     if a == 0 and b == 0:
         if c0 == 0:
             raise DegenerateRestrictionError("plane restricts to zero on the fiber")

@@ -69,12 +69,11 @@ def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
     t0 = P.t()
     shifted = S.f - UniPoly.constant(S.f(t0))
     separable = poly.is_separable(shifted)
-    E = S.fiber_at(t0)
+    E, Q = S.fiber_point(P)
     if E.is_singular():
         non_torsion = False
     else:
-        x0, y0 = P.affine_xy()
-        non_torsion = elliptic.torsion_status(E, ECPoint(x0, y0)) is None
+        non_torsion = elliptic.torsion_status(E, Q) is None
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -95,12 +94,13 @@ def bounded_height_rationals(height: int) -> Iterator[Fraction]:
             yield Fraction(-p, q)
 
 
-def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[Fraction, ECPoint]]:
+def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoint]]:
     """Hop a point to other fibers through the multisection structure.
 
     The surface equation sees z only through u = f(z/w), so a fixed (x0, y0)
     lies on every fiber t with c·u² + (a·x0 + d)·u + (b·x0 + e − k) = 0 and
-    f(t) = u, where k = y0² − x0³.  Returns the hops, excluding t0 itself.
+    f(t) = u, where k = y0² − x0³.  Returns each hop with its fiber,
+    excluding t0 itself.
     """
     if Q.is_infinity:
         raise ValueError("hop needs an affine point")
@@ -114,7 +114,7 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[Fraction, ECPoint]
     if p.c != 0:
         # the second root is rational by Vieta
         u_values.add(-(p.a * x0 + p.d) / p.c - u0)
-    out: List[Tuple[Fraction, ECPoint]] = []
+    out: List[Tuple[FiberCurve, ECPoint]] = []
     for u in sorted(u_values):
         shifted = S.f - UniPoly.constant(u)
         for t, _mult in poly.rational_roots(shifted):
@@ -122,22 +122,21 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[Fraction, ECPoint]
                 continue
             E = S.fiber_at(t)
             assert elliptic.on_curve(E, Q), "hopped point fails the new fiber"
-            out.append((t, Q))
+            out.append((E, Q))
     return out
 
 
 def cp_sweep(
     ell: cubic.TangentData, t_height_bound: int
-) -> List[Tuple[Fraction, ECPoint]]:
+) -> List[Tuple[FiberCurve, ECPoint]]:
     """Sweep the tangent section at P across bounded-height fibers.
 
     Restricts the section to each fiber, solves the resulting line/curve
-    intersection for rational points, and excludes P itself.
+    intersection for rational points, and excludes P itself.  Returns each
+    point with its fiber.
     """
-    S, P = ell.surface, ell.point
-    p_t = P.t() if P.w != 0 else None
-    p_xy = P.affine_xy() if P.w != 0 else None
-    out: List[Tuple[Fraction, ECPoint]] = []
+    S, p_t, P = ell.surface, ell.fiber.t, ell.point
+    out: List[Tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
         a, b, c0 = ell.restrict_to_fiber(t)
         E = S.fiber_at(t)
@@ -157,10 +156,10 @@ def cp_sweep(
         else:
             continue  # plane misses the affine fiber entirely
         for Q in found:
-            if p_t is not None and t == p_t and (Q.x, Q.y) == p_xy:
+            if t == p_t and Q == P:
                 continue
             assert elliptic.on_curve(E, Q)
-            out.append((t, Q))
+            out.append((E, Q))
     return out
 
 
@@ -255,8 +254,7 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         report.fibers[t] = report.fibers.get(t, 0) + 1
         return True
 
-    x0, y0 = seed.affine_xy()
-    E0, Q0 = S.fiber_at(seed.t()), ECPoint(x0, y0)
+    E0, Q0 = S.fiber_point(seed)
     emit(E0, Q0, "seed")
     frontier: List[Tuple[FiberCurve, ECPoint]] = [(E0, Q0)]
 
@@ -290,21 +288,19 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
             # tangent-section point, then a bounded-height sweep of the
             # same section
             if Q.y != 0:
-                ell = cubic.tangent_section(S, WPoint.from_affine(t, Q.x, Q.y))
+                ell = cubic.tangent_section(S, E, Q)
                 _, tq = cubic.tangent_point(ell)
                 if emit(E, tq, "tangent"):
                     newly.append((E, tq))
-                for ts, Qs in cp_sweep(ell, cfg.t_height_bound):
-                    Es = S.fiber_at(ts)
+                for Es, Qs in cp_sweep(ell, cfg.t_height_bound):
                     if Es.is_singular():
                         continue
-                    if emit(Es, Qs, f"sweep({ts})"):
+                    if emit(Es, Qs, f"sweep({Es.t})"):
                         newly.append((Es, Qs))
             else:
                 report.skipped.append(f"2-torsion point on fiber t={t}")
             # multisection hops
-            for th, Qh in u_hop(S, t, Q):
-                Eh = S.fiber_at(th)
+            for Eh, Qh in u_hop(S, t, Q):
                 if Eh.is_singular():
                     continue
                 if emit(Eh, Qh, "hop"):

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy import factorint
 
 from . import poly
-from .elliptic import FiberCurve
+from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
 from .rational import format_rational, parse_rational
 
@@ -224,8 +224,13 @@ class Surface:
         t = Fraction(t)
         return FiberCurve(t, self.A_t(t), self.B_t(t))
 
+    def fiber_point(self, P: WPoint) -> Tuple[FiberCurve, ECPoint]:
+        """The fiber through P (w != 0) and P as an affine point on it."""
+        return self.fiber_at(P.t()), ECPoint(*P.affine_xy())
+
     def discriminant_t(self) -> UniPoly:
-        """Δ(t) = −16(4A(t)³ + 27B(t)²), the w=1 chart of the degree-12 form."""
+        """Δ(t) = −16(4A(t)³ + 27B(t)²), the w=1 chart of the degree-12 form:
+        the coefficient of t^i is that of z^i w^(12−i)."""
         return ((self.A_t ** 3).scale(4) + (self.B_t ** 2).scale(27)).scale(-16)
 
 
@@ -471,28 +476,6 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int] = (7, 11, 13, 17, 1
 
 
 # -- discriminant form and singular fibers ----------------------------
-
-@dataclass(frozen=True)
-class DiscriminantForm:
-    """The degree-12 form Δ(z,w) = −16(4A³ + 27B²) as a coefficient ledger.
-
-    form_coeffs[i] is the coefficient of z^i w^(12−i); the affine chart
-    polynomial in t = z/w is recoverable as the same list.
-    """
-
-    delta_t: UniPoly
-    form_coeffs: Tuple[Fraction, ...]
-
-    @property
-    def z12_coefficient(self) -> Fraction:
-        return self.form_coeffs[12]
-
-
-def discriminant_form(S: Surface) -> DiscriminantForm:
-    delta = S.discriminant_t()
-    coeffs = tuple(delta[i] for i in range(13))
-    return DiscriminantForm(delta, coeffs)
-
 
 @dataclass(frozen=True)
 class FiberFactor:

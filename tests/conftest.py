@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dp1.cubic import tangent_section
 from dp1.surface import (
     Surface,
     SurfaceParams,
@@ -27,6 +28,12 @@ def worked_surface_2() -> Surface:
 @pytest.fixture
 def worked_seed() -> WPoint:
     return WPoint.parse("[-1:1:-1:1]")
+
+
+@pytest.fixture
+def worked_section(worked_surface, worked_seed):
+    """The tangent section at the worked seed, on its fiber t = -1."""
+    return tangent_section(worked_surface, *worked_surface.fiber_point(worked_seed))
 
 
 @pytest.fixture

@@ -133,6 +133,21 @@ def test_sweep_command(surface_file, capsys):
     assert any(p["x"] == "17/4" for p in out["points"])
 
 
+def test_sweep_rejects_seed_off_surface(surface_file, capsys):
+    code, _ = run(
+        capsys, "sweep", "--surface", surface_file(WORKED), "--seed", "[1:1:1:1]",
+    )
+    assert code == 2
+
+
+def test_sweep_rejects_seed_with_w_zero(surface_file, capsys):
+    # [2:3:1:0] is on the surface; its tangent plane X3 = 0 meets no affine fiber
+    code = main(["sweep", "--surface", surface_file(WORKED), "--seed", "[2:3:1:0]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "w != 0" in captured.err
+
+
 def test_oracle_command(surface_file, capsys):
     code, out = run(
         capsys, "oracle", "--surface", surface_file(WORKED),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_smooth_surface, surface_through
 from dp1 import elliptic
@@ -47,14 +49,14 @@ def test_theta_lands_on_cubic_random():
 
 
 def test_tangent_plane_worked(worked_surface, worked_seed):
-    plane = tangent_plane(worked_surface, worked_seed)
+    plane = tangent_plane(worked_surface, theta(worked_surface, worked_seed))
     assert plane.as_tuple() == (3, -2, 0, 5)
     assert 3 * (-1) - 2 * 1 + 0 + 5 * 1 == 0
 
 
 def test_tangent_plane_at_base_point(worked_surface):
     # the gradient at [0:1:0:0] has last component −1 (scaled): nonzero
-    plane = tangent_plane(worked_surface, WPoint(1, 1, 0, 0))
+    plane = tangent_plane(worked_surface, theta(worked_surface, WPoint(1, 1, 0, 0)))
     assert plane.delta != 0
 
 
@@ -62,16 +64,37 @@ def test_euler_relation_random():
     rng = random.Random(5)
     for _ in range(10):
         S, P = surface_through(rng)
-        plane = tangent_plane(S, P)
         pt = [Fraction(v) for v in theta(S, P)]
+        plane = tangent_plane(S, pt)
         assert plane.evaluate(pt) == 0
 
 
-def test_pullback_and_restriction(worked_surface, worked_seed):
-    ell = tangent_section(worked_surface, worked_seed)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2 ** 32),
+    st.fractions(-50, 50, max_denominator=20).filter(lambda v: v != 0),
+)
+def test_affine_tangent_plane_matches_canonical_theta(seed, lam):
+    # the plane at (x, y, f(t), 1) is the plane at the canonical θ(P), and
+    # does not depend on the representative of the point
+    S, P = surface_through(random.Random(seed))
+    t, (x, y) = P.t(), P.affine_xy()
+    X = (x, y, S.f(t), Fraction(1))
+    plane = tangent_plane(S, X)
+    assert plane == tangent_plane(S, theta(S, WPoint.from_affine(t, x, y)))
+    assert plane == tangent_plane(S, [lam * v for v in X])
+
+
+def test_tangent_plane_rejects_point_off_cubic(worked_surface):
+    with pytest.raises(ValueError):
+        tangent_plane(worked_surface, (1, 1, 1, 1))
+
+
+def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
+    ell = worked_section
     assert ell.restrict_to_fiber(Fraction(-1)) == (3, -2, 5)
     assert ell.restrict_to_fiber(Fraction(0)) == (3, -2, 5)
-    assert ell.evaluate(worked_seed) == 0
+    assert ell.plane.evaluate(theta(worked_surface, worked_seed)) == 0
 
 
 def test_restricted_cubic_worked(worked_surface, worked_seed):
@@ -80,14 +103,14 @@ def test_restricted_cubic_worked(worked_surface, worked_seed):
     assert cub == UniPoly((-17, -30, -9, 4))
 
 
-def test_tangent_point_worked(worked_surface, worked_seed):
-    t, Q = tangent_point(tangent_section(worked_surface, worked_seed))
+def test_tangent_point_worked(worked_section):
+    t, Q = tangent_point(worked_section)
     assert t == Fraction(-1)
     assert (Q.x, Q.y) == (Fraction(17, 4), Fraction(71, 8))
 
 
-def test_tangent_point_is_minus_double(worked_surface, worked_seed):
-    t, Q = tangent_point(tangent_section(worked_surface, worked_seed))
+def test_tangent_point_is_minus_double(worked_surface, worked_section):
+    t, Q = tangent_point(worked_section)
     E = worked_surface.fiber_at(t)
     assert Q == elliptic.neg(elliptic.mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
 
@@ -98,7 +121,7 @@ def test_tangent_point_rejects_two_torsion():
     P = WPoint.from_affine(Fraction(0), Fraction(2), Fraction(0))
     assert S.membership(P)
     with pytest.raises(TwoTorsionSeedError):
-        tangent_point(tangent_section(S, P))
+        tangent_point(tangent_section(S, *S.fiber_point(P)))
 
 
 def test_tangent_point_random_pairs():
@@ -112,7 +135,7 @@ def test_tangent_point_random_pairs():
         x0, y0 = P.affine_xy()
         if y0 == 0:
             continue
-        t, Q = tangent_point(tangent_section(S, P))  # internal cross-checks assert the identity
+        t, Q = tangent_point(tangent_section(S, *S.fiber_point(P)))  # internal cross-checks assert the identity
         assert elliptic.on_curve(E, Q)
         checked += 1
 
@@ -157,6 +180,11 @@ def test_normal_form_random_regimes():
 
 def test_transversality_self_is_deficient(worked_surface, worked_seed):
     assert transversality_check(worked_surface, worked_seed, worked_seed) < 3
+
+
+def test_transversality_rejects_off_surface(worked_surface, worked_seed):
+    with pytest.raises(ValueError):
+        transversality_check(worked_surface, WPoint(1, 1, 1, 1), worked_seed)
 
 
 def test_transversality_generic_hits_three(worked_surface, worked_seed):

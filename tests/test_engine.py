@@ -5,7 +5,6 @@ import pytest
 
 from conftest import surface_through
 from dp1 import elliptic
-from dp1.cubic import tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -18,6 +17,11 @@ from dp1.engine import (
     u_hop,
 )
 from dp1.surface import Surface, SurfaceParams, WPoint
+
+
+def _by_t(found):
+    """(fiber, point) pairs as (t, point) pairs."""
+    return [(E.t, Q) for E, Q in found]
 
 
 def test_hypotheses_worked_seed(worked_surface, worked_seed):
@@ -70,7 +74,7 @@ def test_bounded_height_enumeration():
 
 def test_u_hop_worked(worked_surface_2):
     hops = u_hop(worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))
-    assert (Fraction(-1), ECPoint(Fraction(1), Fraction(2))) in hops
+    assert (Fraction(-1), ECPoint(Fraction(1), Fraction(2))) in _by_t(hops)
 
 
 def test_u_hop_no_new_fiber(worked_surface):
@@ -84,25 +88,34 @@ def test_u_hop_linear_when_c_zero():
     # find a point first via the oracle
     for t, q in brute_force_oracle(S, 3, 1, 2, 1):
         hops = u_hop(S, t, q)
-        for th, qh in hops:
-            assert elliptic.on_curve(S.fiber_at(th), qh)
+        for Eh, qh in hops:
+            assert elliptic.on_curve(S.fiber_at(Eh.t), qh)
         break
 
 
-def test_cp_sweep_finds_tangent_point(worked_surface, worked_seed):
-    found = cp_sweep(tangent_section(worked_surface, worked_seed), 2)
+def test_cp_sweep_finds_tangent_point(worked_section):
+    found = _by_t(cp_sweep(worked_section, 2))
     assert (Fraction(-1), ECPoint(Fraction(17, 4), Fraction(71, 8))) in found
 
 
-def test_cp_sweep_excludes_seed(worked_surface, worked_seed):
-    found = cp_sweep(tangent_section(worked_surface, worked_seed), 2)
+def test_cp_sweep_excludes_seed(worked_section):
+    found = _by_t(cp_sweep(worked_section, 2))
     assert (Fraction(-1), ECPoint(Fraction(-1), Fraction(1))) not in found
 
 
-def test_cp_sweep_no_root_at_zero(worked_surface, worked_seed):
+def test_cp_sweep_no_root_at_zero(worked_section):
     # at t = 0 the cubic 4x³−9x²−30x−13 has no rational root
-    found = cp_sweep(tangent_section(worked_surface, worked_seed), 1)
+    found = _by_t(cp_sweep(worked_section, 1))
     assert not any(t == 0 for t, _ in found)
+
+
+def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section, worked_surface_2):
+    found = cp_sweep(worked_section, 2)
+    hops = u_hop(worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))
+    assert found and hops
+    for S, pairs in ((worked_surface, found), (worked_surface_2, hops)):
+        for E, Q in pairs:
+            assert E == S.fiber_at(E.t)
 
 
 def test_generate_worked(worked_surface, worked_seed):

@@ -11,7 +11,6 @@ from dp1.surface import (
     Surface,
     SurfaceParams,
     WPoint,
-    discriminant_form,
     modp_singular_scan,
     singular_fiber_report,
     smoothness_check,
@@ -175,8 +174,7 @@ def test_discriminant_form_z12_coefficient():
     rng = random.Random(41)
     for _ in range(15):
         p = random_params(rng, height=4)
-        form = discriminant_form(Surface(p))
-        assert form.z12_coefficient == -432 * p.c ** 2 * p.f3 ** 4
+        assert Surface(p).discriminant_t()[12] == -432 * p.c ** 2 * p.f3 ** 4
 
 
 def test_singular_fiber_report_worked(worked_surface, worked_surface_2):
