@@ -1,7 +1,9 @@
 """Command-line interface: JSON reports over the library operations.
 
 Exit codes: 0 on success, 1 on a mathematical negative (hypotheses fail,
-surface singular, identity fails), 2 on input errors.
+surface singular, identity fails), 2 on input errors, 3 on an internal
+invariant failure (an ``InvariantError`` or an ``OracleDisagreementError``
+that no command records).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cubic, engine, surface as surface_mod
 from .engine import GenerationConfig
-from .rational import format_rational
+from .rational import InvariantError, format_rational
 from .surface import (
     SINGULAR_MOD_EVERY_PRIME,
     DegenerateSurfaceError,
@@ -32,6 +34,7 @@ from .surface import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_surface(path: str) -> Surface:
@@ -206,11 +209,9 @@ def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
     if not verdict.smooth:
         return row
     for t, q in engine.brute_force_oracle(S, *seed_box):
-        P = WPoint.from_affine(t, q.x, q.y)
-        report = engine.check_hypotheses(S, P)
-        if report.overall:
+        if engine.check_fiber_hypotheses(S, S.fiber_at(t), q).overall:
             row["certified"] = True
-            row["seed"] = str(P)
+            row["seed"] = str(WPoint.from_affine(t, q.x, q.y))
             break
     return row
 
@@ -367,6 +368,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateSurfaceError as exc:
         _emit({"verdict": "degenerate", "detail": str(exc)}, args)
         return EXIT_NEGATIVE
+    except (InvariantError, OracleDisagreementError) as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
 from .poly import MultiPoly, UniPoly
-from .rational import QuadExt, is_square
+from .rational import InvariantError, QuadExt, is_square
 from .surface import Surface, WPoint
 
 
@@ -72,7 +72,8 @@ def theta(S: Surface, P: WPoint) -> Tuple[int, int, int, int]:
     x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
     img = (x * w, y, S.f_hom(z, w) if (z, w) != (0, 0) else Fraction(0), w ** 3)
     pt = _canonical_p3(img)
-    assert cubic_form(S).evaluate([Fraction(v) for v in pt]) == 0
+    if cubic_form(S).evaluate([Fraction(v) for v in pt]) != 0:
+        raise InvariantError(f"theta({P}) = {pt} is not on the cubic model W")
     return pt
 
 
@@ -168,19 +169,26 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
     if y0 == 0:
         raise TwoTorsionSeedError("seed is 2-torsion; the tangent line is vertical")
     a, b, c0 = ell.restrict_to_fiber(t0)
-    assert b != 0  # b = -2*y0 up to scaling, nonzero off 2-torsion
+    if b == 0:  # b = -2*y0 up to scaling, nonzero off 2-torsion
+        raise InvariantError(f"tangent line at {P} is vertical off 2-torsion")
     cubic = fiber_line_cubic(E, (a, b, c0))
     # the tangency forces a double root at x0
     dbl = UniPoly((-x0, 1)) ** 2
     quot, rem = cubic.divmod(dbl)
-    assert rem.is_zero(), "tangent line is not doubly tangent at the seed"
+    if not rem.is_zero():
+        raise InvariantError(f"tangent line is not doubly tangent at {P}")
     x3 = (a / b) ** 2 - 2 * x0
-    assert quot.degree() == 1 and quot(x3) == 0
+    if quot.degree() != 1 or quot(x3) != 0:
+        raise InvariantError(f"x = {x3} is not the third root of the tangent cubic at {P}")
     y3 = -(a * x3 + c0) / b
     Q = ECPoint(x3, y3)
-    assert elliptic.on_curve(E, Q)
+    if not elliptic.on_curve(E, Q):
+        raise InvariantError(f"tangent point {Q} fails the fiber t={t0}")
     group_law_route = elliptic.neg(elliptic.mul(E, 2, P))
-    assert Q == group_law_route, "geometric and group-law routes disagree"
+    if Q != group_law_route:
+        raise InvariantError(
+            f"geometric and group-law routes disagree: {Q} != {group_law_route}"
+        )
     return t0, Q
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
-# Over Q a torsion point has order in {1,...,10,12} (Mazur), so checking
-# multiples up to 12 decides torsion exactly.
+from .rational import InvariantError
+
+# Over Q a torsion point has order in {1,...,10,12} (Mazur), so walking the
+# multiples up to [12]P decides torsion exactly.
 MAZUR_ORDERS = tuple(list(range(1, 11)) + [12])
 
 
@@ -72,10 +74,9 @@ def neg(P: ECPoint) -> ECPoint:
     return ECPoint(P.x, -P.y)
 
 
-def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
-    """Chord-tangent addition with the point at infinity as origin."""
-    _require_on_curve(E, P)
-    _require_on_curve(E, Q)
+def _chord(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
+    """Chord-tangent addition with the point at infinity as origin; the
+    caller has checked P and Q on E."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -90,6 +91,13 @@ def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     x3 = lam * lam - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
     return ECPoint(x3, y3)
+
+
+def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
+    """P + Q on E; both inputs are checked on E."""
+    _require_on_curve(E, P)
+    _require_on_curve(E, Q)
+    return _chord(E, P, Q)
 
 
 def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
@@ -108,19 +116,28 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
     return result
 
 
-def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
-    """Exact order of P if torsion (in the Mazur set), else None.
+def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
+    """[P, [2]P, ..., [n]P], one chord step each.
 
-    Walks successive multiples; any rational torsion point has order at
-    most 12, so 12 additions decide.
+    P and each new multiple are checked on E once: P off E is an
+    OffCurveError, a multiple off E an InvariantError.
     """
+    if n < 1:
+        raise ValueError("the walk needs n >= 1")
+    _require_on_curve(E, P)
+    walk = [P]
+    for k in range(2, n + 1):
+        acc = _chord(E, walk[-1], P)
+        if not on_curve(E, acc):
+            raise InvariantError(f"[{k}]{P} = {acc} is not on y^2 = x^3 + {E.A}x + {E.B}")
+        walk.append(acc)
+    return walk
+
+
+def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
+    """Exact order of P if torsion (in the Mazur set), else None: the first
+    O among [1]P, ..., [12]P."""
     if E.is_singular():
         raise SingularFiberError("torsion test requires a nonsingular fiber")
-    _require_on_curve(E, P)
-    acc = P
-    for n in range(1, 13):
-        # acc == [n]P at this point
-        if acc.is_infinity:
-            return n
-        acc = add(E, acc, P)
-    return None
+    walk = multiples(E, P, max(MAZUR_ORDERS))
+    return next((n for n, R in enumerate(walk, 1) if R.is_infinity), None)

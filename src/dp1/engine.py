@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
-from .rational import bit_size, format_rational, is_square
+from .rational import InvariantError, bit_size, format_rational, is_square
 from .surface import Surface, WPoint, smoothness_check
 
 
@@ -54,26 +54,32 @@ class HypothesisReport:
 
 
 def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
-    """Evaluate each seed condition independently.
+    """Evaluate each seed condition of a weighted point independently.
 
-    The slope condition is checked with cleared denominators as
-    3·z0·f3 + 2·f2·w0 ≠ 0.  When w0 = 0 the fiber-level conditions are
-    reported False rather than erroring.
+    When w0 = 0 the fiber-level conditions are reported False rather than
+    erroring; otherwise the point is checked on its fiber by
+    ``check_fiber_hypotheses``.
     """
+    if P.w != 0:
+        return check_fiber_hypotheses(S, *S.fiber_point(P))
     if not S.membership(P):
         raise ValueError(f"{P} is not on the surface")
+    return HypothesisReport(smoothness_check(S).smooth, False, False, False, False)
+
+
+def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisReport:
+    """Evaluate each seed condition at the affine point Q of the fiber E.
+
+    The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
+    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.
+    """
+    if Q.is_infinity or not elliptic.on_curve(E, Q):
+        raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
     smooth = smoothness_check(S).smooth
-    if P.w == 0:
-        return HypothesisReport(smooth, False, False, False, False)
-    slope = 3 * P.z * S.params.f3 + 2 * S.params.f2 * P.w != 0
-    t0 = P.t()
-    shifted = S.f - UniPoly.constant(S.f(t0))
-    separable = poly.is_separable(shifted)
-    E, Q = S.fiber_point(P)
-    if E.is_singular():
-        non_torsion = False
-    else:
-        non_torsion = elliptic.torsion_status(E, Q) is None
+    t0 = E.t
+    slope = 3 * t0 * S.params.f3 + 2 * S.params.f2 != 0
+    separable = poly.is_separable(S.f - UniPoly.constant(S.f(t0)))
+    non_torsion = not E.is_singular() and elliptic.torsion_status(E, Q) is None
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -109,7 +115,8 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoin
     k = y0 * y0 - x0 ** 3
     u0 = S.f(t0)
     u_quad = UniPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
-    assert u_quad(u0) == 0, "current fiber's u-value must solve the hop equation"
+    if u_quad(u0) != 0:
+        raise InvariantError(f"the u-value {u0} of fiber t={t0} does not solve the hop equation")
     u_values = {u0}
     if p.c != 0:
         # the second root is rational by Vieta
@@ -121,7 +128,8 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoin
             if t == t0:
                 continue
             E = S.fiber_at(t)
-            assert elliptic.on_curve(E, Q), "hopped point fails the new fiber"
+            if not elliptic.on_curve(E, Q):
+                raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
             out.append((E, Q))
     return out
 
@@ -158,7 +166,8 @@ def cp_sweep(
         for Q in found:
             if t == p_t and Q == P:
                 continue
-            assert elliptic.on_curve(E, Q)
+            if not elliptic.on_curve(E, Q):
+                raise InvariantError(f"swept point {Q} fails the fiber t={t}")
             out.append((E, Q))
     return out
 
@@ -248,7 +257,7 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         if key in seen:
             return False
         if not elliptic.on_curve(E, Q):
-            raise AssertionError(f"generated point {Q} fails fiber t={t}")
+            raise InvariantError(f"generated point {Q} fails fiber t={t}")
         seen.add(key)
         report.points.append(PointRecord(t, Q, provenance))
         report.fibers[t] = report.fibers.get(t, 0) + 1
@@ -270,21 +279,21 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
                 report.skipped.append(f"singular fiber t={t}")
                 continue
             newly: List[Tuple[FiberCurve, ECPoint]] = []
-            # group-law multiples on this fiber
-            if elliptic.torsion_status(E, Q) is None:
+            # group-law multiples on this fiber: one walk to [12]P decides
+            # torsion and gives [2]P..[12]P; checked additions go on past it
+            walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
+            if any(R.is_infinity for R in walk):
+                report.skipped.append(f"torsion point on fiber t={t}")
+            else:
                 acc = Q
                 for n in range(2, cfg.multiple_bound + 1):
-                    acc = elliptic.add(E, acc, Q)
-                    if acc.is_infinity:
-                        break
+                    acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
                     if not _within_cap(t, acc, cfg.bit_cap):
                         report.truncated = True
                         report.skipped.append(f"bit cap exceeded (multiple({n}))")
                         break
                     if emit(E, acc, f"multiple({n})"):
                         newly.append((E, acc))
-            else:
-                report.skipped.append(f"torsion point on fiber t={t}")
             # tangent-section point, then a bounded-height sweep of the
             # same section
             if Q.y != 0:

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from sympy import divisors
 
-from .rational import QuadExt, Scalar
+from .rational import InvariantError, QuadExt, Scalar
 
 Coeff = Union[Fraction, QuadExt]
 
@@ -255,7 +255,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         return UniPoly.constant(1)
     g = gcd(f, f.derivative())
     q, r = f.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise InvariantError("gcd(f, f') does not divide f")
     return q.monic()
 
 
@@ -284,12 +285,38 @@ def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
     return out
 
 
+def _homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
+    """qⁿ·f(p/q) for the integer polynomial f = Σ cs[i]·xⁱ of degree n,
+    by homogeneous Horner."""
+    acc = cs[-1]
+    qk = 1
+    for c in reversed(cs[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def _divide_by_root(cs: Sequence[int], p: int, q: int) -> List[int]:
+    """f / (q·x − p) for a root p/q (coprime) of the integer polynomial f.
+
+    By Gauss's lemma the quotient has integer coefficients, so synthetic
+    division from the top is exact.
+    """
+    out = [0] * (len(cs) - 1)
+    b = 0
+    for i in range(len(cs) - 1, 0, -1):
+        b = (cs[i] + p * b) // q
+        out[i - 1] = b
+    return out
+
+
 def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
     """All rational roots of f with multiplicities.
 
-    Clears denominators to a primitive integer polynomial and enumerates
-    divisor pairs of the constant and leading coefficients; a root's
-    multiplicity is found by repeated division.
+    Clears denominators to a primitive integer polynomial and tests the
+    divisor pairs (±p, q) of its constant and leading coefficients by
+    homogeneous Horner in integers; a root's multiplicity is found by
+    repeated exact division by q·x − p.
     """
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -304,27 +331,19 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
     if f.degree() < 1:
         return roots
     ics = _primitive(_clear_denominators(f))
-    a0, an = abs(ics[0]), abs(ics[-1])
-    seen = set()
-    for p in divisors(a0):
-        for q in divisors(an):
+    # ics[0] != 0, so p >= 1 and the coprime pairs (±p, q) are distinct roots
+    for p in divisors(abs(ics[0])):
+        for q in divisors(abs(ics[-1])):
             if math.gcd(p, q) != 1:
                 continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if f(cand) == 0:
-                    mult = 0
-                    g = f
-                    lin = UniPoly((-cand, 1))
-                    while True:
-                        quo, rem = g.divmod(lin)
-                        if not rem.is_zero():
-                            break
-                        mult += 1
-                        g = quo
-                    roots.append((cand, mult))
+            for sp in (p, -p):
+                mult = 0
+                g = ics
+                while _homogeneous_value(g, sp, q) == 0:
+                    g = _divide_by_root(g, sp, q)
+                    mult += 1
+                if mult:
+                    roots.append((Fraction(sp, q), mult))
     roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
     return roots
 

@@ -17,6 +17,11 @@ from typing import Optional, Union
 Rational = Fraction
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a result the library computed does not
+    certify.  A bug, never bad input, so it is not a ValueError."""
+
+
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
     return Fraction(s.strip())

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from dp1 import engine
 from dp1.cli import main, sample_params, search_params
-from dp1.surface import SurfaceParams
+from dp1.rational import InvariantError
+from dp1.surface import OracleDisagreementError, SurfaceParams
 
 WORKED = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "3", "f": ["0", "0", "0", "1"]}
 WORKED_2 = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "2", "f": ["0", "0", "0", "1"]}
@@ -175,6 +177,17 @@ def test_input_error_exit_two(tmp_path, capsys):
 def test_unknown_flag_exit_two(surface_file, capsys):
     code = main(["classify", "--surface", surface_file(WORKED), "--bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [InvariantError, OracleDisagreementError])
+def test_internal_error_exit_three(surface_file, capsys, monkeypatch, error):
+    def broken(S, P, cfg):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(engine, "generate", broken)
+    code = main(["generate", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]"])
+    assert code == 3
+    assert "invariant broken" in capsys.readouterr().err
 
 
 def test_search_params_includes_worked_tuple():

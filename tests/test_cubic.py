@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from dp1.cubic import (
 )
 from dp1.elliptic import ECPoint
 from dp1.poly import UniPoly
+from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 
 
@@ -113,6 +118,36 @@ def test_tangent_point_is_minus_double(worked_surface, worked_section):
     t, Q = tangent_point(worked_section)
     E = worked_surface.fiber_at(t)
     assert Q == elliptic.neg(elliptic.mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
+
+
+def test_tangent_point_raises_when_routes_disagree(worked_section, monkeypatch):
+    monkeypatch.setattr(elliptic, "mul", lambda E, n, P: P)
+    with pytest.raises(InvariantError, match="routes disagree"):
+        tangent_point(worked_section)
+
+
+ROUTES_DISAGREE = """
+from dp1 import cubic, elliptic
+from dp1.rational import InvariantError
+from dp1.surface import Surface, SurfaceParams, WPoint
+S = Surface(SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1))
+section = cubic.tangent_section(S, *S.fiber_point(WPoint.parse("[-1:1:-1:1]")))
+elliptic.mul = lambda E, n, P: P
+try:
+    cubic.tangent_point(section)
+except InvariantError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_tangent_point_raises_when_routes_disagree_under_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", ROUTES_DISAGREE],
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0
 
 
 def test_tangent_point_rejects_two_torsion():

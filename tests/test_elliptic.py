@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp1 import elliptic
 from dp1.elliptic import (
@@ -12,6 +14,7 @@ from dp1.elliptic import (
     SingularFiberError,
     add,
     mul,
+    multiples,
     neg,
     on_curve,
     torsion_status,
@@ -127,3 +130,61 @@ def test_mul_adds_only_up_to_the_last_bit(monkeypatch):
         calls.clear()
         assert mul(E2, n, P) == multiples[n]
         assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+
+
+def checked_walk(E, P, n):
+    """Reference walk: [P, [2]P, ..., [n]P] by checked additions."""
+    walk = [add(E, O, P)]
+    while len(walk) < n:
+        walk.append(add(E, walk[-1], P))
+    return walk
+
+
+coord = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coord, coord, coord, st.integers(1, 14))
+def test_multiples_match_checked_walk(x0, y0, A, n):
+    # B is solved so that (x0, y0) lies on the curve
+    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
+    if E.is_singular():
+        return
+    P = ECPoint(x0, y0)
+    assert multiples(E, P, n) == checked_walk(E, P, n)
+
+
+def test_multiples_reject_off_curve_start():
+    with pytest.raises(OffCurveError):
+        multiples(E2, ECPoint(Fraction(0), Fraction(1)), 5)
+    with pytest.raises(ValueError):
+        multiples(E2, ECPoint(Fraction(-1), Fraction(1)), 0)
+
+
+# (A, B, x, y, order).  Orders 4-12: Kubert's Tate normal forms
+# y² + (1−c)xy − by = x³ − bx² at parameter 2, in short Weierstrass form, with
+# (0, 0) sent to (3·b2, 108·(−b)), b2 = (1−c)² − 4b.
+KNOWN_TORSION = [
+    (-1, 0, 0, 0, 2),
+    (0, 4, 0, 2, 3),
+    (-2619, 918, -21, -216, 4),
+    (-27, 55350, -21, -216, 5),
+    (-10395, 31158, -69, -648, 6),
+    (-3483, 121014, -45, -432, 7),
+    (Fraction(-44091, 16), Fraction(1652427, 32), Fraction(-141, 4), -324, 8),
+    (-17739, 1205766, -117, -1296, 9),
+    (-58347, 3954150, -213, -2592, 10),
+    (-33339627, 73697852646, 3027, -22680, 12),
+]
+
+
+@pytest.mark.parametrize("A, B, x, y, order", KNOWN_TORSION)
+def test_torsion_status_known_orders(A, B, x, y, order):
+    E = FiberCurve(Fraction(0), Fraction(A), Fraction(B))
+    P = ECPoint(Fraction(x), Fraction(y))
+    walk = checked_walk(E, P, order)
+    assert walk[-1] == O and O not in walk[:-1]
+    # the walk goes on past O: [order + k]P = [k]P
+    assert multiples(E, P, order + 2) == walk + walk[:2]
+    assert torsion_status(E, P) == order
+    assert torsion_status(E, neg(P)) == order

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,26 @@ def test_generate_hop_surface(worked_surface_2):
     )
     assert any(r.provenance == "hop" and r.t == Fraction(-1) for r in rep.points)
     assert rep.all_verified
+
+
+def test_generate_decides_torsion_once(worked_surface_2, monkeypatch):
+    # the seed's torsion test comes from the hypothesis check; every frontier
+    # point's walk to [12]P decides its own, with no second torsion_status
+    callers = []
+    torsion_status = elliptic.torsion_status
+
+    def counting(E, Q):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return torsion_status(E, Q)
+
+    monkeypatch.setattr(elliptic, "torsion_status", counting)
+    rep = generate(
+        worked_surface_2,
+        WPoint.parse("[1:2:1:1]"),
+        GenerationConfig(t_height_bound=2, multiple_bound=3, depth=2),
+    )
+    assert len(rep.fibers) == 4  # the second level expanded the hop's fibers
+    assert callers == ["check_fiber_hypotheses"]
 
 
 def test_generate_depth_zero(worked_surface, worked_seed):

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import divisors
 
 from dp1.poly import (
     MultiPoly,
@@ -241,6 +243,74 @@ def test_rational_roots_verify_by_substitution(f):
     for r, m in rational_roots(f):
         assert f(r) == 0
         assert m >= 1
+
+
+def rational_roots_by_fractions(f: UniPoly) -> List[Tuple[Fraction, int]]:
+    """Reference root finder: every divisor candidate ±p/q is evaluated in
+    Fraction, and a root's multiplicity found by repeated Fraction division."""
+    roots: List[Tuple[Fraction, int]] = []
+    k = 0
+    while f[0] == 0 and f.degree() >= 1:
+        f = UniPoly(f.coeffs[1:])
+        k += 1
+    if k:
+        roots.append((Fraction(0), k))
+    if f.degree() < 1:
+        return roots
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ics = [int(c * den) for c in f.coeffs]
+    seen = set()
+    for p in divisors(abs(ics[0])):
+        for q in divisors(abs(ics[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in seen or f(cand) != 0:
+                    continue
+                seen.add(cand)
+                mult, g = 0, f
+                while True:
+                    quo, rem = g.divmod(UniPoly((-cand, 1)))
+                    if not rem.is_zero():
+                        break
+                    mult, g = mult + 1, quo
+                roots.append((cand, mult))
+    roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
+    return roots
+
+
+planted_root = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+nonzero_scale = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(planted_root, st.integers(1, 3)), max_size=3),
+    st.integers(0, 2),
+    small_poly.filter(lambda g: not g.is_zero()),
+    nonzero_scale,
+)
+def test_rational_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
+    # planted simple and repeated roots, a root at 0 of multiplicity
+    # zero_mult, and a cofactor that may add roots of its own
+    f = cofactor.scale(scale) * P(0, 1) ** zero_mult
+    for r, m in planted:
+        f = f * P(-r, 1) ** m
+    roots = rational_roots(f)
+    assert roots == rational_roots_by_fractions(f)
+    found = dict(roots)
+    for r, _ in planted:
+        assert found[r] >= sum(m for s, m in planted if s == r)
+
+
+def test_rational_roots_match_fraction_oracle_examples():
+    cases = [
+        P(-17, -30, -9, 4),
+        P(0, 0, 0, 5),
+        P(Fraction(1, 6), Fraction(-5, 6), 1),
+        (P(Fraction(-2, 3), 1) ** 3) * (P(Fraction(5, 4), 1) ** 2) * P(7, 1) * P(0, 1),
+        P(2 ** 61 - 1, 0, -(3 ** 20)),
+    ]
+    for f in cases:
+        assert rational_roots(f) == rational_roots_by_fractions(f)
 
 
 @settings(max_examples=40, deadline=None)
