@@ -70,7 +70,8 @@ def theta(S: Surface, P: WPoint) -> Tuple[int, int, int, int]:
     if not S.membership(P):
         raise ValueError(f"{P} is not on the surface")
     x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
-    img = (x * w, y, S.f_hom(z, w) if (z, w) != (0, 0) else Fraction(0), w ** 3)
+    f_hom = S.f(z / w) * w ** 3 if w else S.params.f3 * z ** 3
+    img = (x * w, y, f_hom, w ** 3)
     pt = _canonical_p3(img)
     if cubic_form(S).evaluate([Fraction(v) for v in pt]) != 0:
         raise InvariantError(f"theta({P}) = {pt} is not on the cubic model W")
@@ -184,7 +185,7 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
     Q = ECPoint(x3, y3)
     if not elliptic.on_curve(E, Q):
         raise InvariantError(f"tangent point {Q} fails the fiber t={t0}")
-    group_law_route = elliptic.neg(elliptic.mul(E, 2, P))
+    group_law_route = elliptic.neg(elliptic.multiples(E, P, 2)[1])
     if Q != group_law_route:
         raise InvariantError(
             f"geometric and group-law routes disagree: {Q} != {group_law_route}"

@@ -29,9 +29,6 @@ class FiberCurve:
     A: Fraction
     B: Fraction
 
-    def discriminant(self) -> Fraction:
-        return -16 * (4 * self.A ** 3 + 27 * self.B ** 2)
-
     def is_singular(self) -> bool:
         return 4 * self.A ** 3 + 27 * self.B ** 2 == 0
 
@@ -98,22 +95,6 @@ def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
     return _chord(E, P, Q)
-
-
-def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
-    """Scalar multiple [n]P by double-and-add; negative n negates."""
-    _require_on_curve(E, P)
-    if n < 0:
-        return neg(mul(E, -n, P))
-    result = O
-    base = P
-    while n:
-        if n & 1:
-            result = add(E, result, base)
-        n >>= 1
-        if n:
-            base = add(E, base, base)
-    return result
 
 
 def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:

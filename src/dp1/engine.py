@@ -340,9 +340,10 @@ def brute_force_oracle(
     is O(t-box · x-box) exact square tests).
     """
     out: List[Tuple[Fraction, ECPoint]] = []
+    xs = list(_box_rationals(x_num, x_den))
     for t in _box_rationals(t_num, t_den):
         E = S.fiber_at(t)
-        for x in _box_rationals(x_num, x_den):
+        for x in xs:
             v = E.rhs(x)
             root = is_square(v)
             if root is None:
@@ -354,11 +355,12 @@ def brute_force_oracle(
 
 
 def _box_rationals(num_bound: int, den_bound: int) -> Iterator[Fraction]:
-    """Rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, deduplicated."""
-    seen = set()
+    """Rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, each once.
+
+    Only coprime pairs are kept: any other pair reduces to one already
+    yielded at a smaller q, so the order is that of first appearance.
+    """
     for q in range(1, den_bound + 1):
         for p in range(-num_bound, num_bound + 1):
-            v = Fraction(p, q)
-            if v not in seen:
-                seen.add(v)
-                yield v
+            if math.gcd(p, q) == 1:
+                yield Fraction(p, q)

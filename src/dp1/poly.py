@@ -23,6 +23,21 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _power(base, n: int, one):
+    """base**n by square-and-multiply, squaring no further than the last
+    bit of n; one is the multiplicative identity of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class UniPoly:
     """Dense univariate polynomial over Q, coefficients indexed by degree.
 
@@ -108,17 +123,7 @@ class UniPoly:
         return UniPoly([a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, UniPoly.constant(1))
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Return self(inner(t)), by Horner evaluation in UniPoly."""
@@ -184,10 +189,6 @@ def _integer_form(f: UniPoly) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
-def _clear_denominators(f: UniPoly) -> List[int]:
-    return _integer_form(f)[0]
-
-
 def _content(cs: Sequence[int]) -> int:
     g = 0
     for c in cs:
@@ -232,8 +233,8 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a = _primitive(_clear_denominators(f))
-    b = _primitive(_clear_denominators(g))
+    a = _primitive(_integer_form(f)[0])
+    b = _primitive(_integer_form(g)[0])
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -330,7 +331,7 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
         roots.append((Fraction(0), k))
     if f.degree() < 1:
         return roots
-    ics = _primitive(_clear_denominators(f))
+    ics = _primitive(_integer_form(f)[0])
     # ics[0] != 0, so p >= 1 and the coprime pairs (±p, q) are distinct roots
     for p in divisors(abs(ics[0])):
         for q in divisors(abs(ics[-1])):
@@ -440,17 +441,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.constant(self.nvars, 1))
 
     def substitute(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute one replacement polynomial per variable, simultaneously."""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy import factorint
 
 from . import poly
-from .elliptic import ECPoint, FiberCurve
+from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
 from .rational import format_rational, parse_rational
 
@@ -57,13 +57,19 @@ class SurfaceParams:
         return UniPoly((self.e, self.d, self.c))
 
     @staticmethod
-    def from_json(obj: dict) -> "SurfaceParams":
-        f = [parse_rational(v) for v in obj["f"]]
-        if len(f) != 4:
+    def from_json(obj) -> "SurfaceParams":
+        """Read {"a": .., "e": .., "f": [f0, f1, f2, f3]}, every value a
+        rational string such as "-3/2"; JSON numbers are refused, since a
+        JSON float is binary floating point."""
+        if not isinstance(obj, dict):
+            raise ValueError("surface file must hold a JSON object")
+        f = obj.get("f")
+        if not isinstance(f, list) or len(f) != 4:
             raise ValueError("surface file must list f as [f0,f1,f2,f3]")
-        return SurfaceParams(
-            *(parse_rational(obj[k]) for k in ("a", "b", "c", "d", "e")), *f
-        )
+        vals = [obj.get(k) for k in ("a", "b", "c", "d", "e")] + f
+        if not all(isinstance(v, str) for v in vals):
+            raise ValueError('surface parameters a..e and f0..f3 must be strings such as "-3/2"')
+        return SurfaceParams(*map(parse_rational, vals))
 
     def to_json(self) -> dict:
         out = {k: format_rational(getattr(self, k)) for k in ("a", "b", "c", "d", "e")}
@@ -189,36 +195,18 @@ class Surface:
         self.B_t = params.a6_of_u().compose(self.f)
         self.A_s = self.A_t.reverse(4)
         self.B_s = self.B_t.reverse(6)
-        self.f_s = self.f.reverse(3)
         # smoothness_check's verdict, or the message of its
         # DegenerateSurfaceError, once decided
         self._smoothness = None
 
-    # -- weighted forms ----------------------------------------------
-    def A_form(self, z: Fraction, w: Fraction) -> Fraction:
-        """Degree-4 form A(z,w); A(1,0) = 0 is forced by the family shape."""
-        if w != 0:
-            return self.A_t(Fraction(z) / w) * Fraction(w) ** 4
-        return self.A_s(Fraction(w) / z) * Fraction(z) ** 4
-
-    def B_form(self, z: Fraction, w: Fraction) -> Fraction:
-        """Degree-6 form B(z,w); B(1,0) = c·f3²."""
-        if w != 0:
-            return self.B_t(Fraction(z) / w) * Fraction(w) ** 6
-        return self.B_s(Fraction(w) / z) * Fraction(z) ** 6
-
-    def f_hom(self, z: Fraction, w: Fraction) -> Fraction:
-        """Degree-3 homogenization of f."""
-        if w != 0:
-            return self.f(Fraction(z) / w) * Fraction(w) ** 3
-        return self.f_s(Fraction(w) / z) * Fraction(z) ** 3
-
     # -- point operations --------------------------------------------
     def membership(self, P: WPoint) -> bool:
-        x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
-        if z == 0 and w == 0:
-            return y * y == x ** 3
-        return y * y == x ** 3 + self.A_form(z, w) * x + self.B_form(z, w)
+        """P on the surface: on its fiber when w != 0, else on the fiber at
+        infinity y² = x³ + c·f3²·z⁶, since A(z, 0) = 0 and B(z, 0) = c·f3²·z⁶
+        by the family shape (z = w = 0 leaves y² = x³)."""
+        if P.w != 0:
+            return on_curve(*self.fiber_point(P))
+        return P.y ** 2 == P.x ** 3 + self.params.c * self.params.f3 ** 2 * P.z ** 6
 
     def fiber_at(self, t: Fraction) -> FiberCurve:
         t = Fraction(t)
@@ -294,20 +282,6 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     return witnesses
 
 
-def finite_smoothness_check(S: Surface) -> SmoothnessVerdict:
-    """Smoothness of the branch sextic away from the fiber at infinity.
-
-    Only the chart t = z/w is inspected.  When c = 0 the sextic is always
-    singular over t = ∞ (there A, B and B_w all vanish), so the a = 0 and
-    c = 0 singularity regimes of the cubic model admit no globally smooth
-    member; this weaker check is the right notion for those regimes.
-    """
-    witnesses = tuple(
-        ("t", wpoly) for wpoly in _chart_singular_witnesses(S.A_t, S.B_t)
-    )
-    return SmoothnessVerdict("singular" if witnesses else "smooth", witnesses)
-
-
 def smoothness_check(S: Surface) -> SmoothnessVerdict:
     """Decide smoothness of the branch sextic in both affine charts of P¹.
 
@@ -364,7 +338,8 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     Independent of the symbolic criterion: it checks the three partials
     directly at each of the ≤ 2p² chart points.
     """
-    if p == 2 or p == 3 or not _is_probable_prime(p):
+    # trial division is exact, and cheap beside the 2p² scan that follows
+    if p < 5 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"scan needs a prime p >= 5, got {p}")
     for params_den in _param_denominators(S.params):
         if params_den % p == 0:
@@ -402,33 +377,6 @@ def _param_denominators(params: SurfaceParams) -> List[int]:
         getattr(params, k).denominator
         for k in ("a", "b", "c", "d", "e", "f0", "f1", "f2", "f3")
     ]
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-        if q * q > n:
-            break
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class OracleDisagreementError(RuntimeError):

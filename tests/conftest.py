@@ -4,13 +4,26 @@ from fractions import Fraction
 import pytest
 
 from dp1.cubic import tangent_section
-from dp1.surface import (
-    Surface,
-    SurfaceParams,
-    WPoint,
-    finite_smoothness_check,
-    smoothness_check,
-)
+from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
+from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
+
+
+def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
+    """Reference scalar multiple [n]P by double-and-add of checked
+    additions; negative n negates."""
+    if not on_curve(E, P):
+        raise OffCurveError(f"{P} is not on y^2 = x^3 + {E.A}x + {E.B}")
+    if n < 0:
+        return neg(mul(E, -n, P))
+    result = O
+    base = P
+    while n:
+        if n & 1:
+            result = add(E, result, base)
+        n >>= 1
+        if n:
+            base = add(E, base, base)
+    return result
 
 
 @pytest.fixture
@@ -86,20 +99,23 @@ def random_smooth_surface(
     """Rejection-sample until the smoothness check passes.
 
     With c pinned to 0 no member of the family is smooth over t = ∞, so the
-    c = 0 regimes must be sampled with finite_only=True (smoothness of every
-    finite fiber chart only).
+    c = 0 regimes must be sampled with finite_only=True: smooth over every
+    finite fiber, that is no witness in the chart t = z/w.
     """
-    check = finite_smoothness_check if finite_only else smoothness_check
     while True:
         p = random_params(rng, height, a=a, c=c)
         if d_nonzero and p.d == 0:
             continue
         S = Surface(p)
         try:
-            if check(S).smooth:
-                return S
+            verdict = smoothness_check(S)
         except Exception:
             continue
+        if finite_only:
+            if all(chart != "t" for chart, _ in verdict.witnesses):
+                return S
+        elif verdict.smooth:
+            return S
 
 
 def surface_through(rng: random.Random, height: int = 4):

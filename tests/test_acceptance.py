@@ -8,7 +8,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import random_params, random_smooth_surface, surface_through
+from conftest import mul, random_params, random_smooth_surface, surface_through
 from dp1.cubic import (
     classify_singularities,
     fiber_line_cubic,
@@ -17,7 +17,7 @@ from dp1.cubic import (
     transversality_check,
     verify_normal_form,
 )
-from dp1.elliptic import ECPoint, FiberCurve, O, add, mul, neg, torsion_status
+from dp1.elliptic import ECPoint, FiberCurve, O, add, neg, torsion_status
 from dp1.engine import GenerationConfig, brute_force_oracle, check_hypotheses, generate
 from dp1.surface import (
     DegenerateSurfaceError,

@@ -174,6 +174,24 @@ def test_input_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("obj, message", [
+    (dict(WORKED, a=0), "must be strings"),  # a JSON number
+    (dict(WORKED, c=0.1), "must be strings"),  # a binary float, not 1/10
+    (dict(WORKED, f=["0", "0", "0", 1]), "must be strings"),
+    ([1, 2], "JSON object"),
+    (dict(WORKED, f="0001"), "list f"),
+    (dict(WORKED, f=["0", "0", "1"]), "list f"),
+    ({k: v for k, v in WORKED.items() if k != "e"}, "must be strings"),
+], ids=["number", "float", "number-in-f", "list", "f-string", "f-short", "missing-key"])
+def test_malformed_surface_file_exit_two(surface_file, capsys, obj, message):
+    code = main(["smooth", "--surface", surface_file(obj)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exit_two(surface_file, capsys):
     code = main(["classify", "--surface", surface_file(WORKED), "--bogus"])
     assert code == 2
@@ -188,6 +206,41 @@ def test_internal_error_exit_three(surface_file, capsys, monkeypatch, error):
     code = main(["generate", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]"])
     assert code == 3
     assert "invariant broken" in capsys.readouterr().err
+
+
+# SHA-256 of stdout and the exit code of commands the benchmark does not
+# digest, recorded before the weighted forms, mul and the second
+# square-and-multiply left the library
+CLI_PINS = [
+    ("check", WORKED, ["--seed", "[-1:1:-1:1]"], 0,
+     "d55465b68540e95082e47ee942c161c8a9cb1cf85123fe93cd50190412130eca"),
+    ("check", WORKED, ["--seed", "[0:1:1:0]"], 1,
+     "f8f609d817794bc884ea0440da3ec730533fd5fbd88f8741d681fb20a09c51b5"),
+    ("classify", WORKED, [], 0,
+     "fc142acdfe934a44a35633465e8530c70f66dfff81a7f6f627c9b343893ad870"),
+    ("classify", SINGULAR, [], 1,
+     "6d02e229e484acfe9ecc88fc33b4a0f52b1393b567b9c8bdf5bbff432eda59e8"),
+    ("smooth", SINGULAR, ["--primes", "7,11"], 1,
+     "7ca083bd67989feae3a36aba4b9a7e7f7b780165a7e73ce88fc1e974368e472d"),
+    ("identities", WORKED, [], 0,
+     "d1a098f2242d5947dd974769fccf52b14ca42fdd7b3c114f1cd94dc2bded8496"),
+    ("fibers", WORKED, [], 0,
+     "5cf958d46966a9dcb7b86b758092c4b98a19c7f6fc84c6eea277ec7ec2e7f781"),
+    ("sweep", WORKED, ["--seed", "[-1:1:-1:1]", "--t-height", "4"], 0,
+     "102c998978026f40c09ebdd74f5c6c2311df71dda14080598bcd482052d3daf5"),
+    ("oracle", WORKED, [], 0,
+     "53ccf043d147c4e94b4e578b851fa104b6c2d80ee17ea5a6072fc31a1eb79c8b"),
+    ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--depth", "2", "--t-height", "5"], 0,
+     "4e041e769328da011ae601b8816df0cf9d009928dae17035b7f1e6f4cc3602cd"),
+]
+
+
+@pytest.mark.parametrize("command, params, extra, exit_code, digest", CLI_PINS)
+def test_cli_output_pinned(surface_file, capsys, command, params, extra, exit_code, digest):
+    code = main([command, "--surface", surface_file(params), *extra])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_params_includes_worked_tuple():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_smooth_surface, surface_through
+from conftest import mul, random_smooth_surface, surface_through
 from dp1 import elliptic
 from dp1.cubic import (
     TwoTorsionSeedError,
@@ -34,6 +34,15 @@ def test_theta_base_point(worked_surface):
 
 def test_theta_worked_seed(worked_surface, worked_seed):
     assert theta(worked_surface, worked_seed) == (-1, 1, -1, 1)
+
+
+def test_theta_at_w_zero(worked_surface):
+    # [x:y:z:0] maps to [0 : y : f3·z³ : 0]
+    assert theta(worked_surface, WPoint(2, 3, 1, 0)) == (0, 3, 1, 0)
+    assert theta(worked_surface, WPoint(0, 1, 1, 0)) == (0, 1, 1, 0)
+    S = Surface(SurfaceParams(0, 0, 2, 0, 2, 0, 0, 0, 2))  # c·f3² = 8
+    assert theta(S, WPoint(1, 3, 1, 0)) == (0, 3, 2, 0)
+    assert theta(S, WPoint(2, 4, 1, 0)) == (0, 2, 1, 0)
 
 
 def test_theta_second_surface(worked_surface_2):
@@ -117,13 +126,27 @@ def test_tangent_point_worked(worked_section):
 def test_tangent_point_is_minus_double(worked_surface, worked_section):
     t, Q = tangent_point(worked_section)
     E = worked_surface.fiber_at(t)
-    assert Q == elliptic.neg(elliptic.mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
+    assert Q == elliptic.neg(mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
 
 
 def test_tangent_point_raises_when_routes_disagree(worked_section, monkeypatch):
-    monkeypatch.setattr(elliptic, "mul", lambda E, n, P: P)
+    monkeypatch.setattr(elliptic, "multiples", lambda E, P, n: [P] * n)
     with pytest.raises(InvariantError, match="routes disagree"):
         tangent_point(worked_section)
+
+
+def test_tangent_point_makes_no_add_call(worked_section, monkeypatch):
+    # the group-law route is one step of the walk, not a checked add
+    calls = []
+    real_add = elliptic.add
+
+    def counting_add(E, P, Q):
+        calls.append((P, Q))
+        return real_add(E, P, Q)
+
+    monkeypatch.setattr(elliptic, "add", counting_add)
+    tangent_point(worked_section)
+    assert calls == []
 
 
 ROUTES_DISAGREE = """
@@ -132,7 +155,7 @@ from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 S = Surface(SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1))
 section = cubic.tangent_section(S, *S.fiber_point(WPoint.parse("[-1:1:-1:1]")))
-elliptic.mul = lambda E, n, P: P
+elliptic.multiples = lambda E, P, n: [P] * n
 try:
     cubic.tangent_point(section)
 except InvariantError:

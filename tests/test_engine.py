@@ -10,6 +10,7 @@ from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
     HypothesisFailure,
+    _box_rationals,
     bounded_height_rationals,
     brute_force_oracle,
     check_hypotheses,
@@ -204,6 +205,27 @@ def test_oracle_second_surface(worked_surface_2):
     pts = brute_force_oracle(worked_surface_2, 5, 1, 1, 1)
     for t in (Fraction(1), Fraction(-1)):
         assert (t, ECPoint(Fraction(1), Fraction(2))) in pts
+
+
+def box_rationals_by_set(num_bound, den_bound):
+    """Reference box order: every p/q, with later repeats dropped by a set."""
+    seen = set()
+    out = []
+    for q in range(1, den_bound + 1):
+        for p in range(-num_bound, num_bound + 1):
+            v = Fraction(p, q)
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("num_bound", range(1, 7))
+@pytest.mark.parametrize("den_bound", range(1, 7))
+def test_box_rationals_match_set_dedup(num_bound, den_bound):
+    assert list(_box_rationals(num_bound, den_bound)) == box_rationals_by_set(
+        num_bound, den_bound
+    )
 
 
 def test_engine_subset_of_oracle(worked_surface, worked_seed):

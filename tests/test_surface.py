@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_params, random_smooth_surface
+from conftest import random_params, random_smooth_surface, surface_through
 from dp1.poly import UniPoly
 from dp1.surface import (
     DegenerateSurfaceError,
@@ -51,15 +54,62 @@ def test_membership_worked_examples(worked_surface, worked_seed):
     assert not worked_surface.membership(WPoint(1, 1, 1, 1))
 
 
+def on_surface_by_forms(S: Surface, P: WPoint) -> bool:
+    """Reference membership: y² = x³ + A(z,w)·x + B(z,w) with the degree-4
+    and degree-6 forms read off the chart at t = z/w, or at s = w/z when
+    w = 0."""
+    x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
+    if z == 0 and w == 0:
+        return y * y == x ** 3
+    if w != 0:
+        A, B = S.A_t(z / w) * w ** 4, S.B_t(z / w) * w ** 6
+    else:
+        A, B = S.A_s(w / z) * z ** 4, S.B_s(w / z) * z ** 6
+    return y * y == x ** 3 + A * x + B
+
+
+def rescaled(P: WPoint, lam: int) -> WPoint:
+    """(λ²x, λ³y, λz, λw), left out of canonical form."""
+    return WPoint(P.x * lam ** 2, P.y * lam ** 3, P.z * lam, P.w * lam)
+
+
 def test_membership_rescaling_invariance(worked_surface, worked_seed):
     P = worked_seed
     for lam in (2, 3, -5):
-        scaled = WPoint(P.x * lam ** 2, P.y * lam ** 3, P.z * lam, P.w * lam)
-        x, y, z, w = scaled.x, scaled.y, scaled.z, scaled.w
-        assert Fraction(y) ** 2 == Fraction(x) ** 3 + worked_surface.A_form(
-            Fraction(z), Fraction(w)
-        ) * x + worked_surface.B_form(Fraction(z), Fraction(w))
-        assert WPoint.canonicalize(x, y, z, w) == P
+        scaled = rescaled(P, lam)
+        assert on_surface_by_forms(worked_surface, scaled)
+        assert worked_surface.membership(scaled)
+        assert WPoint.canonicalize(scaled.x, scaled.y, scaled.z, scaled.w) == P
+
+
+small = st.integers(-4, 4)
+nonzero = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), nonzero, small, small, small, nonzero)
+def test_membership_matches_weighted_forms(seed, lam, shift, x, y, z):
+    S, P = surface_through(random.Random(seed))
+    base = WPoint(lam ** 2, lam ** 3, 0, 0)  # z = w = 0: y² = x³
+    assert S.membership(P) and S.membership(base)
+    points = [
+        P,
+        rescaled(P, lam),
+        WPoint(P.x + shift, P.y, P.z, P.w),
+        WPoint(P.x, P.y + shift, P.z, P.w),
+        base,
+        WPoint(x, y, z, 0),
+        rescaled(WPoint(x, y, z, 0), lam),
+    ]
+    if (x, y) != (0, 0):
+        points.append(WPoint(x, y, 0, 0))
+    for Q in points:
+        assert S.membership(Q) == on_surface_by_forms(S, Q), Q
+    # c solved so that [x:y:z:0] lies on the surface
+    c = Fraction(y * y - x ** 3) / (S.params.f3 ** 2 * z ** 6)
+    S0 = Surface(dataclasses.replace(S.params, c=c))
+    for Q in (WPoint(x, y, z, 0), rescaled(WPoint(x, y, z, 0), lam)):
+        assert S0.membership(Q) and on_surface_by_forms(S0, Q), Q
 
 
 def test_wpoint_parse_and_canonical():
@@ -92,10 +142,15 @@ def test_modp_scan_worked(worked_surface, singular_fixture):
 
 
 def test_modp_scan_rejects_bad_characteristic(worked_surface):
-    with pytest.raises(ValueError):
-        modp_singular_scan(worked_surface, 2)
-    with pytest.raises(ValueError):
-        modp_singular_scan(worked_surface, 9)
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    for p in (1, 2, 3, 4, 9, 25, 91, 561, 3215031751):
+        with pytest.raises(ValueError, match="prime p >= 5"):
+            modp_singular_scan(worked_surface, p)
+
+
+def test_modp_scan_accepts_prime(worked_surface):
+    assert modp_singular_scan(worked_surface, 101) == "smooth"
 
 
 def uncached_verdict(S: Surface) -> SmoothnessVerdict:
