@@ -249,6 +249,10 @@ def search_params(
 def cmd_search_params(args) -> int:
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
+    if args.height < 1:
+        raise ValueError("height must be >= 1")
+    # census_row searches the box only on smooth rows, so check it up front
+    engine.check_box(args.x_num, args.x_den, args.t_num, args.t_den)
     rng = random.Random(args.rng_seed)
     tuples = [sample_params(rng, args.height) for _ in range(args.samples)]
     if args.surface:

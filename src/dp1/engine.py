@@ -337,21 +337,36 @@ def brute_force_oracle(
     keeping (x, ±y) whenever x³ + A(t)x + B(t) is a rational square.
 
     Ground truth for engine output; intended for small boxes only (the cost
-    is O(t-box · x-box) exact square tests).
+    is O(t-box · x-box) exact square tests).  Each cell is one integer test:
+    with L·A, L·B integral and x = p/q, x³ + Ax + B = N/(L·q³), where
+    N = L·p³ + (L·A)·pq² + (L·B)·q³, is a square exactly when N·L·q is an
+    integer square r², and then y = r/(L·q²).
     """
+    check_box(x_num, x_den, t_num, t_den)
     out: List[Tuple[Fraction, ECPoint]] = []
-    xs = list(_box_rationals(x_num, x_den))
+    xs = [(x, x.numerator ** 3 * x.denominator, x.numerator * x.denominator ** 3,
+           x.denominator) for x in _box_rationals(x_num, x_den)]
     for t in _box_rationals(t_num, t_den):
         E = S.fiber_at(t)
-        for x in xs:
-            v = E.rhs(x)
-            root = is_square(v)
+        L = math.lcm(E.A.denominator, E.B.denominator)
+        LLA = E.A.numerator * (L // E.A.denominator) * L
+        LLB = E.B.numerator * (L // E.B.denominator) * L
+        for x, p3q, pq3, q in xs:
+            root = is_square(L * L * p3q + LLA * pq3 + LLB * q ** 4)
             if root is None:
                 continue
-            out.append((t, ECPoint(x, root)))
-            if root != 0:
-                out.append((t, ECPoint(x, -root)))
+            y = root / (L * q * q)
+            out.append((t, ECPoint(x, y)))
+            if y != 0:
+                out.append((t, ECPoint(x, -y)))
     return out
+
+
+def check_box(x_num: int, x_den: int, t_num: int, t_den: int) -> None:
+    """Reject a box holding no rational, one that a search would find empty."""
+    if min(x_num, t_num) < 0 or min(x_den, t_den) < 1:
+        raise ValueError(f"box needs numerator bounds >= 0 and denominator bounds >= 1, "
+                         f"got x-num {x_num}, x-den {x_den}, t-num {t_num}, t-den {t_den}")
 
 
 def _box_rationals(num_bound: int, den_bound: int) -> Iterator[Fraction]:

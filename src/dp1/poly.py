@@ -106,17 +106,10 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         """Product by convolving integer numerators over one common
         denominator, so only the output coefficients are normalised."""
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
         a, da = _integer_form(self)
         b, db = _integer_form(other)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         den = da * db
-        return UniPoly([Fraction(c, den) for c in out])
+        return UniPoly([Fraction(c, den) for c in int_mul(a, b)])
 
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
@@ -132,11 +125,14 @@ class UniPoly:
             result = result * inner + UniPoly.constant(c)
         return result
 
-    def __call__(self, t) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    def __call__(self, t: Union[int, Fraction]) -> Fraction:
+        """f(p/q) for f = cs/den of degree n, as the integer qⁿ·cs(p/q), by
+        homogeneous Horner, over den·qⁿ: one Fraction, built at the end."""
+        if not self.coeffs:
+            return Fraction(0)
+        cs, den = _integer_form(self)
+        q = t.denominator
+        return Fraction(_homogeneous_value(cs, t.numerator, q), den * q ** (len(cs) - 1))
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -189,15 +185,8 @@ def _integer_form(f: UniPoly) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
-def _content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive(cs: Sequence[int]) -> List[int]:
-    g = _content(cs)
+    g = math.gcd(*cs) or 1
     return [c // g for c in cs]
 
 
@@ -221,26 +210,35 @@ def _int_prem(f: List[int], g: List[int]) -> List[int]:
     return f
 
 
-def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over Q via a primitive remainder sequence over Z.
+def int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Product of two integer polynomials, by convolution."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
-    The remainder sequence is kept primitive after every pseudo-division to
-    control coefficient growth on high-degree discriminant inputs.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    a = _primitive(_integer_form(f)[0])
-    b = _primitive(_integer_form(g)[0])
+
+def int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Primitive gcd, up to sign, of trimmed integer polynomials (zero for two
+    zeros); each pseudo-remainder is made primitive to curb coefficient growth."""
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _int_prem(a, b)
         a, b = b, _primitive(r) if r else []
-    return UniPoly(a).monic()
+    return a
+
+
+def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic gcd over Q via a primitive remainder sequence over Z."""
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    return UniPoly(int_gcd(_integer_form(f)[0], _integer_form(g)[0])).monic()
 
 
 def is_separable(f: UniPoly) -> bool:
@@ -297,17 +295,17 @@ def _homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def _divide_by_root(cs: Sequence[int], p: int, q: int) -> List[int]:
-    """f / (q·x − p) for a root p/q (coprime) of the integer polynomial f.
-
-    By Gauss's lemma the quotient has integer coefficients, so synthetic
-    division from the top is exact.
-    """
-    out = [0] * (len(cs) - 1)
-    b = 0
-    for i in range(len(cs) - 1, 0, -1):
-        b = (cs[i] + p * b) // q
-        out[i - 1] = b
+def int_exact_div(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    """f / g for integer polynomials, g primitive and dividing f over Q: by
+    Gauss's lemma the quotient is integral, so long division is exact."""
+    rem = list(f)
+    dg = len(g) - 1
+    out = [0] * (len(f) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = rem[k + dg] // g[-1]
+        if c:
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
     return out
 
 
@@ -341,7 +339,7 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
                 mult = 0
                 g = ics
                 while _homogeneous_value(g, sp, q) == 0:
-                    g = _divide_by_root(g, sp, q)
+                    g = int_exact_div(g, (-sp, q))
                     mult += 1
                 if mult:
                     roots.append((Fraction(sp, q), mult))

@@ -37,11 +37,12 @@ def bit_size(x: Fraction) -> int:
     return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
-def is_square(x: Fraction) -> Optional[Fraction]:
+def is_square(x: Union[int, Fraction]) -> Optional[Fraction]:
     """Return the non-negative rational square root of x, or None.
 
-    A fraction in lowest terms is a square iff numerator and denominator both
-    are (as integers).
+    x is an int or a Fraction, and the root is a Fraction either way.  A
+    fraction in lowest terms is a square iff numerator and denominator both
+    are (as integers); an int is one with denominator 1.
     """
     if x < 0:
         return None

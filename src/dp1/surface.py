@@ -241,15 +241,14 @@ class SmoothnessVerdict:
         return self.kind == "smooth"
 
 
-def _strip_common_roots(h: UniPoly, A: UniPoly) -> UniPoly:
-    """Remove from h every factor sharing a root with A."""
-    if A.is_zero():
-        return UniPoly.constant(1)
-    while True:
-        g = poly.gcd(h, A)
-        if g.degree() == 0:
-            return h
-        h = h.divmod(g)[0]
+def _combination(x: int, u: List[int], y: int, v: List[int]) -> List[int]:
+    """x·u + y·v for integer polynomials, trailing zeros trimmed."""
+    out = [x * c for c in u] + [0] * (len(v) - len(u))
+    for i, c in enumerate(v):
+        out[i] += y * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
@@ -258,28 +257,29 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     Eliminating x = −3B/(2A) reduces F = F_x = F_t = 0 over A ≠ 0 to
     Δ(t) = 0 and 2AB' − 3A'B = 0; over A = 0 the conditions are
     B = B' = 0 (forcing x = 0).
+
+    The weighted scaling (A, B) → (μ²A, μ³B) multiplies Δ by μ⁶ and
+    2AB' − 3A'B by μ⁵ and keeps the roots of A and gcd(B, B'), so with μ the
+    lcm of the denominators it all runs in ℤ[t]; the witnesses are monic.
     """
-    delta = (A ** 3).scale(4) + (B ** 2).scale(27)
-    if delta.is_zero():
+    mu = math.lcm(*(c.denominator for c in A.coeffs + B.coeffs))
+    a = [c.numerator * (mu // c.denominator) * mu for c in A.coeffs]
+    b = [c.numerator * (mu // c.denominator) * mu ** 2 for c in B.coeffs]
+    delta = _combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
+    if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
-    witnesses = []
-    g = (A * B.derivative()).scale(2) - (A.derivative() * B).scale(3)
-    if not A.is_zero():
-        common = delta.monic() if g.is_zero() else poly.gcd(delta, g)
-        common = _strip_common_roots(common, A)
-        if common.degree() >= 1:
-            witnesses.append(common)
-    # singular points lying over roots of A
-    if A.is_zero():
-        cond = poly.gcd(B, B.derivative()) if not B.is_zero() else UniPoly.zero()
-    else:
-        if B.is_zero():
-            cond = A.monic()
-        else:
-            cond = poly.gcd(poly.gcd(B, B.derivative()), A)
-    if cond.degree() >= 1:
-        witnesses.append(cond)
-    return witnesses
+    da, db = ([i * c for i, c in enumerate(u)][1:] for u in (a, b))
+    common: List[int] = []
+    if a:
+        g = _combination(2, poly.int_mul(a, db), -3, poly.int_mul(da, b))
+        common = poly.int_gcd(delta, g)
+        shared = poly.int_gcd(common, a)
+        while len(shared) > 1:  # strip every factor sharing a root with A
+            common = poly.int_exact_div(common, shared)
+            shared = poly.int_gcd(common, a)
+    # singular points over roots of A: gcd(B, B') if A ≡ 0, A if B ≡ 0
+    cond = poly.int_gcd(poly.int_gcd(b, db), a)
+    return [UniPoly(w).monic() for w in (common, cond) if len(w) > 1]
 
 
 def smoothness_check(S: Surface) -> SmoothnessVerdict:

@@ -192,6 +192,25 @@ def test_malformed_surface_file_exit_two(surface_file, capsys, obj, message):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--t-den", "0"], "t-den 0"),
+    (["oracle", "--x-den", "-1"], "x-den -1"),
+    (["oracle", "--x-num", "-3"], "x-num -3"),
+    (["search-params", "--samples", "3", "--x-den", "0"], "x-den 0"),
+    (["search-params", "--samples", "3", "--height", "0"], "height must be >= 1"),
+], ids=["oracle-t-den", "oracle-x-den", "oracle-x-num", "search-x-den", "search-height"])
+def test_empty_search_range_exit_two(surface_file, capsys, argv, message):
+    # an empty box or height range would search nothing and still exit 0
+    if argv[0] == "oracle":
+        argv = argv + ["--surface", surface_file(WORKED)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exit_two(surface_file, capsys):
     code = main(["classify", "--surface", surface_file(WORKED), "--bogus"])
     assert code == 2

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import surface_through
 from dp1 import elliptic
@@ -18,6 +20,7 @@ from dp1.engine import (
     generate,
     u_hop,
 )
+from dp1.rational import is_square
 from dp1.surface import Surface, SurfaceParams, WPoint
 
 
@@ -205,6 +208,51 @@ def test_oracle_second_surface(worked_surface_2):
     pts = brute_force_oracle(worked_surface_2, 5, 1, 1, 1)
     for t in (Fraction(1), Fraction(-1)):
         assert (t, ECPoint(Fraction(1), Fraction(2))) in pts
+
+
+def fraction_oracle(S, x_num, x_den, t_num, t_den):
+    """Reference box search: each cell's x³ + A(t)x + B(t) in Fraction
+    arithmetic, tested by is_square."""
+    out = []
+    for t in _box_rationals(t_num, t_den):
+        E = S.fiber_at(t)
+        for x in _box_rationals(x_num, x_den):
+            root = is_square(E.rhs(x))
+            if root is not None:
+                out.append((t, ECPoint(x, root)))
+                if root != 0:
+                    out.append((t, ECPoint(x, -root)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(1, 2), st.integers(0, 1),
+       st.integers(1, 2))
+def test_oracle_matches_fraction_cells(seed, dxn, dxd, dtn, dtd):
+    # a box around a planted point, with denominator bounds above 1
+    S, P = surface_through(random.Random(seed), height=3)
+    t0, (x0, y0) = P.t(), P.affine_xy()
+    box = (abs(x0.numerator) + dxn, max(x0.denominator, 2) + dxd - 1,
+           abs(t0.numerator) + dtn, max(t0.denominator, 2) + dtd - 1)
+    found = brute_force_oracle(S, *box)
+    assert found == fraction_oracle(S, *box)
+    assert (t0, ECPoint(x0, abs(y0))) in found and (t0, ECPoint(x0, -abs(y0))) in found
+
+
+def test_oracle_matches_fraction_cells_examples(worked_surface, worked_surface_2):
+    # y² = x³ + t⁶ − 1 has y = 0 at x = 0, t = ±1
+    two_torsion = Surface(SurfaceParams(0, 0, 1, 0, -1, 0, 0, 0, 1))
+    for S in (worked_surface, worked_surface_2, two_torsion):
+        for box in ((0, 1, 0, 1), (5, 1, 1, 1), (4, 3, 2, 3), (9, 4, 1, 2)):
+            assert brute_force_oracle(S, *box) == fraction_oracle(S, *box)
+    found = brute_force_oracle(two_torsion, 2, 2, 1, 2)
+    assert found.count((Fraction(1), ECPoint(Fraction(0), Fraction(0)))) == 1
+
+
+@pytest.mark.parametrize("box", [(-1, 1, 1, 1), (5, 0, 1, 1), (5, 1, -2, 1), (5, 1, 1, 0)])
+def test_oracle_rejects_empty_box(worked_surface, box):
+    with pytest.raises(ValueError, match="box needs"):
+        brute_force_oracle(worked_surface, *box)
 
 
 def box_rationals_by_set(num_bound, den_bound):

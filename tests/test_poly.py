@@ -188,6 +188,33 @@ def test_product_matches_schoolbook(f, g):
     assert f * g == schoolbook_product(f, g)
 
 
+def fraction_horner(f: UniPoly, t) -> Fraction:
+    """Reference evaluation: Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wide_rat, max_size=8).map(UniPoly),
+       st.one_of(st.integers(-10 ** 12, 10 ** 12), wide_rat))
+def test_call_matches_fraction_horner(f, t):
+    got = f(t)
+    assert type(got) is Fraction and got == fraction_horner(f, t)
+
+
+def test_call_matches_fraction_horner_examples():
+    big = Fraction(-(3 ** 80), 2 ** 127 - 1)
+    polys = [UniPoly.zero(), P(7), P(Fraction(-2, 3)), P(0, 0, 0, 1),
+             P(Fraction(1, 2), 0, Fraction(-5, 7), 3), P(big, Fraction(1, 2 ** 61 - 1))]
+    points = [0, 1, -1, -3, Fraction(-1, 2), Fraction(7, 2 ** 64 + 1), big]
+    for f in polys:
+        for t in points:
+            got = f(t)
+            assert type(got) is Fraction and got == fraction_horner(f, t)
+
+
 def test_product_matches_schoolbook_examples():
     big = Fraction(-(3 ** 80), 2 ** 127 - 1)
     cases = [

@@ -47,6 +47,19 @@ def test_is_square_of_square(x):
     assert is_square(x * x) == abs(x)
 
 
+def test_is_square_of_int():
+    for n, root in ((0, 0), (1, 1), (49, 7), (10 ** 40, 10 ** 20), ((3 ** 41) ** 2, 3 ** 41)):
+        got = is_square(n)
+        assert type(got) is Fraction and got == root
+    for n in (-1, -4, -(10 ** 40), 2, 3, 50, 10 ** 40 + 1, (3 ** 41) ** 2 - 1):
+        assert is_square(n) is None
+
+
+@given(st.integers(-(10 ** 30), 10 ** 30))
+def test_is_square_of_int_matches_fraction(n):
+    assert is_square(n) == is_square(Fraction(n))
+
+
 def test_bit_size():
     assert bit_size(Fraction(0)) == 1
     assert bit_size(Fraction(255, 7)) == 8

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_params, random_smooth_surface, surface_through
-from dp1.poly import UniPoly
+from dp1.poly import UniPoly, gcd
 from dp1.surface import (
     DegenerateSurfaceError,
     SmoothnessVerdict,
@@ -176,6 +176,88 @@ def test_memoized_verdict_matches_uncached_decision(singular_fixture):
         assert smoothness_check(Surface(S.params)) == expected
         kinds.add(expected.kind)
     assert kinds == {"smooth", "singular"}
+
+
+def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
+    """Reference chart decision in Q[t]: UniPoly products and poly.gcd on
+    A and B as they are, with no scaling."""
+    delta = (A ** 3).scale(4) + (B ** 2).scale(27)
+    if delta.is_zero():
+        raise DegenerateSurfaceError("discriminant vanishes identically")
+    witnesses = []
+    g = (A * B.derivative()).scale(2) - (A.derivative() * B).scale(3)
+    if not A.is_zero():
+        common = delta.monic() if g.is_zero() else gcd(delta, g)
+        while True:  # strip every factor sharing a root with A
+            shared = gcd(common, A)
+            if shared.degree() == 0:
+                break
+            common = common.divmod(shared)[0]
+        if common.degree() >= 1:
+            witnesses.append(common)
+    if A.is_zero():
+        cond = gcd(B, B.derivative())
+    elif B.is_zero():
+        cond = A.monic()
+    else:
+        cond = gcd(gcd(B, B.derivative()), A)
+    if cond.degree() >= 1:
+        witnesses.append(cond)
+    return witnesses
+
+
+chart_rat = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def chart_poly(max_degree):
+    return st.lists(chart_rat, max_size=max_degree + 1).map(UniPoly)
+
+
+@st.composite
+def planted_chart(draw):
+    """(A, B) drawn at random, or with a planted singular shape."""
+    kind = draw(st.sampled_from(["random", "A=0", "B=0", "repeated", "common"]))
+    if kind == "random":
+        return draw(chart_poly(4)), draw(chart_poly(6))
+    nonzero = chart_poly(2).filter(lambda f: not f.is_zero())
+    u, h = draw(nonzero), draw(nonzero)
+    root = UniPoly((-draw(chart_rat), 1))
+    if kind == "A=0":  # singular where B has a repeated root
+        return UniPoly.zero(), root * root * h
+    if kind == "B=0":  # singular over every root of A
+        return root * u, UniPoly.zero()
+    if kind == "repeated":  # Δ = 27ε(4u³ + ε) with ε = (t − r)²h
+        return (u * u).scale(-3), (u ** 3).scale(2) + root * root * h
+    return root * u, root * h  # a common root of A and B
+
+
+def assert_chart_matches_reference(A, B):
+    try:
+        expected = fraction_chart_witnesses(A, B)
+    except DegenerateSurfaceError:
+        with pytest.raises(DegenerateSurfaceError, match="vanishes identically"):
+            _chart_singular_witnesses(A, B)
+        return None
+    assert _chart_singular_witnesses(A, B) == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_chart())
+def test_chart_witnesses_match_fraction_reference(chart):
+    assert_chart_matches_reference(*chart)
+
+
+def test_chart_witnesses_match_fraction_reference_on_surfaces(singular_fixture):
+    rng = random.Random(67)
+    surfaces = [singular_fixture, Surface(SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1))]
+    surfaces += [Surface(random_params(rng, height=5)) for _ in range(150)]
+    outcomes = set()
+    for S in surfaces:
+        for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
+            witnesses = assert_chart_matches_reference(A, B)
+            outcomes.add("degenerate" if witnesses is None else bool(witnesses))
+    assert outcomes == {"degenerate", True, False}
 
 
 def test_degenerate_surface_raises_on_every_call():
