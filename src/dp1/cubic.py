@@ -49,6 +49,27 @@ def cubic_form(S: Surface) -> MultiPoly:
     )
 
 
+def cubic_value(S: Surface, X: Sequence[Fraction]) -> Fraction:
+    """F_W(X), the cubic form at a point of P³ in any representative."""
+    p = S.params
+    x0, x1, x2, x3 = X
+    quad = p.a * x0 * x2 + p.b * x0 * x3 + p.c * x2 * x2 + p.d * x2 * x3 + p.e * x3 * x3
+    return x0 * x0 * x0 + x3 * (quad - x1 * x1)
+
+
+def cubic_gradient(S: Surface, X: Sequence[Fraction]) -> List[Fraction]:
+    """∇F_W(X): the four partials of the cubic form, written out."""
+    p = S.params
+    x0, x1, x2, x3 = X
+    return [
+        3 * x0 * x0 + (p.a * x2 + p.b * x3) * x3,
+        -2 * x1 * x3,
+        (p.a * x0 + 2 * p.c * x2 + p.d * x3) * x3,
+        p.a * x0 * x2 + 2 * p.b * x0 * x3 + p.c * x2 * x2 + 2 * p.d * x2 * x3
+        + 3 * p.e * x3 * x3 - x1 * x1,
+    ]
+
+
 def _canonical_p3(coords: Sequence[Fraction]) -> Tuple[int, int, int, int]:
     """Scale a rational quadruple to coprime integers, last nonzero positive."""
     den = math.lcm(*(c.denominator for c in coords))
@@ -73,7 +94,7 @@ def theta(S: Surface, P: WPoint) -> Tuple[int, int, int, int]:
     f_hom = S.f(z / w) * w ** 3 if w else S.params.f3 * z ** 3
     img = (x * w, y, f_hom, w ** 3)
     pt = _canonical_p3(img)
-    if cubic_form(S).evaluate([Fraction(v) for v in pt]) != 0:
+    if cubic_value(S, pt) != 0:
         raise InvariantError(f"theta({P}) = {pt} is not on the cubic model W")
     return pt
 
@@ -106,9 +127,8 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
     dividing by the content leaves one plane per point.  Euler's relation
     X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
     """
-    F = cubic_form(S)
     pt = [Fraction(v) for v in X]
-    grads = [F.partial(i).evaluate(pt) for i in range(4)]
+    grads = cubic_gradient(S, pt)
     if not any(grads):
         raise SingularImageError(f"[{':'.join(map(str, pt))}] is a singular point of W")
     # divide by the content only; the gradient's own orientation is kept
@@ -153,9 +173,8 @@ def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -
     a, b, c0 = line
     if b == 0:
         raise ValueError("vertical line has no eliminated cubic")
-    curve = UniPoly((E.B, E.A, 0, 1)).scale(b * b)
-    lin2 = UniPoly((c0, a)) ** 2
-    return curve - lin2
+    b2 = b * b
+    return UniPoly((b2 * E.B - c0 * c0, b2 * E.A - 2 * a * c0, -a * a, b2))
 
 
 def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
@@ -174,7 +193,7 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
         raise InvariantError(f"tangent line at {P} is vertical off 2-torsion")
     cubic = fiber_line_cubic(E, (a, b, c0))
     # the tangency forces a double root at x0
-    dbl = UniPoly((-x0, 1)) ** 2
+    dbl = UniPoly((x0 * x0, -2 * x0, 1))  # (x − x0)²
     quot, rem = cubic.divmod(dbl)
     if not rem.is_zero():
         raise InvariantError(f"tangent line is not doubly tangent at {P}")

@@ -55,9 +55,15 @@ O = ECPoint()
 
 
 def on_curve(E: FiberCurve, P: ECPoint) -> bool:
+    """y² = x³ + Ax + B, in integers: with x = xn/xd, y = yn/yd, A = an/ad
+    and B = bn/bd, both sides times yd²·xd³·ad·bd."""
     if P.is_infinity:
         return True
-    return P.y * P.y == E.rhs(P.x)
+    (xn, xd), (yn, yd) = P.x.as_integer_ratio(), P.y.as_integer_ratio()
+    (an, ad), (bn, bd) = E.A.as_integer_ratio(), E.B.as_integer_ratio()
+    xd3 = xd * xd * xd
+    rhs = (xn * xn * xn * ad + an * xn * xd * xd) * bd + bn * ad * xd3
+    return yn * yn * xd3 * ad * bd == yd * yd * rhs
 
 
 def _require_on_curve(E: FiberCurve, P: ECPoint) -> None:
@@ -115,10 +121,14 @@ def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
     return walk
 
 
+def walk_order(walk: List[ECPoint]) -> Optional[int]:
+    """The first n with [n]P = O in the walk [P, [2]P, ...], else None."""
+    return next((n for n, R in enumerate(walk, 1) if R.is_infinity), None)
+
+
 def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
     """Exact order of P if torsion (in the Mazur set), else None: the first
     O among [1]P, ..., [12]P."""
     if E.is_singular():
         raise SingularFiberError("torsion test requires a nonsingular fiber")
-    walk = multiples(E, P, max(MAZUR_ORDERS))
-    return next((n for n, R in enumerate(walk, 1) if R.is_infinity), None)
+    return walk_order(multiples(E, P, max(MAZUR_ORDERS)))

@@ -73,13 +73,20 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
     The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
     3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.
     """
+    _require_affine(E, Q)
+    return _fiber_report(S, E.t, not E.is_singular() and elliptic.torsion_status(E, Q) is None)
+
+
+def _require_affine(E: FiberCurve, Q: ECPoint) -> None:
     if Q.is_infinity or not elliptic.on_curve(E, Q):
         raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
+
+
+def _fiber_report(S: Surface, t0: Fraction, non_torsion: bool) -> HypothesisReport:
+    """The report for a point of the fiber t0, its torsion decided by the caller."""
     smooth = smoothness_check(S).smooth
-    t0 = E.t
     slope = 3 * t0 * S.params.f3 + 2 * S.params.f2 != 0
     separable = poly.is_separable(S.f - UniPoly.constant(S.f(t0)))
-    non_torsion = not E.is_singular() and elliptic.torsion_status(E, Q) is None
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -234,7 +241,14 @@ def _within_cap(t: Fraction, Q: ECPoint, cap: int) -> bool:
 
 def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationReport:
     """Breadth-first point generation from a hypothesis-certified seed."""
-    hyp = check_hypotheses(S, seed)
+    if seed.w == 0:  # fails w0 ≠ 0
+        hyp = check_hypotheses(S, seed)
+    else:
+        # one walk to [12]P decides the seed's torsion and gives its multiples
+        E0, Q0 = S.fiber_point(seed)
+        _require_affine(E0, Q0)
+        walk0 = None if E0.is_singular() else elliptic.multiples(E0, Q0, max(elliptic.MAZUR_ORDERS))
+        hyp = _fiber_report(S, E0.t, walk0 is not None and elliptic.walk_order(walk0) is None)
     if not hyp.overall:
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
     report = GenerationReport()
@@ -256,6 +270,9 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         key = (t, Q.x, Q.y)
         if key in seen:
             return False
+        if len(report.points) >= cfg.max_points:
+            report.truncated = True
+            return False
         if not elliptic.on_curve(E, Q):
             raise InvariantError(f"generated point {Q} fails fiber t={t}")
         seen.add(key)
@@ -263,7 +280,6 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         report.fibers[t] = report.fibers.get(t, 0) + 1
         return True
 
-    E0, Q0 = S.fiber_point(seed)
     emit(E0, Q0, "seed")
     frontier: List[Tuple[FiberCurve, ECPoint]] = [(E0, Q0)]
 
@@ -280,9 +296,11 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
                 continue
             newly: List[Tuple[FiberCurve, ECPoint]] = []
             # group-law multiples on this fiber: one walk to [12]P decides
-            # torsion and gives [2]P..[12]P; checked additions go on past it
-            walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
-            if any(R.is_infinity for R in walk):
+            # torsion and gives [2]P..[12]P; checked additions go on past it.
+            # The seed's walk is made; emit keeps (t, Q) unique in the frontier.
+            seeded = (t, Q) == (E0.t, Q0)
+            walk = walk0 if seeded else elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
+            if elliptic.walk_order(walk) is not None:
                 report.skipped.append(f"torsion point on fiber t={t}")
             else:
                 acc = Q

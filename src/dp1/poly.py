@@ -106,8 +106,8 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         """Product by convolving integer numerators over one common
         denominator, so only the output coefficients are normalised."""
-        a, da = _integer_form(self)
-        b, db = _integer_form(other)
+        a, da = integer_form(self)
+        b, db = integer_form(other)
         den = da * db
         return UniPoly([Fraction(c, den) for c in int_mul(a, b)])
 
@@ -118,21 +118,8 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         return _power(self, n, UniPoly.constant(1))
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Return self(inner(t)), by Horner evaluation in UniPoly."""
-        result = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * inner + UniPoly.constant(c)
-        return result
-
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        """f(p/q) for f = cs/den of degree n, as the integer qⁿ·cs(p/q), by
-        homogeneous Horner, over den·qⁿ: one Fraction, built at the end."""
-        if not self.coeffs:
-            return Fraction(0)
-        cs, den = _integer_form(self)
-        q = t.denominator
-        return Fraction(_homogeneous_value(cs, t.numerator, q), den * q ** (len(cs) - 1))
+        return form_value(integer_form(self), t)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -179,10 +166,21 @@ class UniPoly:
 
 # -- integer-polynomial helpers (gcd via primitive PRS) ----------------
 
-def _integer_form(f: UniPoly) -> Tuple[List[int], int]:
+def integer_form(f: UniPoly) -> Tuple[List[int], int]:
     """Integer numerators over the least common denominator: f = cs / den."""
     den = math.lcm(*(c.denominator for c in f.coeffs)) if f.coeffs else 1
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
+
+
+def form_value(form: Tuple[List[int], int], t: Union[int, Fraction]) -> Fraction:
+    """f(p/q) for f = cs/den of degree n, given as its integer form (cs, den):
+    the integer qⁿ·cs(p/q), by homogeneous Horner, over den·qⁿ.  One
+    Fraction, built at the end."""
+    cs, den = form
+    if not cs:
+        return Fraction(0)
+    q = t.denominator
+    return Fraction(_homogeneous_value(cs, t.numerator, q), den * q ** (len(cs) - 1))
 
 
 def _primitive(cs: Sequence[int]) -> List[int]:
@@ -238,7 +236,7 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd over Q via a primitive remainder sequence over Z."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    return UniPoly(int_gcd(_integer_form(f)[0], _integer_form(g)[0])).monic()
+    return UniPoly(int_gcd(integer_form(f)[0], integer_form(g)[0])).monic()
 
 
 def is_separable(f: UniPoly) -> bool:
@@ -329,7 +327,7 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
         roots.append((Fraction(0), k))
     if f.degree() < 1:
         return roots
-    ics = _primitive(_integer_form(f)[0])
+    ics = _primitive(integer_form(f)[0])
     # ics[0] != 0, so p >= 1 and the coprime pairs (±p, q) are distinct roots
     for p in divisors(abs(ics[0])):
         for q in divisors(abs(ics[-1])):
@@ -466,18 +464,6 @@ class MultiPoly:
                     t = t * v
             acc = acc + t
         return acc
-
-    def partial(self, idx: int) -> "MultiPoly":
-        terms: Dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            nexp = list(exp)
-            nexp[idx] = e - 1
-            key = tuple(nexp)
-            terms[key] = terms.get(key, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, terms)
 
     def degree_in(self, idx: int) -> int:
         """Max exponent of variable idx; -1 for the zero polynomial."""

@@ -48,14 +48,6 @@ class SurfaceParams:
     def f_poly(self) -> UniPoly:
         return UniPoly((self.f0, self.f1, self.f2, self.f3))
 
-    def a4_of_u(self) -> UniPoly:
-        """a₄ as a polynomial in u = f(t)."""
-        return UniPoly((self.b, self.a))
-
-    def a6_of_u(self) -> UniPoly:
-        """a₆ as a polynomial in u = f(t)."""
-        return UniPoly((self.e, self.d, self.c))
-
     @staticmethod
     def from_json(obj) -> "SurfaceParams":
         """Read {"a": .., "e": .., "f": [f0, f1, f2, f3]}, every value a
@@ -183,18 +175,24 @@ class WPoint:
 class Surface:
     """An immutable member of the family, with its chart polynomials.
 
-    A_t, B_t are the Weierstrass coefficients as polynomials in t = z/w;
-    A_s, B_s are their chart-at-infinity counterparts in s = w/z (degree-4
-    and degree-6 reversals of the homogeneous forms).
+    A_t = a·f + b and B_t = c·f² + d·f + e are the Weierstrass coefficients
+    as polynomials in t = z/w; A_s, B_s are their chart-at-infinity
+    counterparts in s = w/z (degree-4 and degree-6 reversals of the
+    homogeneous forms).
     """
 
     def __init__(self, params: SurfaceParams):
-        self.params = params
+        p = self.params = params
         self.f = params.f_poly()
-        self.A_t = params.a4_of_u().compose(self.f)
-        self.B_t = params.a6_of_u().compose(self.f)
+        fs, den = poly.integer_form(self.f)
+        f2 = UniPoly([Fraction(v, den * den) for v in poly.int_mul(fs, fs)])
+        self.A_t = self.f.scale(p.a) + UniPoly.constant(p.b)
+        self.B_t = f2.scale(p.c) + self.f.scale(p.d) + UniPoly.constant(p.e)
         self.A_s = self.A_t.reverse(4)
         self.B_s = self.B_t.reverse(6)
+        # integer forms of A_t and B_t, so each fiber is two integer Horners
+        self._A_form = poly.integer_form(self.A_t)
+        self._B_form = poly.integer_form(self.B_t)
         # smoothness_check's verdict, or the message of its
         # DegenerateSurfaceError, once decided
         self._smoothness = None
@@ -210,7 +208,7 @@ class Surface:
 
     def fiber_at(self, t: Fraction) -> FiberCurve:
         t = Fraction(t)
-        return FiberCurve(t, self.A_t(t), self.B_t(t))
+        return FiberCurve(t, poly.form_value(self._A_form, t), poly.form_value(self._B_form, t))
 
     def fiber_point(self, P: WPoint) -> Tuple[FiberCurve, ECPoint]:
         """The fiber through P (w != 0) and P as an affine point on it."""

@@ -5,7 +5,17 @@ import pytest
 
 from dp1.cubic import tangent_section
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
+from dp1.poly import UniPoly
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
+
+
+def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
+    """Reference composition outer(inner(t)), by Horner evaluation in
+    UniPoly; the oracle for Surface's A_t = a·f + b and B_t = c·f² + d·f + e."""
+    result = UniPoly.zero()
+    for c in reversed(outer.coeffs):
+        result = result * inner + UniPoly.constant(c)
+    return result
 
 
 def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:

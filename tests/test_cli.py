@@ -114,6 +114,17 @@ def test_generate_json_roundtrip(surface_file, capsys):
     assert reparsed == SurfaceParams.from_json(WORKED)
 
 
+def test_generate_max_points_caps_output(surface_file, capsys):
+    code, out = run(
+        capsys,
+        "generate", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]",
+        "--max-points", "2", "--t-height", "2",
+    )
+    assert code == 0
+    assert [p["provenance"] for p in out["points"]] == ["seed", "multiple(2)"]
+    assert out["truncated"] is True
+
+
 def test_generate_csv(surface_file, tmp_path, capsys):
     out_path = tmp_path / "points.csv"
     code = main([

@@ -14,6 +14,9 @@ from dp1 import elliptic
 from dp1.cubic import (
     TwoTorsionSeedError,
     classify_singularities,
+    cubic_form,
+    cubic_gradient,
+    cubic_value,
     fiber_line_cubic,
     tangent_plane,
     tangent_point,
@@ -22,8 +25,8 @@ from dp1.cubic import (
     transversality_check,
     verify_normal_form,
 )
-from dp1.elliptic import ECPoint
-from dp1.poly import UniPoly
+from dp1.elliptic import ECPoint, FiberCurve
+from dp1.poly import MultiPoly, UniPoly
 from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 
@@ -97,6 +100,63 @@ def test_affine_tangent_plane_matches_canonical_theta(seed, lam):
     plane = tangent_plane(S, X)
     assert plane == tangent_plane(S, theta(S, WPoint.from_affine(t, x, y)))
     assert plane == tangent_plane(S, [lam * v for v in X])
+
+
+# differential tests: the written-out F_W and ∇F_W against the MultiPoly
+# cubic_form, and fiber_line_cubic against its UniPoly expression
+wide_rat = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+nonzero_rat = wide_rat.filter(bool)
+
+
+def partial(F: MultiPoly, idx: int) -> MultiPoly:
+    """Reference ∂F/∂X_idx, term by term."""
+    terms = {}
+    for exp, c in F.terms.items():
+        if exp[idx]:
+            key = exp[:idx] + (exp[idx] - 1,) + exp[idx + 1:]
+            terms[key] = terms.get(key, Fraction(0)) + c * exp[idx]
+    return MultiPoly(F.nvars, terms)
+
+
+def _multipoly_value_and_gradient(S, X):
+    F = cubic_form(S)
+    return F.evaluate(X), [partial(F, i).evaluate(X) for i in range(4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(wide_rat, min_size=5, max_size=5), st.lists(wide_rat, min_size=4, max_size=4),
+       st.booleans())
+def test_closed_form_cubic_matches_multipoly_off_w(abcde, X, at_infinity):
+    S = Surface(SurfaceParams(*abcde, 0, 0, 0, 1))
+    if at_infinity:
+        X[3] = Fraction(0)
+    assert (cubic_value(S, X), cubic_gradient(S, X)) == _multipoly_value_and_gradient(S, X)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), nonzero_rat, st.booleans())
+def test_closed_form_cubic_matches_multipoly_on_w(seed, lam, at_infinity):
+    # θ(P) of a random surface point, or a point [0 : X1 : X2 : 0] of W,
+    # scaled by λ
+    rng = random.Random(seed)
+    S, P = surface_through(rng)
+    if at_infinity:
+        X = [Fraction(v) for v in (0, rng.randint(-9, 9), rng.randint(-9, 9), 0)]
+    else:
+        X = [Fraction(v) for v in theta(S, P)]
+    X = [lam * v for v in X]
+    value, grad = _multipoly_value_and_gradient(S, X)
+    assert value == cubic_value(S, X) == 0
+    assert grad == cubic_gradient(S, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rat, wide_rat, wide_rat, nonzero_rat, wide_rat)
+def test_fiber_line_cubic_matches_unipoly_expression(A, B, a, b, c0):
+    E = FiberCurve(Fraction(0), A, B)
+    expected = UniPoly((B, A, 0, 1)).scale(b * b) - UniPoly((c0, a)) ** 2
+    cub = fiber_line_cubic(E, (a, b, c0))
+    assert cub == expected and cub.degree() == 3
 
 
 def test_tangent_plane_rejects_point_off_cubic(worked_surface):

@@ -167,3 +167,30 @@ def test_torsion_status_known_orders(A, B, x, y, order):
     assert multiples(E, P, order + 2) == walk + walk[:2]
     assert torsion_status(E, P) == order
     assert torsion_status(E, neg(P)) == order
+
+
+# differential test: the integer on_curve against the Fraction equation
+big_rat = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_rat, big_rat, big_rat, big_rat, st.sampled_from(["random", "on", "near"]),
+       st.integers(1, 10 ** 30))
+def test_on_curve_matches_fraction_equation(A, B, x, y, kind, eps_den):
+    if kind != "random":  # solve for B so that (x, y) lies on the curve
+        B = y * y - x ** 3 - A * x
+    if kind == "near":
+        B += Fraction(1, eps_den)
+    E, P = FiberCurve(Fraction(0), A, B), ECPoint(x, y)
+    assert on_curve(E, P) == (P.y * P.y == E.rhs(P.x))
+    if kind != "random":
+        assert on_curve(E, P) == (kind == "on")
+
+
+def test_on_curve_on_walks_and_their_negatives():
+    seeds = ((E2, ECPoint(Fraction(-1), Fraction(1))), (E4, ECPoint(Fraction(0), Fraction(2))))
+    for E, P in seeds:
+        for R in multiples(E, P, 12):
+            assert on_curve(E, R) and on_curve(E, neg(R))
+            if not R.is_infinity:
+                assert not on_curve(E, ECPoint(R.x, R.y + 1))

@@ -1,5 +1,5 @@
+import dataclasses
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +12,7 @@ from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
     HypothesisFailure,
+    HypothesisReport,
     _box_rationals,
     bounded_height_rationals,
     brute_force_oracle,
@@ -151,23 +152,49 @@ def test_generate_hop_surface(worked_surface_2):
 
 
 def test_generate_decides_torsion_once(worked_surface_2, monkeypatch):
-    # the seed's torsion test comes from the hypothesis check; every frontier
-    # point's walk to [12]P decides its own, with no second torsion_status
-    callers = []
-    torsion_status = elliptic.torsion_status
+    # one walk to [12]P per expanded frontier point, the seed's included: the
+    # walk that decides the seed's torsion hypothesis is also its frontier
+    # walk, and no torsion_status runs on top of it
+    S, seed = worked_surface_2, WPoint.parse("[1:2:1:1]")
+    E0, Q0 = S.fiber_point(seed)
+    level_1 = generate(S, seed, GenerationConfig(t_height_bound=2, multiple_bound=3, depth=1))
+    walked, torsion_calls = [], []
+    multiples, torsion_status = elliptic.multiples, elliptic.torsion_status
 
-    def counting(E, Q):
-        callers.append(sys._getframe(1).f_code.co_name)
+    def counting_multiples(E, Q, n):
+        if n == max(elliptic.MAZUR_ORDERS):
+            walked.append((E.t, Q))
+        return multiples(E, Q, n)
+
+    def counting_torsion(E, Q):
+        torsion_calls.append((E.t, Q))
         return torsion_status(E, Q)
 
-    monkeypatch.setattr(elliptic, "torsion_status", counting)
-    rep = generate(
-        worked_surface_2,
-        WPoint.parse("[1:2:1:1]"),
-        GenerationConfig(t_height_bound=2, multiple_bound=3, depth=2),
-    )
+    monkeypatch.setattr(elliptic, "multiples", counting_multiples)
+    monkeypatch.setattr(elliptic, "torsion_status", counting_torsion)
+    rep = generate(S, seed, GenerationConfig(t_height_bound=2, multiple_bound=3, depth=2))
     assert len(rep.fibers) == 4  # the second level expanded the hop's fibers
-    assert callers == ["check_fiber_hypotheses"]
+    # the second level expands, in order, every first-level point off the
+    # seed's fiber
+    expanded = [(E0.t, Q0)] + [(r.t, r.point) for r in level_1.points if r.t != E0.t]
+    assert len(expanded) > 1
+    assert walked == expanded
+    assert torsion_calls == []
+    # check_hypotheses on the same seed still decides torsion by torsion_status
+    assert check_hypotheses(S, seed) == HypothesisReport(True, True, True, True, True)
+    assert torsion_calls == [(E0.t, Q0)]
+
+
+@pytest.mark.parametrize("max_points", range(1, 6))
+def test_generate_max_points_is_a_cap(worked_surface, worked_seed, max_points):
+    # the seed's own fiber alone gives 11 points at n 10, so every cap bites
+    cfg = GenerationConfig(t_height_bound=2, multiple_bound=10, depth=1)
+    full = generate(worked_surface, worked_seed, cfg)
+    rep = generate(worked_surface, worked_seed, dataclasses.replace(cfg, max_points=max_points))
+    assert len(rep.points) <= max_points
+    assert rep.points == full.points[:max_points]
+    assert rep.fibers == {r.t: sum(q.t == r.t for q in rep.points) for r in rep.points}
+    assert rep.truncated and rep.all_verified
 
 
 def test_generate_depth_zero(worked_surface, worked_seed):
@@ -178,6 +205,18 @@ def test_generate_depth_zero(worked_surface, worked_seed):
 def test_generate_rejects_bad_seed(worked_surface):
     with pytest.raises(HypothesisFailure):
         generate(worked_surface, WPoint.parse("[1:2:0:1]"), GenerationConfig())
+
+
+def test_generate_rejects_torsion_seed():
+    # (0, 1) has order 3 on the fiber t = -1 of y² = x³ + z⁶ − 2z³w³ − 2w⁶,
+    # and the seed's other four hypotheses hold: generate's own walk must
+    # refuse it with the report check_hypotheses gives
+    S, seed = Surface(SurfaceParams(0, 0, 1, -2, -2, 0, 0, 0, 1)), WPoint.parse("[0:1:-1:1]")
+    hyp = check_hypotheses(S, seed)
+    assert hyp == HypothesisReport(True, True, True, True, False)
+    with pytest.raises(HypothesisFailure) as err:
+        generate(S, seed, GenerationConfig())
+    assert str(err.value) == f"seed {seed} fails hypotheses: {hyp.to_json()}"
 
 
 def test_generate_bit_cap_flags_truncation(worked_surface, worked_seed):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params, random_smooth_surface, surface_through
+from conftest import compose, random_params, random_smooth_surface, surface_through
+from dp1.elliptic import FiberCurve
 from dp1.poly import UniPoly, gcd
 from dp1.surface import (
     DegenerateSurfaceError,
@@ -305,6 +306,24 @@ def test_fiber_matches_composed_polynomials():
             u = S.f(t)
             assert E.A == S.params.a * u + S.params.b
             assert E.B == S.params.c * u * u + S.params.d * u + S.params.e
+
+
+surface_rat = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(surface_rat, min_size=8, max_size=8), surface_rat.filter(bool), surface_rat)
+def test_chart_polynomials_match_composition(vals, f3, t):
+    # A_t = a·f + b and B_t = c·f² + d·f + e against UniPoly composition, and
+    # each fiber against evaluating them
+    p = SurfaceParams(*vals, f3)
+    S = Surface(p)
+    assert S.A_t == compose(UniPoly((p.b, p.a)), S.f)
+    assert S.B_t == compose(UniPoly((p.e, p.d, p.c)), S.f)
+    assert S.fiber_at(t) == FiberCurve(t, S.A_t(t), S.B_t(t))
 
 
 def test_discriminant_form_z12_coefficient():
