@@ -235,12 +235,20 @@ class HypothesisFailure(ValueError):
     """The seed does not satisfy all generation hypotheses."""
 
 
+class _CapReached(Exception):
+    """max_points points are kept: generation stops where it is."""
+
+
 def _within_cap(t: Fraction, Q: ECPoint, cap: int) -> bool:
     return max(bit_size(t), bit_size(Q.x), bit_size(Q.y)) <= cap
 
 
 def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationReport:
-    """Breadth-first point generation from a hypothesis-certified seed."""
+    """Breadth-first point generation from a hypothesis-certified seed.
+
+    Generation stops as soon as max_points points are kept; ``truncated`` is
+    then set when the depth asked for any expansion.
+    """
     if seed.w == 0:  # fails w0 ≠ 0
         hyp = check_hypotheses(S, seed)
     else:
@@ -252,13 +260,17 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
     if not hyp.overall:
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
     report = GenerationReport()
-    # affine (t, x, y) is canonical: one key per point of the w = 1 chart
-    seen: Set[Tuple[Fraction, Fraction, Fraction]] = set()
+    # affine (t, x, y) is canonical: one key per point of the w = 1 chart.
+    # Keys are integer (numerator, denominator) pairs, which hash faster than
+    # Fractions; so are the fiber counts, keyed on t.
+    seen: Set[Tuple[int, ...]] = set()
+    counts: Dict[Tuple[int, int], int] = {}
 
     def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> bool:
         """Record a candidate on fiber E; returns True when it is new and kept.
 
-        Each kept point is verified here, once, on its fiber.
+        Each kept point is verified here, once, on its fiber.  Raises
+        _CapReached once the kept point is the max_points-th.
         """
         if Q.is_infinity:
             return False
@@ -267,78 +279,76 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
             report.truncated = True
             report.skipped.append(f"bit cap exceeded ({provenance})")
             return False
-        key = (t, Q.x, Q.y)
+        tk = (t.numerator, t.denominator)
+        key = tk + (Q.x.numerator, Q.x.denominator, Q.y.numerator, Q.y.denominator)
         if key in seen:
-            return False
-        if len(report.points) >= cfg.max_points:
-            report.truncated = True
             return False
         if not elliptic.on_curve(E, Q):
             raise InvariantError(f"generated point {Q} fails fiber t={t}")
         seen.add(key)
         report.points.append(PointRecord(t, Q, provenance))
-        report.fibers[t] = report.fibers.get(t, 0) + 1
+        counts[tk] = counts.get(tk, 0) + 1
+        if len(report.points) == cfg.max_points:
+            raise _CapReached
         return True
 
-    emit(E0, Q0, "seed")
     frontier: List[Tuple[FiberCurve, ECPoint]] = [(E0, Q0)]
-
-    for _level in range(cfg.depth):
-        next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
-        known_fibers = set(report.fibers)
-        for E, Q in frontier:
-            if len(report.points) >= cfg.max_points:
-                report.truncated = True
-                break
-            t = E.t
-            if E.is_singular():
-                report.skipped.append(f"singular fiber t={t}")
-                continue
-            newly: List[Tuple[FiberCurve, ECPoint]] = []
-            # group-law multiples on this fiber: one walk to [12]P decides
-            # torsion and gives [2]P..[12]P; checked additions go on past it.
-            # The seed's walk is made; emit keeps (t, Q) unique in the frontier.
-            seeded = (t, Q) == (E0.t, Q0)
-            walk = walk0 if seeded else elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
-            if elliptic.walk_order(walk) is not None:
-                report.skipped.append(f"torsion point on fiber t={t}")
-            else:
-                acc = Q
-                for n in range(2, cfg.multiple_bound + 1):
-                    acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
-                    if not _within_cap(t, acc, cfg.bit_cap):
-                        report.truncated = True
-                        report.skipped.append(f"bit cap exceeded (multiple({n}))")
-                        break
-                    if emit(E, acc, f"multiple({n})"):
-                        newly.append((E, acc))
-            # tangent-section point, then a bounded-height sweep of the
-            # same section
-            if Q.y != 0:
-                ell = cubic.tangent_section(S, E, Q)
-                _, tq = cubic.tangent_point(ell)
-                if emit(E, tq, "tangent"):
-                    newly.append((E, tq))
-                for Es, Qs in cp_sweep(ell, cfg.t_height_bound):
-                    if Es.is_singular():
-                        continue
-                    if emit(Es, Qs, f"sweep({Es.t})"):
-                        newly.append((Es, Qs))
-            else:
-                report.skipped.append(f"2-torsion point on fiber t={t}")
-            # multisection hops
-            for Eh, Qh in u_hop(S, t, Q):
-                if Eh.is_singular():
+    try:
+        emit(E0, Q0, "seed")
+        for _level in range(cfg.depth):
+            next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
+            known_fibers = set(counts)
+            for E, Q in frontier:
+                t = E.t
+                if E.is_singular():
+                    report.skipped.append(f"singular fiber t={t}")
                     continue
-                if emit(Eh, Qh, "hop"):
-                    newly.append((Eh, Qh))
-            next_frontier.extend(
-                (En, Qn) for En, Qn in newly if En.t not in known_fibers
-            )
-        frontier = next_frontier
-        if len(report.points) >= cfg.max_points:
-            report.truncated = True
-            break
+                newly: List[Tuple[FiberCurve, ECPoint]] = []
+                # group-law multiples on this fiber: one walk to [12]P decides
+                # torsion and gives [2]P..[12]P; checked additions go on past it.
+                # The seed's walk is made; emit keeps (t, Q) unique in the frontier.
+                seeded = (t, Q) == (E0.t, Q0)
+                walk = walk0 if seeded else elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
+                if elliptic.walk_order(walk) is not None:
+                    report.skipped.append(f"torsion point on fiber t={t}")
+                else:
+                    acc = Q
+                    for n in range(2, cfg.multiple_bound + 1):
+                        acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
+                        if not _within_cap(t, acc, cfg.bit_cap):
+                            report.truncated = True
+                            report.skipped.append(f"bit cap exceeded (multiple({n}))")
+                            break
+                        if emit(E, acc, f"multiple({n})"):
+                            newly.append((E, acc))
+                # tangent-section point, then a bounded-height sweep of the
+                # same section
+                if Q.y != 0:
+                    ell = cubic.tangent_section(S, E, Q)
+                    _, tq = cubic.tangent_point(ell)
+                    if emit(E, tq, "tangent"):
+                        newly.append((E, tq))
+                    for Es, Qs in cp_sweep(ell, cfg.t_height_bound):
+                        if Es.is_singular():
+                            continue
+                        if emit(Es, Qs, f"sweep({Es.t})"):
+                            newly.append((Es, Qs))
+                else:
+                    report.skipped.append(f"2-torsion point on fiber t={t}")
+                # multisection hops
+                for Eh, Qh in u_hop(S, t, Q):
+                    if Eh.is_singular():
+                        continue
+                    if emit(Eh, Qh, "hop"):
+                        newly.append((Eh, Qh))
+                next_frontier.extend(
+                    (En, Qn) for En, Qn in newly
+                    if (En.t.numerator, En.t.denominator) not in known_fibers
+                )
+            frontier = next_frontier
+    except _CapReached:
+        report.truncated = report.truncated or cfg.depth > 0
+    report.fibers = {Fraction(*tk): n for tk, n in counts.items()}
     # emit verified every kept point and raised on any failure
     report.all_verified = True
     return report

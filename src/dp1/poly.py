@@ -8,11 +8,10 @@ anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from sympy import divisors
 
 from .rational import InvariantError, QuadExt, Scalar
 
@@ -307,13 +306,44 @@ def int_exact_div(f: Sequence[int], g: Sequence[int]) -> List[int]:
     return out
 
 
-def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of f with multiplicities.
+def eval_mod(cs: Sequence[int], t: int, p: int) -> int:
+    """The integer polynomial Σ cs[i]·tⁱ at t, mod p, by Horner."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * t + c) % p
+    return acc
 
-    Clears denominators to a primitive integer polynomial and tests the
-    divisor pairs (±p, q) of its constant and leading coefficients by
-    homogeneous Horner in integers; a root's multiplicity is found by
-    repeated exact division by q·x − p.
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _simple_roots_mod(g: Sequence[int], ell: int) -> Optional[List[int]]:
+    """The roots of g mod the prime ell, or None when one of them is multiple."""
+    gm = [c % ell for c in g]
+    dm = [i * c % ell for i, c in enumerate(gm)][1:]
+    roots = []
+    for r in range(ell):
+        if eval_mod(gm, r, ell) == 0:
+            if eval_mod(dm, r, ell) == 0:
+                return None
+            roots.append(r)
+    return roots
+
+
+def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
+    """All rational roots of f with multiplicities, by p-adic lifting (Loos).
+
+    f is cleared to a primitive integer polynomial of degree n with leading
+    coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic: the rational roots of
+    f are m/lc for the integer roots m of g, and |m| ≤ B = 1 + max|gᵢ|.  The
+    roots of g mod the first prime ℓ ≥ 5 at which all of them are simple are
+    Newton-lifted to a modulus past 2B; each symmetric residue is a candidate,
+    tested exactly by homogeneous Horner.  A multiple root mod the first
+    prime makes g squarefree, once: a squarefree g has a nonzero
+    discriminant, so some prime has only simple roots.  A root's
+    multiplicity is found by repeated exact division by q·x − p.
     """
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -328,19 +358,38 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
     if f.degree() < 1:
         return roots
     ics = _primitive(integer_form(f)[0])
-    # ics[0] != 0, so p >= 1 and the coprime pairs (±p, q) are distinct roots
-    for p in divisors(abs(ics[0])):
-        for q in divisors(abs(ics[-1])):
-            if math.gcd(p, q) != 1:
-                continue
-            for sp in (p, -p):
-                mult = 0
-                g = ics
-                while _homogeneous_value(g, sp, q) == 0:
-                    g = int_exact_div(g, (-sp, q))
-                    mult += 1
-                if mult:
-                    roots.append((Fraction(sp, q), mult))
+    n, lc = len(ics) - 1, ics[-1]
+    g = [c * lc ** (n - 1 - i) for i, c in enumerate(ics[:-1])] + [1]
+    bound = 1 + max(abs(c) for c in g[:-1])  # also bounds g's squarefree part's roots
+    primes = filter(is_prime, itertools.count(5))
+    ell = next(primes)
+    squarefree = False
+    while (found := _simple_roots_mod(g, ell)) is None:
+        if squarefree:
+            ell = next(primes)
+            continue
+        h = int_gcd(g, [i * c for i, c in enumerate(g)][1:])
+        if len(h) > 1:  # h divides the monic g, so h[-1] = ±1 and so is the quotient's
+            g = int_exact_div(g, h)
+            g = [-c for c in g] if g[-1] < 0 else g
+        squarefree = True
+    dg = [i * c for i, c in enumerate(g)][1:]
+    for r in found:
+        m = ell
+        while m <= 2 * bound:  # Newton: a simple root mod m is one mod m²
+            m *= m
+            r = (r - eval_mod(g, r, m) * pow(eval_mod(dg, r, m), -1, m)) % m
+        if 2 * r > m:
+            r -= m
+        d = math.gcd(r, lc)
+        p, q = (r // d, lc // d) if lc > 0 else (-r // d, -lc // d)
+        mult = 0
+        h = ics
+        while _homogeneous_value(h, p, q) == 0:
+            h = int_exact_div(h, (-p, q))
+            mult += 1
+        if mult:
+            roots.append((Fraction(p, q), mult))
     roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
     return roots
 

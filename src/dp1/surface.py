@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sympy import factorint
-
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
@@ -80,6 +78,90 @@ def _vp(n: int, p: int) -> Optional[int]:
     return v
 
 
+# Lifting factors integers only by trial division below this bound; a part
+# left after it is decided by exact powers and gcds, or refused.
+TRIAL_BOUND = 1000
+
+
+def _trial_primes(n: int) -> Tuple[List[int], int]:
+    """The primes of n ≥ 1 that trial division below TRIAL_BOUND finds, and
+    the cofactor of n they leave.  The cofactor has no prime below the bound,
+    so when it is, or is an exact power of, a number below TRIAL_BOUND², that
+    number is prime: it is listed too, and 1 is left."""
+    primes = []
+    d = 2
+    while d < TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    root = n
+    while (r := _exact_root(root, 2) or _exact_root(root, 3)) > 1:
+        root = r
+    if 1 < root < TRIAL_BOUND ** 2:
+        primes.append(root)
+        n = 1
+    return primes, n
+
+
+def _exact_root(n: int, k: int) -> int:
+    """The k-th root (k = 2 or 3) of n ≥ 1 when n is a k-th power, else 0."""
+    if n < 1:
+        return 0
+    if k == 2:
+        r = math.isqrt(n)
+    else:  # integer Newton from above, to the floor of the cube root
+        r = 1 << -(-n.bit_length() // 3)
+        while (s := (2 * r + n // (r * r)) // 3) < r:
+            r = s
+    return r if r ** k == n else 0
+
+
+def _part_over(c: int, m: int) -> int:
+    """The largest divisor of |c| whose primes all divide m, by gcds; 0 for c = 0."""
+    if c == 0:
+        return 0
+    part, c = 1, abs(c)
+    g = math.gcd(c, m)
+    while g > 1:
+        part *= g
+        c //= g
+        g = math.gcd(c, g)
+    return part
+
+
+def _undecided(part: int) -> ValueError:
+    return ValueError(
+        f"cannot lift to a weighted point without factoring {part}: it has no "
+        f"prime factor below the trial-division bound {TRIAL_BOUND}, and exact "
+        "powers and gcds do not decide it"
+    )
+
+
+def _lift_scale(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> int:
+    """The least λ ≥ 1 with λ²x, λ³y, λz and λw integral.
+
+    For each prime, v(λ) = max(⌈v(den x)/2⌉, ⌈v(den y)/3⌉, v(den z·w)), with
+    den z·w the lcm of the two.  Primes found by trial division are counted
+    one by one.  For the cofactors X, Y, C left, λ's part is n = lcm(C, e₂, e₃)
+    with e₂² = X and e₃³ = Y where they exist: each of the three must divide
+    λ, so n is least once X | n² and Y | n³, which is checked.
+    """
+    dens = [x.denominator, y.denominator, math.lcm(z.denominator, w.denominator)]
+    primes = {p for d in dens for p in _trial_primes(d)[0]}
+    lam = 1
+    for p in primes:
+        vx, vy, vc = (_vp(d, p) for d in dens)
+        dens = [d // p ** v for d, v in zip(dens, (vx, vy, vc))]
+        lam *= p ** max(-(-vx // 2), -(-vy // 3), vc)
+    X, Y, C = dens
+    n = math.lcm(C, _exact_root(X, 2) or 1, _exact_root(Y, 3) or 1)
+    if (n * n) % X or n ** 3 % Y:
+        raise _undecided(math.lcm(X, Y))
+    return lam * n
+
+
 @dataclass(frozen=True)
 class WPoint:
     """A point of P(2,3,1,1) in canonical integer form (weights 2,3,1,1).
@@ -95,6 +177,19 @@ class WPoint:
 
     @staticmethod
     def canonicalize(x: int, y: int, z: int, w: int) -> "WPoint":
+        return WPoint._reduced(x, y, z, w, 1)
+
+    @staticmethod
+    def _reduced(x: int, y: int, z: int, w: int, coprime: int) -> "WPoint":
+        """(x, y, z, w) divided by the largest r with r | z, r | w, r² | x and
+        r³ | y, given that no prime of ``coprime`` divides r.
+
+        Primes found by trial division are counted one by one.  Over the
+        primes of the cofactor they leave, with x' and y' the parts of x and y
+        made of those primes, every valid r divides the gcd of the cofactor,
+        z, w, x' (or √x', when x' is a square) and y' (or ∛y', when y' is a
+        cube); that gcd is r's part when it is valid itself.
+        """
         if x == y == z == w == 0:
             raise ValueError("all four coordinates are zero")
         if z or w:
@@ -103,7 +198,10 @@ class WPoint:
             base = math.gcd(x, y)
         else:
             base = abs(x or y)
-        for p in factorint(base):
+        while (g := math.gcd(base, coprime)) > 1:
+            base //= g
+        primes, rest = _trial_primes(base)
+        for p in primes:
             exps = [
                 v for v in (
                     _vp(z, p),
@@ -119,23 +217,26 @@ class WPoint:
                 y //= p ** (3 * e)
                 z //= p ** e
                 w //= p ** e
+        if rest > 1:
+            xr, yr = _part_over(x, rest), _part_over(y, rest)
+            r = math.gcd(rest, z, w, _exact_root(xr, 2) or xr, _exact_root(yr, 3) or yr)
+            if x % (r * r) or y % r ** 3:
+                raise _undecided(r)
+            x, y, z, w = x // (r * r), y // r ** 3, z // r, w // r
         if w < 0 or (w == 0 and z < 0) or (w == z == 0 and y < 0):
             y, z, w = -y, -z, -w
         return WPoint(x, y, z, w)
 
     @staticmethod
     def from_fractions(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> "WPoint":
-        """Scale a rational quadruple into canonical integer form."""
-        lam = 1
-        dens = {2: x.denominator, 3: y.denominator, 1: math.lcm(z.denominator, w.denominator)}
-        need: Dict[int, int] = {}
-        for weight, den in dens.items():
-            for p, v in factorint(den).items():
-                need[p] = max(need.get(p, 0), -(-v // weight))
-        for p, v in need.items():
-            lam *= p ** v
-        return WPoint.canonicalize(
-            int(x * lam ** 2), int(y * lam ** 3), int(z * lam), int(w * lam)
+        """Scale a rational quadruple into canonical integer form.
+
+        No prime of the least integral scale λ divides the scaled point's
+        weighted content, so only the other primes are looked for.
+        """
+        lam = _lift_scale(x, y, z, w)
+        return WPoint._reduced(
+            int(x * lam ** 2), int(y * lam ** 3), int(z * lam), int(w * lam), lam
         )
 
     @staticmethod
@@ -317,13 +418,6 @@ def _reduce_poly_mod(f: UniPoly, p: int) -> List[int]:
     return out
 
 
-def _eval_mod(coeffs: Sequence[int], t: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * t + c) % p
-    return acc
-
-
 def _deriv_mod(coeffs: Sequence[int], p: int) -> List[int]:
     return [(i * c) % p for i, c in enumerate(coeffs)][1:]
 
@@ -337,7 +431,7 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     directly at each of the ≤ 2p² chart points.
     """
     # trial division is exact, and cheap beside the 2p² scan that follows
-    if p < 5 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p < 5 or not poly.is_prime(p):
         raise ValueError(f"scan needs a prime p >= 5, got {p}")
     for params_den in _param_denominators(S.params):
         if params_den % p == 0:
@@ -350,13 +444,13 @@ def modp_singular_scan(S: Surface, p: int) -> str:
         da, db = _deriv_mod(a, p), _deriv_mod(b, p)
         # degenerate iff Δ ≡ 0 on this chart
         if any(
-            (4 * _eval_mod(a, t, p) ** 3 + 27 * _eval_mod(b, t, p) ** 2) % p
+            (4 * poly.eval_mod(a, t, p) ** 3 + 27 * poly.eval_mod(b, t, p) ** 2) % p
             for t in range(p)
         ):
             degenerate = False
         for t in range(p):
-            at, bt = _eval_mod(a, t, p), _eval_mod(b, t, p)
-            dat, dbt = _eval_mod(da, t, p), _eval_mod(db, t, p)
+            at, bt = poly.eval_mod(a, t, p), poly.eval_mod(b, t, p)
+            dat, dbt = poly.eval_mod(da, t, p), poly.eval_mod(db, t, p)
             for x in range(p):
                 if (x ** 3 + at * x + bt) % p:
                     continue

@@ -1,7 +1,11 @@
+import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
 
 from dp1.cubic import tangent_section
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
@@ -16,6 +20,80 @@ def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
     for c in reversed(outer.coeffs):
         result = result * inner + UniPoly.constant(c)
     return result
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError when the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _vp(n: int, p: int):
+    """p-adic valuation; None stands for +infinity (n == 0)."""
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def canonicalize_by_factoring(x: int, y: int, z: int, w: int) -> WPoint:
+    """Reference canonical form: the weighted content found by factoring
+    with sympy; the oracle for WPoint.canonicalize."""
+    if x == y == z == w == 0:
+        raise ValueError("all four coordinates are zero")
+    if z or w:
+        base = math.gcd(z, w)
+    elif x and y:
+        base = math.gcd(x, y)
+    else:
+        base = abs(x or y)
+    for p in factorint(base):
+        exps = [
+            v for v in (
+                _vp(z, p),
+                _vp(w, p),
+                None if x == 0 else _vp(x, p) // 2,
+                None if y == 0 else _vp(y, p) // 3,
+            )
+            if v is not None
+        ]
+        e = min(exps) if exps else 0
+        if e > 0:
+            x //= p ** (2 * e)
+            y //= p ** (3 * e)
+            z //= p ** e
+            w //= p ** e
+    if w < 0 or (w == 0 and z < 0) or (w == z == 0 and y < 0):
+        y, z, w = -y, -z, -w
+    return WPoint(x, y, z, w)
+
+
+def from_fractions_by_factoring(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> WPoint:
+    """Reference lift: the least integral scale found by factoring each
+    denominator with sympy; the oracle for WPoint.from_fractions."""
+    lam = 1
+    dens = {2: x.denominator, 3: y.denominator, 1: math.lcm(z.denominator, w.denominator)}
+    need = {}
+    for weight, den in dens.items():
+        for p, v in factorint(den).items():
+            need[p] = max(need.get(p, 0), -(-v // weight))
+    for p, v in need.items():
+        lam *= p ** v
+    return canonicalize_by_factoring(
+        int(x * lam ** 2), int(y * lam ** 3), int(z * lam), int(w * lam)
+    )
 
 
 def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from dp1.cli import main, sample_params, search_params
 from dp1.rational import InvariantError
 from dp1.surface import OracleDisagreementError, SurfaceParams
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 WORKED = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "3", "f": ["0", "0", "0", "1"]}
 WORKED_2 = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "2", "f": ["0", "0", "0", "1"]}
 SINGULAR = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "1", "f": ["0", "0", "0", "1"]}
@@ -183,6 +188,30 @@ def test_input_error_exit_two(tmp_path, capsys):
     bad.write_text("not json")
     code = main(["classify", "--surface", str(bad)])
     assert code == 2
+
+
+def test_undecidable_seed_exit_two(surface_file, capsys):
+    # den x = 1009·1013: trial division below 1000 cannot tell p·q from p²·q
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/1022117:1:1:1]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "trial-division bound 1000" in err
+
+
+def test_runtime_imports_no_sympy(surface_file):
+    # a fresh interpreter: the tests themselves import sympy as an oracle
+    script = (
+        "import sys, dp1.cli\n"
+        f"assert dp1.cli.main(['generate', '--surface', {surface_file(WORKED)!r}, "
+        "'--seed', '[-1:1:-1:1]', '--out', 'points.json', '--t-height', '2']) == 0\n"
+        "assert dp1.cli.main(['search-params', '--samples', '5', '--primes', '7,11', "
+        "'--out', 'census.json']) == 0\n"
+        "sys.exit('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=os.path.dirname(surface_file(WORKED)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("obj, message", [

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import surface_through
-from dp1 import elliptic
+from conftest import surface_through, time_limit
+from dp1 import elliptic, engine
+from dp1.cubic import tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -197,6 +198,29 @@ def test_generate_max_points_is_a_cap(worked_surface, worked_seed, max_points):
     assert rep.truncated and rep.all_verified
 
 
+@pytest.mark.parametrize("max_points", [2, 11, 12, 21])
+def test_generate_stops_at_the_cap(worked_surface, worked_seed, monkeypatch, max_points):
+    # uncapped, the events run: 11 points on the seed's fiber, a sweep, its
+    # point, a hop, then 10 points, a sweep and a hop on the new fiber; the
+    # caps fall among the multiples, before the sweep, inside the sweep and
+    # on the second level.  Nothing may start once max_points are kept.
+    events = []
+
+    def record(name, fn):
+        def wrapped(*args):
+            events.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("PointRecord", "cp_sweep", "u_hop"):
+        monkeypatch.setattr(engine, name, record(name, getattr(engine, name)))
+    cfg = GenerationConfig(t_height_bound=10, multiple_bound=10, depth=2, max_points=max_points)
+    rep = generate(worked_surface, worked_seed, cfg)
+    assert len(rep.points) == max_points and rep.truncated
+    assert events.count("PointRecord") == max_points
+    assert events[-1] == "PointRecord"  # the cap's own point is the last event
+
+
 def test_generate_depth_zero(worked_surface, worked_seed):
     rep = generate(worked_surface, worked_seed, GenerationConfig(depth=0, multiple_bound=1))
     assert [r.provenance for r in rep.points] == ["seed"]
@@ -313,6 +337,30 @@ def test_box_rationals_match_set_dedup(num_bound, den_bound):
     assert list(_box_rationals(num_bound, den_bound)) == box_rationals_by_set(
         num_bound, den_bound
     )
+
+
+def on_surface_by_params(S: Surface, t: Fraction, Q: ECPoint) -> bool:
+    """y² = x³ + (a·u + b)·x + c·u² + d·u + e with u = f(t), in Fraction."""
+    p = S.params
+    u = p.f0 + t * (p.f1 + t * (p.f2 + t * p.f3))
+    return Q.y ** 2 == Q.x ** 3 + (p.a * u + p.b) * Q.x + (p.c * u + p.d) * u + p.e
+
+
+def test_root_finding_tail_on_worked_surface(worked_surface, worked_seed):
+    # the tangent sweep at [4]P, whose fiber-line cubics have large constant
+    # and leading terms, and generate at depth 2, t-height 20: each took
+    # about a minute or more with a divisor-pair root finder
+    S = worked_surface
+    E, Q = S.fiber_point(worked_seed)
+    P4 = elliptic.multiples(E, Q, 4)[3]
+    with time_limit(20):
+        swept = cp_sweep(tangent_section(S, E, P4), 10)
+        rep = generate(S, worked_seed, GenerationConfig(t_height_bound=20, multiple_bound=10, depth=2))
+    assert swept and len(rep.points) == 22
+    for Es, Qs in swept:
+        assert on_surface_by_params(S, Es.t, Qs)
+    for r in rep.points:
+        assert on_surface_by_params(S, r.t, r.point)
 
 
 def test_engine_subset_of_oracle(worked_surface, worked_seed):

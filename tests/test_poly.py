@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import divisors
+from sympy import divisors, nextprime
 
 from conftest import compose
 from dp1.poly import (
@@ -306,27 +306,57 @@ def rational_roots_by_fractions(f: UniPoly) -> List[Tuple[Fraction, int]]:
 
 
 planted_root = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+wide_root = st.builds(Fraction, st.integers(-2 ** 32, 2 ** 32), st.integers(1, 2 ** 32))
 nonzero_scale = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
 
 
-@settings(max_examples=100, deadline=None)
+def by_root_key(roots: Dict[Fraction, int]) -> List[Tuple[Fraction, int]]:
+    return sorted(roots.items(), key=lambda rm: (rm[0].numerator, rm[0].denominator))
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.tuples(planted_root, st.integers(1, 3)), max_size=3),
+    st.lists(st.tuples(st.one_of(planted_root, wide_root), st.integers(1, 3)), max_size=4),
     st.integers(0, 2),
     small_poly.filter(lambda g: not g.is_zero()),
     nonzero_scale,
 )
 def test_rational_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
-    # planted simple and repeated roots, a root at 0 of multiplicity
-    # zero_mult, and a cofactor that may add roots of its own
+    # planted simple and repeated roots, small or with numerator and
+    # denominator up to 2³², a root at 0 of multiplicity zero_mult, and a
+    # cofactor that may add roots of its own, up to degree 12.  The roots of f
+    # are the planted ones and the cofactor's, which has few divisor pairs.
     f = cofactor.scale(scale) * P(0, 1) ** zero_mult
     for r, m in planted:
         f = f * P(-r, 1) ** m
-    roots = rational_roots(f)
-    assert roots == rational_roots_by_fractions(f)
-    found = dict(roots)
-    for r, _ in planted:
-        assert found[r] >= sum(m for s, m in planted if s == r)
+    assume(f.degree() <= 12)
+    expected = dict(rational_roots_by_fractions(cofactor))
+    for r, m in planted + [(Fraction(0), zero_mult)]:
+        expected[r] = expected.get(r, 0) + m
+    assert rational_roots(f) == by_root_key({r: m for r, m in expected.items() if m})
+
+
+thirty_bit_prime = st.integers(2 ** 29, 2 ** 30 - 2 ** 10).map(nextprime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    thirty_bit_prime,
+    thirty_bit_prime,
+    st.lists(st.integers(-50, 50), max_size=10),
+    st.integers(1, 60),
+    st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_rational_roots_semiprime_constant_term(p1, p2, middle, lc, den):
+    # constant term ±p1·p2, both 30-bit primes, up to degree 12; with den
+    # given, p1/den is a planted root
+    if den is None:
+        f = UniPoly([p1 * p2] + middle + [lc])
+    else:
+        f = UniPoly([p2] + middle + [lc]) * P(-p1, den)
+    assert rational_roots(f) == rational_roots_by_fractions(f)
+    if den is not None:
+        assert Fraction(p1, den) in dict(rational_roots(f))
 
 
 def test_rational_roots_match_fraction_oracle_examples():

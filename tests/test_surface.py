@@ -5,9 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import nextprime
 
-from conftest import compose, random_params, random_smooth_surface, surface_through
+from conftest import (
+    canonicalize_by_factoring,
+    compose,
+    from_fractions_by_factoring,
+    random_params,
+    random_smooth_surface,
+    surface_through,
+    time_limit,
+)
 from dp1.elliptic import FiberCurve
+from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
 from dp1.surface import (
     DegenerateSurfaceError,
@@ -118,6 +128,102 @@ def test_wpoint_parse_and_canonical():
     assert WPoint.parse("[1:-1:0:0]") == WPoint(1, 1, 0, 0)
     with pytest.raises(ValueError):
         WPoint.canonicalize(0, 0, 0, 0)
+
+
+# Primes far above the trial-division bound, whose powers sympy's factorint
+# (the reference) still factors at once.
+LARGE_PRIMES = [1_000_003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1]
+REFUSAL = "trial-division bound 1000"
+
+
+def canonical_or_refused(Q: WPoint, expected: WPoint) -> None:
+    """canonicalize(Q) is expected, or refuses by naming the bound."""
+    try:
+        assert WPoint.canonicalize(Q.x, Q.y, Q.z, Q.w) == expected
+    except ValueError as exc:
+        assert REFUSAL in str(exc)
+
+
+rational_below_1e6 = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[rational_below_1e6] * 4).filter(any))
+def test_lift_matches_factoring_on_rational_quadruples(coords):
+    # numerators and denominators are below TRIAL_BOUND² = 10⁶, so trial
+    # division factors each completely: the lift must decide every case
+    x, y, z, w = coords
+    P = WPoint.from_fractions(x, y, z, w)
+    assert P == from_fractions_by_factoring(x, y, z, w)
+    # the scaled integers can hold two unknown primes: canonicalize may
+    # refuse them, but never answers wrongly
+    canonical_or_refused(P, P)
+    canonical_or_refused(rescaled(P, 6), P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+def test_canonicalize_matches_factoring_on_integers(coords):
+    # the weighted content divides a coordinate below 10⁶: always decided
+    if coords == (0, 0, 0, 0):
+        return
+    assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-999, 999)] * 4), st.sampled_from(LARGE_PRIMES),
+       st.booleans())
+def test_lift_rescaled_by_large_prime(coords, lam, zero_w):
+    # trial division finds every prime of the coordinates, so λ's primes
+    # are the only unknown ones; w = 0 points are drawn as often as others
+    x, y, z, w = coords[:3] + ((0,) if zero_w else coords[3:])
+    if x == y == z == w == 0:
+        return
+    P = canonicalize_by_factoring(x, y, z, w)
+    up = rescaled(P, lam)
+    assert WPoint.canonicalize(up.x, up.y, up.z, up.w) == P
+    down = (Fraction(P.x, lam ** 2), Fraction(P.y, lam ** 3), Fraction(P.z, lam), Fraction(P.w, lam))
+    assert WPoint.from_fractions(*down) == from_fractions_by_factoring(*down) == P
+    # a composite scale whose factors trial division cannot find
+    big = lam * LARGE_PRIMES[0]
+    up = rescaled(P, big)
+    assert WPoint.canonicalize(up.x, up.y, up.z, up.w) == P
+    down = (Fraction(P.x, big ** 2), Fraction(P.y, big ** 3), Fraction(P.z, big), Fraction(P.w, big))
+    assert WPoint.from_fractions(*down) == P
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_lift_of_generated_points_matches_factoring(seed):
+    rng = random.Random(seed)
+    S, P = surface_through(rng, height=3)
+    while not check_hypotheses(S, P).overall:
+        S, P = surface_through(rng, height=3)
+    rep = generate(S, P, GenerationConfig(t_height_bound=2, multiple_bound=6, depth=1, bit_cap=512))
+    for r in rep.points:
+        t, x, y = r.t, r.point.x, r.point.y
+        assert WPoint.from_affine(t, x, y) == from_fractions_by_factoring(x, y, t, Fraction(1))
+
+
+def test_lift_of_semiprime_content_is_immediate():
+    # N has two 101-bit prime factors; factoring it would not end, but
+    # gcd(N, x) = 1 shows [1:1:N:N] is already canonical
+    N = nextprime(2 ** 100) * nextprime(2 ** 100 + 2 ** 60)
+    with time_limit(5):
+        assert WPoint.parse(f"[1:1:{N}:{N}]") == WPoint(1, 1, N, N)
+        assert WPoint.parse(f"[{N * N}:{N ** 3}:{N}:{N}]") == WPoint(1, 1, 1, 1)
+        assert WPoint.parse(f"[1/{N * N}:1/{N ** 3}:1/{N}:1]") == WPoint(1, 1, 1, N)
+
+
+@pytest.mark.parametrize("seed", [
+    # without factoring, 1022117 = 1009·1013 could be p·q or p²·q
+    "[1/1022117:1:1:1]",  # λ = 1022117, or p·q with den x = p²·q?
+    f"[{1022117}:{1022117}:{1022117}:{1022117}]",  # content 1, or p when 1022117 = p²·q?
+    f"[1:1/{(2 ** 61 - 1) ** 2 * 1009 ** 2}:1:1]",  # den y a square of an unknown, not a cube
+])
+def test_lift_refuses_what_it_cannot_decide(seed):
+    with pytest.raises(ValueError, match="trial-division bound 1000"):
+        WPoint.parse(seed)
 
 
 def test_wpoint_affine_roundtrip():
