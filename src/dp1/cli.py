@@ -86,15 +86,19 @@ def cmd_classify(args) -> int:
 
 
 def _parse_primes(text: str) -> List[int]:
-    return [int(p) for p in text.split(",")]
+    primes = [int(p) for p in text.split(",")]
+    for p in primes:
+        surface_mod.check_prime(p)
+    return primes
 
 
 def cmd_smooth(args) -> int:
+    primes = _parse_primes(args.primes) if args.primes else None
     S = _load_surface(args.surface)
     verdict = smoothness_check(S)
     payload = {"verdict": verdict.kind, "witnesses": _witness_json(verdict)}
-    if args.primes:
-        payload["cross_check"] = cross_check_result(S, _parse_primes(args.primes))
+    if primes:
+        payload["cross_check"] = cross_check_result(S, primes)
     _emit(payload, args)
     return EXIT_OK if verdict.smooth else EXIT_NEGATIVE
 

@@ -191,15 +191,15 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
     a, b, c0 = ell.restrict_to_fiber(t0)
     if b == 0:  # b = -2*y0 up to scaling, nonzero off 2-torsion
         raise InvariantError(f"tangent line at {P} is vertical off 2-torsion")
-    cubic = fiber_line_cubic(E, (a, b, c0))
-    # the tangency forces a double root at x0
-    dbl = UniPoly((x0 * x0, -2 * x0, 1))  # (x − x0)²
-    quot, rem = cubic.divmod(dbl)
-    if not rem.is_zero():
-        raise InvariantError(f"tangent line is not doubly tangent at {P}")
+    # the tangency forces a double root at x0, and the x² coefficient −α²
+    # puts the third root at x3: the cubic is β²(x − x0)²(x − x3)
     x3 = (a / b) ** 2 - 2 * x0
-    if quot.degree() != 1 or quot(x3) != 0:
-        raise InvariantError(f"x = {x3} is not the third root of the tangent cubic at {P}")
+    b2 = b * b
+    expected = (-b2 * x0 * x0 * x3, b2 * x0 * (x0 + 2 * x3), -b2 * (2 * x0 + x3), b2)
+    if fiber_line_cubic(E, (a, b, c0)).coeffs != expected:
+        raise InvariantError(
+            f"the tangent cubic at {P} is not β²(x − x0)²(x − x3) with x3 = {x3}"
+        )
     y3 = -(a * x3 + c0) / b
     Q = ECPoint(x3, y3)
     if not elliptic.on_curve(E, Q):

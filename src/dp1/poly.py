@@ -121,27 +121,7 @@ class UniPoly:
         return form_value(integer_form(self), t)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, g: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        if g.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree() - g.degree() + 1)
-        rem = list(self.coeffs)
-        glc = g.lc()
-        gd = g.degree()
-        while len(rem) - 1 >= gd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < gd:
-                break
-            k = len(rem) - 1 - gd
-            factor = rem[-1] / glc
-            q[k] = factor
-            for i in range(gd + 1):
-                rem[k + i] -= factor * g.coeffs[i]
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
+        return UniPoly(deriv(self.coeffs))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -219,6 +199,21 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def deriv(cs: Sequence) -> List:
+    """The coefficients of the derivative of Σ cs[i]·tⁱ."""
+    return [i * cs[i] for i in range(1, len(cs))]
+
+
+def combination(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> List[int]:
+    """x·u + y·v for integer polynomials, trailing zeros trimmed."""
+    out = [x * c for c in u] + [0] * (len(v) - len(u))
+    for i, c in enumerate(v):
+        out[i] += y * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Primitive gcd, up to sign, of trimmed integer polynomials (zero for two
     zeros); each pseudo-remainder is made primitive to curb coefficient growth."""
@@ -244,40 +239,37 @@ def is_separable(f: UniPoly) -> bool:
     return gcd(f, f.derivative()).degree() == 0
 
 
+def squarefree_split(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(h, cs / h) for the integer polynomial cs and h = gcd(cs, cs′),
+    primitive: cs / h is the squarefree part of cs, up to a constant."""
+    h = int_gcd(cs, deriv(cs))
+    return h, int_exact_div(cs, h)
+
+
 def squarefree_part(f: UniPoly) -> UniPoly:
     if f.is_zero():
         raise ValueError("squarefree part of zero is undefined")
-    if f.degree() == 0:
-        return UniPoly.constant(1)
-    g = gcd(f, f.derivative())
-    q, r = f.divmod(g)
-    if not r.is_zero():
-        raise InvariantError("gcd(f, f') does not divide f")
-    return q.monic()
+    return UniPoly(squarefree_split(integer_form(f)[0])[1]).monic()
 
 
 def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Yun's algorithm: return [(g_i, i)] with f = lc · ∏ g_i^i, g_i monic."""
+    """Yun's algorithm in ℤ[t]: return [(g_i, i)] with f = lc · ∏ g_i^i, g_i
+    monic.  Each step divides b and c by the same primitive gcd, so they stay
+    integral (Gauss's lemma) and d = c − b′ keeps its meaning."""
     if f.is_zero():
         raise ValueError("cannot factor zero")
-    f = f.monic()
-    if f.degree() == 0:
-        return []
     out: List[Tuple[UniPoly, int]] = []
-    fp = f.derivative()
-    a = gcd(f, fp)
-    b = f.divmod(a)[0]
-    c = fp.divmod(a)[0]
-    d = c - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        g = gcd(b, d)
-        if g.degree() > 0:
-            out.append((g.monic(), i))
-        b = b.divmod(g)[0]
-        c = d.divmod(g)[0]
-        d = c - b.derivative()
-        i += 1
+    cs = integer_form(f)[0]
+    a, b = squarefree_split(cs)
+    c = int_exact_div(deriv(cs), a)
+    for i in range(1, len(cs)):  # no multiplicity exceeds deg f
+        if len(b) == 1:
+            break
+        d = combination(1, c, -1, deriv(b))
+        g = int_gcd(b, d)
+        if len(g) > 1:
+            out.append((UniPoly(g).monic(), i))
+        b, c = int_exact_div(b, g), int_exact_div(d, g)
     return out
 
 
@@ -294,15 +286,18 @@ def _homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
 
 def int_exact_div(f: Sequence[int], g: Sequence[int]) -> List[int]:
     """f / g for integer polynomials, g primitive and dividing f over Q: by
-    Gauss's lemma the quotient is integral, so long division is exact."""
+    Gauss's lemma the quotient is integral, so long division is exact.  A
+    remainder, which only a g not dividing f leaves, raises InvariantError."""
     rem = list(f)
     dg = len(g) - 1
     out = [0] * (len(f) - dg)
     for k in range(len(out) - 1, -1, -1):
         c = out[k] = rem[k + dg] // g[-1]
         if c:
-            for i in range(dg):
+            for i in range(dg + 1):
                 rem[k + i] -= c * g[i]
+    if any(rem):
+        raise InvariantError(f"{list(g)} does not divide {list(f)} in Z[t]")
     return out
 
 
@@ -322,7 +317,7 @@ def is_prime(n: int) -> bool:
 def _simple_roots_mod(g: Sequence[int], ell: int) -> Optional[List[int]]:
     """The roots of g mod the prime ell, or None when one of them is multiple."""
     gm = [c % ell for c in g]
-    dm = [i * c % ell for i, c in enumerate(gm)][1:]
+    dm = deriv(gm)
     roots = []
     for r in range(ell):
         if eval_mod(gm, r, ell) == 0:
@@ -368,12 +363,10 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
         if squarefree:
             ell = next(primes)
             continue
-        h = int_gcd(g, [i * c for i, c in enumerate(g)][1:])
-        if len(h) > 1:  # h divides the monic g, so h[-1] = ±1 and so is the quotient's
-            g = int_exact_div(g, h)
-            g = [-c for c in g] if g[-1] < 0 else g
+        g = squarefree_split(g)[1]  # g is monic, so g[-1] = ±1 here
+        g = [-c for c in g] if g[-1] < 0 else g
         squarefree = True
-    dg = [i * c for i, c in enumerate(g)][1:]
+    dg = deriv(g)
     for r in found:
         m = ell
         while m <= 2 * bound:  # Newton: a simple root mod m is one mod m²

@@ -184,9 +184,10 @@ class WPoint:
         """(x, y, z, w) divided by the largest r with r | z, r | w, r² | x and
         r³ | y, given that no prime of ``coprime`` divides r.
 
-        Primes found by trial division are counted one by one.  Over the
-        primes of the cofactor they leave, with x' and y' the parts of x and y
-        made of those primes, every valid r divides the gcd of the cofactor,
+        Primes found by trial division are counted one by one.  A cofactor
+        they leave below TRIAL_BOUND³ is squarefree, and gcds decide r's part.
+        Over the primes of a larger cofactor, with x' and y' the parts of x and
+        y made of those primes, every valid r divides the gcd of the cofactor,
         z, w, x' (or √x', when x' is a square) and y' (or ∛y', when y' is a
         cube); that gcd is r's part when it is valid itself.
         """
@@ -218,8 +219,14 @@ class WPoint:
                 z //= p ** e
                 w //= p ** e
         if rest > 1:
-            xr, yr = _part_over(x, rest), _part_over(y, rest)
-            r = math.gcd(rest, z, w, _exact_root(xr, 2) or xr, _exact_root(yr, 3) or yr)
+            if rest < TRIAL_BOUND ** 3:
+                # one or two primes above the bound, and no square: squarefree,
+                # so p² | x exactly when p | x / gcd(x, rest), and so for p³ | y
+                x1, y1 = x // math.gcd(x, rest), y // math.gcd(y, rest)
+                r = math.gcd(rest, z, w, x1, y1 // math.gcd(y1, rest))
+            else:
+                xr, yr = _part_over(x, rest), _part_over(y, rest)
+                r = math.gcd(rest, z, w, _exact_root(xr, 2) or xr, _exact_root(yr, 3) or yr)
             if x % (r * r) or y % r ** 3:
                 raise _undecided(r)
             x, y, z, w = x // (r * r), y // r ** 3, z // r, w // r
@@ -340,16 +347,6 @@ class SmoothnessVerdict:
         return self.kind == "smooth"
 
 
-def _combination(x: int, u: List[int], y: int, v: List[int]) -> List[int]:
-    """x·u + y·v for integer polynomials, trailing zeros trimmed."""
-    out = [x * c for c in u] + [0] * (len(v) - len(u))
-    for i, c in enumerate(v):
-        out[i] += y * c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     """Nontrivial witness factors for singular points of x³ + A(t)x + B(t).
 
@@ -364,13 +361,13 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     mu = math.lcm(*(c.denominator for c in A.coeffs + B.coeffs))
     a = [c.numerator * (mu // c.denominator) * mu for c in A.coeffs]
     b = [c.numerator * (mu // c.denominator) * mu ** 2 for c in B.coeffs]
-    delta = _combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
+    delta = poly.combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
-    da, db = ([i * c for i, c in enumerate(u)][1:] for u in (a, b))
+    da, db = poly.deriv(a), poly.deriv(b)
     common: List[int] = []
     if a:
-        g = _combination(2, poly.int_mul(a, db), -3, poly.int_mul(da, b))
+        g = poly.combination(2, poly.int_mul(a, db), -3, poly.int_mul(da, b))
         common = poly.int_gcd(delta, g)
         shared = poly.int_gcd(common, a)
         while len(shared) > 1:  # strip every factor sharing a root with A
@@ -409,19 +406,6 @@ def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
 
 # -- mod-p exhaustive oracle ------------------------------------------
 
-def _reduce_poly_mod(f: UniPoly, p: int) -> List[int]:
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise ValueError(f"prime {p} divides a coefficient denominator")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return out
-
-
-def _deriv_mod(coeffs: Sequence[int], p: int) -> List[int]:
-    return [(i * c) % p for i, c in enumerate(coeffs)][1:]
-
-
 def modp_singular_scan(S: Surface, p: int) -> str:
     """Exhaustive singular-point scan of the branch sextic over F_p.
 
@@ -430,26 +414,25 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     Independent of the symbolic criterion: it checks the three partials
     directly at each of the ≤ 2p² chart points.
     """
-    # trial division is exact, and cheap beside the 2p² scan that follows
-    if p < 5 or not poly.is_prime(p):
-        raise ValueError(f"scan needs a prime p >= 5, got {p}")
+    check_prime(p)
     for params_den in _param_denominators(S.params):
         if params_den % p == 0:
             raise ValueError(f"prime {p} divides a parameter denominator")
     degenerate = True
     singular = False
     for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
-        a = _reduce_poly_mod(A, p)
-        b = _reduce_poly_mod(B, p)
-        da, db = _deriv_mod(a, p), _deriv_mod(b, p)
-        # degenerate iff Δ ≡ 0 on this chart
-        if any(
-            (4 * poly.eval_mod(a, t, p) ** 3 + 27 * poly.eval_mod(b, t, p) ** 2) % p
-            for t in range(p)
-        ):
-            degenerate = False
+        # each is cs/den with p ∤ den, as p divides no parameter denominator
+        a, b = (
+            [c * inv % p for c in cs]
+            for cs, den in map(poly.integer_form, (A, B))
+            for inv in (pow(den, -1, p),)
+        )
+        da, db = poly.deriv(a), poly.deriv(b)
         for t in range(p):
             at, bt = poly.eval_mod(a, t, p), poly.eval_mod(b, t, p)
+            # degenerate iff Δ ≡ 0 on both charts
+            if (4 * at ** 3 + 27 * bt ** 2) % p:
+                degenerate = False
             dat, dbt = poly.eval_mod(da, t, p), poly.eval_mod(db, t, p)
             for x in range(p):
                 if (x ** 3 + at * x + bt) % p:
@@ -462,6 +445,13 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     if degenerate:
         return "bad_prime"
     return "singular" if singular else "smooth"
+
+
+def check_prime(p: int) -> None:
+    """Refuse a scan prime unless it is a prime ≥ 5; trial division is exact,
+    and cheap beside the 2p² scan."""
+    if p < 5 or not poly.is_prime(p):
+        raise ValueError(f"scan needs a prime p >= 5, got {p}")
 
 
 def _param_denominators(params: SurfaceParams) -> List[int]:
@@ -488,8 +478,11 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int] = (7, 11, 13, 17, 1
     be smooth mod at least one prime in the set.  A surface singular with a
     rational witness must reduce to a singular curve at every usable prime;
     any such disagreement aborts with diagnostics, since it can only mean a
-    criterion bug.
+    criterion bug.  Every prime is checked before anything is scanned, so a
+    value that is no prime ≥ 5 is refused whatever the surface.
     """
+    for p in primes:
+        check_prime(p)
     verdict = smoothness_check(S)
     has_rational_witness = verdict.kind == "singular" and any(
         poly.rational_roots(wp) for _, wp in verdict.witnesses
@@ -548,15 +541,12 @@ def singular_fiber_report(S: Surface) -> SingularFiberReport:
     delta = S.discriminant_t()
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
+    a = poly.integer_form(S.A_t)[0]
     factors: List[FiberFactor] = []
     for g, m in poly.squarefree_factorization(delta):
-        if S.A_t.is_zero():
-            factors.append(FiberFactor(g, g.degree(), m, "additive"))
-            continue
-        g_add = poly.gcd(g, S.A_t)
-        if g_add.degree() >= 1:
-            factors.append(FiberFactor(g_add, g_add.degree(), m, "additive"))
-            g = g.divmod(g_add)[0].monic()
-        if g.degree() >= 1:
-            factors.append(FiberFactor(g, g.degree(), m, "multiplicative"))
+        cs = poly.integer_form(g)[0]
+        shared = poly.int_gcd(cs, a)  # all of g when A ≡ 0
+        for h, kind in ((shared, "additive"), (poly.int_exact_div(cs, shared), "multiplicative")):
+            if len(h) > 1:
+                factors.append(FiberFactor(UniPoly(h).monic(), len(h) - 1, m, kind))
     return SingularFiberReport(tuple(factors), 12 - delta.degree())

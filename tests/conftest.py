@@ -9,7 +9,7 @@ from sympy import factorint
 
 from dp1.cubic import tangent_section
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
-from dp1.poly import UniPoly
+from dp1.poly import UniPoly, gcd
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
 
@@ -20,6 +20,54 @@ def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
     for c in reversed(outer.coeffs):
         result = result * inner + UniPoly.constant(c)
     return result
+
+
+def poly_divmod(f: UniPoly, g: UniPoly):
+    """Reference long division in Q[t]: (q, r) with f = q·g + r and
+    deg r < deg g, one Fraction per step."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, f.degree() - g.degree() + 1)
+    rem = list(f.coeffs)
+    gd = g.degree()
+    while len(rem) - 1 >= gd and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < gd:
+            break
+        k = len(rem) - 1 - gd
+        factor = rem[-1] / g.lc()
+        q[k] = factor
+        for i in range(gd + 1):
+            rem[k + i] -= factor * g.coeffs[i]
+        rem.pop()
+    return UniPoly(q), UniPoly(rem)
+
+
+def squarefree_factorization_by_fractions(f: UniPoly):
+    """Reference Yun's algorithm in Q[t]: monic gcds and Fraction long
+    division; the oracle for poly.squarefree_factorization."""
+    if f.is_zero():
+        raise ValueError("cannot factor zero")
+    f = f.monic()
+    if f.degree() == 0:
+        return []
+    out = []
+    fp = f.derivative()
+    a = gcd(f, fp)
+    b = poly_divmod(f, a)[0]
+    c = poly_divmod(fp, a)[0]
+    d = c - b.derivative()
+    i = 1
+    while b.degree() > 0:
+        g = gcd(b, d)
+        if g.degree() > 0:
+            out.append((g.monic(), i))
+        b = poly_divmod(b, g)[0]
+        c = poly_divmod(d, g)[0]
+        d = c - b.derivative()
+        i += 1
+    return out
 
 
 @contextmanager

@@ -88,6 +88,16 @@ def test_smooth_primes_records_false_alarm(surface_file, capsys):
     )
 
 
+@pytest.mark.parametrize("f0", ["1/4", "1/3"])
+@pytest.mark.parametrize("primes", ["2,4", "7,4", "4,7"])
+def test_smooth_refuses_invalid_primes_on_every_surface(surface_file, capsys, f0, primes):
+    # a bad value is refused whether or not it divides f0's denominator
+    for params in (WORKED, DEGENERATE):
+        path = surface_file(dict(params, f=[f0, "0", "0", "1"]))
+        assert main(["smooth", "--surface", path, "--primes", primes]) == 2
+        assert "prime p >= 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, extra", [
     ("smooth", []),
     ("classify", []),
@@ -357,6 +367,12 @@ def test_search_params_primes_degenerate_tuple():
     row = out["rows"][0]
     assert row["smooth"] == "degenerate" and row["cross_check"] == "degenerate"
     assert out["summary"]["cross_checked"] == 0
+
+
+def test_search_params_refuses_invalid_primes():
+    params = SurfaceParams.from_json(dict(WORKED, f=["1/4", "0", "0", "1"]))
+    with pytest.raises(ValueError, match="prime p >= 5"):
+        search_params([params], (5, 1, 2, 2), (2, 4))
 
 
 def test_search_params_zero_samples_rejected(capsys):

@@ -7,16 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import divisors, nextprime
 
-from conftest import compose
+from conftest import compose, poly_divmod, squarefree_factorization_by_fractions
 from dp1.poly import (
     MultiPoly,
     UniPoly,
     gcd,
+    int_exact_div,
+    int_mul,
     is_separable,
     rational_roots,
     squarefree_factorization,
     squarefree_part,
 )
+from dp1.rational import InvariantError
 
 
 def P(*coeffs) -> UniPoly:
@@ -158,6 +161,74 @@ def test_squarefree_factorization_budget():
     assert rebuilt == f.monic()
 
 
+def squarefree_part_by_fractions(f: UniPoly) -> UniPoly:
+    """Reference squarefree part in Q[t]: f / gcd(f, f′), made monic."""
+    if f.degree() == 0:
+        return UniPoly.constant(1)
+    q, r = poly_divmod(f, gcd(f, f.derivative()))
+    assert r.is_zero()
+    return q.monic()
+
+
+factor_rat = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+
+
+@st.composite
+def planted_powers(draw):
+    """c·∏ hᵢ^eᵢ for up to four random factors of degree 1 to 3 and
+    exponents 1 to 4, so repeated and shared factors are common."""
+    f = UniPoly.constant(draw(factor_rat.filter(bool)))
+    for _ in range(draw(st.integers(0, 4))):
+        h = draw(st.lists(factor_rat, min_size=2, max_size=4).map(UniPoly))
+        if h.degree() >= 1:
+            f = f * h ** draw(st.integers(1, 4))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_powers())
+def test_squarefree_matches_fraction_reference(f):
+    assert squarefree_factorization(f) == squarefree_factorization_by_fractions(f)
+    assert squarefree_part(f) == squarefree_part_by_fractions(f)
+
+
+def test_squarefree_matches_fraction_reference_examples():
+    cases = [
+        P(7),
+        P(Fraction(-2, 3), 1),
+        P(0, 0, 0, 0, 1),
+        (P(-1, 1) ** 4) * (P(1, 1) ** 4) * P(0, 1),
+        (P(Fraction(1, 2), 0, 3) ** 3) * (P(-5, 2) ** 2) * P(Fraction(-1, 7), 0, 0, 1),
+        P(3, 0, 0, 2, 0, 0, 1) ** 2,
+    ]
+    for f in cases:
+        assert squarefree_factorization(f) == squarefree_factorization_by_fractions(f)
+        assert squarefree_part(f) == squarefree_part_by_fractions(f)
+
+
+int_coeffs = st.lists(st.integers(-50, 50), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_coeffs, int_coeffs.filter(lambda g: g[-1] != 0 and math.gcd(*g) == 1), int_coeffs)
+def test_int_exact_div_raises_on_non_divisor(q, g, r):
+    f = int_mul(q, g)
+    assert int_exact_div(f, g) == q
+    r = r[:len(g) - 1]  # a remainder of degree below g's
+    if any(r):
+        f = [a + b for a, b in zip(f, r + [0] * (len(f) - len(r)))]
+        with pytest.raises(InvariantError, match="does not divide"):
+            int_exact_div(f, g)
+
+
+def test_int_exact_div_examples():
+    assert int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert int_exact_div([], [2, 1]) == []
+    for f, g in (([1, 0, 1], [-1, 1]), ([1, 2], [0, 3]), ([1, 1], [1, 1, 1]), ([3], [2])):
+        with pytest.raises(InvariantError):
+            int_exact_div(f, g)
+
+
 small_rat = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 small_poly = st.lists(small_rat, min_size=1, max_size=4).map(UniPoly)
 small_multi = st.dictionaries(
@@ -250,9 +321,9 @@ def test_gcd_divides_both(f, g, h):
     d = gcd(a, b)
     for p in (a, b):
         if not p.is_zero():
-            assert p.divmod(d)[1].is_zero()
+            assert poly_divmod(p, d)[1].is_zero()
     if not h.is_zero() and h.degree() >= 1 and not a.is_zero() and not b.is_zero():
-        assert d.divmod(h.monic())[1].is_zero()
+        assert poly_divmod(d, h.monic())[1].is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,7 +367,7 @@ def rational_roots_by_fractions(f: UniPoly) -> List[Tuple[Fraction, int]]:
                 seen.add(cand)
                 mult, g = 0, f
                 while True:
-                    quo, rem = g.divmod(UniPoly((-cand, 1)))
+                    quo, rem = poly_divmod(g, UniPoly((-cand, 1)))
                     if not rem.is_zero():
                         break
                     mult, g = mult + 1, quo

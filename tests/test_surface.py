@@ -1,9 +1,10 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
@@ -11,8 +12,10 @@ from conftest import (
     canonicalize_by_factoring,
     compose,
     from_fractions_by_factoring,
+    poly_divmod,
     random_params,
     random_smooth_surface,
+    squarefree_factorization_by_fractions,
     surface_through,
     time_limit,
 )
@@ -21,6 +24,8 @@ from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
 from dp1.surface import (
     DegenerateSurfaceError,
+    FiberFactor,
+    SingularFiberReport,
     SmoothnessVerdict,
     Surface,
     SurfaceParams,
@@ -216,14 +221,55 @@ def test_lift_of_semiprime_content_is_immediate():
 
 
 @pytest.mark.parametrize("seed", [
-    # without factoring, 1022117 = 1009·1013 could be p·q or p²·q
-    "[1/1022117:1:1:1]",  # λ = 1022117, or p·q with den x = p²·q?
-    f"[{1022117}:{1022117}:{1022117}:{1022117}]",  # content 1, or p when 1022117 = p²·q?
+    # den x = 1009·1013 is below 1000³, so squarefree, but the scale λ is
+    # decided by exact powers only
+    "[1/1022117:1:1:1]",
+    # above 1000³: content 1, or p when 1041537223 = 1009·1013·1019 is p²·q?
+    f"[{1041537223}:{1041537223 ** 2}:{1041537223}:{1041537223}]",
     f"[1:1/{(2 ** 61 - 1) ** 2 * 1009 ** 2}:1:1]",  # den y a square of an unknown, not a cube
 ])
 def test_lift_refuses_what_it_cannot_decide(seed):
     with pytest.raises(ValueError, match="trial-division bound 1000"):
         WPoint.parse(seed)
+
+
+def test_canonicalize_decides_squarefree_cofactor():
+    # 1022117 = 1009·1013 is below TRIAL_BOUND³, so it cannot be p²·q
+    N = 1009 * 1013
+    assert WPoint.parse(f"[{N}:{N}:{N}:{N}]") == WPoint(N, N, N, N)
+    for coords in [(1009 * 1013 ** 2, 1009 ** 3 * 1013 ** 2, N, N),
+                   (1009 ** 2 * 1013 ** 2 * 7, 1009 ** 3 * 1013 ** 4, 3 * N, -N),
+                   (N, 0, N, 0), (0, N ** 3, 0, N)]:
+        assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
+
+
+@st.composite
+def squarefree_cofactor_quadruple(draw):
+    """(x, y, z, w) whose weighted content has, past the primes below the
+    trial-division bound, the part 1, p, q or p·q, for primes p, q above the
+    bound with p·q < TRIAL_BOUND³ (p alone may pass TRIAL_BOUND²)."""
+    if draw(st.booleans()):
+        p = nextprime(draw(st.integers(1000, 30000)))
+        q = nextprime(draw(st.integers(1000, 10 ** 9 // p - 300)))
+    else:
+        p, q = nextprime(draw(st.integers(10 ** 6, 10 ** 9 - 300))), 1
+    small = st.integers(-999, 999)
+
+    def coord(max_exp):
+        return draw(small) * p ** draw(st.integers(0, max_exp)) * q ** draw(st.integers(0, max_exp))
+
+    x, y = coord(5), coord(7)
+    z = draw(small.filter(bool)) * p ** draw(st.integers(0, 2)) * q ** draw(st.integers(0, 2))
+    w = coord(2) if draw(st.booleans()) else 0
+    # keep p and q at most simple in gcd(z, w)
+    assume(all(math.gcd(z, w) % (r * r) for r in {p, q} - {1}))
+    return x, y, z, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(squarefree_cofactor_quadruple())
+def test_canonicalize_never_refuses_squarefree_cofactor(coords):
+    assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
 
 
 def test_wpoint_affine_roundtrip():
@@ -258,6 +304,97 @@ def test_modp_scan_rejects_bad_characteristic(worked_surface):
 
 def test_modp_scan_accepts_prime(worked_surface):
     assert modp_singular_scan(worked_surface, 101) == "smooth"
+
+
+def modp_scan_per_coefficient(S: Surface, p: int) -> str:
+    """Reference mod-p scan: each Fraction coefficient reduced with its own
+    inverse, and degeneracy decided in a pass of its own."""
+    def reduce(f: UniPoly) -> list:
+        return [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+
+    def deriv(cs: list) -> list:
+        return [i * cs[i] % p for i in range(1, len(cs))]
+
+    def value(cs: list, t: int) -> int:
+        return sum(c * t ** i for i, c in enumerate(cs)) % p
+
+    degenerate, singular = True, False
+    for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
+        a, b = reduce(A), reduce(B)
+        da, db = deriv(a), deriv(b)
+        if any((4 * value(a, t) ** 3 + 27 * value(b, t) ** 2) % p for t in range(p)):
+            degenerate = False
+        for t in range(p):
+            at, bt, dat, dbt = (value(u, t) for u in (a, b, da, db))
+            for x in range(p):
+                if (x ** 3 + at * x + bt) % p == 0 and (3 * x * x + at) % p == 0 \
+                        and (dat * x + dbt) % p == 0:
+                    singular = True
+    if degenerate:
+        return "bad_prime"
+    return "singular" if singular else "smooth"
+
+
+SCAN_PRIMES = [p for p in range(5, 51) if all(p % d for d in range(2, p))]
+scan_rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+
+
+@st.composite
+def scan_params(draw):
+    """Random parameters, some with a, …, e scaled by a prime up to 50 (bad
+    reduction there), A ≡ 0, or a, …, e all zero (degenerate over Q)."""
+    vals = [draw(scan_rat) for _ in range(5)]
+    kind = draw(st.sampled_from(["random", "scaled", "A=0", "degenerate"]))
+    if kind == "scaled":
+        p = draw(st.sampled_from(SCAN_PRIMES))
+        vals = [v * p for v in vals]
+    elif kind == "A=0":
+        vals[:2] = [0, 0]
+    elif kind == "degenerate":
+        vals = [0] * 5
+    return SurfaceParams(*vals, *[draw(scan_rat) for _ in range(3)], draw(scan_rat.filter(bool)))
+
+
+def assert_scans_match(params: SurfaceParams) -> set:
+    S = Surface(params)
+    dens = [getattr(params, k).denominator for k in ("a", "b", "c", "d", "e", "f0", "f1", "f2", "f3")]
+    outcomes = set()
+    for p in SCAN_PRIMES:
+        if any(d % p == 0 for d in dens):
+            continue
+        got = modp_singular_scan(S, p)
+        assert got == modp_scan_per_coefficient(S, p), (params, p)
+        outcomes.add(got)
+    return outcomes
+
+
+@settings(max_examples=25, deadline=None)
+@given(scan_params())
+def test_modp_scan_matches_per_coefficient_reduction(params):
+    assert_scans_match(params)
+
+
+def test_modp_scan_matches_per_coefficient_reduction_examples(worked_surface, singular_fixture):
+    rng = random.Random(71)
+    params = [worked_surface.params, singular_fixture.params,
+              SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1),
+              SurfaceParams(7, 14, Fraction(21, 2), 0, 7, Fraction(1, 3), 0, 2, 1),
+              # Δ vanishes at every t in F_5 but not at s = 0: not bad at 5
+              SurfaceParams(3, -3, 3, 0, 2, 1, 3, -2, -1)]
+    params += [random_params(rng, height=4) for _ in range(12)]
+    outcomes = set()
+    for p in params:
+        outcomes |= assert_scans_match(p)
+    assert outcomes == {"smooth", "singular", "bad_prime"}
+
+
+@pytest.mark.parametrize("f0", [Fraction(1, 4), Fraction(1, 3)])
+def test_cross_check_refuses_invalid_primes_on_every_surface(f0):
+    # a bad value is refused before a denominator could skip it
+    for params in (SurfaceParams(0, 0, 1, 2, 3, f0, 0, 0, 1), SurfaceParams(0, 0, 0, 0, 0, f0, 0, 0, 1)):
+        for primes in ((2, 4), (7, 4), (4, 7), (3,), (5, 9)):
+            with pytest.raises(ValueError, match="prime p >= 5"):
+                smoothness_cross_check(Surface(params), primes)
 
 
 def uncached_verdict(S: Surface) -> SmoothnessVerdict:
@@ -299,7 +436,7 @@ def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
             shared = gcd(common, A)
             if shared.degree() == 0:
                 break
-            common = common.divmod(shared)[0]
+            common = poly_divmod(common, shared)[0]
         if common.degree() >= 1:
             witnesses.append(common)
     if A.is_zero():
@@ -448,6 +585,76 @@ def test_singular_fiber_report_worked(worked_surface, worked_surface_2):
     rep2 = singular_fiber_report(worked_surface_2)
     assert rep2.total_multiplicity == 12
     assert [(f.degree, f.multiplicity) for f in rep2.factors] == [(6, 2)]
+
+
+def singular_fiber_report_by_fractions(S: Surface) -> SingularFiberReport:
+    """Reference report in Q[t]: the Fraction Yun, monic gcds with A and
+    Fraction long division."""
+    delta = S.discriminant_t()
+    if delta.is_zero():
+        raise DegenerateSurfaceError("discriminant vanishes identically")
+    factors = []
+    for g, m in squarefree_factorization_by_fractions(delta):
+        if S.A_t.is_zero():
+            factors.append(FiberFactor(g, g.degree(), m, "additive"))
+            continue
+        g_add = gcd(g, S.A_t)
+        if g_add.degree() >= 1:
+            factors.append(FiberFactor(g_add, g_add.degree(), m, "additive"))
+            g = poly_divmod(g, g_add)[0].monic()
+        if g.degree() >= 1:
+            factors.append(FiberFactor(g, g.degree(), m, "multiplicative"))
+    return SingularFiberReport(tuple(factors), 12 - delta.degree())
+
+
+fiber_rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def fiber_params(draw):
+    """Random parameters; with A ≡ 0, or with B planted to vanish where A
+    does, so that additive factors occur."""
+    a, b, c, d, e, f0, f1, f2 = (draw(fiber_rat) for _ in range(8))
+    f3 = draw(fiber_rat.filter(bool))
+    kind = draw(st.sampled_from(["random", "A=0", "additive"]))
+    if kind == "A=0":
+        a = b = Fraction(0)
+    elif kind == "additive" and a:
+        u = -b / a  # A = a·f + b vanishes where f = u; so must B = c·f² + d·f + e
+        e = -(c * u * u + d * u)
+    return SurfaceParams(a, b, c, d, e, f0, f1, f2, f3)
+
+
+def assert_report_matches_reference(params: SurfaceParams):
+    S = Surface(params)
+    try:
+        expected = singular_fiber_report_by_fractions(S)
+    except DegenerateSurfaceError:
+        with pytest.raises(DegenerateSurfaceError, match="vanishes identically"):
+            singular_fiber_report(S)
+        return None
+    assert singular_fiber_report(S) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(fiber_params())
+def test_singular_fiber_report_matches_fraction_reference(params):
+    assert_report_matches_reference(params)
+
+
+def test_singular_fiber_report_matches_fraction_reference_examples(worked_surface, singular_fixture):
+    rng = random.Random(73)
+    params = [worked_surface.params, singular_fixture.params,
+              SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1),
+              SurfaceParams(0, 0, 0, 0, 1, 0, 0, 0, 1),
+              SurfaceParams(1, -1, 1, -2, 1, 0, 0, 0, 1)]
+    params += [random_params(rng, height=4) for _ in range(30)]
+    kinds = set()
+    for p in params:
+        report = assert_report_matches_reference(p)
+        kinds |= {"degenerate"} if report is None else {f.reduction for f in report.factors}
+    assert kinds == {"degenerate", "additive", "multiplicative"}
 
 
 def test_singular_fiber_budget_random():
