@@ -1,9 +1,8 @@
-"""Exact polynomial algebra over the rationals (and quadratic extensions).
+"""Exact polynomial algebra over the rationals.
 
-Univariate polynomials are dense coefficient tuples of Fractions; the
-multivariate type is a sparse exponent-vector map whose coefficients may also
-be QuadExt elements.  Everything is exact; there is no floating point
-anywhere.
+Univariate polynomials are dense coefficient tuples of Fractions, and every
+algorithm runs in ℤ[t] on their integer form.  Everything is exact; there is
+no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,30 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .rational import InvariantError, QuadExt, Scalar
-
-Coeff = Union[Fraction, QuadExt]
+from .rational import InvariantError
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _power(base, n: int, one):
-    """base**n by square-and-multiply, squaring no further than the last
-    bit of n; one is the multiplicative identity of base's ring."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 class UniPoly:
@@ -115,7 +97,18 @@ class UniPoly:
         return UniPoly([a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
-        return _power(self, n, UniPoly.constant(1))
+        """self**n by square-and-multiply, squaring no further than the
+        last bit of n."""
+        if n < 0:
+            raise ValueError("negative power")
+        result, base = UniPoly.constant(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
         return form_value(integer_form(self), t)
@@ -385,141 +378,3 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
             roots.append((Fraction(p, q), mult))
     roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
     return roots
-
-
-# -- sparse multivariate polynomials ----------------------------------
-
-Exponent = Tuple[int, ...]
-
-
-def _is_zero_coeff(c: Coeff) -> bool:
-    return not bool(c) if isinstance(c, QuadExt) else c == 0
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial; coefficients in Q or a fixed Q(√D).
-
-    Terms map fixed-arity exponent vectors to nonzero coefficients.  The
-    canonical term order (total degree, then lexicographic) makes equality
-    and serialization deterministic.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[Dict[Exponent, Coeff]] = None):
-        self.nvars = nvars
-        clean: Dict[Exponent, Coeff] = {}
-        for exp, c in (terms or {}).items():
-            if len(exp) != nvars:
-                raise ValueError("exponent arity mismatch")
-            if isinstance(c, int):
-                c = Fraction(c)
-            if not _is_zero_coeff(c):
-                clean[tuple(exp)] = c
-        self.terms = clean
-
-    @staticmethod
-    def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def var(nvars: int, idx: int) -> "MultiPoly":
-        exp = [0] * nvars
-        exp[idx] = 1
-        return MultiPoly(nvars, {tuple(exp): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(self.sorted_terms())))
-
-    def sorted_terms(self) -> List[Tuple[Exponent, Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "MultiPoly(0)"
-        bits = []
-        for exp, c in self.sorted_terms():
-            mono = "*".join(f"X{i}^{e}" for i, e in enumerate(exp) if e)
-            bits.append(f"({c})" + ("*" + mono if mono else ""))
-        return "MultiPoly(" + " + ".join(bits) + ")"
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        terms: Dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
-
-    def scale(self, c) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        return _power(self, n, MultiPoly.constant(self.nvars, 1))
-
-    def substitute(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute one replacement polynomial per variable, simultaneously."""
-        if len(replacements) != self.nvars:
-            raise ValueError("need one replacement per variable")
-        nv = replacements[0].nvars
-        out = MultiPoly(nv)
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(nv, c)
-            for idx, e in enumerate(exp):
-                if e:
-                    term = term * (replacements[idx] ** e)
-            out = out + term
-        return out
-
-    def evaluate(self, values: Sequence[Scalar]) -> Coeff:
-        if len(values) != self.nvars:
-            raise ValueError("need one value per variable")
-        acc: Coeff = Fraction(0)
-        for exp, c in self.terms.items():
-            t: Coeff = c
-            for v, e in zip(values, exp):
-                for _ in range(e):
-                    t = t * v
-            acc = acc + t
-        return acc
-
-    def degree_in(self, idx: int) -> int:
-        """Max exponent of variable idx; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
-
-    def coefficient_of(self, idx: int, power: int) -> "MultiPoly":
-        """Coefficient of (variable idx)^power, as a polynomial with that
-        variable's exponent zeroed."""
-        terms: Dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            if exp[idx] == power:
-                nexp = list(exp)
-                nexp[idx] = 0
-                terms[tuple(nexp)] = c
-        return MultiPoly(self.nvars, terms)

@@ -144,9 +144,11 @@ def _lift_scale(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> int:
 
     For each prime, v(λ) = max(⌈v(den x)/2⌉, ⌈v(den y)/3⌉, v(den z·w)), with
     den z·w the lcm of the two.  Primes found by trial division are counted
-    one by one.  For the cofactors X, Y, C left, λ's part is n = lcm(C, e₂, e₃)
-    with e₂² = X and e₃³ = Y where they exist: each of the three must divide
-    λ, so n is least once X | n² and Y | n³, which is checked.
+    one by one.  For the cofactors X, Y, C left, λ's part is n = lcm(C, e₂, e₃).
+    A cofactor K below TRIAL_BOUND³ has at most two primes, all above the
+    bound, so it is p, p·q or p², and e is √K or K.  Above, e₂² = X and
+    e₃³ = Y where they exist.  Each of the three must divide λ, so n is
+    least once X | n² and Y | n³, which is checked.
     """
     dens = [x.denominator, y.denominator, math.lcm(z.denominator, w.denominator)]
     primes = {p for d in dens for p in _trial_primes(d)[0]}
@@ -156,7 +158,10 @@ def _lift_scale(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> int:
         dens = [d // p ** v for d, v in zip(dens, (vx, vy, vc))]
         lam *= p ** max(-(-vx // 2), -(-vy // 3), vc)
     X, Y, C = dens
-    n = math.lcm(C, _exact_root(X, 2) or 1, _exact_root(Y, 3) or 1)
+    below = TRIAL_BOUND ** 3
+    e2 = (_exact_root(X, 2) or X) if X < below else (_exact_root(X, 2) or 1)
+    e3 = (_exact_root(Y, 2) or Y) if Y < below else (_exact_root(Y, 3) or 1)
+    n = math.lcm(C, e2, e3)
     if (n * n) % X or n ** 3 % Y:
         raise _undecided(math.lcm(X, Y))
     return lam * n

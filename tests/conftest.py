@@ -5,6 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from sympy import factorint
 
 from dp1.cubic import tangent_section
@@ -160,6 +161,88 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
         if n:
             base = add(E, base, base)
     return result
+
+
+# -- F_W and its normal forms, in sympy --------------------------------
+
+X_SYMBOLS = sp.symbols("X0:4")
+
+
+def cubic_form_sympy(a, b, c, d, e, X=X_SYMBOLS) -> sp.Expr:
+    """Reference F_W = X0³ + aX0X2X3 + bX0X3² + cX2²X3 + dX2X3² + eX3³ − X1²X3,
+    unexpanded, at X (default X_SYMBOLS); the oracle for cubic_value and
+    cubic_gradient."""
+    X0, X1, X2, X3 = X
+    return (X0 ** 3 + a * X0 * X2 * X3 + b * X0 * X3 ** 2 + c * X2 ** 2 * X3
+            + d * X2 * X3 ** 2 + e * X3 ** 3 - X1 ** 2 * X3)
+
+
+_A_TO_E = sp.symbols("a b c d e")
+_F_W = cubic_form_sympy(*_A_TO_E)
+# F_W and its four partials as generated Python: exact on Fraction inputs
+_value_and_gradient = sp.lambdify(
+    [*_A_TO_E, *X_SYMBOLS], [_F_W] + [sp.diff(_F_W, Xi) for Xi in X_SYMBOLS], modules=[{}]
+)
+
+
+def cubic_value_and_gradient_sympy(params: SurfaceParams, X):
+    """F_W(X) and ∇F_W(X), differentiated by sympy."""
+    value, *grad = _value_and_gradient(
+        params.a, params.b, params.c, params.d, params.e, *(Fraction(v) for v in X)
+    )
+    return value, grad
+
+
+def normal_form_residue(regime: str, a, b, c, d, e, s) -> sp.Expr:
+    """G = F_W(coordinate change) − normal form, expanded, for one regime
+    ("2xA2", "2xA2, a = 0", "A5" or "E6"); s is the square root the change
+    uses, √c for 2×A₂ and √d for E₆ (Bruce and Wall, 1979)."""
+    X0, X1, X2, X3 = X_SYMBOLS
+    half = sp.Rational(1, 2)
+    if regime == "2xA2":
+        change = [2 * s / a * (X0 - d / (2 * s) * X1 - X2), half * (X3 - X2),
+                  (X2 + X3) / (2 * s), X1]
+    elif regime == "2xA2, a = 0":
+        change = [X2, half * (-X0 + d / (2 * s) * X1 + X3),
+                  (X0 - d / (2 * s) * X1 + X3) / (2 * s), X1]
+    elif regime == "A5":
+        change = [(X0 - d * X1) / a, X2, X3, X1]
+    else:
+        change = [X2, X1, X3, X0 / s]
+    normal = X3 * X0 ** 2 if regime == "E6" else X0 * X1 * X3
+    return sp.expand(cubic_form_sympy(a, b, c, d, e, change) - normal)
+
+
+def normal_form_by_sympy(params: SurfaceParams) -> bool:
+    """Reference normal-form check: expand the regime's coordinate change
+    over Q(√c) or Q(√d) (sympy's sqrt is exact), require G free of X3, and
+    apply the corank test that pins the type; the oracle for
+    cubic.verify_normal_form."""
+    X0, X1, X2, X3 = X_SYMBOLS
+    a, b, c, d, e = (sp.Rational(v.numerator, v.denominator)
+                     for v in (params.a, params.b, params.c, params.d, params.e))
+    if c != 0:
+        regime, s = ("2xA2" if a != 0 else "2xA2, a = 0"), sp.sqrt(c)
+    elif a != 0:
+        regime, s = "A5", None
+    elif d != 0:
+        regime, s = "E6", sp.sqrt(d)
+    else:
+        return False  # X3 ↦ X0/√d needs d ≠ 0
+    G = sp.Poly(normal_form_residue(regime, a, b, c, d, e, s), *X_SYMBOLS)
+    if G.degree(X3) > 0:
+        return False
+    # G is a cubic form, so each restriction below is read off its terms
+    coeff = G.as_dict().get
+    if regime == "A5":
+        # order 1 in X1 and order 3 in X0 on the line through [0:0:1:0]
+        return (not coeff((0, 0, 3, 0)) and bool(coeff((0, 1, 2, 0)))
+                and not coeff((1, 0, 2, 0)) and not coeff((2, 0, 1, 0))
+                and bool(coeff((3, 0, 0, 0))))
+    if regime == "E6":
+        # G(0, X1, X2, 0) = X2³
+        return [coeff((0, k, 3 - k, 0), 0) for k in range(4)] == [1, 0, 0, 0]
+    return bool(coeff((0, 0, 3, 0)))  # G(0, 0, 1, 0) ≠ 0
 
 
 @pytest.fixture

@@ -8,7 +8,13 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import mul, random_params, random_smooth_surface, surface_through
+from conftest import (
+    mul,
+    normal_form_by_sympy,
+    random_params,
+    random_smooth_surface,
+    surface_through,
+)
 from dp1.cubic import (
     classify_singularities,
     fiber_line_cubic,
@@ -74,6 +80,8 @@ def test_criterion_1_singularity_classification(capsys):
             rep = classify_singularities(S)
             assert rep.identity_verified, S.params
             assert verify_normal_form(S), S.params
+            # the normal-form expansion itself, over Q(√c) or Q(√d)
+            assert normal_form_by_sympy(S.params), S.params
             regimes[rep.singularity_type] += 1
         assert all(n >= 20 for n in regimes.values())
 

@@ -201,8 +201,9 @@ def test_input_error_exit_two(tmp_path, capsys):
 
 
 def test_undecidable_seed_exit_two(surface_file, capsys):
-    # den x = 1009·1013: trial division below 1000 cannot tell p·q from p²·q
-    code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/1022117:1:1:1]"])
+    # den x = 1009·1013·1019 is above 1000³: trial division below 1000
+    # cannot tell p·q·r from p²·q
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/1041537223:1:1:1]"])
     err = capsys.readouterr().err
     assert code == 2
     assert "trial-division bound 1000" in err

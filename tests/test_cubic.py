@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,15 +7,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul, random_smooth_surface, surface_through
+from conftest import (
+    X_SYMBOLS,
+    cubic_value_and_gradient_sympy,
+    mul,
+    normal_form_by_sympy,
+    normal_form_residue,
+    random_smooth_surface,
+    surface_through,
+)
 from dp1 import elliptic
 from dp1.cubic import (
     TwoTorsionSeedError,
     classify_singularities,
-    cubic_form,
     cubic_gradient,
     cubic_value,
     fiber_line_cubic,
@@ -26,7 +35,7 @@ from dp1.cubic import (
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve
-from dp1.poly import MultiPoly, UniPoly
+from dp1.poly import UniPoly
 from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 
@@ -102,25 +111,10 @@ def test_affine_tangent_plane_matches_canonical_theta(seed, lam):
     assert plane == tangent_plane(S, [lam * v for v in X])
 
 
-# differential tests: the written-out F_W and ∇F_W against the MultiPoly
-# cubic_form, and fiber_line_cubic against its UniPoly expression
+# differential tests: the written-out F_W and ∇F_W against sympy's F_W and
+# its derivatives, and fiber_line_cubic against its UniPoly expression
 wide_rat = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
 nonzero_rat = wide_rat.filter(bool)
-
-
-def partial(F: MultiPoly, idx: int) -> MultiPoly:
-    """Reference ∂F/∂X_idx, term by term."""
-    terms = {}
-    for exp, c in F.terms.items():
-        if exp[idx]:
-            key = exp[:idx] + (exp[idx] - 1,) + exp[idx + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + c * exp[idx]
-    return MultiPoly(F.nvars, terms)
-
-
-def _multipoly_value_and_gradient(S, X):
-    F = cubic_form(S)
-    return F.evaluate(X), [partial(F, i).evaluate(X) for i in range(4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,7 +124,7 @@ def test_closed_form_cubic_matches_multipoly_off_w(abcde, X, at_infinity):
     S = Surface(SurfaceParams(*abcde, 0, 0, 0, 1))
     if at_infinity:
         X[3] = Fraction(0)
-    assert (cubic_value(S, X), cubic_gradient(S, X)) == _multipoly_value_and_gradient(S, X)
+    assert (cubic_value(S, X), cubic_gradient(S, X)) == cubic_value_and_gradient_sympy(S.params, X)
 
 
 @settings(max_examples=80, deadline=None)
@@ -145,7 +139,7 @@ def test_closed_form_cubic_matches_multipoly_on_w(seed, lam, at_infinity):
     else:
         X = [Fraction(v) for v in theta(S, P)]
     X = [lam * v for v in X]
-    value, grad = _multipoly_value_and_gradient(S, X)
+    value, grad = cubic_value_and_gradient_sympy(S.params, X)
     assert value == cubic_value(S, X) == 0
     assert grad == cubic_gradient(S, X)
 
@@ -280,10 +274,10 @@ def test_classification_json_shape(worked_surface):
 
 
 def test_normal_form_irrational_sqrt():
-    S = Surface(SurfaceParams(0, 0, 2, 1, 1, 0, 0, 0, 1))
-    assert verify_normal_form(S)
-    S = Surface(SurfaceParams(3, 1, 5, 1, 2, 0, 0, 0, 1))
-    assert verify_normal_form(S)
+    for params in ((0, 0, 2, 1, 1), (3, 1, 5, 1, 2), (0, 1, 0, 3, 1)):
+        S = Surface(SurfaceParams(*params, 0, 0, 0, 1))
+        assert verify_normal_form(S)
+        assert normal_form_by_sympy(S.params)
 
 
 def test_normal_form_random_regimes():
@@ -294,6 +288,60 @@ def test_normal_form_random_regimes():
                 rng, height=3, a=a, c=c, d_nonzero=d_nonzero, finite_only=(c == 0)
             )
             assert verify_normal_form(S), S.params
+            assert normal_form_by_sympy(S.params), S.params
+
+
+def test_normal_form_identities_symbolic():
+    # the proof behind verify_normal_form: for symbolic parameters, with
+    # c = s² (d = s² for E₆), G is free of X3 and the corank residues are
+    # these, nonzero exactly when c ≠ 0, a ≠ 0 or d ≠ 0 in the regime
+    a, b, d, e, s = sp.symbols("a b d e s")
+    X0, X1, X2, X3 = X_SYMBOLS
+
+    def degree_in_x3(G):
+        return sp.Poly(G, X3).degree()
+
+    G = normal_form_residue("2xA2", a, b, s ** 2, d, e, s)
+    assert degree_in_x3(G) == 0
+    assert sp.cancel(G.subs({X0: 0, X1: 0, X2: 1}) + 8 * s ** 3 / a ** 3) == 0
+
+    G = normal_form_residue("2xA2, a = 0", 0, b, s ** 2, d, e, s)
+    assert degree_in_x3(G) == 0
+    assert sp.cancel(G.subs({X0: 0, X1: 0, X2: 1})) == 1
+
+    G = normal_form_residue("A5", a, b, 0, d, e, s)
+    assert degree_in_x3(G) == 0
+    g1 = sp.Poly(G.subs({X0: 0, X2: 1}), X1)
+    assert sp.cancel(g1.coeff_monomial(1)) == 0
+    assert sp.cancel(g1.coeff_monomial(X1)) == -1
+    assert sp.cancel(G.subs({X1: 0, X2: 1}) - X0 ** 3 / a ** 3) == 0
+
+    G = normal_form_residue("E6", 0, b, 0, s ** 2, e, s)
+    assert degree_in_x3(G) == 0
+    assert sp.cancel(G.subs({X0: 0}) - X2 ** 3) == 0
+    # with d = 0 no choice of s clears X3: the E₆ surface is then singular
+    assert degree_in_x3(normal_form_residue("E6", 0, b, 0, 0, e, s)) == 1
+
+
+small_rat = st.fractions(-3, 3, max_denominator=3)
+nonzero_small_rat = small_rat.filter(bool)
+# a square (rational root) or any rational (root mostly irrational or imaginary)
+root_rational_or_not = st.one_of(nonzero_small_rat.map(lambda r: r * r), nonzero_small_rat)
+
+
+@pytest.mark.parametrize(
+    "zeros", list(itertools.product((False, True), repeat=3)),
+    ids=lambda zeros: "-".join(v + "0" * z for v, z in zip("acd", zeros)),
+)
+@settings(max_examples=10, deadline=None)
+@given(nonzero_small_rat, small_rat, root_rational_or_not, root_rational_or_not, small_rat)
+def test_normal_form_matches_sympy_expansion(zeros, a, b, c, d, e):
+    # every pattern of zeros among a, c, d, so every regime and E₆ with
+    # d = 0; with c = 0 the surface is singular over t = ∞, and neither
+    # check asks for smoothness
+    a, c, d = (Fraction(0) if z else v for z, v in zip(zeros, (a, c, d)))
+    params = SurfaceParams(a, b, c, d, e, 0, 0, 0, 1)
+    assert verify_normal_form(Surface(params)) == normal_form_by_sympy(params)
 
 
 def test_transversality_self_is_deficient(worked_surface, worked_seed):

@@ -9,7 +9,6 @@ from sympy import divisors, nextprime
 
 from conftest import compose, poly_divmod, squarefree_factorization_by_fractions
 from dp1.poly import (
-    MultiPoly,
     UniPoly,
     gcd,
     int_exact_div,
@@ -231,9 +230,6 @@ def test_int_exact_div_examples():
 
 small_rat = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 small_poly = st.lists(small_rat, min_size=1, max_size=4).map(UniPoly)
-small_multi = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rat, max_size=4
-).map(lambda terms: MultiPoly(2, terms))
 
 
 def schoolbook_product(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -302,13 +298,12 @@ def test_product_matches_schoolbook_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_poly, small_multi, st.integers(0, 6))
-def test_power_is_repeated_product(f, m, n):
-    for p, one in ((f, UniPoly.constant(1)), (m, MultiPoly.constant(2, 1))):
-        expected = one
-        for _ in range(n):
-            expected = expected * p
-        assert p ** n == expected
+@given(small_poly, st.integers(0, 6))
+def test_power_is_repeated_product(f, n):
+    expected = UniPoly.constant(1)
+    for _ in range(n):
+        expected = expected * f
+    assert f ** n == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,33 +445,6 @@ def test_separable_iff_discriminant_nonzero(f):
     assert is_separable(f) == (discriminant(f) != 0)
 
 
-# -- multivariate -----------------------------------------------------
-
-def test_multi_substitute_binomial():
-    X0, X1 = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
-    sq = X0 ** 2
-    out = sq.substitute([X0 + X1, X1])
-    assert out == X0 ** 2 + (X0 * X1).scale(2) + X1 ** 2
-
-
-def test_multi_product_difference_of_squares():
-    X0, X1 = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
-    assert (X0 + X1) * (X0 - X1) == X0 ** 2 - X1 ** 2
-
-
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         P(1, 1) ** -1
-    with pytest.raises(ValueError):
-        MultiPoly.var(2, 0) ** -1
-
-
-def test_multi_arity_mismatch():
-    with pytest.raises(ValueError):
-        MultiPoly.var(2, 0).substitute([MultiPoly.var(2, 0)])
-
-
-def test_multi_serialization_deterministic():
-    X0, X1 = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
-    f = (X0 + X1) ** 2
-    assert f.sorted_terms() == [((0, 2), 1), ((1, 1), 2), ((2, 0), 1)]

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dp1.rational import (
-    MismatchedExtensionError,
-    QuadExt,
     bit_size,
     format_rational,
     is_square,
@@ -63,53 +61,3 @@ def test_is_square_of_int_matches_fraction(n):
 def test_bit_size():
     assert bit_size(Fraction(0)) == 1
     assert bit_size(Fraction(255, 7)) == 8
-
-
-def test_quadext_rejects_square_context():
-    with pytest.raises(ValueError):
-        QuadExt(1, 1, Fraction(4))
-
-
-def test_quadext_norm_product():
-    x = QuadExt(1, 1, Fraction(2))
-    assert x * x.conjugate() == Fraction(-1)
-
-
-def test_quadext_defining_relation():
-    c = Fraction(5)
-    root = QuadExt.sqrt_of(c)
-    assert root * root == c
-
-
-def test_quadext_inverse_multiplies_back():
-    x = QuadExt(1, 1, Fraction(2))
-    inv = Fraction(1) / x
-    assert inv == QuadExt(-1, 1, Fraction(2))
-    assert x * inv == Fraction(1)
-
-
-def test_quadext_mismatched_contexts():
-    with pytest.raises(MismatchedExtensionError):
-        QuadExt(1, 1, Fraction(2)) + QuadExt(1, 1, Fraction(3))
-
-
-quad_elements = st.builds(
-    QuadExt,
-    st.fractions(min_value=-10, max_value=10, max_denominator=10),
-    st.fractions(min_value=-10, max_value=10, max_denominator=10),
-    st.just(Fraction(5)),
-)
-
-
-@given(quad_elements, quad_elements, quad_elements)
-def test_quadext_field_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == Fraction(0)
-
-
-@given(quad_elements)
-def test_quadext_inverse_law(x):
-    if x:
-        assert x * x.inverse() == Fraction(1)

@@ -221,9 +221,48 @@ def test_lift_of_semiprime_content_is_immediate():
 
 
 @pytest.mark.parametrize("seed", [
-    # den x = 1009·1013 is below 1000³, so squarefree, but the scale λ is
-    # decided by exact powers only
+    # den x = 1009·1013 is below 1000³: p·q, its own part of λ
     "[1/1022117:1:1:1]",
+    "[1:1/1022117:1:1]",
+    "[1/1022117:1/1019:1/1009:1]",
+    f"[7/{4 * 1009 * 1013}:1/{27 * 1013}:0:1/3]",
+    # 1009²·1013 is above 1000³, but 1013 | den y leaves 1009², whose part is 1009
+    f"[1/{1009 ** 2 * 1013}:1/1013:1:1]",
+    f"[1:1/{1009 ** 2 * 1013}:1/1013:1]",
+])
+def test_lift_decides_squarefree_cofactor(seed):
+    coords = [Fraction(v) for v in seed.strip("[]").split(":")]
+    with time_limit(5):
+        assert WPoint.parse(seed) == from_fractions_by_factoring(*coords)
+
+
+# primes above the trial bound whose products of two are below 1000³
+MEDIUM_PRIMES = [1009, 1013, 1019, 31607]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 999),
+                          st.lists(st.sampled_from(MEDIUM_PRIMES), max_size=3)),
+                min_size=4, max_size=4))
+def test_lift_decides_cofactors_below_cube_of_bound(coords):
+    # a cofactor below 1000³ is p, p·q or p², also when a prime of one
+    # denominator is found in another, and the lift must decide it; above,
+    # it may refuse, but never answers wrongly
+    fracs = [Fraction(num, small * math.prod(big)) for num, small, big in coords]
+    assume(any(fracs))
+    expected = from_fractions_by_factoring(*fracs)
+    if all(math.prod(big) < 1000 ** 3 for _, _, big in coords):
+        assert WPoint.from_fractions(*fracs) == expected
+    else:
+        try:
+            assert WPoint.from_fractions(*fracs) == expected
+        except ValueError as exc:
+            assert REFUSAL in str(exc)
+
+
+@pytest.mark.parametrize("seed", [
+    # above 1000³ and not a square: 1009·1013·1019, or p²·q?
+    "[1/1041537223:1:1:1]",
     # above 1000³: content 1, or p when 1041537223 = 1009·1013·1019 is p²·q?
     f"[{1041537223}:{1041537223 ** 2}:{1041537223}:{1041537223}]",
     f"[1:1/{(2 ** 61 - 1) ** 2 * 1009 ** 2}:1:1]",  # den y a square of an unknown, not a cube
