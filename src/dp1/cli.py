@@ -48,7 +48,7 @@ def _emit(payload: dict, args) -> None:
         writer = csv.writer(buf)
         writer.writerow(["t", "x", "y", "provenance"])
         for pt in payload["points"]:
-            writer.writerow([pt["t"], pt["x"], pt["y"], pt.get("provenance", "")])
+            writer.writerow([pt["t"], pt["x"], pt["y"], pt["provenance"]])
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
@@ -141,11 +141,7 @@ def cmd_sweep(args) -> int:
     payload = {
         "surface": S.params.to_json(),
         "seed": str(P),
-        "points": [
-            {"t": format_rational(E.t), "x": format_rational(q.x),
-             "y": format_rational(q.y), "provenance": f"sweep({E.t})"}
-            for E, q in found
-        ],
+        "points": [engine.PointRecord(E.t, q, f"sweep({E.t})").to_json() for E, q in found],
     }
     _emit(payload, args)
     return EXIT_OK
@@ -156,11 +152,7 @@ def cmd_oracle(args) -> int:
     found = engine.brute_force_oracle(S, args.x_num, args.x_den, args.t_num, args.t_den)
     payload = {
         "surface": S.params.to_json(),
-        "points": [
-            {"t": format_rational(t), "x": format_rational(q.x),
-             "y": format_rational(q.y), "provenance": "oracle"}
-            for t, q in found
-        ],
+        "points": [engine.PointRecord(t, q, "oracle").to_json() for t, q in found],
     }
     _emit(payload, args)
     return EXIT_OK
@@ -298,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed: bool = False):
+    def common(p, seed: bool = False, points: bool = False):
         p.add_argument("--surface", required=True, help="surface JSON file")
         if seed:
             p.add_argument("--seed", required=True, help='point "[x:y:z:w]"')
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if points:  # only a point list has a CSV form
+            p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("check", help="verify the seed hypotheses")
     common(p, seed=True)
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("generate", help="generate rational points from a seed")
-    common(p, seed=True)
+    common(p, seed=True, points=True)
     p.add_argument("--n", type=int, default=10, help="multiple bound")
     p.add_argument("--t-height", type=int, default=10, dest="t_height")
     p.add_argument("--depth", type=int, default=1)
@@ -332,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="bounded-height tangent-section sweep")
-    common(p, seed=True)
+    common(p, seed=True, points=True)
     p.add_argument("--t-height", type=int, default=10, dest="t_height")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exhaustive box search for points")
-    common(p)
+    common(p, points=True)
     p.add_argument("--x-num", type=int, default=5, dest="x_num")
     p.add_argument("--x-den", type=int, default=1, dest="x_den")
     p.add_argument("--t-num", type=int, default=1, dest="t_num")
@@ -355,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-den", type=int, default=2, dest="t_den")
     p.add_argument("--primes", help='also cross-check each tuple mod these primes, e.g. "7,11,13"')
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_search_params)
 
     p = sub.add_parser("fibers", help="singular fiber report and 12-budget")

@@ -97,10 +97,13 @@ def _chord(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
 
 
 def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
-    """P + Q on E; both inputs are checked on E."""
+    """P + Q on E: an input off E is an OffCurveError, a sum off E an InvariantError."""
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
-    return _chord(E, P, Q)
+    R = _chord(E, P, Q)
+    if not on_curve(E, R):
+        raise InvariantError(f"{P} + {Q} = {R} is not on y^2 = x^3 + {E.A}x + {E.B}")
+    return R
 
 
 def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:

@@ -19,8 +19,11 @@ class InvariantError(RuntimeError):
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(s.strip())
+    """Parse "p/q" or "p" into a Fraction; bad text or q = 0 is a ValueError."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

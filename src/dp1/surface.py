@@ -268,7 +268,7 @@ class WPoint:
         parts = s[1:-1].split(":")
         if len(parts) != 4:
             raise ValueError(f"expected four coordinates, got {s!r}")
-        x, y, z, w = (Fraction(p.strip()) for p in parts)
+        x, y, z, w = map(parse_rational, parts)
         return WPoint.from_fractions(x, y, z, w)
 
     def __str__(self) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import signal
@@ -161,6 +162,22 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
         if n:
             base = add(E, base, base)
     return result
+
+
+def off_curve_after(chord, calls: int = 0):
+    """The chord step ``chord``, broken after its first ``calls`` calls: each
+    later affine result has its y doubled, so it leaves the curve whenever
+    y ≠ 0.  Stands in for a group law gone wrong, which only the check of the
+    function making the point can catch."""
+    made = itertools.count(1)
+
+    def broken(E, P, Q):
+        R = chord(E, P, Q)
+        if next(made) <= calls or R.is_infinity:
+            return R
+        return ECPoint(R.x, 2 * R.y)
+
+    return broken
 
 
 # -- F_W and its normal forms, in sympy --------------------------------

@@ -152,6 +152,23 @@ def test_generate_csv(surface_file, tmp_path, capsys):
     assert any("tangent" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("sweep", ["--seed", "[-1:1:-1:1]", "--t-height", "2"]),
+    ("oracle", []),
+])
+def test_point_lists_csv(surface_file, capsys, command, extra):
+    code = main([command, "--surface", surface_file(WORKED), *extra, "--format", "csv"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert lines[0] == "t,x,y,provenance" and len(lines) > 1
+
+
+def test_format_only_on_point_lists(surface_file, capsys):
+    # a report with no point list has no CSV form
+    code = main(["smooth", "--surface", surface_file(WORKED), "--format", "csv"])
+    assert code == 2 and capsys.readouterr().out == ""
+
+
 def test_sweep_command(surface_file, capsys):
     code, out = run(
         capsys, "sweep", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]",
@@ -233,7 +250,9 @@ def test_runtime_imports_no_sympy(surface_file):
     (dict(WORKED, f="0001"), "list f"),
     (dict(WORKED, f=["0", "0", "1"]), "list f"),
     ({k: v for k, v in WORKED.items() if k != "e"}, "must be strings"),
-], ids=["number", "float", "number-in-f", "list", "f-string", "f-short", "missing-key"])
+    (dict(WORKED, e="1/0"), "zero denominator in '1/0'"),
+], ids=["number", "float", "number-in-f", "list", "f-string", "f-short", "missing-key",
+        "zero-denominator"])
 def test_malformed_surface_file_exit_two(surface_file, capsys, obj, message):
     code = main(["smooth", "--surface", surface_file(obj)])
     captured = capsys.readouterr()
@@ -241,6 +260,14 @@ def test_malformed_surface_file_exit_two(surface_file, capsys, obj, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_zero_denominator_seed_exit_two(surface_file, capsys):
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/0:1:1:1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
 
 
 @pytest.mark.parametrize("argv, message", [

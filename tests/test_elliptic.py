@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul
+from conftest import mul, off_curve_after
+from dp1 import elliptic
 from dp1.elliptic import (
     ECPoint,
     FiberCurve,
@@ -18,6 +19,7 @@ from dp1.elliptic import (
     on_curve,
     torsion_status,
 )
+from dp1.rational import InvariantError
 
 E2 = FiberCurve(Fraction(-1), Fraction(0), Fraction(2))   # y² = x³ + 2
 E4 = FiberCurve(Fraction(0), Fraction(0), Fraction(4))    # y² = x³ + 4
@@ -131,6 +133,18 @@ def test_multiples_match_checked_walk(x0, y0, A, n):
         return
     P = ECPoint(x0, y0)
     assert multiples(E, P, n) == checked_walk(E, P, n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda P: multiples(E2, P, 3),
+    lambda P: add(E2, P, P),
+], ids=["multiples", "add"])
+def test_group_law_certifies_what_it_makes(monkeypatch, make):
+    # no later step checks a multiple or a sum again: a chord step that lands
+    # off the curve must be caught by the function that took it
+    monkeypatch.setattr(elliptic, "_chord", off_curve_after(elliptic._chord))
+    with pytest.raises(InvariantError, match="is not on y"):
+        make(ECPoint(Fraction(-1), Fraction(1)))
 
 
 def test_multiples_reject_off_curve_start():

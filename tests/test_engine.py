@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import surface_through, time_limit
-from dp1 import elliptic, engine
-from dp1.cubic import tangent_section
+from conftest import off_curve_after, surface_through, time_limit
+from dp1 import elliptic, engine, poly
+from dp1.cubic import tangent_point, tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -22,7 +22,7 @@ from dp1.engine import (
     generate,
     u_hop,
 )
-from dp1.rational import is_square
+from dp1.rational import InvariantError, is_square
 from dp1.surface import Surface, SurfaceParams, WPoint
 
 
@@ -123,6 +123,70 @@ def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section,
     for S, pairs in ((worked_surface, found), (worked_surface_2, hops)):
         for E, Q in pairs:
             assert E == S.fiber_at(E.t)
+
+
+FALSE_ROOT = Fraction(1, 7919)
+
+
+def with_false_root(S: Surface, makes: str):
+    """rational_roots that also reports FALSE_ROOT, a non-root, for the
+    polynomials of one maker: f − u in t for "hop", any other (the sweep's
+    fiber-line cubics in x) for "sweep"."""
+    roots = poly.rational_roots
+
+    def broken(g):
+        found = roots(g)
+        is_hop = g.coeffs[1:] == S.f.coeffs[1:]
+        assert FALSE_ROOT not in dict(found)
+        return found + [(FALSE_ROOT, 1)] if is_hop == (makes == "hop") else found
+
+    return broken
+
+
+def test_sweep_and_hop_certify_what_they_make(worked_surface, worked_section, monkeypatch):
+    # no later step checks a swept or hopped point again: a point off its
+    # fiber must be caught by the function that made it
+    S, (E, Q) = worked_surface, (worked_section.fiber, worked_section.point)
+    monkeypatch.setattr(poly, "rational_roots", with_false_root(S, "sweep"))
+    with pytest.raises(InvariantError, match="swept point"):
+        cp_sweep(worked_section, 1)
+    monkeypatch.setattr(poly, "rational_roots", with_false_root(S, "hop"))
+    with pytest.raises(InvariantError, match="hopped point"):
+        u_hop(S, E.t, Q)
+
+
+@pytest.mark.parametrize("maker, n, message", [
+    ("multiples", 10, r"\[2\]"),
+    ("add", 13, r"\) \+ \("),
+    ("sweep", 10, "swept point"),
+    ("hop", 10, "hopped point"),
+], ids=["multiples", "add", "sweep", "hop"])
+def test_generate_raises_on_a_point_off_its_fiber(worked_surface, worked_seed, monkeypatch,
+                                                  maker, n, message):
+    # generate checks no point itself: each maker's own check must stop it.
+    # The seed's walk takes 11 chord steps to [12]P; add takes the 12th.
+    if maker in ("multiples", "add"):
+        calls = 0 if maker == "multiples" else max(elliptic.MAZUR_ORDERS) - 1
+        monkeypatch.setattr(elliptic, "_chord", off_curve_after(elliptic._chord, calls))
+    else:
+        monkeypatch.setattr(poly, "rational_roots", with_false_root(worked_surface, maker))
+    with pytest.raises(InvariantError, match=message):
+        generate(worked_surface, worked_seed, GenerationConfig(t_height_bound=1, multiple_bound=n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_tangent_point_is_the_geometric_route(rng_seed):
+    # generate takes −[2]P from its walk; the tangent section's third point on
+    # the seed's fiber, which it no longer computes, must be that point
+    rng = random.Random(rng_seed)
+    S, P = surface_through(rng, height=3)
+    while not check_hypotheses(S, P).overall:
+        S, P = surface_through(rng, height=3)
+    rep = generate(S, P, GenerationConfig(t_height_bound=1, multiple_bound=1))
+    E, Q = S.fiber_point(P)
+    tangent = [(r.t, r.point) for r in rep.points if r.provenance == "tangent"]
+    assert tangent == [tangent_point(tangent_section(S, E, Q))]
 
 
 def test_generate_worked(worked_surface, worked_seed):
