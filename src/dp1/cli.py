@@ -43,7 +43,14 @@ def _load_surface(path: str) -> Surface:
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv" and "points" in payload:
+    """Write payload as JSON, or as CSV rows when asked.  In CSV mode the
+    output holds only rows: a payload without points goes to stderr as one
+    JSON line, and a truncated run says so on stderr."""
+    csv_mode = getattr(args, "format", "json") == "csv"
+    if csv_mode and "points" not in payload:
+        sys.stderr.write(json.dumps(payload) + "\n")
+        return
+    if csv_mode:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "x", "y", "provenance"])
@@ -57,6 +64,8 @@ def _emit(payload: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if csv_mode and payload.get("truncated"):
+        sys.stderr.write(f"truncated: stopped early, {len(payload['skipped'])} skipped\n")
 
 
 def _witness_json(verdict) -> list:

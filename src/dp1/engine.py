@@ -300,9 +300,6 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
             known_fibers = set(counts)
             for E, Q in frontier:
                 t = E.t
-                if E.is_singular():
-                    report.skipped.append(f"singular fiber t={t}")
-                    continue
                 newly: List[Tuple[FiberCurve, ECPoint]] = []
                 # group-law multiples on this fiber: one walk to [12]P decides
                 # torsion and gives [2]P..[12]P; checked additions go on past it.

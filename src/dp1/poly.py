@@ -1,8 +1,9 @@
 """Exact polynomial algebra over the rationals.
 
-Univariate polynomials are dense coefficient tuples of Fractions, and every
-algorithm runs in ℤ[t] on their integer form.  Everything is exact; there is
-no floating point anywhere.
+A univariate polynomial is held as integer numerators over one positive
+denominator, and every algorithm runs in ℤ[t] on those numerators; Fractions
+appear only where a coefficient or a value is read out.  Everything is exact;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,17 +23,35 @@ def _frac(x) -> Fraction:
 class UniPoly:
     """Dense univariate polynomial over Q, coefficients indexed by degree.
 
-    The zero polynomial has an empty coefficient tuple and degree() == -1
+    Held as integer numerators ``cs`` over one positive denominator ``den``,
+    f = Σ cs[i]·tⁱ / den, normalised so that gcd(den, *cs) == 1 and cs has
+    no trailing zero: each polynomial has one representation, the one the
+    ℤ[t] kernels below compute in.  ``coeffs`` is the Fraction tuple, for
+    output.  The zero polynomial has cs == (), den == 1 and degree() == -1
     (documented sentinel).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("cs", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        """The polynomial Σ coeffs[i]·tⁱ / den; coeffs are ints or Fractions."""
+        cs = list(coeffs)
+        if not all(isinstance(c, int) for c in cs):
+            fs = [_frac(c) for c in cs]
+            m = math.lcm(*(c.denominator for c in fs))
+            cs = [c.numerator * (m // c.denominator) for c in fs]
+            den *= m
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        if not den:
+            raise ZeroDivisionError("UniPoly with denominator 0")
+        if den < 0:
+            cs, den = [-c for c in cs], -den
+        g = math.gcd(den, *cs)
+        if g > 1:
+            cs, den = [c // g for c in cs], den // g
+        self.cs: Tuple[int, ...] = tuple(cs)
+        self.den: int = den
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -44,27 +63,31 @@ class UniPoly:
         return UniPoly((c,))
 
     # -- basic queries ------------------------------------------------
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.cs)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.cs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.cs
 
     def lc(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.cs[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.cs[i], self.den) if 0 <= i < len(self.cs) else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.cs == other.cs and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.cs, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -74,27 +97,24 @@ class UniPoly:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] + other[i] for i in range(n)])
+        return self._combine(1, other)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] - other[i] for i in range(n)])
+        return self._combine(-1, other)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+    def _combine(self, sign: int, other: "UniPoly") -> "UniPoly":
+        """self + sign·other, over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        x, y = den // self.den, sign * (den // other.den)
+        return UniPoly(combination(x, self.cs, y, other.cs), den)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        """Product by convolving integer numerators over one common
-        denominator, so only the output coefficients are normalised."""
-        a, da = integer_form(self)
-        b, db = integer_form(other)
-        den = da * db
-        return UniPoly([Fraction(c, den) for c in int_mul(a, b)])
+        """Product by convolving the integer numerators."""
+        return UniPoly(int_mul(self.cs, other.cs), self.den * other.den)
 
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
-        return UniPoly([a * c for a in self.coeffs])
+        return UniPoly([a * c.numerator for a in self.cs], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "UniPoly":
         """self**n by square-and-multiply, squaring no further than the
@@ -111,15 +131,22 @@ class UniPoly:
         return result
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        return form_value(integer_form(self), t)
+        """f(p/q) for f of degree n: the integer qⁿ·cs(p/q), by homogeneous
+        Horner, over den·qⁿ.  One Fraction, built at the end."""
+        if not self.cs:
+            return Fraction(0)
+        q = t.denominator
+        return Fraction(
+            _homogeneous_value(self.cs, t.numerator, q), self.den * q ** (len(self.cs) - 1)
+        )
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(deriv(self.coeffs))
+        return UniPoly(deriv(self.cs), self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.lc())
+        return UniPoly(self.cs, self.cs[-1])
 
     def reverse(self, n: Optional[int] = None) -> "UniPoly":
         """Coefficient reversal t^n · f(1/t), n defaulting to deg f.
@@ -130,30 +157,10 @@ class UniPoly:
             n = self.degree()
         if n < self.degree():
             raise ValueError("reversal order below degree")
-        cs = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[n - i] = c
-        return UniPoly(cs)
+        return UniPoly([0] * (n - self.degree()) + list(reversed(self.cs)), self.den)
 
 
 # -- integer-polynomial helpers (gcd via primitive PRS) ----------------
-
-def integer_form(f: UniPoly) -> Tuple[List[int], int]:
-    """Integer numerators over the least common denominator: f = cs / den."""
-    den = math.lcm(*(c.denominator for c in f.coeffs)) if f.coeffs else 1
-    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
-
-
-def form_value(form: Tuple[List[int], int], t: Union[int, Fraction]) -> Fraction:
-    """f(p/q) for f = cs/den of degree n, given as its integer form (cs, den):
-    the integer qⁿ·cs(p/q), by homogeneous Horner, over den·qⁿ.  One
-    Fraction, built at the end."""
-    cs, den = form
-    if not cs:
-        return Fraction(0)
-    q = t.denominator
-    return Fraction(_homogeneous_value(cs, t.numerator, q), den * q ** (len(cs) - 1))
-
 
 def _primitive(cs: Sequence[int]) -> List[int]:
     g = math.gcd(*cs) or 1
@@ -223,7 +230,7 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd over Q via a primitive remainder sequence over Z."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    return UniPoly(int_gcd(integer_form(f)[0], integer_form(g)[0])).monic()
+    return UniPoly(int_gcd(f.cs, g.cs)).monic()
 
 
 def is_separable(f: UniPoly) -> bool:
@@ -242,7 +249,7 @@ def squarefree_split(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
 def squarefree_part(f: UniPoly) -> UniPoly:
     if f.is_zero():
         raise ValueError("squarefree part of zero is undefined")
-    return UniPoly(squarefree_split(integer_form(f)[0])[1]).monic()
+    return UniPoly(squarefree_split(f.cs)[1]).monic()
 
 
 def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
@@ -252,7 +259,7 @@ def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
     if f.is_zero():
         raise ValueError("cannot factor zero")
     out: List[Tuple[UniPoly, int]] = []
-    cs = integer_form(f)[0]
+    cs = f.cs
     a, b = squarefree_split(cs)
     c = int_exact_div(deriv(cs), a)
     for i in range(1, len(cs)):  # no multiplicity exceeds deg f
@@ -338,14 +345,13 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
     roots: List[Tuple[Fraction, int]] = []
     # factor out powers of t
     k = 0
-    while f[0] == 0 and f.degree() >= 1:
-        f = UniPoly(f.coeffs[1:])
+    while f.cs[k] == 0:
         k += 1
     if k:
         roots.append((Fraction(0), k))
-    if f.degree() < 1:
+    if f.degree() - k < 1:
         return roots
-    ics = _primitive(integer_form(f)[0])
+    ics = _primitive(f.cs[k:])
     n, lc = len(ics) - 1, ics[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(ics[:-1])] + [1]
     bound = 1 + max(abs(c) for c in g[:-1])  # also bounds g's squarefree part's roots

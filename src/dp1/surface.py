@@ -181,10 +181,6 @@ class WPoint:
     w: int
 
     @staticmethod
-    def canonicalize(x: int, y: int, z: int, w: int) -> "WPoint":
-        return WPoint._reduced(x, y, z, w, 1)
-
-    @staticmethod
     def _reduced(x: int, y: int, z: int, w: int, coprime: int) -> "WPoint":
         """(x, y, z, w) divided by the largest r with r | z, r | w, r² | x and
         r³ | y, given that no prime of ``coprime`` divides r.
@@ -296,16 +292,11 @@ class Surface:
 
     def __init__(self, params: SurfaceParams):
         p = self.params = params
-        self.f = params.f_poly()
-        fs, den = poly.integer_form(self.f)
-        f2 = UniPoly([Fraction(v, den * den) for v in poly.int_mul(fs, fs)])
-        self.A_t = self.f.scale(p.a) + UniPoly.constant(p.b)
-        self.B_t = f2.scale(p.c) + self.f.scale(p.d) + UniPoly.constant(p.e)
+        f = self.f = params.f_poly()
+        self.A_t = f.scale(p.a) + UniPoly.constant(p.b)
+        self.B_t = (f * f).scale(p.c) + f.scale(p.d) + UniPoly.constant(p.e)
         self.A_s = self.A_t.reverse(4)
         self.B_s = self.B_t.reverse(6)
-        # integer forms of A_t and B_t, so each fiber is two integer Horners
-        self._A_form = poly.integer_form(self.A_t)
-        self._B_form = poly.integer_form(self.B_t)
         # smoothness_check's verdict, or the message of its
         # DegenerateSurfaceError, once decided
         self._smoothness = None
@@ -321,7 +312,7 @@ class Surface:
 
     def fiber_at(self, t: Fraction) -> FiberCurve:
         t = Fraction(t)
-        return FiberCurve(t, poly.form_value(self._A_form, t), poly.form_value(self._B_form, t))
+        return FiberCurve(t, self.A_t(t), self.B_t(t))
 
     def fiber_point(self, P: WPoint) -> Tuple[FiberCurve, ECPoint]:
         """The fiber through P (w != 0) and P as an affine point on it."""
@@ -361,11 +352,11 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
 
     The weighted scaling (A, B) → (μ²A, μ³B) multiplies Δ by μ⁶ and
     2AB' − 3A'B by μ⁵ and keeps the roots of A and gcd(B, B'), so with μ the
-    lcm of the denominators it all runs in ℤ[t]; the witnesses are monic.
+    lcm of the two denominators it all runs in ℤ[t]; the witnesses are monic.
     """
-    mu = math.lcm(*(c.denominator for c in A.coeffs + B.coeffs))
-    a = [c.numerator * (mu // c.denominator) * mu for c in A.coeffs]
-    b = [c.numerator * (mu // c.denominator) * mu ** 2 for c in B.coeffs]
+    mu = math.lcm(A.den, B.den)
+    a = [c * (mu // A.den) * mu for c in A.cs]
+    b = [c * (mu // B.den) * mu ** 2 for c in B.cs]
     delta = poly.combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
@@ -426,12 +417,8 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     degenerate = True
     singular = False
     for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
-        # each is cs/den with p ∤ den, as p divides no parameter denominator
-        a, b = (
-            [c * inv % p for c in cs]
-            for cs, den in map(poly.integer_form, (A, B))
-            for inv in (pow(den, -1, p),)
-        )
+        # p ∤ den, as p divides no parameter denominator
+        a, b = ([c * inv % p for c in F.cs] for F in (A, B) for inv in [pow(F.den, -1, p)])
         da, db = poly.deriv(a), poly.deriv(b)
         for t in range(p):
             at, bt = poly.eval_mod(a, t, p), poly.eval_mod(b, t, p)
@@ -546,12 +533,10 @@ def singular_fiber_report(S: Surface) -> SingularFiberReport:
     delta = S.discriminant_t()
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
-    a = poly.integer_form(S.A_t)[0]
     factors: List[FiberFactor] = []
     for g, m in poly.squarefree_factorization(delta):
-        cs = poly.integer_form(g)[0]
-        shared = poly.int_gcd(cs, a)  # all of g when A ≡ 0
-        for h, kind in ((shared, "additive"), (poly.int_exact_div(cs, shared), "multiplicative")):
+        shared = poly.int_gcd(g.cs, S.A_t.cs)  # all of g when A ≡ 0
+        for h, kind in ((shared, "additive"), (poly.int_exact_div(g.cs, shared), "multiplicative")):
             if len(h) > 1:
                 factors.append(FiberFactor(UniPoly(h).monic(), len(h) - 1, m, kind))
     return SingularFiberReport(tuple(factors), 12 - delta.degree())

@@ -46,6 +46,81 @@ def poly_divmod(f: UniPoly, g: UniPoly):
     return UniPoly(q), UniPoly(rem)
 
 
+# -- Fraction-tuple arithmetic ------------------------------------------
+# Polynomials as tuples of Fraction coefficients, indexed by degree, with no
+# trailing zero: one Fraction operation per coefficient, the reference that
+# UniPoly's integer numerators over one denominator are tested against.
+
+def frac_trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_add(f: tuple, g: tuple) -> tuple:
+    n = max(len(f), len(g))
+    return frac_trim((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
+
+
+def frac_scale(f: tuple, c) -> tuple:
+    return frac_trim(a * c for a in f)
+
+
+def frac_sub(f: tuple, g: tuple) -> tuple:
+    return frac_add(f, frac_scale(g, -1))
+
+
+def frac_mul(f: tuple, g: tuple) -> tuple:
+    out = [Fraction(0)] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return frac_trim(out)
+
+
+def frac_pow(f: tuple, n: int) -> tuple:
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = frac_mul(out, f)
+    return out
+
+
+def frac_derivative(f: tuple) -> tuple:
+    return frac_trim(i * f[i] for i in range(1, len(f)))
+
+
+def frac_monic(f: tuple) -> tuple:
+    return frac_scale(f, 1 / f[-1]) if f else f
+
+
+def frac_reverse(f: tuple, n: int) -> tuple:
+    cs = [Fraction(0)] * (n + 1)
+    for i, c in enumerate(f):
+        cs[n - i] = c
+    return frac_trim(cs)
+
+
+def frac_value(f: tuple, t: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * t + c
+    return acc
+
+
+def frac_gcd(f: tuple, g: tuple) -> tuple:
+    """Monic gcd by Euclid's algorithm with Fraction long division."""
+    while g:
+        rem = list(f)
+        while len(rem) >= len(g):
+            k, q = len(rem) - len(g), rem[-1] / g[-1]
+            for i, c in enumerate(g):
+                rem[k + i] -= q * c
+            rem = list(frac_trim(rem))
+        f, g = g, tuple(rem)
+    return frac_monic(f)
+
+
 def squarefree_factorization_by_fractions(f: UniPoly):
     """Reference Yun's algorithm in Q[t]: monic gcds and Fraction long
     division; the oracle for poly.squarefree_factorization."""
@@ -100,7 +175,7 @@ def _vp(n: int, p: int):
 
 def canonicalize_by_factoring(x: int, y: int, z: int, w: int) -> WPoint:
     """Reference canonical form: the weighted content found by factoring
-    with sympy; the oracle for WPoint.canonicalize."""
+    with sympy; the oracle for WPoint.from_fractions on integers."""
     if x == y == z == w == 0:
         raise ValueError("all four coordinates are zero")
     if z or w:

@@ -152,6 +152,37 @@ def test_generate_csv(surface_file, tmp_path, capsys):
     assert any("tangent" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("extra, rows, note", [
+    (["--max-points", "2"], ["seed", "multiple(2)"], "truncated: stopped early, 0 skipped\n"),
+    (["--bit-cap", "6"], ["seed"], "truncated: stopped early, 3 skipped\n"),
+])
+def test_generate_csv_says_when_truncated(surface_file, capsys, extra, rows, note):
+    code = main([
+        "generate", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]",
+        "--t-height", "2", "--format", "csv", *extra,
+    ])
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert code == 0
+    assert lines[0] == "t,x,y,provenance" and [r.split(",")[-1] for r in lines[1:]] == rows
+    assert captured.err == note
+
+
+@pytest.mark.parametrize("params, seed, key, text", [
+    (WORKED, "[1:2:0:1]", "error", "fails hypotheses"),
+    (DEGENERATE, "[1:1:0:1]", "detail", "discriminant vanishes identically"),
+])
+def test_generate_csv_puts_reports_without_points_on_stderr(
+    surface_file, capsys, params, seed, key, text
+):
+    # stdout holds only CSV rows; a payload with no points is one stderr line
+    code = main(["generate", "--surface", surface_file(params), "--seed", seed, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and text in json.loads(err[0])[key]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("sweep", ["--seed", "[-1:1:-1:1]", "--t-height", "2"]),
     ("oracle", []),

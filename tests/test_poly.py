@@ -7,7 +7,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import divisors, nextprime
 
-from conftest import compose, poly_divmod, squarefree_factorization_by_fractions
+from conftest import (
+    compose,
+    frac_add,
+    frac_derivative,
+    frac_gcd,
+    frac_monic,
+    frac_mul,
+    frac_pow,
+    frac_reverse,
+    frac_scale,
+    frac_sub,
+    frac_trim,
+    frac_value,
+    poly_divmod,
+    squarefree_factorization_by_fractions,
+)
 from dp1.poly import (
     UniPoly,
     gcd,
@@ -448,3 +463,47 @@ def test_separable_iff_discriminant_nonzero(f):
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         P(1, 1) ** -1
+
+
+def assert_normalised(f: UniPoly) -> None:
+    """f is held as integer numerators over one positive denominator, in
+    lowest terms, with no trailing zero, and its Fractions rebuild it."""
+    assert all(type(c) is int for c in f.cs) and type(f.den) is int
+    assert f.den >= 1 and math.gcd(f.den, *f.cs) == 1
+    assert not f.cs or f.cs[-1] != 0
+    assert UniPoly(f.coeffs) == f
+
+
+# zeros, trailing zeros included, and a spread of denominators
+diff_rat = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
+)
+diff_coeffs = st.lists(diff_rat, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diff_coeffs, diff_coeffs, diff_rat, st.integers(-12, 12).filter(bool),
+       st.integers(0, 4), st.integers(0, 3), st.one_of(st.integers(-99, 99), diff_rat))
+def test_unipoly_matches_fraction_tuples(a, b, c, den, n, pad, t):
+    fa, fb = frac_trim(a), frac_trim(b)
+    f, g = UniPoly(a), UniPoly(b)
+    cases = [
+        (f, fa),
+        (UniPoly(a, den), frac_scale(fa, Fraction(1, den))),
+        (f + g, frac_add(fa, fb)),
+        (f - g, frac_sub(fa, fb)),
+        (f * g, frac_mul(fa, fb)),
+        (f.scale(c), frac_scale(fa, c)),
+        (f ** n, frac_pow(fa, n)),
+        (f.derivative(), frac_derivative(fa)),
+        (f.monic(), frac_monic(fa)),
+        (f.reverse(), frac_reverse(fa, len(fa) - 1)),
+        (f.reverse(f.degree() + pad), frac_reverse(fa, len(fa) - 1 + pad)),
+    ]
+    if fa or fb:
+        cases.append((gcd(f, g), frac_gcd(fa, fb)))
+    for got, want in cases:
+        assert_normalised(got)
+        assert got.coeffs == want
+    assert f(t) == frac_value(fa, Fraction(t))

@@ -95,7 +95,7 @@ def test_membership_rescaling_invariance(worked_surface, worked_seed):
         scaled = rescaled(P, lam)
         assert on_surface_by_forms(worked_surface, scaled)
         assert worked_surface.membership(scaled)
-        assert WPoint.canonicalize(scaled.x, scaled.y, scaled.z, scaled.w) == P
+        assert WPoint.from_fractions(scaled.x, scaled.y, scaled.z, scaled.w) == P
 
 
 small = st.integers(-4, 4)
@@ -132,7 +132,7 @@ def test_wpoint_parse_and_canonical():
     assert WPoint.parse("[4:8:2:2]") == WPoint(1, 1, 1, 1)
     assert WPoint.parse("[1:-1:0:0]") == WPoint(1, 1, 0, 0)
     with pytest.raises(ValueError):
-        WPoint.canonicalize(0, 0, 0, 0)
+        WPoint.from_fractions(0, 0, 0, 0)
 
 
 # Primes far above the trial-division bound, whose powers sympy's factorint
@@ -142,9 +142,9 @@ REFUSAL = "trial-division bound 1000"
 
 
 def canonical_or_refused(Q: WPoint, expected: WPoint) -> None:
-    """canonicalize(Q) is expected, or refuses by naming the bound."""
+    """from_fractions(Q) is expected, or refuses by naming the bound."""
     try:
-        assert WPoint.canonicalize(Q.x, Q.y, Q.z, Q.w) == expected
+        assert WPoint.from_fractions(Q.x, Q.y, Q.z, Q.w) == expected
     except ValueError as exc:
         assert REFUSAL in str(exc)
 
@@ -160,7 +160,7 @@ def test_lift_matches_factoring_on_rational_quadruples(coords):
     x, y, z, w = coords
     P = WPoint.from_fractions(x, y, z, w)
     assert P == from_fractions_by_factoring(x, y, z, w)
-    # the scaled integers can hold two unknown primes: canonicalize may
+    # the scaled integers can hold two unknown primes: from_fractions may
     # refuse them, but never answers wrongly
     canonical_or_refused(P, P)
     canonical_or_refused(rescaled(P, 6), P)
@@ -172,7 +172,7 @@ def test_canonicalize_matches_factoring_on_integers(coords):
     # the weighted content divides a coordinate below 10⁶: always decided
     if coords == (0, 0, 0, 0):
         return
-    assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
+    assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,13 +186,13 @@ def test_lift_rescaled_by_large_prime(coords, lam, zero_w):
         return
     P = canonicalize_by_factoring(x, y, z, w)
     up = rescaled(P, lam)
-    assert WPoint.canonicalize(up.x, up.y, up.z, up.w) == P
+    assert WPoint.from_fractions(up.x, up.y, up.z, up.w) == P
     down = (Fraction(P.x, lam ** 2), Fraction(P.y, lam ** 3), Fraction(P.z, lam), Fraction(P.w, lam))
     assert WPoint.from_fractions(*down) == from_fractions_by_factoring(*down) == P
     # a composite scale whose factors trial division cannot find
     big = lam * LARGE_PRIMES[0]
     up = rescaled(P, big)
-    assert WPoint.canonicalize(up.x, up.y, up.z, up.w) == P
+    assert WPoint.from_fractions(up.x, up.y, up.z, up.w) == P
     down = (Fraction(P.x, big ** 2), Fraction(P.y, big ** 3), Fraction(P.z, big), Fraction(P.w, big))
     assert WPoint.from_fractions(*down) == P
 
@@ -279,7 +279,7 @@ def test_canonicalize_decides_squarefree_cofactor():
     for coords in [(1009 * 1013 ** 2, 1009 ** 3 * 1013 ** 2, N, N),
                    (1009 ** 2 * 1013 ** 2 * 7, 1009 ** 3 * 1013 ** 4, 3 * N, -N),
                    (N, 0, N, 0), (0, N ** 3, 0, N)]:
-        assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
+        assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
 
 
 @st.composite
@@ -308,7 +308,7 @@ def squarefree_cofactor_quadruple(draw):
 @settings(max_examples=300, deadline=None)
 @given(squarefree_cofactor_quadruple())
 def test_canonicalize_never_refuses_squarefree_cofactor(coords):
-    assert WPoint.canonicalize(*coords) == canonicalize_by_factoring(*coords)
+    assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
 
 
 def test_wpoint_affine_roundtrip():
