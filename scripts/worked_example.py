@@ -35,7 +35,9 @@ def main() -> None:
     t, Q = tangent_point(section)
     print(f"tangent point: ({format_rational(Q.x)}, {format_rational(Q.y)}) "
           f"on fiber t = {format_rational(t)}")
-    assert (t, Q.x, Q.y) == (Fraction(-1), Fraction(17, 4), Fraction(71, 8))
+    if (t, Q.x, Q.y) != (Fraction(-1), Fraction(17, 4), Fraction(71, 8)):
+        raise SystemExit(f"tangent point mismatch: got ({Q.x}, {Q.y}) on fiber t = {t}, "
+                         f"expected (17/4, 71/8) on fiber t = -1")
 
     hyp = check_hypotheses(S, P)
     print("hypotheses:", json.dumps(hyp.to_json()))

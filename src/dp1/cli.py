@@ -326,11 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate rational points from a seed")
     common(p, seed=True, points=True)
-    p.add_argument("--n", type=int, default=10, help="multiple bound")
-    p.add_argument("--t-height", type=int, default=10, dest="t_height")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--max-points", type=int, default=500, dest="max_points")
-    p.add_argument("--bit-cap", type=int, default=4096, dest="bit_cap")
+    defaults = GenerationConfig()
+    p.add_argument("--n", type=int, default=defaults.multiple_bound, help="multiple bound")
+    p.add_argument("--t-height", type=int, default=defaults.t_height_bound, dest="t_height")
+    p.add_argument("--depth", type=int, default=defaults.depth)
+    p.add_argument("--max-points", type=int, default=defaults.max_points, dest="max_points")
+    p.add_argument("--bit-cap", type=int, default=defaults.bit_cap, dest="bit_cap")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="bounded-height tangent-section sweep")

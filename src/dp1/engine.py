@@ -3,11 +3,13 @@
 The engine expands a verified seed by four mechanisms, breadth-first over
 fibers: group-law multiples on the seed's fiber, the tangent-section point
 −[2]P, multisection hops to other fibers sharing the same (x, y), and a
-bounded-height sweep of the tangent section across fibers.  Each point is
-checked on its fiber once, where it is made: the seed by ``_require_affine``,
-multiples by ``elliptic.multiples`` and ``elliptic.add``, swept points by
-``cp_sweep``, hops by ``u_hop``; the tangent point is −[2]P from the walk.
-Points are deduplicated on their affine (t, x, y) before they are reported.
+bounded-height sweep of the tangent section across fibers.  Each mechanism
+yields the points its maker checked on their fibers, once: the seed by
+``_require_affine``, multiples by ``elliptic.multiples`` and
+``elliptic.add``, swept points by ``cp_sweep``, hops by ``u_hop``; the
+tangent point is −[2]P from the walk.  ``generate``'s ``emit`` is the one
+place where a candidate is dropped (over the bit cap), deduplicated on its
+affine (t, x, y), counted against max_points and admitted to the frontier.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
@@ -245,11 +247,51 @@ def _within_cap(t: Fraction, Q: ECPoint, cap: int) -> bool:
     return max(bit_size(t), bit_size(Q.x), bit_size(Q.y)) <= cap
 
 
+def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, walk: Optional[List[ECPoint]],
+                cfg: GenerationConfig, skipped: List[str]
+                ) -> Iterator[Tuple[FiberCurve, ECPoint, str]]:
+    """(fiber, point, provenance) for each point the four mechanisms make
+    from Q on E, checked on its fiber by its maker.
+
+    ``walk`` is Q's walk to [12]P when made (the seed's), else None.  The
+    multiples stop after the first one over the bit cap, yielded so that
+    ``emit`` records the skip; torsion skips go to ``skipped``.
+    """
+    t = E.t
+    # group-law multiples on this fiber: one walk to [12]P decides torsion
+    # and gives [2]P..[12]P; checked additions go on past it
+    if walk is None:
+        walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
+    if elliptic.walk_order(walk) is not None:
+        skipped.append(f"torsion point on fiber t={t}")
+    else:
+        acc = Q
+        for n in range(2, cfg.multiple_bound + 1):
+            acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
+            yield E, acc, f"multiple({n})"
+            if not _within_cap(t, acc, cfg.bit_cap):
+                break
+    # tangent-section point −[2]P, from the walk, then a bounded-height
+    # sweep of the same section
+    if Q.y != 0:
+        yield E, elliptic.neg(walk[1]), "tangent"
+        for Es, Qs in cp_sweep(cubic.tangent_section(S, E, Q), cfg.t_height_bound):
+            if not Es.is_singular():
+                yield Es, Qs, f"sweep({Es.t})"
+    else:
+        skipped.append(f"2-torsion point on fiber t={t}")
+    # multisection hops
+    for Eh, Qh in u_hop(S, t, Q):
+        if not Eh.is_singular():
+            yield Eh, Qh, "hop"
+
+
 def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationReport:
     """Breadth-first point generation from a hypothesis-certified seed.
 
-    Generation stops as soon as max_points points are kept; ``truncated`` is
-    then set when the depth asked for any expansion.
+    Every candidate of every level passes through ``emit``.  Generation
+    stops as soon as max_points points are kept; ``truncated`` is then set
+    when the depth asked for any expansion.
     """
     if seed.w == 0:  # fails w0 ≠ 0
         hyp = check_hypotheses(S, seed)
@@ -267,81 +309,43 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
     # Fractions; so are the fiber counts, keyed on t.
     seen: Set[Tuple[int, ...]] = set()
     counts: Dict[Tuple[int, int], int] = {}
+    # the fibers counted when the level began, and the entries it admits
+    known_fibers: Set[Tuple[int, int]] = set()
+    next_frontier: List[Tuple[FiberCurve, ECPoint, Optional[List[ECPoint]]]] = []
 
-    def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> bool:
-        """Record a candidate on fiber E; returns True when it is new and kept.
+    def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> None:
+        """Drop Q over the bit cap, else keep it once; a kept point whose
+        fiber was not counted as the level began joins the next frontier.
 
-        Its maker checked it on E, so emit only caps, deduplicates and
-        records.  Raises _CapReached once the kept point is the max_points-th.
+        Raises _CapReached once the kept point is the max_points-th.
         """
-        if Q.is_infinity:
-            return False
         t = E.t
         if not _within_cap(t, Q, cfg.bit_cap):
             report.truncated = True
             report.skipped.append(f"bit cap exceeded ({provenance})")
-            return False
+            return
         tk = (t.numerator, t.denominator)
         key = tk + (Q.x.numerator, Q.x.denominator, Q.y.numerator, Q.y.denominator)
         if key in seen:
-            return False
+            return
         seen.add(key)
         report.points.append(PointRecord(t, Q, provenance))
         counts[tk] = counts.get(tk, 0) + 1
         if len(report.points) == cfg.max_points:
             raise _CapReached
-        return True
+        if tk not in known_fibers:
+            next_frontier.append((E, Q, None))
 
-    frontier: List[Tuple[FiberCurve, ECPoint]] = [(E0, Q0)]
     try:
         emit(E0, Q0, "seed")
+        # the seed is expanded even when it is over the bit cap
+        next_frontier = [(E0, Q0, walk0)]
         for _level in range(cfg.depth):
-            next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
+            frontier, next_frontier = next_frontier, []
             known_fibers = set(counts)
-            for E, Q in frontier:
-                t = E.t
-                newly: List[Tuple[FiberCurve, ECPoint]] = []
-                # group-law multiples on this fiber: one walk to [12]P decides
-                # torsion and gives [2]P..[12]P; checked additions go on past it.
-                # The seed's walk is made; emit keeps (t, Q) unique in the frontier.
-                seeded = (t, Q) == (E0.t, Q0)
-                walk = walk0 if seeded else elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
-                if elliptic.walk_order(walk) is not None:
-                    report.skipped.append(f"torsion point on fiber t={t}")
-                else:
-                    acc = Q
-                    for n in range(2, cfg.multiple_bound + 1):
-                        acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
-                        if not _within_cap(t, acc, cfg.bit_cap):
-                            report.truncated = True
-                            report.skipped.append(f"bit cap exceeded (multiple({n}))")
-                            break
-                        if emit(E, acc, f"multiple({n})"):
-                            newly.append((E, acc))
-                # tangent-section point −[2]P, from the walk, then a
-                # bounded-height sweep of the same section
-                if Q.y != 0:
-                    tq = elliptic.neg(walk[1])
-                    if emit(E, tq, "tangent"):
-                        newly.append((E, tq))
-                    for Es, Qs in cp_sweep(cubic.tangent_section(S, E, Q), cfg.t_height_bound):
-                        if Es.is_singular():
-                            continue
-                        if emit(Es, Qs, f"sweep({Es.t})"):
-                            newly.append((Es, Qs))
-                else:
-                    report.skipped.append(f"2-torsion point on fiber t={t}")
-                # multisection hops
-                for Eh, Qh in u_hop(S, t, Q):
-                    if Eh.is_singular():
-                        continue
-                    if emit(Eh, Qh, "hop"):
-                        newly.append((Eh, Qh))
-                next_frontier.extend(
-                    (En, Qn) for En, Qn in newly
-                    if (En.t.numerator, En.t.denominator) not in known_fibers
-                )
-            frontier = next_frontier
+            for E, Q, walk in frontier:
+                for candidate in _candidates(S, E, Q, walk, cfg, report.skipped):
+                    emit(*candidate)
     except _CapReached:
         report.truncated = report.truncated or cfg.depth > 0
     report.fibers = {Fraction(*tk): n for tk, n in counts.items()}

@@ -55,10 +55,6 @@ class UniPoly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
     def constant(c) -> "UniPoly":
         return UniPoly((c,))
 
@@ -72,11 +68,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.cs
-
-    def lc(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.cs[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.cs[i], self.den) if 0 <= i < len(self.cs) else Fraction(0)

@@ -463,7 +463,7 @@ class OracleDisagreementError(RuntimeError):
 SINGULAR_MOD_EVERY_PRIME = "declared smooth but singular mod every prime"
 
 
-def smoothness_cross_check(S: Surface, primes: Sequence[int] = (7, 11, 13, 17, 19)) -> dict:
+def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     """Compare the symbolic verdict with the mod-p oracle at several primes.
 
     A surface smooth over Q may be singular mod p (bad reduction), but must

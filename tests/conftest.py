@@ -15,10 +15,15 @@ from dp1.poly import UniPoly, gcd
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
 
+def leading_coefficient(f: UniPoly) -> Fraction:
+    """The leading coefficient of a non-zero f."""
+    return Fraction(f.cs[-1], f.den)
+
+
 def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
     """Reference composition outer(inner(t)), by Horner evaluation in
     UniPoly; the oracle for Surface's A_t = a·f + b and B_t = c·f² + d·f + e."""
-    result = UniPoly.zero()
+    result = UniPoly(())
     for c in reversed(outer.coeffs):
         result = result * inner + UniPoly.constant(c)
     return result
@@ -38,7 +43,7 @@ def poly_divmod(f: UniPoly, g: UniPoly):
         if len(rem) - 1 < gd:
             break
         k = len(rem) - 1 - gd
-        factor = rem[-1] / g.lc()
+        factor = rem[-1] / leading_coefficient(g)
         q[k] = factor
         for i in range(gd + 1):
             rem[k + i] -= factor * g.coeffs[i]

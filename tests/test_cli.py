@@ -17,6 +17,9 @@ WORKED = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "3", "f": ["0", "0", "0",
 WORKED_2 = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "2", "f": ["0", "0", "0", "1"]}
 SINGULAR = {"a": "0", "b": "0", "c": "1", "d": "2", "e": "1", "f": ["0", "0", "0", "1"]}
 DEGENERATE = {"a": "0", "b": "0", "c": "0", "d": "0", "e": "0", "f": ["0", "0", "0", "1"]}
+# from the seed [1:-2:0:1], the sweep finds (−1, 0), of order 2 on t = −2, and
+# it enters the frontier
+TWO_TORSION = {"a": "-2", "b": "-1", "c": "-1", "d": "1", "e": "4", "f": ["0", "-2", "2", "1"]}
 
 
 @pytest.fixture
@@ -360,6 +363,18 @@ CLI_PINS = [
      "53ccf043d147c4e94b4e578b851fa104b6c2d80ee17ea5a6072fc31a1eb79c8b"),
     ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--depth", "2", "--t-height", "5"], 0,
      "4e041e769328da011ae601b8816df0cf9d009928dae17035b7f1e6f4cc3602cd"),
+    # skips "torsion point on fiber t=-2" and "2-torsion point on fiber t=-2"
+    ("generate", TWO_TORSION, ["--seed", "[1:-2:0:1]", "--depth", "2", "--t-height", "2",
+                               "--n", "3"], 0,
+     "5d7531be174e5457509bb5aaab3a7827d3c91294ac307d580c477dc9a5b3573a"),
+    # 4 fibers; skips "bit cap exceeded (multiple(4))" at level 2 and is cut
+    # by --max-points partway through a level
+    ("generate", WORKED_2, ["--seed", "[1:2:1:1]", "--depth", "3", "--t-height", "3",
+                            "--n", "5", "--bit-cap", "64", "--max-points", "15"], 0,
+     "cfb9a362c33e5f38b54251218e2ee30d6c9e636c7054d5456034dbfb70cf7886"),
+    # the seed (y = 2) is over the cap, skipped, and still expanded
+    ("generate", WORKED_2, ["--seed", "[1:2:1:1]", "--bit-cap", "1", "--depth", "1"], 0,
+     "eeb0d50321b8ad63405fbdc06b8901822ccafa413f45222bf900739ed24f58da"),
 ]
 
 

@@ -116,6 +116,24 @@ def test_cp_sweep_no_root_at_zero(worked_section):
     assert not any(t == 0 for t, _ in found)
 
 
+def test_cp_sweep_vertical_section():
+    # the seed (−1, 0) on t = −1 has order 2, so its tangent line is x = −1
+    # and the section meets every fiber in a vertical line (β = 0): each hit
+    # is x = −c0/a with y = ±√(rhs), one point where the root is 0
+    S = Surface(SurfaceParams(-1, -1, -1, 1, 0, 0, -2, 0, 2))
+    E, Q = S.fiber_point(WPoint.parse("[-1:0:-1:1]"))
+    assert Q.y == 0
+    found = cp_sweep(tangent_section(S, E, Q), 4)
+    assert _by_t(found) == [
+        (Fraction(0), ECPoint(Fraction(-1), Fraction(0))),
+        (Fraction(1), ECPoint(Fraction(-1), Fraction(0))),
+        (Fraction(-2), ECPoint(Fraction(11), Fraction(36))),
+        (Fraction(-2), ECPoint(Fraction(11), Fraction(-36))),
+    ]
+    for Es, Qs in found:
+        assert Es == S.fiber_at(Es.t) and elliptic.on_curve(Es, Qs)
+
+
 def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section, worked_surface_2):
     found = cp_sweep(worked_section, 2)
     hops = u_hop(worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))

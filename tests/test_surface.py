@@ -506,9 +506,9 @@ def planted_chart(draw):
     u, h = draw(nonzero), draw(nonzero)
     root = UniPoly((-draw(chart_rat), 1))
     if kind == "A=0":  # singular where B has a repeated root
-        return UniPoly.zero(), root * root * h
+        return UniPoly(()), root * root * h
     if kind == "B=0":  # singular over every root of A
-        return root * u, UniPoly.zero()
+        return root * u, UniPoly(())
     if kind == "repeated":  # Δ = 27ε(4u³ + ε) with ε = (t − r)²h
         return (u * u).scale(-3), (u ** 3).scale(2) + root * root * h
     return root * u, root * h  # a common root of A and B

@@ -1,16 +1,34 @@
 """Smoke test: scripts/worked_example.py runs end to end on the library API."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from dp1.elliptic import ECPoint
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "worked_example.py"
 
 
-def test_worked_example_main(capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("worked_example", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main()
+    return module
+
+
+def test_worked_example_main(capsys):
+    load_script().main()
     out = capsys.readouterr().out
     assert "tangent plane: ('3', '-2', '0', '5')" in out
     assert "tangent point: (17/4, 71/8) on fiber t = -1" in out
+
+
+def test_worked_example_names_a_wrong_tangent_point(monkeypatch):
+    # a plain exit, not an assert, so that python -O keeps the check
+    module = load_script()
+    monkeypatch.setattr(module, "tangent_point",
+                        lambda section: (Fraction(-1), ECPoint(Fraction(17, 4), Fraction(-71, 8))))
+    with pytest.raises(SystemExit, match=r"tangent point mismatch: got \(17/4, -71/8\)"):
+        module.main()
