@@ -12,6 +12,10 @@ from .rational import InvariantError
 # multiples up to [12]P decides torsion exactly.
 MAZUR_ORDERS = tuple(list(range(1, 11)) + [12])
 
+# The prime of torsion_status's reduction test, 2⁶¹ − 1: far above the Mazur
+# orders, and dividing almost no denominator or discriminant.
+REDUCTION_PRIME = 2 ** 61 - 1
+
 
 class OffCurveError(ValueError):
     """A point fed to the group law does not satisfy the curve equation."""
@@ -129,9 +133,49 @@ def walk_order(walk: List[ECPoint]) -> Optional[int]:
     return next((n for n, R in enumerate(walk, 1) if R.is_infinity), None)
 
 
+def _nontorsion_mod(E: FiberCurve, P: ECPoint, p: int) -> bool:
+    """Whether reduction mod the prime p > 12 certifies that P on E has
+    infinite order: p divides no denominator of A, B, x and y and not
+    4A³ + 27B², and no [n]P̃ with n ≤ 12 is Õ.
+
+    At such a p the model has good reduction, and torsion of E(Q) of order
+    prime to p injects into Ẽ(F_p) (Silverman, AEC VII.3.1), so a torsion P
+    of order n ≤ 12 (Mazur) has [n]P̃ = Õ.  False decides nothing.
+    """
+    if P.is_infinity:
+        return False
+    vals = []
+    for v in (E.A, E.B, P.x, P.y):
+        if v.denominator % p == 0:
+            return False
+        vals.append(v.numerator * pow(v.denominator, -1, p) % p)
+    a, b, x0, y0 = vals
+    if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+        return False
+    x, y = x0, y0
+    for n in range(2, max(MAZUR_ORDERS) + 1):  # (x, y) = [n − 1]P̃ ≠ Õ
+        if x == x0:
+            if (y + y0) % p == 0:
+                return False  # [n]P̃ = Õ
+            lam = (3 * x0 * x0 + a) * pow(2 * y0, -1, p) % p
+        else:
+            lam = (y - y0) * pow(x - x0, -1, p) % p
+        x3 = (lam * lam - x - x0) % p
+        x, y = x3, (lam * (x0 - x3) - y0) % p
+    return True
+
+
 def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
-    """Exact order of P if torsion (in the Mazur set), else None: the first
-    O among [1]P, ..., [12]P."""
+    """Exact order of P if torsion (in the Mazur set), else None.
+
+    P is checked on E first.  Reduction mod REDUCTION_PRIME then certifies
+    infinite order in 11 steps over F_p (Silverman, AEC VII.3.1: torsion
+    injects under good reduction at p > 12); when it cannot, the order is
+    the first O among [1]P, ..., [12]P of the exact walk.
+    """
     if E.is_singular():
         raise SingularFiberError("torsion test requires a nonsingular fiber")
+    _require_on_curve(E, P)
+    if _nontorsion_mod(E, P, REDUCTION_PRIME):
+        return None
     return walk_order(multiples(E, P, max(MAZUR_ORDERS)))

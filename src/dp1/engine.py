@@ -272,14 +272,12 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, walk: Optional[List[ECPoi
             if not _within_cap(t, acc, cfg.bit_cap):
                 break
     # tangent-section point −[2]P, from the walk, then a bounded-height
-    # sweep of the same section
+    # sweep of the same section; y = 0 has order 2, skipped above
     if Q.y != 0:
         yield E, elliptic.neg(walk[1]), "tangent"
         for Es, Qs in cp_sweep(cubic.tangent_section(S, E, Q), cfg.t_height_bound):
             if not Es.is_singular():
                 yield Es, Qs, f"sweep({Es.t})"
-    else:
-        skipped.append(f"2-torsion point on fiber t={t}")
     # multisection hops
     for Eh, Qh in u_hop(S, t, Q):
         if not Eh.is_singular():

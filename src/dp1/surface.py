@@ -1,9 +1,10 @@
 """The degree-one del Pezzo family y² = x³ + a₄(f(z/w))·x·w⁴ + a₆(f(z/w))·w⁶.
 
 Covers construction from the nine rational parameters, weighted-point
-normalization and membership, the exact two-chart smoothness decision for the
-branch sextic, a mod-p exhaustive oracle cross-checking it, and the degree-12
-discriminant bookkeeping for singular fibers.
+normalization and membership, the exact smoothness decision for the branch
+sextic (the t chart, plus the point at infinity s = 0, which is singular iff
+c = 0), a mod-p exhaustive oracle cross-checking it over the same points of
+P¹(F_p), and the degree-12 discriminant bookkeeping for singular fibers.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
 
 
 def smoothness_check(S: Surface) -> SmoothnessVerdict:
-    """Decide smoothness of the branch sextic in both affine charts of P¹.
+    """Decide smoothness of the branch sextic over every point of P¹.
 
     The decision is made once per Surface: later calls return the same
     verdict, or raise DegenerateSurfaceError again.
@@ -391,10 +392,17 @@ def smoothness_check(S: Surface) -> SmoothnessVerdict:
 
 
 def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
-    witnesses: List[Tuple[str, UniPoly]] = []
-    for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s)):
-        for wpoly in _chart_singular_witnesses(A, B):
-            witnesses.append((chart, wpoly))
+    """The t chart, then the s chart only when the surface is singular
+    anyway or c = 0, so that a singular verdict lists both charts' witnesses.
+
+    The s chart's points with s ≠ 0 are the t chart's at t = 1/s.  At s = 0,
+    A_s(0) = 0 and B_s(0) = c·f3² with f3 ≠ 0, so the point at infinity is
+    singular iff c = 0: with c ≠ 0 and no t witness the surface is smooth.
+    """
+    witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
+    if not witnesses and S.params.c != 0:
+        return SmoothnessVerdict("smooth")
+    witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]
     if witnesses:
         return SmoothnessVerdict("singular", tuple(witnesses))
     return SmoothnessVerdict("smooth")
@@ -405,10 +413,12 @@ def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
 def modp_singular_scan(S: Surface, p: int) -> str:
     """Exhaustive singular-point scan of the branch sextic over F_p.
 
-    Returns "smooth", "singular", or "bad_prime".  Both affine charts are
-    enumerated, so every point of the weighted projective curve is covered.
-    Independent of the symbolic criterion: it checks the three partials
-    directly at each of the ≤ 2p² chart points.
+    Returns "smooth", "singular", or "bad_prime" (Δ ≡ 0 at every point of
+    P¹(F_p)).  The t chart over t ∈ F_p and the s chart at s = 0 cover every
+    point of P¹(F_p), since the s chart's points with s ≠ 0 are the t chart's
+    at t = 1/s.  A fiber with 4A³ + 27B² ≢ 0 has a cubic with distinct roots
+    (p ≥ 5), so no singular point; on every other fiber the three partials
+    are checked directly at each x.  Independent of the symbolic criterion.
     """
     check_prime(p)
     for params_den in _param_denominators(S.params):
@@ -416,15 +426,15 @@ def modp_singular_scan(S: Surface, p: int) -> str:
             raise ValueError(f"prime {p} divides a parameter denominator")
     degenerate = True
     singular = False
-    for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
+    for A, B, ts in ((S.A_t, S.B_t, range(p)), (S.A_s, S.B_s, (0,))):
         # p ∤ den, as p divides no parameter denominator
         a, b = ([c * inv % p for c in F.cs] for F in (A, B) for inv in [pow(F.den, -1, p)])
         da, db = poly.deriv(a), poly.deriv(b)
-        for t in range(p):
+        for t in ts:
             at, bt = poly.eval_mod(a, t, p), poly.eval_mod(b, t, p)
-            # degenerate iff Δ ≡ 0 on both charts
             if (4 * at ** 3 + 27 * bt ** 2) % p:
                 degenerate = False
+                continue
             dat, dbt = poly.eval_mod(da, t, p), poly.eval_mod(db, t, p)
             for x in range(p):
                 if (x ** 3 + at * x + bt) % p:

@@ -18,6 +18,7 @@ from dp1.elliptic import (
     neg,
     on_curve,
     torsion_status,
+    walk_order,
 )
 from dp1.rational import InvariantError
 
@@ -181,6 +182,60 @@ def test_torsion_status_known_orders(A, B, x, y, order):
     assert multiples(E, P, order + 2) == walk + walk[:2]
     assert torsion_status(E, P) == order
     assert torsion_status(E, neg(P)) == order
+    for Q in (P, neg(P)):
+        assert torsion_status(E, Q) == walk_order(multiples(E, Q, 12))
+        # a genuine torsion point is never certified non-torsion
+        for p in CERTIFICATE_PRIMES:
+            assert not elliptic._nontorsion_mod(E, Q, p)
+
+
+# primes above the Mazur orders for the reduction certificate
+CERTIFICATE_PRIMES = (13, 17, 101, elliptic.REDUCTION_PRIME)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coord, coord, coord, st.sampled_from(CERTIFICATE_PRIMES))
+def test_torsion_status_matches_walk(x0, y0, A, p):
+    # differential test: the certificate mod p against the exact walk
+    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
+    if E.is_singular():
+        return
+    for P in (ECPoint(x0, y0), ECPoint(x0, -y0)):
+        order = walk_order(multiples(E, P, 12))
+        assert torsion_status(E, P) == order
+        if elliptic._nontorsion_mod(E, P, p):
+            assert order is None
+
+
+# (curve, point, prime) at which reduction certifies nothing
+FALLBACKS = {
+    "O": (E2, O, elliptic.REDUCTION_PRIME),
+    "p | den A": (FiberCurve(Fraction(0), Fraction(1, 13), Fraction(1)),
+                  ECPoint(Fraction(0), Fraction(1)), 13),
+    # [4](−1, 1) has x = 66113/80656, and 80656 = 2⁴·71²
+    "p | den x": (E2, multiples(E2, ECPoint(Fraction(-1), Fraction(1)), 4)[3], 71),
+    # 4A³ + 27B² = 23, and mod 23 no [n]P̃ with n ≤ 12 is Õ
+    "p | disc": (FiberCurve(Fraction(0), Fraction(-1), Fraction(1)),
+                 ECPoint(Fraction(0), Fraction(1)), 23),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_torsion_status_falls_back_to_the_walk(monkeypatch, case):
+    E, P, p = FALLBACKS[case]
+    assert not elliptic._nontorsion_mod(E, P, p)
+    walks = []
+    monkeypatch.setattr(elliptic, "REDUCTION_PRIME", p)
+    monkeypatch.setattr(elliptic, "multiples", lambda *args: walks.append(args) or multiples(*args))
+    assert torsion_status(E, P) == walk_order(multiples(E, P, 12))
+    assert walks, "the exact walk did not run"
+
+
+def test_torsion_status_certifies_without_the_walk(monkeypatch):
+    P = ECPoint(Fraction(-1), Fraction(1))
+    monkeypatch.setattr(elliptic, "multiples", None)  # any walk would raise
+    assert torsion_status(E2, P) is None
+    assert torsion_status(E2, neg(P)) is None
 
 
 # differential test: the integer on_curve against the Fraction equation

@@ -381,14 +381,20 @@ scan_rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 
 @st.composite
 def scan_params(draw):
     """Random parameters, some with a, …, e scaled by a prime up to 50 (bad
-    reduction there), A ≡ 0, or a, …, e all zero (degenerate over Q)."""
+    reduction there), A ≡ 0, c = 0 (singular at t = ∞), c ≡ 0 mod a prime up
+    to 50 but c ≠ 0 (singular at t = ∞ mod that prime), or a, …, e all zero
+    (degenerate over Q)."""
     vals = [draw(scan_rat) for _ in range(5)]
-    kind = draw(st.sampled_from(["random", "scaled", "A=0", "degenerate"]))
+    kind = draw(st.sampled_from(["random", "scaled", "A=0", "c=0", "c=0 mod p", "degenerate"]))
     if kind == "scaled":
         p = draw(st.sampled_from(SCAN_PRIMES))
         vals = [v * p for v in vals]
     elif kind == "A=0":
         vals[:2] = [0, 0]
+    elif kind == "c=0":
+        vals[2] = 0
+    elif kind == "c=0 mod p":
+        vals[2] = draw(st.sampled_from(SCAN_PRIMES)) * draw(st.sampled_from([-2, -1, 1, 2]))
     elif kind == "degenerate":
         vals = [0] * 5
     return SurfaceParams(*vals, *[draw(scan_rat) for _ in range(3)], draw(scan_rat.filter(bool)))
@@ -444,6 +450,40 @@ def uncached_verdict(S: Surface) -> SmoothnessVerdict:
         for wpoly in _chart_singular_witnesses(A, B)
     )
     return SmoothnessVerdict("singular" if witnesses else "smooth", witnesses)
+
+
+def assert_verdict_matches_two_charts(params: SurfaceParams) -> str:
+    """smoothness_check against the two-chart reference, witnesses included;
+    returns the case: smooth, singular, singular only at infinity, or
+    degenerate."""
+    S = Surface(params)
+    try:
+        expected = uncached_verdict(S)
+    except DegenerateSurfaceError:
+        with pytest.raises(DegenerateSurfaceError):
+            smoothness_check(S)
+        return "degenerate"
+    assert smoothness_check(S) == expected, params
+    if expected.smooth:
+        return "smooth"
+    only_s = {chart for chart, _ in expected.witnesses} == {"s"}
+    return "singular only at infinity" if only_s else "singular"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_params())
+def test_verdict_matches_two_chart_decision(params):
+    assert_verdict_matches_two_charts(params)
+
+
+def test_verdict_matches_two_chart_decision_examples(worked_surface, singular_fixture):
+    rng = random.Random(29)
+    params = [worked_surface.params, singular_fixture.params,
+              dataclasses.replace(worked_surface.params, c=Fraction(0)),
+              SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1)]
+    params += [random_params(rng, height=3, c=c) for c in (None, 0) for _ in range(20)]
+    outcomes = {assert_verdict_matches_two_charts(p) for p in params}
+    assert outcomes == {"smooth", "singular", "singular only at infinity", "degenerate"}
 
 
 def test_memoized_verdict_matches_uncached_decision(singular_fixture):
