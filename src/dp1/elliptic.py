@@ -12,9 +12,11 @@ from .rational import InvariantError
 # multiples up to [12]P decides torsion exactly.
 MAZUR_ORDERS = tuple(list(range(1, 11)) + [12])
 
-# The prime of torsion_status's reduction test, 2⁶¹ − 1: far above the Mazur
-# orders, and dividing almost no denominator or discriminant.
-REDUCTION_PRIME = 2 ** 61 - 1
+# The prime of torsion_status's reduction test, 2³⁰ − 35, the largest prime
+# below 2³⁰: far above the Mazur orders, dividing almost no denominator or
+# discriminant, and small enough that its residues are one-digit CPython ints,
+# so each modular inverse is cheap.
+REDUCTION_PRIME = 1073741789
 
 
 class OffCurveError(ValueError):

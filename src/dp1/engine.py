@@ -5,11 +5,13 @@ fibers: group-law multiples on the seed's fiber, the tangent-section point
 −[2]P, multisection hops to other fibers sharing the same (x, y), and a
 bounded-height sweep of the tangent section across fibers.  Each mechanism
 yields the points its maker checked on their fibers, once: the seed by
-``_require_affine``, multiples by ``elliptic.multiples`` and
-``elliptic.add``, swept points by ``cp_sweep``, hops by ``u_hop``; the
-tangent point is −[2]P from the walk.  ``generate``'s ``emit`` is the one
-place where a candidate is dropped (over the bit cap), deduplicated on its
-affine (t, x, y), counted against max_points and admitted to the frontier.
+``check_hypotheses``, the one seed certificate, multiples by
+``elliptic.multiples`` and ``elliptic.add``, swept points by ``cp_sweep``,
+hops by ``u_hop``; the tangent point is −[2]P from the walk.  Each frontier
+point, the seed included, is walked once to [12]P.  ``generate``'s ``emit``
+is the one place where a candidate is dropped (over the bit cap),
+deduplicated on its affine (t, x, y), counted against max_points and
+admitted to the frontier.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
@@ -74,23 +76,19 @@ def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
 def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisReport:
     """Evaluate each seed condition at the affine point Q of the fiber E.
 
-    The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
-    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.
+    A singular fiber fails non-torsion.  The slope condition
+    3·z0·f3 + 2·f2·w0 ≠ 0 is checked as 3·t0·f3 + 2·f2 ≠ 0, the same
+    condition divided by w0 ≠ 0.
     """
-    _require_affine(E, Q)
-    return _fiber_report(S, E.t, not E.is_singular() and elliptic.torsion_status(E, Q) is None)
-
-
-def _require_affine(E: FiberCurve, Q: ECPoint) -> None:
     if Q.is_infinity or not elliptic.on_curve(E, Q):
         raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
-
-
-def _fiber_report(S: Surface, t0: Fraction, non_torsion: bool) -> HypothesisReport:
-    """The report for a point of the fiber t0, its torsion decided by the caller."""
+    try:
+        non_torsion = elliptic.torsion_status(E, Q) is None
+    except elliptic.SingularFiberError:
+        non_torsion = False
     smooth = smoothness_check(S).smooth
-    slope = 3 * t0 * S.params.f3 + 2 * S.params.f2 != 0
-    separable = poly.is_separable(S.f - UniPoly.constant(S.f(t0)))
+    slope = 3 * E.t * S.params.f3 + 2 * S.params.f2 != 0
+    separable = poly.is_separable(S.f - UniPoly.constant(S.f(E.t)))
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -247,21 +245,19 @@ def _within_cap(t: Fraction, Q: ECPoint, cap: int) -> bool:
     return max(bit_size(t), bit_size(Q.x), bit_size(Q.y)) <= cap
 
 
-def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, walk: Optional[List[ECPoint]],
-                cfg: GenerationConfig, skipped: List[str]
-                ) -> Iterator[Tuple[FiberCurve, ECPoint, str]]:
+def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
+                skipped: List[str]) -> Iterator[Tuple[FiberCurve, ECPoint, str]]:
     """(fiber, point, provenance) for each point the four mechanisms make
     from Q on E, checked on its fiber by its maker.
 
-    ``walk`` is Q's walk to [12]P when made (the seed's), else None.  The
-    multiples stop after the first one over the bit cap, yielded so that
-    ``emit`` records the skip; torsion skips go to ``skipped``.
+    Q is walked once, to [12]P.  The multiples stop after the first one
+    over the bit cap, yielded so that ``emit`` records the skip; torsion
+    skips go to ``skipped``.
     """
     t = E.t
     # group-law multiples on this fiber: one walk to [12]P decides torsion
     # and gives [2]P..[12]P; checked additions go on past it
-    if walk is None:
-        walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
+    walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
     if elliptic.walk_order(walk) is not None:
         skipped.append(f"torsion point on fiber t={t}")
     else:
@@ -285,22 +281,17 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, walk: Optional[List[ECPoi
 
 
 def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationReport:
-    """Breadth-first point generation from a hypothesis-certified seed.
+    """Breadth-first point generation from a seed that ``check_hypotheses``
+    certifies; any other seed is a HypothesisFailure.
 
     Every candidate of every level passes through ``emit``.  Generation
     stops as soon as max_points points are kept; ``truncated`` is then set
     when the depth asked for any expansion.
     """
-    if seed.w == 0:  # fails w0 ≠ 0
-        hyp = check_hypotheses(S, seed)
-    else:
-        # one walk to [12]P decides the seed's torsion and gives its multiples
-        E0, Q0 = S.fiber_point(seed)
-        _require_affine(E0, Q0)
-        walk0 = None if E0.is_singular() else elliptic.multiples(E0, Q0, max(elliptic.MAZUR_ORDERS))
-        hyp = _fiber_report(S, E0.t, walk0 is not None and elliptic.walk_order(walk0) is None)
+    hyp = check_hypotheses(S, seed)
     if not hyp.overall:
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
+    E0, Q0 = S.fiber_point(seed)
     report = GenerationReport()
     # affine (t, x, y) is canonical: one key per point of the w = 1 chart.
     # Keys are integer (numerator, denominator) pairs, which hash faster than
@@ -309,7 +300,7 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
     counts: Dict[Tuple[int, int], int] = {}
     # the fibers counted when the level began, and the entries it admits
     known_fibers: Set[Tuple[int, int]] = set()
-    next_frontier: List[Tuple[FiberCurve, ECPoint, Optional[List[ECPoint]]]] = []
+    next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
 
     def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> None:
         """Drop Q over the bit cap, else keep it once; a kept point whose
@@ -332,17 +323,17 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         if len(report.points) == cfg.max_points:
             raise _CapReached
         if tk not in known_fibers:
-            next_frontier.append((E, Q, None))
+            next_frontier.append((E, Q))
 
     try:
         emit(E0, Q0, "seed")
         # the seed is expanded even when it is over the bit cap
-        next_frontier = [(E0, Q0, walk0)]
+        next_frontier = [(E0, Q0)]
         for _level in range(cfg.depth):
             frontier, next_frontier = next_frontier, []
             known_fibers = set(counts)
-            for E, Q, walk in frontier:
-                for candidate in _candidates(S, E, Q, walk, cfg, report.skipped):
+            for E, Q in frontier:
+                for candidate in _candidates(S, E, Q, cfg, report.skipped):
                     emit(*candidate)
     except _CapReached:
         report.truncated = report.truncated or cfg.depth > 0

@@ -235,9 +235,10 @@ def test_generate_hop_surface(worked_surface_2):
 
 
 def test_generate_decides_torsion_once(worked_surface_2, monkeypatch):
-    # one walk to [12]P per expanded frontier point, the seed's included: the
-    # walk that decides the seed's torsion hypothesis is also its frontier
-    # walk, and no torsion_status runs on top of it
+    # one walk to [12]P per expanded frontier point, the seed's included; the
+    # seed's non-torsion hypothesis is decided by the one torsion_status call
+    # that check_hypotheses makes, which certifies by reduction and walks
+    # nothing
     S, seed = worked_surface_2, WPoint.parse("[1:2:1:1]")
     E0, Q0 = S.fiber_point(seed)
     level_1 = generate(S, seed, GenerationConfig(t_height_bound=2, multiple_bound=3, depth=1))
@@ -262,10 +263,11 @@ def test_generate_decides_torsion_once(worked_surface_2, monkeypatch):
     expanded = [(E0.t, Q0)] + [(r.t, r.point) for r in level_1.points if r.t != E0.t]
     assert len(expanded) > 1
     assert walked == expanded
-    assert torsion_calls == []
-    # check_hypotheses on the same seed still decides torsion by torsion_status
-    assert check_hypotheses(S, seed) == HypothesisReport(True, True, True, True, True)
     assert torsion_calls == [(E0.t, Q0)]
+    # check_hypotheses on the same seed makes the same one call again
+    assert check_hypotheses(S, seed) == HypothesisReport(True, True, True, True, True)
+    assert torsion_calls == [(E0.t, Q0)] * 2
+    assert walked == expanded
 
 
 @pytest.mark.parametrize("max_points", range(1, 6))
@@ -308,21 +310,49 @@ def test_generate_depth_zero(worked_surface, worked_seed):
     assert [r.provenance for r in rep.points] == ["seed"]
 
 
-def test_generate_rejects_bad_seed(worked_surface):
-    with pytest.raises(HypothesisFailure):
-        generate(worked_surface, WPoint.parse("[1:2:0:1]"), GenerationConfig())
+# seeds that fail the hypotheses, one cause each: (parameters, seed, report)
+BAD_SEEDS = {
+    # z0 = 0 on f = t³: slope and separability both fail
+    "slope-separability": ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[1:2:0:1]",
+                           (True, True, False, False, True)),
+    # (0, 1) has order 3 on the fiber t = -1 of y² = x³ + z⁶ − 2z³w³ − 2w⁶
+    "torsion": ((0, 0, 1, -2, -2, 0, 0, 0, 1), "[0:1:-1:1]", (True, True, True, True, False)),
+    # w0 = 0 fails the fiber-level conditions too
+    "w0-zero": ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[1:1:0:0]", (True, False, False, False, False)),
+    # the fiber t = 1 of y² = x³ − u² + u + 2, u = 2t³ − 2t² − t, is y² = x³
+    "singular-fiber": ((0, 0, -1, 1, 2, 0, -1, -2, 2), "[1:1:1:1]", (True, True, True, True, False)),
+    # y² = x³ + (t³ + 1)² is singular over the roots of t³ + 1
+    "singular-surface": ((0, 0, 1, 2, 1, 0, 0, 0, 1), "[-5:62:-4:1]",
+                         (False, True, True, True, True)),
+}
 
 
-def test_generate_rejects_torsion_seed():
-    # (0, 1) has order 3 on the fiber t = -1 of y² = x³ + z⁶ − 2z³w³ − 2w⁶,
-    # and the seed's other four hypotheses hold: generate's own walk must
-    # refuse it with the report check_hypotheses gives
-    S, seed = Surface(SurfaceParams(0, 0, 1, -2, -2, 0, 0, 0, 1)), WPoint.parse("[0:1:-1:1]")
+@pytest.mark.parametrize("cause", BAD_SEEDS)
+def test_generate_refuses_what_check_hypotheses_refuses(cause):
+    params, text, expected = BAD_SEEDS[cause]
+    S, seed = Surface(SurfaceParams(*params)), WPoint.parse(text)
     hyp = check_hypotheses(S, seed)
-    assert hyp == HypothesisReport(True, True, True, True, False)
+    assert hyp == HypothesisReport(*expected)
     with pytest.raises(HypothesisFailure) as err:
         generate(S, seed, GenerationConfig())
     assert str(err.value) == f"seed {seed} fails hypotheses: {hyp.to_json()}"
+
+
+def test_fiber_hypotheses_compute_one_discriminant(monkeypatch, worked_surface, worked_seed):
+    # the fiber's Fraction discriminant is computed once per check, by
+    # torsion_status, which also decides the singular fiber
+    calls = []
+    is_singular = elliptic.FiberCurve.is_singular
+    monkeypatch.setattr(elliptic.FiberCurve, "is_singular",
+                        lambda E: calls.append(E.t) or is_singular(E))
+    seeds = [(worked_surface, worked_seed)] + [
+        (Surface(SurfaceParams(*BAD_SEEDS[cause][0])), WPoint.parse(BAD_SEEDS[cause][1]))
+        for cause in ("torsion", "singular-fiber")]
+    for S, seed in seeds:
+        E, Q = S.fiber_point(seed)
+        calls.clear()
+        engine.check_fiber_hypotheses(S, E, Q)
+        assert calls == [E.t]
 
 
 def test_generate_bit_cap_flags_truncation(worked_surface, worked_seed):
