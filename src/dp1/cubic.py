@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
@@ -41,19 +41,6 @@ def cubic_value(S: Surface, X: Sequence[Fraction]) -> Fraction:
     x0, x1, x2, x3 = X
     quad = p.a * x0 * x2 + p.b * x0 * x3 + p.c * x2 * x2 + p.d * x2 * x3 + p.e * x3 * x3
     return x0 * x0 * x0 + x3 * (quad - x1 * x1)
-
-
-def cubic_gradient(S: Surface, X: Sequence[Fraction]) -> List[Fraction]:
-    """∇F_W(X): the four partials of the cubic form, written out."""
-    p = S.params
-    x0, x1, x2, x3 = X
-    return [
-        3 * x0 * x0 + (p.a * x2 + p.b * x3) * x3,
-        -2 * x1 * x3,
-        (p.a * x0 + 2 * p.c * x2 + p.d * x3) * x3,
-        p.a * x0 * x2 + 2 * p.b * x0 * x3 + p.c * x2 * x2 + 2 * p.d * x2 * x3
-        + 3 * p.e * x3 * x3 - x1 * x1,
-    ]
 
 
 def _canonical_p3(coords: Sequence[Fraction]) -> Tuple[int, int, int, int]:
@@ -98,34 +85,44 @@ class PlaneForm:
         if not any((self.alpha, self.beta, self.gamma, self.delta)):
             raise ValueError("zero plane form")
 
-    def evaluate(self, pt: Sequence[Fraction]) -> Fraction:
-        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
-        return a * pt[0] + b * pt[1] + g * pt[2] + d * pt[3]
-
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)
+
+
+def _text(X: Sequence[Fraction]) -> str:
+    """A point of P³ as the text [X0:X1:X2:X3] of its refusals."""
+    return ":".join(str(Fraction(v)) for v in X)
 
 
 def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
     """Gradient of the cubic form at the point X of W, in any representative.
 
     The gradient is quadratic, so rescaling X by μ scales it by μ² > 0, and
-    dividing by the content leaves one plane per point.  Euler's relation
-    X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
+    dividing by the content leaves one plane per point.  It is computed in
+    integers: X times the lcm L of its denominators, and the parameters
+    a..e times the lcm M of theirs, give M·L²·∇F(X), over ℤ.  Euler's
+    relation X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
     """
-    pt = [Fraction(v) for v in X]
-    grads = cubic_gradient(S, pt)
-    if not any(grads):
-        raise SingularImageError(f"[{':'.join(map(str, pt))}] is a singular point of W")
+    L = math.lcm(*(v.denominator for v in X))
+    x0, x1, x2, x3 = (v.numerator * (L // v.denominator) for v in X)
+    p = S.params
+    M = math.lcm(*(v.denominator for v in (p.a, p.b, p.c, p.d, p.e)))
+    a, b, c, d, e = (v.numerator * (M // v.denominator) for v in (p.a, p.b, p.c, p.d, p.e))
+    grads = (
+        3 * M * x0 * x0 + (a * x2 + b * x3) * x3,
+        -2 * M * x1 * x3,
+        (a * x0 + 2 * c * x2 + d * x3) * x3,
+        a * x0 * x2 + 2 * b * x0 * x3 + c * x2 * x2 + 2 * d * x2 * x3 + 3 * e * x3 * x3
+        - M * x1 * x1,
+    )
+    content = math.gcd(*grads)
+    if content == 0:
+        raise SingularImageError(f"[{_text(X)}] is a singular point of W")
     # divide by the content only; the gradient's own orientation is kept
-    num_gcd = math.gcd(*(gcomp.numerator for gcomp in grads))
-    den_lcm = math.lcm(*(gcomp.denominator for gcomp in grads))
-    scale = Fraction(num_gcd, den_lcm)
-    grads = [gcomp / scale for gcomp in grads]
-    plane = PlaneForm(*grads)
-    if plane.evaluate(pt) != 0:
-        raise ValueError(f"[{':'.join(map(str, pt))}] is not on the cubic model W")
-    return plane
+    alpha, beta, gamma, delta = (g // content for g in grads)
+    if alpha * x0 + beta * x1 + gamma * x2 + delta * x3 != 0:
+        raise ValueError(f"[{_text(X)}] is not on the cubic model W")
+    return PlaneForm(Fraction(alpha), Fraction(beta), Fraction(gamma), Fraction(delta))
 
 
 @dataclass(frozen=True)
@@ -154,13 +151,22 @@ def tangent_section(S: Surface, E: FiberCurve, Q: ECPoint) -> TangentData:
 def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -> UniPoly:
     """Eliminate y from αx + βy + c0 = 0 on E: β²(x³ + Ax + B) − (αx + c0)².
 
-    Requires β ≠ 0; the result is a genuine cubic in x.
+    Requires β ≠ 0; the result is a genuine cubic in x.  With α = an/ad,
+    β = bn/bd, c0 = cn/cd, A = An/Ad and B = Bn/Bd, the coefficients are put
+    over D = (ad·bd·cd)²·Ad·Bd and handed to UniPoly as integers.
     """
-    a, b, c0 = line
-    if b == 0:
+    (an, ad), (bn, bd), (cn, cd) = (v.as_integer_ratio() for v in line)
+    if bn == 0:
         raise ValueError("vertical line has no eliminated cubic")
-    b2 = b * b
-    return UniPoly((b2 * E.B - c0 * c0, b2 * E.A - 2 * a * c0, -a * a, b2))
+    (An, Ad), (Bn, Bd) = E.A.as_integer_ratio(), E.B.as_integer_ratio()
+    # β², α², α·c0 and c0², each times (ad·bd·cd)²
+    b2 = bn * bn * (ad * cd) ** 2
+    a2 = an * an * (bd * cd) ** 2
+    ac = an * cn * ad * bd * bd * cd
+    c2 = cn * cn * (ad * bd) ** 2
+    ABd = Ad * Bd
+    return UniPoly((b2 * Bn * Ad - c2 * ABd, b2 * An * Bd - 2 * ac * ABd, -a2 * ABd, b2 * ABd),
+                   (ad * bd * cd) ** 2 * ABd)
 
 
 def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:

@@ -1,10 +1,17 @@
-"""Short-Weierstrass group law over Q and the Mazur-bound torsion test."""
+"""Short-Weierstrass group law over Q and the Mazur-bound torsion test.
+
+Curves and points hold Fractions at the interface.  The chord-tangent step
+and the curve check work on integer numerators and denominators: a point is
+the reduced quadruple (xn, xd, yn, yd), and ``multiples`` carries its walk in
+that form, building Fractions only for the points it returns.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .rational import InvariantError
 
@@ -60,16 +67,38 @@ class ECPoint:
 O = ECPoint()
 
 
-def on_curve(E: FiberCurve, P: ECPoint) -> bool:
+# Two rationals as integers in lowest terms, (n1, d1, n2, d2) with d1, d2 > 0:
+# an affine point (x, y) or a curve's (A, B)
+Quad = Tuple[int, int, int, int]
+
+
+def _ints(P: ECPoint) -> Quad:
+    return P.x.as_integer_ratio() + P.y.as_integer_ratio()
+
+
+def _point(R: Quad) -> ECPoint:
+    return ECPoint(Fraction(R[0], R[1]), Fraction(R[2], R[3]))
+
+
+def _curve_ints(E: FiberCurve) -> Quad:
+    """(an, ad, bn, bd) with A = an/ad and B = bn/bd."""
+    return E.A.as_integer_ratio() + E.B.as_integer_ratio()
+
+
+def _on_curve_ints(curve: Quad, R: Quad) -> bool:
     """y² = x³ + Ax + B, in integers: with x = xn/xd, y = yn/yd, A = an/ad
-    and B = bn/bd, both sides times yd²·xd³·ad·bd."""
-    if P.is_infinity:
-        return True
-    (xn, xd), (yn, yd) = P.x.as_integer_ratio(), P.y.as_integer_ratio()
-    (an, ad), (bn, bd) = E.A.as_integer_ratio(), E.B.as_integer_ratio()
+    and B = bn/bd, both sides times yd²·xd³·ad·bd.  Holds for any nonzero
+    denominators, in lowest terms or not."""
+    an, ad, bn, bd = curve
+    xn, xd, yn, yd = R
     xd3 = xd * xd * xd
     rhs = (xn * xn * xn * ad + an * xn * xd * xd) * bd + bn * ad * xd3
     return yn * yn * xd3 * ad * bd == yd * yd * rhs
+
+
+def on_curve(E: FiberCurve, P: ECPoint) -> bool:
+    """Whether P lies on E, by ``_on_curve_ints``."""
+    return P.is_infinity or _on_curve_ints(_curve_ints(E), _ints(P))
 
 
 def _require_on_curve(E: FiberCurve, P: ECPoint) -> None:
@@ -83,6 +112,34 @@ def neg(P: ECPoint) -> ECPoint:
     return ECPoint(P.x, -P.y)
 
 
+def _reduced(n: int, d: int) -> Tuple[int, int]:
+    """n/d in lowest terms with d > 0, for d ≠ 0."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _chord_step(an: int, ad: int, P: Quad, Q: Quad) -> Optional[Quad]:
+    """P + Q for affine P and Q on y² = x³ + (an/ad)·x + B, which the caller
+    has checked; None for O.  One gcd each for λ, x3 and y3."""
+    x1n, x1d, y1n, y1d = P
+    x2n, x2d, y2n, y2d = Q
+    if x1n == x2n and x1d == x2d:
+        if y1n == -y2n and y1d == y2d:
+            return None
+        # doubling (P == Q, y != 0): λ = (3x² + A)/(2y)
+        ln, ld = _reduced((3 * x1n * x1n * ad + an * x1d * x1d) * y1d, 2 * y1n * x1d * x1d * ad)
+    else:
+        ln, ld = _reduced((y2n * y1d - y1n * y2d) * x1d * x2d, (x2n * x1d - x1n * x2d) * y1d * y2d)
+    # x3 = λ² − x1 − x2, y3 = λ(x1 − x3) − y1
+    ld2 = ld * ld
+    x3n, x3d = _reduced(ln * ln * x1d * x2d - (x1n * x2d + x2n * x1d) * ld2, ld2 * x1d * x2d)
+    y3n, y3d = _reduced(ln * (x1n * x3d - x3n * x1d) * y1d - y1n * ld * x1d * x3d,
+                        ld * x1d * x3d * y1d)
+    return x3n, x3d, y3n, y3d
+
+
 def _chord(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     """Chord-tangent addition with the point at infinity as origin; the
     caller has checked P and Q on E."""
@@ -90,16 +147,8 @@ def _chord(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
         return Q
     if Q.is_infinity:
         return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return O
-        # doubling (P == Q, y != 0)
-        lam = (3 * P.x * P.x + E.A) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return ECPoint(x3, y3)
+    R = _chord_step(*E.A.as_integer_ratio(), _ints(P), _ints(Q))
+    return O if R is None else _point(R)
 
 
 def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
@@ -113,7 +162,8 @@ def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
 
 
 def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
-    """[P, [2]P, ..., [n]P], one chord step each.
+    """[P, [2]P, ..., [n]P], one chord step each; after [k]P = O the walk
+    starts again at [k + 1]P = P.
 
     P and each new multiple are checked on E once: P off E is an
     OffCurveError, a multiple off E an InvariantError.
@@ -121,12 +171,19 @@ def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
     if n < 1:
         raise ValueError("the walk needs n >= 1")
     _require_on_curve(E, P)
-    walk = [P]
+    if P.is_infinity:
+        return [O] * n
+    curve, p = _curve_ints(E), _ints(P)
+    an, ad = curve[:2]
+    walk, acc = [P], p
     for k in range(2, n + 1):
-        acc = _chord(E, walk[-1], P)
-        if not on_curve(E, acc):
-            raise InvariantError(f"[{k}]{P} = {acc} is not on y^2 = x^3 + {E.A}x + {E.B}")
-        walk.append(acc)
+        acc = p if acc is None else _chord_step(an, ad, acc, p)
+        if acc is None:
+            walk.append(O)
+        elif not _on_curve_ints(curve, acc):
+            raise InvariantError(f"[{k}]{P} = {_point(acc)} is not on y^2 = x^3 + {E.A}x + {E.B}")
+        else:
+            walk.append(_point(acc))
     return walk
 
 
@@ -170,14 +227,15 @@ def _nontorsion_mod(E: FiberCurve, P: ECPoint, p: int) -> bool:
 def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
     """Exact order of P if torsion (in the Mazur set), else None.
 
-    P is checked on E first.  Reduction mod REDUCTION_PRIME then certifies
-    infinite order in 11 steps over F_p (Silverman, AEC VII.3.1: torsion
-    injects under good reduction at p > 12); when it cannot, the order is
-    the first O among [1]P, ..., [12]P of the exact walk.
+    P is checked on E first, then E for singularity.  Reduction mod
+    REDUCTION_PRIME then certifies infinite order in 11 steps over F_p
+    (Silverman, AEC VII.3.1: torsion injects under good reduction at
+    p > 12); when it cannot, the order is the first O among [1]P, ..., [12]P
+    of the exact walk.
     """
+    _require_on_curve(E, P)
     if E.is_singular():
         raise SingularFiberError("torsion test requires a nonsingular fiber")
-    _require_on_curve(E, P)
     if _nontorsion_mod(E, P, REDUCTION_PRIME):
         return None
     return walk_order(multiples(E, P, max(MAZUR_ORDERS)))

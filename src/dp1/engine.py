@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
-from .rational import InvariantError, bit_size, format_rational, is_square
+from .rational import InvariantError, format_rational, is_square
 from .surface import Surface, WPoint, smoothness_check
 
 
@@ -73,17 +73,23 @@ def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
     return HypothesisReport(smoothness_check(S).smooth, False, False, False, False)
 
 
+def _not_on_fiber(E: FiberCurve, Q: ECPoint) -> ValueError:
+    return ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
+
+
 def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisReport:
     """Evaluate each seed condition at the affine point Q of the fiber E.
 
-    A singular fiber fails non-torsion.  The slope condition
-    3·z0·f3 + 2·f2·w0 ≠ 0 is checked as 3·t0·f3 + 2·f2 ≠ 0, the same
-    condition divided by w0 ≠ 0.
+    Q is checked on E once, by ``torsion_status``.  A singular fiber fails
+    non-torsion.  The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
+    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.
     """
-    if Q.is_infinity or not elliptic.on_curve(E, Q):
-        raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
+    if Q.is_infinity:
+        raise _not_on_fiber(E, Q)
     try:
         non_torsion = elliptic.torsion_status(E, Q) is None
+    except elliptic.OffCurveError:
+        raise _not_on_fiber(E, Q) from None
     except elliptic.SingularFiberError:
         non_torsion = False
     smooth = smoothness_check(S).smooth
@@ -241,8 +247,15 @@ class _CapReached(Exception):
     """max_points points are kept: generation stops where it is."""
 
 
-def _within_cap(t: Fraction, Q: ECPoint, cap: int) -> bool:
-    return max(bit_size(t), bit_size(Q.x), bit_size(Q.y)) <= cap
+def _point_key(t: Fraction, Q: ECPoint) -> Tuple[int, ...]:
+    """(t, x, y) as the integers (tn, td, xn, xd, yn, yd): canonical, since
+    each Fraction is in lowest terms."""
+    return t.as_integer_ratio() + Q.x.as_integer_ratio() + Q.y.as_integer_ratio()
+
+
+def _within_cap(key: Tuple[int, ...], cap: int) -> bool:
+    """Whether no integer of a point key is longer than cap bits."""
+    return max(map(int.bit_length, key)) <= cap
 
 
 def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
@@ -265,7 +278,7 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
         for n in range(2, cfg.multiple_bound + 1):
             acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
             yield E, acc, f"multiple({n})"
-            if not _within_cap(t, acc, cfg.bit_cap):
+            if not _within_cap(_point_key(t, acc), cfg.bit_cap):
                 break
     # tangent-section point −[2]P, from the walk, then a bounded-height
     # sweep of the same section; y = 0 has order 2, skipped above
@@ -308,17 +321,16 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
 
         Raises _CapReached once the kept point is the max_points-th.
         """
-        t = E.t
-        if not _within_cap(t, Q, cfg.bit_cap):
+        key = _point_key(E.t, Q)
+        if not _within_cap(key, cfg.bit_cap):
             report.truncated = True
             report.skipped.append(f"bit cap exceeded ({provenance})")
             return
-        tk = (t.numerator, t.denominator)
-        key = tk + (Q.x.numerator, Q.x.denominator, Q.y.numerator, Q.y.denominator)
         if key in seen:
             return
         seen.add(key)
-        report.points.append(PointRecord(t, Q, provenance))
+        report.points.append(PointRecord(E.t, Q, provenance))
+        tk = key[:2]
         counts[tk] = counts.get(tk, 0) + 1
         if len(report.points) == cfg.max_points:
             raise _CapReached

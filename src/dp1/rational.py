@@ -2,8 +2,8 @@
 
 Rationals are plain ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator, so the canonical-form invariants come
-for free).  This module parses, prints and measures them, and decides which
-are squares.
+for free).  This module parses and prints them, and decides which are
+squares.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def parse_rational(s: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     return str(x)
-
-
-def bit_size(x: Fraction) -> int:
-    """Max bit length of numerator and denominator, used for runaway caps."""
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
 def is_square(x: Union[int, Fraction]) -> Optional[Fraction]:

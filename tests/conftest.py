@@ -244,18 +244,20 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
     return result
 
 
-def off_curve_after(chord, calls: int = 0):
-    """The chord step ``chord``, broken after its first ``calls`` calls: each
-    later affine result has its y doubled, so it leaves the curve whenever
-    y ≠ 0.  Stands in for a group law gone wrong, which only the check of the
-    function making the point can catch."""
+def off_curve_after(step, calls: int = 0):
+    """The integer chord step ``step`` (``elliptic._chord_step``), broken
+    after its first ``calls`` calls: each later affine result has its y
+    doubled, so it leaves the curve whenever y ≠ 0.  Stands in for a group
+    law gone wrong, which only the check of the function making the point
+    can catch."""
     made = itertools.count(1)
 
-    def broken(E, P, Q):
-        R = chord(E, P, Q)
-        if next(made) <= calls or R.is_infinity:
+    def broken(an, ad, P, Q):
+        R = step(an, ad, P, Q)
+        if next(made) <= calls or R is None:
             return R
-        return ECPoint(R.x, 2 * R.y)
+        xn, xd, yn, yd = R
+        return xn, xd, 2 * yn, yd
 
     return broken
 
@@ -288,6 +290,26 @@ def cubic_value_and_gradient_sympy(params: SurfaceParams, X):
         params.a, params.b, params.c, params.d, params.e, *(Fraction(v) for v in X)
     )
     return value, grad
+
+
+def cubic_gradient(S: Surface, X) -> list:
+    """Reference ∇F_W(X): the four partials of the cubic form, written out
+    in Fractions; the oracle for cubic.tangent_plane."""
+    p = S.params
+    x0, x1, x2, x3 = (Fraction(v) for v in X)
+    return [
+        3 * x0 * x0 + (p.a * x2 + p.b * x3) * x3,
+        -2 * x1 * x3,
+        (p.a * x0 + 2 * p.c * x2 + p.d * x3) * x3,
+        p.a * x0 * x2 + 2 * p.b * x0 * x3 + p.c * x2 * x2 + 2 * p.d * x2 * x3
+        + 3 * p.e * x3 * x3 - x1 * x1,
+    ]
+
+
+def bit_size(x: Fraction) -> int:
+    """Reference size of a rational: the larger bit length of its numerator
+    and denominator, the measure of engine.GenerationConfig's bit cap."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
 def normal_form_residue(regime: str, a, b, c, d, e, s) -> sp.Expr:

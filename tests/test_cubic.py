@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     X_SYMBOLS,
+    cubic_gradient,
     cubic_value_and_gradient_sympy,
     mul,
     normal_form_by_sympy,
@@ -22,9 +24,9 @@ from conftest import (
 )
 from dp1 import elliptic
 from dp1.cubic import (
+    SingularImageError,
     TwoTorsionSeedError,
     classify_singularities,
-    cubic_gradient,
     cubic_value,
     fiber_line_cubic,
     tangent_plane,
@@ -92,7 +94,7 @@ def test_euler_relation_random():
         S, P = surface_through(rng)
         pt = [Fraction(v) for v in theta(S, P)]
         plane = tangent_plane(S, pt)
-        assert plane.evaluate(pt) == 0
+        assert sum(c * v for c, v in zip(plane.as_tuple(), pt)) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +164,8 @@ def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
     ell = worked_section
     assert ell.restrict_to_fiber(Fraction(-1)) == (3, -2, 5)
     assert ell.restrict_to_fiber(Fraction(0)) == (3, -2, 5)
-    assert ell.plane.evaluate(theta(worked_surface, worked_seed)) == 0
+    pt = theta(worked_surface, worked_seed)
+    assert sum(c * v for c, v in zip(ell.plane.as_tuple(), pt)) == 0
 
 
 def test_restricted_cubic_worked(worked_surface, worked_seed):
@@ -373,3 +376,48 @@ def test_transversality_degree_three_generic(worked_surface, worked_seed):
     E = worked_surface.fiber_at(Fraction(-1))
     cub = fiber_line_cubic(E, (Fraction(3), Fraction(-2), Fraction(5)))
     assert cub.degree() == 3
+
+
+# differential test: the integer tangent plane against the Fraction gradient
+# divided by its content
+def plane_by_fractions(S, X):
+    grads = cubic_gradient(S, X)
+    content = Fraction(math.gcd(*(g.numerator for g in grads)),
+                       math.lcm(*(g.denominator for g in grads)))
+    return tuple(g / content for g in grads)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32), nonzero_rat, st.sampled_from(["affine", "theta", "X3 = 0"]))
+def test_tangent_plane_matches_fraction_gradient(seed, mu, where):
+    # random rational surfaces, at a point of W in a representative scaled by
+    # μ, negative μ included
+    rng = random.Random(seed)
+    S, P = surface_through(rng)
+    if where == "affine":
+        t, (x, y) = P.t(), P.affine_xy()
+        X = [x, y, S.f(t), Fraction(1)]
+    elif where == "theta":
+        X = [Fraction(v) for v in theta(S, P)]
+    else:
+        X = [Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(0)]
+    X = [mu * v for v in X]
+    grads = cubic_gradient(S, X)
+    if not any(grads):
+        with pytest.raises(SingularImageError):
+            tangent_plane(S, X)
+        return
+    plane = tangent_plane(S, X)
+    assert plane.as_tuple() == plane_by_fractions(S, X)
+    assert all(isinstance(v, Fraction) and v.denominator == 1 for v in plane.as_tuple())
+    assert plane == tangent_plane(S, [-v for v in X])
+
+
+def test_tangent_plane_refusals_keep_their_text():
+    # c = 4: [0:±2:1:0] are the singular points of W; (1, 1, 1, 1) is off W
+    S = Surface(SurfaceParams(0, 0, 4, 0, 1, 0, 0, 0, 1))
+    with pytest.raises(SingularImageError, match=r"^\[0:-2:1:0\] is a singular point of W$"):
+        tangent_plane(S, (0, -2, 1, 0))
+    with pytest.raises(ValueError, match=r"^\[1:1/2:1:1\] is not on the cubic model W$"):
+        tangent_plane(S, (1, Fraction(1, 2), 1, 1))

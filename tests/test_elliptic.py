@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ def test_identity():
     P = ECPoint(Fraction(-1), Fraction(1))
     assert add(E2, P, O) == P
     assert add(E2, O, P) == P
+    assert multiples(E2, O, 3) == [O] * 3
 
 
 def test_doubling_worked_example():
@@ -122,6 +124,31 @@ def checked_walk(E, P, n):
     return walk
 
 
+def fraction_chord(E, P, Q):
+    """Reference chord-tangent sum in Fraction arithmetic, O as origin."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return O
+        lam = (3 * P.x * P.x + E.A) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return ECPoint(x3, lam * (P.x - x3) - P.y)
+
+
+def fraction_walk(E, P, n):
+    """Reference walk [P, [2]P, ..., [n]P] by the Fraction chord; it starts
+    again at P after O, as the chord with O does."""
+    walk = [P]
+    while len(walk) < n:
+        walk.append(fraction_chord(E, walk[-1], P))
+    return walk
+
+
 coord = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
 
@@ -133,7 +160,7 @@ def test_multiples_match_checked_walk(x0, y0, A, n):
     if E.is_singular():
         return
     P = ECPoint(x0, y0)
-    assert multiples(E, P, n) == checked_walk(E, P, n)
+    assert multiples(E, P, n) == checked_walk(E, P, n) == fraction_walk(E, P, n)
 
 
 @pytest.mark.parametrize("make", [
@@ -143,7 +170,7 @@ def test_multiples_match_checked_walk(x0, y0, A, n):
 def test_group_law_certifies_what_it_makes(monkeypatch, make):
     # no later step checks a multiple or a sum again: a chord step that lands
     # off the curve must be caught by the function that took it
-    monkeypatch.setattr(elliptic, "_chord", off_curve_after(elliptic._chord))
+    monkeypatch.setattr(elliptic, "_chord_step", off_curve_after(elliptic._chord_step))
     with pytest.raises(InvariantError, match="is not on y"):
         make(ECPoint(Fraction(-1), Fraction(1)))
 
@@ -178,8 +205,9 @@ def test_torsion_status_known_orders(A, B, x, y, order):
     P = ECPoint(Fraction(x), Fraction(y))
     walk = checked_walk(E, P, order)
     assert walk[-1] == O and O not in walk[:-1]
-    # the walk goes on past O: [order + k]P = [k]P
+    # the walk goes on past O: [order + k]P = [k]P, as in the Fraction walk
     assert multiples(E, P, order + 2) == walk + walk[:2]
+    assert multiples(E, P, 2 * order + 1) == fraction_walk(E, P, 2 * order + 1)
     assert torsion_status(E, P) == order
     assert torsion_status(E, neg(P)) == order
     for Q in (P, neg(P)):
@@ -263,3 +291,34 @@ def test_on_curve_on_walks_and_their_negatives():
             assert on_curve(E, R) and on_curve(E, neg(R))
             if not R.is_infinity:
                 assert not on_curve(E, ECPoint(R.x, R.y + 1))
+
+
+# differential test: the integer chord step against the Fraction chord it
+# replaces
+def assert_lowest_terms(R):
+    xn, xd, yn, yd = R
+    assert xd > 0 and yd > 0
+    assert math.gcd(xn, xd) == 1 and math.gcd(yn, yd) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_rat, big_rat, big_rat, big_rat, big_rat,
+       st.sampled_from(["chord", "double", "negation"]))
+def test_chord_step_matches_fraction_chord(x0, y0, x1, y1, A, kind):
+    # a curve through P = (x0, y0), and through Q = (x1, y1) for a chord
+    if kind == "chord":
+        if x1 == x0:
+            return
+        A = (y1 * y1 - x1 ** 3 - y0 * y0 + x0 ** 3) / (x1 - x0)
+    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
+    P = ECPoint(x0, y0)
+    Q = {"chord": ECPoint(x1, y1), "double": P, "negation": neg(P)}[kind]
+    assert on_curve(E, P) and on_curve(E, Q)
+    expected = fraction_chord(E, P, Q)
+    R = elliptic._chord_step(*A.as_integer_ratio(), elliptic._ints(P), elliptic._ints(Q))
+    if expected.is_infinity:
+        assert R is None
+    else:
+        assert_lowest_terms(R)
+        assert R == expected.x.as_integer_ratio() + expected.y.as_integer_ratio()
+    assert add(E, P, Q) == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import off_curve_after, surface_through, time_limit
+from conftest import bit_size, off_curve_after, surface_through, time_limit
 from dp1 import elliptic, engine, poly
 from dp1.cubic import tangent_point, tangent_section
 from dp1.elliptic import ECPoint
@@ -185,7 +185,8 @@ def test_generate_raises_on_a_point_off_its_fiber(worked_surface, worked_seed, m
     # The seed's walk takes 11 chord steps to [12]P; add takes the 12th.
     if maker in ("multiples", "add"):
         calls = 0 if maker == "multiples" else max(elliptic.MAZUR_ORDERS) - 1
-        monkeypatch.setattr(elliptic, "_chord", off_curve_after(elliptic._chord, calls))
+        monkeypatch.setattr(elliptic, "_chord_step",
+                            off_curve_after(elliptic._chord_step, calls))
     else:
         monkeypatch.setattr(poly, "rational_roots", with_false_root(worked_surface, maker))
     with pytest.raises(InvariantError, match=message):
@@ -353,6 +354,59 @@ def test_fiber_hypotheses_compute_one_discriminant(monkeypatch, worked_surface, 
         calls.clear()
         engine.check_fiber_hypotheses(S, E, Q)
         assert calls == [E.t]
+
+
+def test_fiber_hypotheses_check_the_point_once(monkeypatch, worked_surface, worked_seed):
+    # torsion_status checks Q on E, and nothing else does when reduction
+    # decides non-torsion
+    calls = []
+    on_curve = elliptic.on_curve
+    monkeypatch.setattr(elliptic, "on_curve", lambda E, Q: calls.append(Q) or on_curve(E, Q))
+    E, Q = worked_surface.fiber_point(worked_seed)
+    assert engine.check_fiber_hypotheses(worked_surface, E, Q).non_torsion
+    assert calls == [Q]
+
+
+@pytest.mark.parametrize("cause, point", [
+    ("smooth fiber", ECPoint(Fraction(0), Fraction(1))),
+    ("smooth fiber", elliptic.O),
+    ("singular fiber", ECPoint(Fraction(1), Fraction(2))),
+    ("singular fiber", elliptic.O),
+])
+def test_fiber_hypotheses_refuse_a_point_off_its_fiber(worked_surface, cause, point):
+    # the fiber t = 1 of the singular-fiber seed's surface is y² = x³
+    if cause == "smooth fiber":
+        S, t = worked_surface, Fraction(-1)
+    else:
+        S, t = Surface(SurfaceParams(*BAD_SEEDS["singular-fiber"][0])), Fraction(1)
+    E = S.fiber_at(t)
+    assert E.is_singular() == (cause == "singular fiber")
+    with pytest.raises(ValueError) as err:
+        engine.check_fiber_hypotheses(S, E, point)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{point} is not an affine point of the fiber t={t}"
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_emit_keeps_a_point_at_the_bit_cap(worked_surface, worked_seed, k):
+    # [k]P of exactly bit_cap bits is kept; with the cap one bit lower it is
+    # dropped and recorded, and the multiples stop there.  [13]P comes from
+    # the checked add past the walk.
+    E, P = worked_surface.fiber_point(worked_seed)
+    walk = elliptic.multiples(E, P, 14)
+    bits = [max(bit_size(E.t), bit_size(R.x), bit_size(R.y)) for R in walk]
+    assert bits == sorted(set(bits))  # strictly increasing
+    cap = bits[k - 1]
+    for bit_cap, kept in ((cap, True), (cap - 1, False)):
+        cfg = GenerationConfig(t_height_bound=1, multiple_bound=k + 1, bit_cap=bit_cap)
+        rep = generate(worked_surface, worked_seed, cfg)
+        made = {r.provenance: r.point for r in rep.points}
+        assert (f"multiple({k})" in made) == kept
+        assert (f"bit cap exceeded (multiple({k}))" in rep.skipped) == (not kept)
+        if kept:
+            assert made[f"multiple({k})"] == walk[k - 1]
+        else:
+            assert rep.truncated and f"multiple({k + 1})" not in str(rep.skipped)
 
 
 def test_generate_bit_cap_flags_truncation(worked_surface, worked_seed):

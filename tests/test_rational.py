@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bit_size
 from dp1.rational import (
-    bit_size,
     format_rational,
     is_square,
     parse_rational,
