@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
@@ -148,25 +148,29 @@ def tangent_section(S: Surface, E: FiberCurve, Q: ECPoint) -> TangentData:
     return TangentData(tangent_plane(S, theta_q), S, E, Q)
 
 
+def line_cubic_ints(line: Tuple[int, int, int], curve: elliptic.Quad) -> List[int]:
+    """β²(x³ + Ax + B) − (αx + c0)², times Ad·Bd, in ℤ[x], for the line
+    αx + βy + c0 = 0 given by integers (any common multiple of it) and
+    A = An/Ad, B = Bn/Bd given as ``curve`` = (An, Ad, Bn, Bd)."""
+    a, b, c = line
+    An, Ad, Bn, Bd = curve
+    b2, ABd = b * b, Ad * Bd
+    return [b2 * Bn * Ad - c * c * ABd, b2 * An * Bd - 2 * a * c * ABd, -a * a * ABd, b2 * ABd]
+
+
 def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -> UniPoly:
     """Eliminate y from αx + βy + c0 = 0 on E: β²(x³ + Ax + B) − (αx + c0)².
 
-    Requires β ≠ 0; the result is a genuine cubic in x.  With α = an/ad,
-    β = bn/bd, c0 = cn/cd, A = An/Ad and B = Bn/Bd, the coefficients are put
-    over D = (ad·bd·cd)²·Ad·Bd and handed to UniPoly as integers.
+    Requires β ≠ 0; the result is a genuine cubic in x.  The line times the
+    lcm L of its denominators goes to ``line_cubic_ints``, whose result is
+    put over L²·Ad·Bd.
     """
-    (an, ad), (bn, bd), (cn, cd) = (v.as_integer_ratio() for v in line)
-    if bn == 0:
+    if line[1] == 0:
         raise ValueError("vertical line has no eliminated cubic")
-    (An, Ad), (Bn, Bd) = E.A.as_integer_ratio(), E.B.as_integer_ratio()
-    # β², α², α·c0 and c0², each times (ad·bd·cd)²
-    b2 = bn * bn * (ad * cd) ** 2
-    a2 = an * an * (bd * cd) ** 2
-    ac = an * cn * ad * bd * bd * cd
-    c2 = cn * cn * (ad * bd) ** 2
-    ABd = Ad * Bd
-    return UniPoly((b2 * Bn * Ad - c2 * ABd, b2 * An * Bd - 2 * ac * ABd, -a2 * ABd, b2 * ABd),
-                   (ad * bd * cd) ** 2 * ABd)
+    L = math.lcm(*(v.denominator for v in line))
+    curve = elliptic._curve_ints(E)
+    return UniPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
+                   L * L * curve[1] * curve[3])
 
 
 def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:

@@ -43,7 +43,10 @@ class FiberCurve:
     B: Fraction
 
     def is_singular(self) -> bool:
-        return 4 * self.A ** 3 + 27 * self.B ** 2 == 0
+        """Whether 4A³ + 27B² = 0, in integers: with A = an/ad and B = bn/bd,
+        4·an³·bd² + 27·bn²·ad³ = 0."""
+        an, ad, bn, bd = _curve_ints(self)
+        return 4 * an ** 3 * bd * bd + 27 * bn * bn * ad ** 3 == 0
 
     def rhs(self, x: Fraction) -> Fraction:
         return x ** 3 + self.A * x + self.B

@@ -12,6 +12,12 @@ point, the seed included, is walked once to [12]P.  ``generate``'s ``emit``
 is the one place where a candidate is dropped (over the bit cap),
 deduplicated on its affine (t, x, y), counted against max_points and
 admitted to the frontier.
+
+The sweep and the hop work on integer numerators, building Fractions only
+for the points they return, and divide out the roots they already know
+instead of searching for them: the double root x0 on the seed's own fiber,
+and t0 in f − f(t0), whose quadratic cofactor also decides separability.
+A known root that is not one makes the exact division raise InvariantError.
 """
 
 from __future__ import annotations
@@ -82,7 +88,8 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
 
     Q is checked on E once, by ``torsion_status``.  A singular fiber fails
     non-torsion.  The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
-    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.
+    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.  Separability
+    of f − f(t0) is decided on the quadratic left by dividing out t0.
     """
     if Q.is_infinity:
         raise _not_on_fiber(E, Q)
@@ -94,7 +101,9 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
         non_torsion = False
     smooth = smoothness_check(S).smooth
     slope = 3 * E.t * S.params.f3 + 2 * S.params.f2 != 0
-    separable = poly.is_separable(S.f - UniPoly.constant(S.f(E.t)))
+    # f − f(t0) = (t − t0)·q is separable iff q is and q(t0) ≠ 0
+    q = UniPoly(_hop_quadratic(S, E.t))
+    separable = poly.is_separable(q) and q(E.t) != 0
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -115,37 +124,80 @@ def bounded_height_rationals(height: int) -> Iterator[Fraction]:
             yield Fraction(-p, q)
 
 
+def _divide_out(cs: List[int], p: int, q: int, mult: int) -> List[int]:
+    """cs / (q·x − p)^mult, for a root p/q of cs known to have multiplicity
+    at least mult; ``poly.int_exact_div`` raises InvariantError when it has
+    not."""
+    for _ in range(mult):
+        cs = poly.int_exact_div(cs, (-p, q))
+    return cs
+
+
+def _hop_quadratic(S: Surface, t0: Fraction) -> List[int]:
+    """The integer quadratic q with f − f(t0) = (t − t0)·q up to a constant.
+
+    With t0 = p/q0 and f = cs/den, q0³·cs − q0³·cs(t0) has integer
+    coefficients and the root t0, which ``_divide_out`` divides out.
+    """
+    p, q0 = t0.as_integer_ratio()
+    g = [q0 ** 3 * c for c in S.f.cs]
+    g[0] -= S.f.value_ints(p, q0)[0]
+    return _divide_out(g, p, q0, 1)
+
+
+def _quadratic_roots(q: List[int]) -> List[Tuple[int, int]]:
+    """The distinct rational roots (p, r) of q0 + q1·t + q2·t², q2 ≠ 0, in
+    lowest terms with r > 0, sorted: (−q1 ± s)/(2·q2) where s = isqrt(Δ)
+    squares to Δ = q1² − 4·q0·q2."""
+    c, b, a = q
+    disc = b * b - 4 * a * c
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
+        return []
+    return sorted({elliptic._reduced(-b - s, 2 * a), elliptic._reduced(-b + s, 2 * a)})
+
+
 def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoint]]:
     """Hop a point to other fibers through the multisection structure.
 
     The surface equation sees z only through u = f(z/w), so a fixed (x0, y0)
     lies on every fiber t with c·u² + (a·x0 + d)·u + (b·x0 + e − k) = 0 and
     f(t) = u, where k = y0² − x0³.  Returns each hop with its fiber,
-    excluding t0 itself.
+    excluding t0 itself, for each u in increasing order.  The fibers are
+    found on integer numerators: for u0 = f(t0), the known root t0 is divided
+    out of f − u0 and the quadratic left is solved with one ``math.isqrt``;
+    the other u, when c ≠ 0, goes to ``poly.int_roots``.  Each hop is checked
+    on its fiber.
     """
     if Q.is_infinity:
         raise ValueError("hop needs an affine point")
     p = S.params
-    x0, y0 = Q.x, Q.y
-    k = y0 * y0 - x0 ** 3
-    u0 = S.f(t0)
-    u_quad = UniPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
-    if u_quad(u0) != 0:
-        raise InvariantError(f"the u-value {u0} of fiber t={t0} does not solve the hop equation")
-    u_values = {u0}
+    tn0, td0 = t0.as_integer_ratio()
+    pt = elliptic._ints(Q)
+    # the hop equation at u0 = f(t0) is Q on the fiber t0
+    if not elliptic._on_curve_ints(S.A_t.value_ints(tn0, td0) + S.B_t.value_ints(tn0, td0), pt):
+        raise InvariantError(
+            f"the u-value {S.f(t0)} of fiber t={t0} does not solve the hop equation")
+    ts = _quadratic_roots(_hop_quadratic(S, t0))
     if p.c != 0:
         # the second root is rational by Vieta
-        u_values.add(-(p.a * x0 + p.d) / p.c - u0)
+        u0 = S.f(t0)
+        u1 = -(p.a * Q.x + p.d) / p.c - u0
+        if u1 != u0:
+            un, ud = u1.as_integer_ratio()
+            g = [ud * c for c in S.f.cs]
+            g[0] -= un * S.f.den
+            more = [(tn, td) for tn, td, _mult in poly.int_roots(g)]
+            ts = more + ts if u1 < u0 else ts + more
     out: List[Tuple[FiberCurve, ECPoint]] = []
-    for u in sorted(u_values):
-        shifted = S.f - UniPoly.constant(u)
-        for t, _mult in poly.rational_roots(shifted):
-            if t == t0:
-                continue
-            E = S.fiber_at(t)
-            if not elliptic.on_curve(E, Q):
-                raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
-            out.append((E, Q))
+    for tn, td in ts:
+        if tn == tn0 and td == td0:
+            continue
+        t = Fraction(tn, td)
+        E = S.fiber_at(t)
+        if not elliptic._on_curve_ints(elliptic._curve_ints(E), pt):
+            raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
+        out.append((E, Q))
     return out
 
 
@@ -154,36 +206,51 @@ def cp_sweep(
 ) -> List[Tuple[FiberCurve, ECPoint]]:
     """Sweep the tangent section at P across bounded-height fibers.
 
-    Restricts the section to each fiber, solves the resulting line/curve
-    intersection for rational points, and excludes P itself.  Returns each
-    point with its fiber.
+    Restricts the section to each fiber t = tn/td as an integer line
+    αx + βy + c = 0, eliminates y into an integer cubic in x, solves it for
+    rational points and excludes P itself.  On P's own fiber the plane is
+    tangent at P, so the double root x0 is divided out and the linear factor
+    left gives the third point; elsewhere ``poly.int_roots`` finds the
+    roots.  Each point is checked on its fiber in integers, and Fractions
+    are built only for the points returned, each with its fiber.
     """
-    S, p_t, P = ell.surface, ell.fiber.t, ell.point
+    S, P = ell.surface, ell.point
+    plane = ell.plane.as_tuple()
+    L = math.lcm(*(v.denominator for v in plane))
+    al, be, ga, de = (v.numerator * (L // v.denominator) for v in plane)
+    own, pt = ell.fiber.t.as_integer_ratio(), elliptic._ints(P)
     out: List[Tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
-        a, b, c0 = ell.restrict_to_fiber(t)
         E = S.fiber_at(t)
-        found: List[ECPoint] = []
+        curve = elliptic._curve_ints(E)
+        tn, td = t.as_integer_ratio()
+        # L·den·td³ times αx + βy + γ·f(t) + δ
+        fn, fd = S.f.value_ints(tn, td)
+        a, b, c = al * fd, be * fd, ga * fn + de * fd
         if b != 0:
-            cub = cubic.fiber_line_cubic(E, (a, b, c0))
-            for x, _mult in poly.rational_roots(cub):
-                found.append(ECPoint(x, -(a * x + c0) / b))
+            cub = cubic.line_cubic_ints((a, b, c), curve)
+            if (tn, td) == own:
+                l0, l1 = _divide_out(cub, pt[0], pt[1], 2)
+                xs = [elliptic._reduced(-l0, l1)]
+            else:
+                xs = [(xn, xd) for xn, xd, _mult in poly.int_roots(cub)]
+            found = [(xn, xd) + elliptic._reduced(-(a * xn + c * xd), b * xd) for xn, xd in xs]
         elif a != 0:
-            x = -c0 / a
-            v = E.rhs(x)
-            root = is_square(v)
-            if root is not None:
-                found.append(ECPoint(x, root))
-                if root != 0:
-                    found.append(ECPoint(x, -root))
+            x = Fraction(-c, a)
+            root = is_square(E.rhs(x))
+            if root is None:
+                continue
+            found = [elliptic._ints(ECPoint(x, root))]
+            if root != 0:
+                found.append(elliptic._ints(ECPoint(x, -root)))
         else:
             continue  # plane misses the affine fiber entirely
-        for Q in found:
-            if t == p_t and Q == P:
+        for R in found:
+            if R == pt and (tn, td) == own:
                 continue
-            if not elliptic.on_curve(E, Q):
-                raise InvariantError(f"swept point {Q} fails the fiber t={t}")
-            out.append((E, Q))
+            if not elliptic._on_curve_ints(curve, R):
+                raise InvariantError(f"swept point {elliptic._point(R)} fails the fiber t={t}")
+            out.append((E, elliptic._point(R)))
     return out
 
 
@@ -284,13 +351,25 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
     # sweep of the same section; y = 0 has order 2, skipped above
     if Q.y != 0:
         yield E, elliptic.neg(walk[1]), "tangent"
-        for Es, Qs in cp_sweep(cubic.tangent_section(S, E, Q), cfg.t_height_bound):
-            if not Es.is_singular():
-                yield Es, Qs, f"sweep({Es.t})"
+        for Es, Qs in _on_smooth_fibers(cp_sweep(cubic.tangent_section(S, E, Q),
+                                                 cfg.t_height_bound)):
+            yield Es, Qs, f"sweep({Es.t})"
     # multisection hops
-    for Eh, Qh in u_hop(S, t, Q):
-        if not Eh.is_singular():
-            yield Eh, Qh, "hop"
+    for Eh, Qh in _on_smooth_fibers(u_hop(S, t, Q)):
+        yield Eh, Qh, "hop"
+
+
+def _on_smooth_fibers(found: List[Tuple[FiberCurve, ECPoint]]
+                      ) -> Iterator[Tuple[FiberCurve, ECPoint]]:
+    """The pairs of ``found`` whose fiber is smooth.  ``cp_sweep`` and
+    ``u_hop`` return the points of a fiber next to each other, with one
+    FiberCurve, so each fiber is decided once."""
+    last, smooth = None, False
+    for E, Q in found:
+        if E is not last:
+            last, smooth = E, not E.is_singular()
+        if smooth:
+            yield E, Q
 
 
 def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationReport:

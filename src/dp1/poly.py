@@ -122,14 +122,15 @@ class UniPoly:
         return result
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        """f(p/q) for f of degree n: the integer qⁿ·cs(p/q), by homogeneous
-        Horner, over den·qⁿ.  One Fraction, built at the end."""
+        """f(t), one Fraction built from ``value_ints``."""
+        return Fraction(*self.value_ints(t.numerator, t.denominator))
+
+    def value_ints(self, p: int, q: int) -> Tuple[int, int]:
+        """f(p/q), q > 0, for f of degree n: the integer qⁿ·cs(p/q), by
+        homogeneous Horner, and den·qⁿ, not reduced."""
         if not self.cs:
-            return Fraction(0)
-        q = t.denominator
-        return Fraction(
-            _homogeneous_value(self.cs, t.numerator, q), self.den * q ** (len(self.cs) - 1)
-        )
+            return 0, 1
+        return _homogeneous_value(self.cs, p, q), self.den * q ** (len(self.cs) - 1)
 
     def derivative(self) -> "UniPoly":
         return UniPoly(deriv(self.cs), self.den)
@@ -318,31 +319,33 @@ def _simple_roots_mod(g: Sequence[int], ell: int) -> Optional[List[int]]:
     return roots
 
 
-def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of f with multiplicities, by p-adic lifting (Loos).
+def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """All rational roots p/q of the nonzero, trimmed integer polynomial cs, as
+    (p, q, multiplicity) with q > 0 and gcd(p, q) = 1, sorted by (p, q); by
+    p-adic lifting (Loos).
 
-    f is cleared to a primitive integer polynomial of degree n with leading
-    coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic: the rational roots of
-    f are m/lc for the integer roots m of g, and |m| ≤ B = 1 + max|gᵢ|.  The
-    roots of g mod the first prime ℓ ≥ 5 at which all of them are simple are
-    Newton-lifted to a modulus past 2B; each symmetric residue is a candidate,
-    tested exactly by homogeneous Horner.  A multiple root mod the first
-    prime makes g squarefree, once: a squarefree g has a nonzero
-    discriminant, so some prime has only simple roots.  A root's
-    multiplicity is found by repeated exact division by q·x − p.
+    Powers of t give the root 0.  The rest is made a primitive polynomial of
+    degree n with leading coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic:
+    the rational roots of f are m/lc for the integer roots m of g, and
+    |m| ≤ B = 1 + max|gᵢ|.  The roots of g mod the first prime ℓ ≥ 5 at which
+    all of them are simple are Newton-lifted to a modulus past 2B; each
+    symmetric residue is a candidate, tested exactly by homogeneous Horner.
+    A multiple root mod the first prime makes g squarefree, once: a
+    squarefree g has a nonzero discriminant, so some prime has only simple
+    roots.  A root's multiplicity is found by repeated exact division by
+    q·x − p.
     """
-    if f.is_zero():
-        raise ValueError("rational_roots of the zero polynomial")
-    roots: List[Tuple[Fraction, int]] = []
-    # factor out powers of t
+    if not cs:
+        raise ValueError("rational roots of the zero polynomial")
+    roots: List[Tuple[int, int, int]] = []
     k = 0
-    while f.cs[k] == 0:
+    while cs[k] == 0:
         k += 1
     if k:
-        roots.append((Fraction(0), k))
-    if f.degree() - k < 1:
+        roots.append((0, 1, k))
+    ics = _primitive(cs[k:])
+    if len(ics) < 2:
         return roots
-    ics = _primitive(f.cs[k:])
     n, lc = len(ics) - 1, ics[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(ics[:-1])] + [1]
     bound = 1 + max(abs(c) for c in g[:-1])  # also bounds g's squarefree part's roots
@@ -372,6 +375,12 @@ def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
             h = int_exact_div(h, (-p, q))
             mult += 1
         if mult:
-            roots.append((Fraction(p, q), mult))
-    roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
+            roots.append((p, q, mult))
+    roots.sort()
     return roots
+
+
+def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
+    """All rational roots of f with multiplicities, sorted by (numerator,
+    denominator): ``int_roots`` on f's numerators."""
+    return [(Fraction(p, q), m) for p, q, m in int_roots(f.cs)]

@@ -9,9 +9,12 @@ import pytest
 import sympy as sp
 from sympy import factorint
 
-from dp1.cubic import tangent_section
+from dp1 import poly
+from dp1.cubic import TangentData, tangent_section
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
+from dp1.engine import bounded_height_rationals
 from dp1.poly import UniPoly, gcd
+from dp1.rational import InvariantError, is_square
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
 
@@ -260,6 +263,68 @@ def off_curve_after(step, calls: int = 0):
         return xn, xd, 2 * yn, yd
 
     return broken
+
+
+# -- the sweep and the hop in Fraction arithmetic -------------------------
+# The reference that the integer cp_sweep and u_hop are tested against: the
+# same steps, one Fraction per coefficient, every root searched for.
+
+def cp_sweep_by_fractions(ell: TangentData, t_height_bound: int):
+    """Reference sweep: each fiber's line and cubic β²(x³ + Ax + B) − (αx + c0)²
+    in Fractions, every root from ``poly.rational_roots``, y = −(αx + c0)/β,
+    P itself left out and each point checked by ``on_curve``."""
+    S, p_t, P = ell.surface, ell.fiber.t, ell.point
+    out = []
+    for t in bounded_height_rationals(t_height_bound):
+        a, b, c0 = ell.restrict_to_fiber(t)
+        E = S.fiber_at(t)
+        found = []
+        if b != 0:
+            cub = UniPoly((E.B, E.A, 0, 1)).scale(b * b) - UniPoly((c0, a)) ** 2
+            for x, _mult in poly.rational_roots(cub):
+                found.append(ECPoint(x, -(a * x + c0) / b))
+        elif a != 0:
+            x = -c0 / a
+            root = is_square(E.rhs(x))
+            if root is not None:
+                found.append(ECPoint(x, root))
+                if root != 0:
+                    found.append(ECPoint(x, -root))
+        else:
+            continue
+        for Q in found:
+            if t == p_t and Q == P:
+                continue
+            if not on_curve(E, Q):
+                raise InvariantError(f"swept point {Q} fails the fiber t={t}")
+            out.append((E, Q))
+    return out
+
+
+def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
+    """Reference hop: the u-values solving c·u² + (a·x0 + d)·u + b·x0 + e − k
+    = 0 with k = y0² − x0³, in increasing order, and for each the roots of
+    f − u from ``poly.rational_roots``, t0 left out."""
+    p = S.params
+    x0, y0 = Q.x, Q.y
+    k = y0 * y0 - x0 ** 3
+    u0 = S.f(t0)
+    u_quad = UniPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
+    if u_quad(u0) != 0:
+        raise InvariantError(f"the u-value {u0} of fiber t={t0} does not solve the hop equation")
+    u_values = {u0}
+    if p.c != 0:
+        u_values.add(-(p.a * x0 + p.d) / p.c - u0)
+    out = []
+    for u in sorted(u_values):
+        for t, _mult in poly.rational_roots(S.f - UniPoly.constant(u)):
+            if t == t0:
+                continue
+            E = S.fiber_at(t)
+            if not on_curve(E, Q):
+                raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
+            out.append((E, Q))
+    return out
 
 
 # -- F_W and its normal forms, in sympy --------------------------------

@@ -27,6 +27,21 @@ E2 = FiberCurve(Fraction(-1), Fraction(0), Fraction(2))   # y² = x³ + 2
 E4 = FiberCurve(Fraction(0), Fraction(0), Fraction(4))    # y² = x³ + 4
 
 
+small_rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rational, small_rational, small_rational, st.booleans())
+def test_is_singular_matches_fraction_discriminant(A, B, k, singular):
+    # the integer test against 4A³ + 27B² in Fractions, on curves made
+    # singular as y² = (x − k)²(x + 2k), A = −3k², B = 2k³, and on others
+    if singular:
+        A, B = -3 * k * k, 2 * k ** 3
+    E = FiberCurve(Fraction(0), A, B)
+    assert E.is_singular() == (4 * A ** 3 + 27 * B ** 2 == 0)
+    assert E.is_singular() or not singular
+
+
 def test_identity():
     P = ECPoint(Fraction(-1), Fraction(1))
     assert add(E2, P, O) == P

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bit_size, off_curve_after, surface_through, time_limit
+from conftest import (
+    bit_size,
+    cp_sweep_by_fractions,
+    off_curve_after,
+    surface_through,
+    time_limit,
+    u_hop_by_fractions,
+)
 from dp1 import elliptic, engine, poly
-from dp1.cubic import tangent_point, tangent_section
+from dp1.cubic import SingularImageError, tangent_point, tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -23,7 +30,7 @@ from dp1.engine import (
     u_hop,
 )
 from dp1.rational import InvariantError, is_square
-from dp1.surface import Surface, SurfaceParams, WPoint
+from dp1.surface import DegenerateSurfaceError, Surface, SurfaceParams, WPoint, smoothness_check
 
 
 def _by_t(found):
@@ -90,14 +97,21 @@ def test_u_hop_no_new_fiber(worked_surface):
 
 
 def test_u_hop_linear_when_c_zero():
-    S = Surface(SurfaceParams(1, 0, 0, 1, 2, 0, 0, 0, 1))
-    # (x0,y0)=(1,2) on fiber t with f(t)=u0: solve e.g. t=... just check no crash
-    # find a point first via the oracle
-    for t, q in brute_force_oracle(S, 3, 1, 2, 1):
-        hops = u_hop(S, t, q)
-        for Eh, qh in hops:
-            assert elliptic.on_curve(S.fiber_at(Eh.t), qh)
-        break
+    # c = 0 leaves one u-value, u0 = f(t0); with f = t³ − t, f(t) = f(0) = 0
+    # also at t = ±1, so each point of the fiber t = 0 hops to both
+    S = Surface(SurfaceParams(1, 0, 0, 1, 2, 0, -1, 0, 1))
+    found = brute_force_oracle(S, 3, 1, 0, 1)
+    assert (Fraction(0), ECPoint(Fraction(-1), Fraction(1))) in found
+    for t, Q in found:
+        hops = u_hop(S, t, Q)
+        assert _by_t(hops) == [(Fraction(-1), Q), (Fraction(1), Q)]
+        assert hops == u_hop_by_fractions(S, t, Q)
+
+
+def test_u_hop_refuses_a_point_off_its_fiber(worked_surface):
+    # (−1, 1) lies on the fiber t = −1 of the worked surface, not on t = 0
+    with pytest.raises(InvariantError, match="the u-value 0 of fiber t=0 does not solve"):
+        u_hop(worked_surface, Fraction(0), ECPoint(Fraction(-1), Fraction(1)))
 
 
 def test_cp_sweep_finds_tangent_point(worked_section):
@@ -134,6 +148,28 @@ def test_cp_sweep_vertical_section():
         assert Es == S.fiber_at(Es.t) and elliptic.on_curve(Es, Qs)
 
 
+def test_generate_drops_points_on_singular_fibers(monkeypatch):
+    # the sweep from this seed meets the cuspidal fiber t = 1 in two points,
+    # between its own fiber's point and two on the smooth fiber t = −1;
+    # generate keeps all but the two on t = 1, and decides each fiber of each
+    # maker once: the seed's by torsion_status, then the sweep's 0, 1 and −1
+    # and the hop's −1 and 2
+    S = Surface(SurfaceParams(0, 0, 1, -1, 0, -1, 2, 1, -1))
+    seed = WPoint.parse("[-1:-1:0:1]")
+    E, Q = S.fiber_point(seed)
+    swept = cp_sweep(tangent_section(S, E, Q), 1)
+    assert [(Es.t, Es.is_singular()) for Es, _ in swept] == [
+        (0, False), (1, True), (1, True), (-1, False), (-1, False)]
+    calls = []
+    is_singular = elliptic.FiberCurve.is_singular
+    monkeypatch.setattr(elliptic.FiberCurve, "is_singular",
+                        lambda E: calls.append(E.t) or is_singular(E))
+    rep = generate(S, seed, GenerationConfig(t_height_bound=1, multiple_bound=2))
+    assert calls == [0, 0, 1, -1, -1, 2]
+    sweep = [(r.t, r.point) for r in rep.points if r.provenance.startswith("sweep")]
+    assert sweep == [(Es.t, Qs) for Es, Qs in swept if Es.t == -1]
+
+
 def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section, worked_surface_2):
     found = cp_sweep(worked_section, 2)
     hops = u_hop(worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))
@@ -143,34 +179,185 @@ def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section,
             assert E == S.fiber_at(E.t)
 
 
-FALSE_ROOT = Fraction(1, 7919)
+SWEEP_KINDS = ("generic", "vertical", "c=0", "singular", "double")
 
 
-def with_false_root(S: Surface, makes: str):
-    """rational_roots that also reports FALSE_ROOT, a non-root, for the
-    polynomials of one maker: f − u in t for "hop", any other (the sweep's
-    fiber-line cubics in x) for "sweep"."""
-    roots = poly.rational_roots
+def sweep_case(rng: random.Random, height: int, kind: str):
+    """(S, E, Q, section): a surface of parameter height ≤ height (before the
+    kind's own solving), smooth (for c = 0, over every finite fiber), with an
+    affine point Q on its fiber E, whose tangent section exists, of one kind:
 
-    def broken(g):
-        found = roots(g)
-        is_hop = g.coeffs[1:] == S.f.coeffs[1:]
-        assert FALSE_ROOT not in dict(found)
-        return found + [(FALSE_ROOT, 1)] if is_hop == (makes == "hop") else found
+    - "vertical": y0 = 0, so the section is a vertical line on every fiber;
+    - "c=0": c = 0, so the hop has one u-value;
+    - "singular": E is y² = (x − k)²(x + 2k), nodal or (k = 0) cuspidal,
+      and Q = (s² − 2k, s(s² − 3k)) a smooth point on it;
+    - "double": f = f3·(t − t0)²·(t − r) + k0, so t0 is a double root of
+      f − f(t0).
+    """
+    def rat() -> Fraction:
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
-    return broken
+    while True:
+        a, b, c, d, f0, f1, f2, f3, t0, x0, y0 = (rat() for _ in range(11))
+        if f3 == 0:
+            continue
+        if kind == "vertical":
+            y0 = Fraction(0)
+        elif kind == "c=0":
+            c = Fraction(0)
+        elif kind == "double":
+            r = rat()
+            f0, f1, f2 = f0 - f3 * t0 * t0 * r, f3 * (2 * t0 * r + t0 * t0), -f3 * (r + 2 * t0)
+        u0 = f0 + t0 * (f1 + t0 * (f2 + t0 * f3))
+        if kind == "singular":
+            k, s = rat(), rat()
+            b, e = -3 * k * k - a * u0, 2 * k ** 3 - (c * u0 + d) * u0
+            x0, y0 = s * s - 2 * k, s * (s * s - 3 * k)
+            if y0 == 0:
+                continue
+        else:
+            e = y0 * y0 - x0 ** 3 - (a * u0 + b) * x0 - (c * u0 + d) * u0
+        S = Surface(SurfaceParams(a, b, c, d, e, f0, f1, f2, f3))
+        try:
+            verdict = smoothness_check(S)
+        except DegenerateSurfaceError:
+            continue
+        if not (verdict.smooth or c == 0 and all(w[0] != "t" for w in verdict.witnesses)):
+            continue
+        E, Q = S.fiber_at(t0), ECPoint(x0, y0)
+        try:
+            return S, E, Q, tangent_section(S, E, Q)
+        except SingularImageError:
+            continue
 
 
-def test_sweep_and_hop_certify_what_they_make(worked_surface, worked_section, monkeypatch):
+def separable_by_fractions(S: Surface, t0: Fraction) -> bool:
+    """Reference separability of f − f(t0), on the cubic itself."""
+    return poly.is_separable(S.f - poly.UniPoly.constant(S.f(t0)))
+
+
+def assert_matches_fraction_sweep_and_hop(S, E, Q, ell, t_height):
+    found = cp_sweep(ell, t_height)
+    assert found == cp_sweep_by_fractions(ell, t_height)
+    assert u_hop(S, E.t, Q) == u_hop_by_fractions(S, E.t, Q)
+    assert engine.check_fiber_hypotheses(S, E, Q).separable == separable_by_fractions(S, E.t)
+    return found
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(SWEEP_KINDS), st.integers(1, 3),
+       st.integers(1, 4))
+def test_sweep_and_hop_match_fraction_references(rng_seed, kind, height, t_height):
+    # the integer sweep and hop return the Fraction versions' fibers and
+    # points, in their order; so does the separability test on the quadratic
+    S, E, Q, ell = sweep_case(random.Random(rng_seed), height, kind)
+    t0 = E.t
+    if kind == "singular":
+        # the fiber t0 is swept, and the third point of the tangent line
+        # there lies on a singular fiber
+        t_height = max(t_height, abs(t0.numerator), t0.denominator)
+    found = assert_matches_fraction_sweep_and_hop(S, E, Q, ell, t_height)
+    if kind == "vertical":
+        assert ell.plane.beta == 0
+    elif kind == "singular":
+        # the tangent line at Q meets E again at x3, a point unless Q is a flex
+        a, b, _c0 = ell.restrict_to_fiber(t0)
+        x3 = (a / b) ** 2 - 2 * Q.x
+        assert E.is_singular()
+        assert any(Es.t == t0 and Qs.x == x3 for Es, Qs in found) == (x3 != Q.x)
+    elif kind == "double":
+        assert S.f.derivative()(t0) == 0
+
+
+@pytest.mark.parametrize("params, seed", [
+    ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[-1:1:-1:1]"),  # the worked seed
+    ((0, 0, 1, 0, 2, 0, 0, 0, 1), "[1:2:1:1]"),  # two u-values, a hop to t = −1
+    ((0, 0, 1, -2, -2, 0, 0, 0, 1), "[0:1:-1:1]"),  # order 3: the tangent is a flex
+    ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[1:2:0:1]"),  # t0 = 0 a triple root of f − f(t0)
+    ((0, 0, -1, 1, 2, 0, -1, -2, 2), "[1:1:1:1]"),  # on the cusp y² = x³ at t = 1
+    ((-1, -1, -1, 1, 0, 0, -2, 0, 2), "[-1:0:-1:1]"),  # β = 0: a vertical section
+    ((1, 0, 0, 1, 2, 0, -1, 0, 1), "[-1:1:0:1]"),  # c = 0, hops to t = ±1
+])
+@pytest.mark.parametrize("t_height", [1, 4])
+def test_sweep_and_hop_match_fraction_references_examples(params, seed, t_height):
+    S = Surface(SurfaceParams(*params))
+    E, Q = S.fiber_point(WPoint.parse(seed))
+    assert_matches_fraction_sweep_and_hop(S, E, Q, tangent_section(S, E, Q), t_height)
+
+
+FALSE_ROOT = (1, 7919)  # 1/7919, a root of no polynomial these tests meet
+
+
+def with_false_root(monkeypatch, S: Surface, makes: str) -> None:
+    """Make the integer root finders of one maker also report FALSE_ROOT.
+
+    For "sweep", ``poly.int_roots`` on the fiber-line cubics in x; for
+    "hop", ``poly.int_roots`` on f − u (whose coefficients past the constant
+    are f's, up to scale) and ``engine._quadratic_roots``, which solves what
+    is left of f − f(t0) once t0 is divided out.
+    """
+    int_roots, quadratic_roots = poly.int_roots, engine._quadratic_roots
+    f = S.f.cs
+
+    def is_hop(cs):
+        return len(cs) == len(f) and all(c * f[-1] == g * cs[-1] for c, g in zip(cs[1:], f[1:]))
+
+    def broken_int_roots(cs):
+        found = int_roots(cs)
+        assert FALSE_ROOT not in [r[:2] for r in found]
+        return found + [FALSE_ROOT + (1,)] if is_hop(cs) == (makes == "hop") else found
+
+    monkeypatch.setattr(poly, "int_roots", broken_int_roots)
+    if makes == "hop":
+        monkeypatch.setattr(engine, "_quadratic_roots", lambda q: quadratic_roots(q) + [FALSE_ROOT])
+
+
+def test_sweep_and_hop_certify_what_they_make(worked_surface, worked_section, worked_surface_2,
+                                              monkeypatch):
     # no later step checks a swept or hopped point again: a point off its
-    # fiber must be caught by the function that made it
+    # fiber must be caught by the function that made it.  The worked hop has
+    # one u-value, the second surface's two.
     S, (E, Q) = worked_surface, (worked_section.fiber, worked_section.point)
-    monkeypatch.setattr(poly, "rational_roots", with_false_root(S, "sweep"))
-    with pytest.raises(InvariantError, match="swept point"):
-        cp_sweep(worked_section, 1)
-    monkeypatch.setattr(poly, "rational_roots", with_false_root(S, "hop"))
-    with pytest.raises(InvariantError, match="hopped point"):
-        u_hop(S, E.t, Q)
+    with monkeypatch.context() as m:
+        with_false_root(m, S, "sweep")
+        with pytest.raises(InvariantError, match="swept point"):
+            cp_sweep(worked_section, 1)
+    for S, t0, Q in ((S, E.t, Q), (worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))):
+        with monkeypatch.context() as m:
+            with_false_root(m, S, "hop")
+            with pytest.raises(InvariantError, match="hopped point"):
+                u_hop(S, t0, Q)
+
+
+def wrong_known_root(monkeypatch, mult: int) -> None:
+    """Make ``engine._divide_out`` divide by the known root plus one, for the
+    divisions of multiplicity ``mult``: 2 is the sweep's double root x0 on
+    P's own fiber, 1 is t0 in f − f(t0)."""
+    divide_out = engine._divide_out
+
+    def broken(cs, p, q, m):
+        return divide_out(cs, p + q if m == mult else p, q, m)
+
+    monkeypatch.setattr(engine, "_divide_out", broken)
+
+
+@pytest.mark.parametrize("division", ["sweep", "hop", "separability"])
+def test_a_wrong_known_root_is_refused(worked_surface, worked_seed, worked_section, monkeypatch,
+                                       division):
+    # each root that the sweep and the hop divide out instead of searching
+    # for is checked by the exact division itself: a wrong one raises, and
+    # the maker returns no point
+    S, (E, Q) = worked_surface, (worked_section.fiber, worked_section.point)
+    wrong_known_root(monkeypatch, 2 if division == "sweep" else 1)
+    make = {
+        "sweep": lambda: cp_sweep(worked_section, 1),
+        "hop": lambda: u_hop(S, E.t, Q),
+        "separability": lambda: engine.check_fiber_hypotheses(S, E, Q),
+    }[division]
+    with pytest.raises(InvariantError, match="does not divide"):
+        make()
+    with pytest.raises(InvariantError, match="does not divide"):
+        generate(S, worked_seed, GenerationConfig(t_height_bound=1, multiple_bound=2))
 
 
 @pytest.mark.parametrize("maker, n, message", [
@@ -188,7 +375,7 @@ def test_generate_raises_on_a_point_off_its_fiber(worked_surface, worked_seed, m
         monkeypatch.setattr(elliptic, "_chord_step",
                             off_curve_after(elliptic._chord_step, calls))
     else:
-        monkeypatch.setattr(poly, "rational_roots", with_false_root(worked_surface, maker))
+        with_false_root(monkeypatch, worked_surface, maker)
     with pytest.raises(InvariantError, match=message):
         generate(worked_surface, worked_seed, GenerationConfig(t_height_bound=1, multiple_bound=n))
 

@@ -29,6 +29,7 @@ from dp1.poly import (
     gcd,
     int_exact_div,
     int_mul,
+    int_roots,
     is_separable,
     rational_roots,
     squarefree_factorization,
@@ -416,6 +417,37 @@ def test_rational_roots_match_fraction_oracle(planted, zero_mult, cofactor, scal
     for r, m in planted + [(Fraction(0), zero_mult)]:
         expected[r] = expected.get(r, 0) + m
     assert rational_roots(f) == by_root_key({r: m for r, m in expected.items() if m})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(planted_root, st.integers(1, 3)), max_size=4),
+    st.integers(0, 2),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(any),
+    st.integers(-6, 6).filter(bool),
+)
+def test_int_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
+    # the integer kernel on integer polynomials that need not be primitive:
+    # planted roots p/q as factors (q·x − p)^m, a root at 0 of multiplicity
+    # zero_mult, and a cofactor that may add roots of its own
+    cs = [scale * c for c in cofactor]
+    while cs[-1] == 0:
+        cs.pop()
+    for r, m in planted:
+        for _ in range(m):
+            cs = int_mul(cs, [-r.numerator, r.denominator])
+    cs = [0] * zero_mult + cs
+    assume(len(cs) <= 13)
+    expected = [(r.numerator, r.denominator, m) for r, m in rational_roots_by_fractions(UniPoly(cs))]
+    assert int_roots(cs) == expected
+    assert rational_roots(UniPoly(cs)) == [(Fraction(p, q), m) for p, q, m in expected]
+
+
+def test_int_roots_refuses_zero():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        int_roots([])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rational_roots(UniPoly(()))
 
 
 thirty_bit_prime = st.integers(2 ** 29, 2 ** 30 - 2 ** 10).map(nextprime)
