@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from . import elliptic, poly
+from . import elliptic
 from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
 from .rational import InvariantError, is_square
@@ -29,10 +29,6 @@ class SingularImageError(ValueError):
 
 class TwoTorsionSeedError(ValueError):
     """The tangent construction degenerates for 2-torsion seeds."""
-
-
-class DegenerateRestrictionError(ValueError):
-    """A plane restricts to the zero form on the requested fiber."""
 
 
 def cubic_value(S: Surface, X: Sequence[Fraction]) -> Fraction:
@@ -278,23 +274,3 @@ def classify_singularities(S: Surface) -> SingularityReport:
         kind = "E6"
     verified = verify_normal_form(S)
     return SingularityReport(locus, sqrt_c, kind, verified, locus_points)
-
-
-def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
-    """Number of distinct points (over the closure) cut on P's fiber by the
-    tangent section at R, via the squarefree degree of the eliminated cubic."""
-    if R.w == 0 or P.w == 0:
-        raise ValueError("transversality check needs w != 0 for both points")
-    E = S.fiber_at(P.t())
-    if E.is_singular():
-        raise ValueError("fiber of P is singular")
-    a, b, c0 = tangent_section(S, *S.fiber_point(R)).restrict_to_fiber(P.t())
-    if a == 0 and b == 0:
-        if c0 == 0:
-            raise DegenerateRestrictionError("plane restricts to zero on the fiber")
-        return 1  # the section cuts 3·O
-    if b == 0:
-        x0 = -c0 / a
-        return 2 if E.rhs(x0) != 0 else 1
-    cubic = fiber_line_cubic(E, (a, b, c0))
-    return poly.squarefree_part(cubic).degree()

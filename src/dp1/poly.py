@@ -238,12 +238,6 @@ def squarefree_split(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
     return h, int_exact_div(cs, h)
 
 
-def squarefree_part(f: UniPoly) -> UniPoly:
-    if f.is_zero():
-        raise ValueError("squarefree part of zero is undefined")
-    return UniPoly(squarefree_split(f.cs)[1]).monic()
-
-
 def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
     """Yun's algorithm in ℤ[t]: return [(g_i, i)] with f = lc · ∏ g_i^i, g_i
     monic.  Each step divides b and c by the same primitive gcd, so they stay

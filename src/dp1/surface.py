@@ -2,9 +2,16 @@
 
 Covers construction from the nine rational parameters, weighted-point
 normalization and membership, the exact smoothness decision for the branch
-sextic (the t chart, plus the point at infinity s = 0, which is singular iff
-c = 0), a mod-p exhaustive oracle cross-checking it over the same points of
+sextic, a mod-p exhaustive oracle cross-checking it over the points of
 P¹(F_p), and the degree-12 discriminant bookkeeping for singular fibers.
+
+A = α(f) and B = β(f) for α = a·u + b and β = c·u² + d·u + e, so the
+surface is the base change along u = f(t) of a rational elliptic surface
+over the u-line.  Smoothness of the t chart is decided there, on
+polynomials of degree at most 4 in u; the point at infinity s = 0 is
+singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only for a
+singular surface, to list its witnesses.  The mod-p oracle shares neither:
+it scans the t chart point by point.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
-from .rational import format_rational, parse_rational
+from .rational import InvariantError, format_rational, parse_rational
 
 
 class DegenerateSurfaceError(ValueError):
@@ -282,10 +289,20 @@ class WPoint:
         return Fraction(self.x, self.w ** 2), Fraction(self.y, self.w ** 3)
 
 
+def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
+    """cs without its trailing zeros."""
+    k = len(cs)
+    while k and cs[k - 1] == 0:
+        k -= 1
+    return tuple(cs[:k])
+
+
 class Surface:
     """An immutable member of the family, with its chart polynomials.
 
-    A_t = a·f + b and B_t = c·f² + d·f + e are the Weierstrass coefficients
+    alpha and beta are the integer numerators, over the one denominator
+    ab_den and with no trailing zero, of α = a·u + b and β = c·u² + d·u + e.
+    A_t = α(f) and B_t = β(f) are the Weierstrass coefficients
     as polynomials in t = z/w; A_s, B_s are their chart-at-infinity
     counterparts in s = w/z (degree-4 and degree-6 reversals of the
     homogeneous forms).
@@ -294,8 +311,17 @@ class Surface:
     def __init__(self, params: SurfaceParams):
         p = self.params = params
         f = self.f = params.f_poly()
-        self.A_t = f.scale(p.a) + UniPoly.constant(p.b)
-        self.B_t = (f * f).scale(p.c) + f.scale(p.d) + UniPoly.constant(p.e)
+        # α(u) = a·u + b and β(u) = c·u² + d·u + e as integer numerators over
+        # one denominator m; with f = F/n, A = α(f) and B = β(f) are
+        # (r0·n + r1·F)/(m·n) and (s0·n² + s1·n·F + s2·F²)/(m·n²) in ℤ[t]
+        m = self.ab_den = math.lcm(*(v.denominator for v in (p.a, p.b, p.c, p.d, p.e)))
+        r0, r1, s0, s1, s2 = (v.numerator * (m // v.denominator) for v in (p.b, p.a, p.e, p.d, p.c))
+        self.alpha = _trimmed((r0, r1))
+        self.beta = _trimmed((s0, s1, s2))
+        F, n = f.cs, f.den
+        self.A_t = UniPoly(poly.combination(n, (r0,), r1, F), m * n)
+        sF = poly.combination(n * n, (s0,), s1 * n, F)
+        self.B_t = UniPoly(poly.combination(1, sF, s2, poly.int_mul(F, F)), m * n * n)
         self.A_s = self.A_t.reverse(4)
         self.B_s = self.B_t.reverse(6)
         # smoothness_check's verdict, or the message of its
@@ -391,17 +417,70 @@ def smoothness_check(S: Surface) -> SmoothnessVerdict:
     return S._smoothness
 
 
+def _critical_value_poly(F: Sequence[int], n: int) -> List[int]:
+    """D(u) = disc_t(F(t) − n·u) for the integer cubic F, a quadratic in u
+    whose roots are the critical values of f = F/n: the u over which f′ = 0."""
+    f0, f1, f2, f3 = F
+    k1, k2 = 18 * f3 * f2 * f1 - 4 * f2 ** 3, -27 * f3 * f3
+    return [f2 * f2 * f1 * f1 - 4 * f3 * f1 ** 3 + (k1 + k2 * f0) * f0,
+            -n * (k1 + 2 * k2 * f0), k2 * n * n]
+
+
+def _u_line_singular(S: Surface) -> bool:
+    """Whether the t chart has a singular point, decided on the u-line.
+
+    A = α(f) and B = β(f), so Δ(t) = −16·δ(f) with δ = 4α³ + 27β², and
+    2AB′ − 3A′B = f′·γ(f) with γ = 2αβ′ − 3α′β; also B′ = f′·β′(f).  Every
+    u has a preimage t, and f′ vanishes over u exactly when D(u) = 0 (see
+    ``_critical_value_poly``).  So the conditions of
+    ``_chart_singular_witnesses`` on t become conditions on u: a root of
+    gcd(δ, γ·D) that is not a root of α, or a common root of α, β and β′·D
+    (of β and β′·D when α ≡ 0).  On the numerators r, s of α, β over m,
+    δ·m³ = 4r³ + 27m·s² and γ·m² = 2rs′ − 3r′s.  α has degree ≤ 1, so its
+    root is rational when it has one.
+    """
+    r, s = S.alpha, S.beta
+    r3 = poly.int_mul(r, poly.int_mul(r, r))
+    delta = poly.combination(4, r3, 27 * S.ab_den, poly.int_mul(s, s))
+    if not delta:
+        raise DegenerateSurfaceError("discriminant vanishes identically")
+    D = _critical_value_poly(S.f.cs, S.f.den)
+    ds = poly.deriv(s)
+    if not r:  # A ≡ 0
+        return len(poly.int_gcd(s, poly.int_mul(ds, D))) > 1
+    gamma = poly.combination(2, poly.int_mul(r, ds), -3, poly.int_mul(poly.deriv(r), s))
+    common = poly.int_gcd(delta, poly.int_mul(gamma, D))
+    if len(r) == 1:  # α is a nonzero constant
+        return len(common) > 1
+    p, q = -r[0], r[1]
+
+    def at_root(cs) -> bool:
+        return not cs or poly._homogeneous_value(cs, p, q) == 0
+
+    root = [c // math.gcd(*r) for c in r]
+    while len(common) > 1 and at_root(common):  # strip α's root
+        common = poly.int_exact_div(common, root)
+    return len(common) > 1 or (at_root(s) and (at_root(ds) or at_root(D)))
+
+
 def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
-    """The t chart, then the s chart only when the surface is singular
-    anyway or c = 0, so that a singular verdict lists both charts' witnesses.
+    """The u-line decides the t chart; the charts' algebra runs only to list
+    the witnesses of a singular surface, the t chart then the s chart.
 
     The s chart's points with s ≠ 0 are the t chart's at t = 1/s.  At s = 0,
     A_s(0) = 0 and B_s(0) = c·f3² with f3 ≠ 0, so the point at infinity is
-    singular iff c = 0: with c ≠ 0 and no t witness the surface is smooth.
+    singular iff c = 0: with c ≠ 0 and no u-line witness the surface is
+    smooth.  When the t chart runs, its witnesses must agree with the u-line.
     """
-    witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
-    if not witnesses and S.params.c != 0:
+    singular_t = _u_line_singular(S)
+    if not singular_t and S.params.c != 0:
         return SmoothnessVerdict("smooth")
+    witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
+    if bool(witnesses) != singular_t:
+        raise InvariantError(
+            f"the u-line calls the t chart {'singular' if singular_t else 'smooth'}, "
+            f"but its witnesses are {[w for _, w in witnesses]}"
+        )
     witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]
     if witnesses:
         return SmoothnessVerdict("singular", tuple(witnesses))

@@ -10,7 +10,7 @@ import sympy as sp
 from sympy import factorint
 
 from dp1 import poly
-from dp1.cubic import TangentData, tangent_section
+from dp1.cubic import TangentData, fiber_line_cubic, tangent_section
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
 from dp1.engine import bounded_height_rationals
 from dp1.poly import UniPoly, gcd
@@ -263,6 +263,49 @@ def off_curve_after(step, calls: int = 0):
         return xn, xd, 2 * yn, yd
 
     return broken
+
+
+def chart_polys_by_unipoly(params: SurfaceParams):
+    """Reference chart polynomials (A_t, B_t, A_s, B_s): A_t = a·f + b and
+    B_t = c·f² + d·f + e by UniPoly arithmetic, and their degree-4 and
+    degree-6 reversals; the oracle for Surface's build in ℤ[t]."""
+    p = params
+    f = p.f_poly()
+    A_t = f.scale(p.a) + UniPoly.constant(p.b)
+    B_t = (f * f).scale(p.c) + f.scale(p.d) + UniPoly.constant(p.e)
+    return A_t, B_t, A_t.reverse(4), B_t.reverse(6)
+
+
+# -- transversality of a tangent section ---------------------------------
+
+class DegenerateRestrictionError(ValueError):
+    """A plane restricts to the zero form on the requested fiber."""
+
+
+def squarefree_part(f: UniPoly) -> UniPoly:
+    """The squarefree part f / gcd(f, f′), monic, from poly.squarefree_split."""
+    if f.is_zero():
+        raise ValueError("squarefree part of zero is undefined")
+    return UniPoly(poly.squarefree_split(f.cs)[1]).monic()
+
+
+def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
+    """Number of distinct points (over the closure) cut on P's fiber by the
+    tangent section at R, via the squarefree degree of the eliminated cubic."""
+    if R.w == 0 or P.w == 0:
+        raise ValueError("transversality check needs w != 0 for both points")
+    E = S.fiber_at(P.t())
+    if E.is_singular():
+        raise ValueError("fiber of P is singular")
+    a, b, c0 = tangent_section(S, *S.fiber_point(R)).restrict_to_fiber(P.t())
+    if a == 0 and b == 0:
+        if c0 == 0:
+            raise DegenerateRestrictionError("plane restricts to zero on the fiber")
+        return 1  # the section cuts 3·O
+    if b == 0:
+        x0 = -c0 / a
+        return 2 if E.rhs(x0) != 0 else 1
+    return squarefree_part(fiber_line_cubic(E, (a, b, c0))).degree()
 
 
 # -- the sweep and the hop in Fraction arithmetic -------------------------

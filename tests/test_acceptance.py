@@ -14,13 +14,13 @@ from conftest import (
     random_params,
     random_smooth_surface,
     surface_through,
+    transversality_check,
 )
 from dp1.cubic import (
     classify_singularities,
     fiber_line_cubic,
     tangent_point,
     tangent_section,
-    transversality_check,
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve, O, add, neg, torsion_status

@@ -21,6 +21,7 @@ from conftest import (
     normal_form_residue,
     random_smooth_surface,
     surface_through,
+    transversality_check,
 )
 from dp1 import elliptic
 from dp1.cubic import (
@@ -33,7 +34,6 @@ from dp1.cubic import (
     tangent_point,
     tangent_section,
     theta,
-    transversality_check,
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve

@@ -23,6 +23,7 @@ from conftest import (
     leading_coefficient,
     poly_divmod,
     squarefree_factorization_by_fractions,
+    squarefree_part,
 )
 from dp1.poly import (
     UniPoly,
@@ -33,7 +34,6 @@ from dp1.poly import (
     is_separable,
     rational_roots,
     squarefree_factorization,
-    squarefree_part,
 )
 from dp1.rational import InvariantError
 

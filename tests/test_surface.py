@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
 from conftest import (
     canonicalize_by_factoring,
+    chart_polys_by_unipoly,
     compose,
     from_fractions_by_factoring,
     poly_divmod,
@@ -19,9 +21,11 @@ from conftest import (
     surface_through,
     time_limit,
 )
+from dp1 import poly, surface
 from dp1.elliptic import FiberCurve
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
+from dp1.rational import InvariantError
 from dp1.surface import (
     DegenerateSurfaceError,
     FiberFactor,
@@ -35,6 +39,8 @@ from dp1.surface import (
     smoothness_check,
     smoothness_cross_check,
     _chart_singular_witnesses,
+    _critical_value_poly,
+    _u_line_singular,
 )
 
 
@@ -496,7 +502,8 @@ def test_memoized_verdict_matches_uncached_decision(singular_fixture):
         assert first == expected
         assert smoothness_check(S) is first
         # the memo is per instance: a new Surface decides afresh
-        assert smoothness_check(Surface(S.params)) == expected
+        again = smoothness_check(Surface(S.params))
+        assert again == expected and again is not first
         kinds.add(expected.kind)
     assert kinds == {"smooth", "singular"}
 
@@ -592,6 +599,176 @@ def test_degenerate_surface_raises_on_every_call():
             smoothness_check(S)
 
 
+# -- the t chart decided on the u-line -----------------------------------
+
+U_LINE_FAMILIES = (
+    "critical, 4α³ + 27β² = 0",
+    "critical, α = β = 0",
+    "critical, A ≡ 0, β = 0",
+    "β double at α's root",
+)
+U_LINE_KINDS = ("random", "a=0", "c=0", "A=0") + U_LINE_FAMILIES
+
+
+def u_line_params(kind: str, vals, miss: Fraction, rho_at_u0: bool) -> SurfaceParams:
+    """Parameters of one kind from 13 drawn rationals: a, …, e, f0, …, f3,
+    then t1, t2, u0 and k (a zero f3 or k is read as 1).
+
+    The families take f = f3·(t − t1)²·(t − t2) + u0, so that u0 is a
+    critical value of f, and plant a singular point of the t chart over it:
+    α(u0) = −3k² and β(u0) = 2k³ (so 4α³ + 27β² = 0 there), α(u0) = β(u0) = 0,
+    or A ≡ 0 and β(u0) = 0.  The last family gives β a double root at α's
+    root ρ, which is u0 when rho_at_u0 and k otherwise.  ``miss`` is added to
+    the planted β(u0), or to β′(ρ): zero keeps the planted point, and
+    anything else gives a nearby surface, most often smooth.
+    """
+    a, b, c, d, e, f0, f1, f2, f3, t1, t2, u0, k = vals
+    f3, k = f3 or 1, k or 1
+    if kind == "a=0":
+        a = 0
+    elif kind == "c=0":
+        c = 0
+    elif kind == "A=0":
+        a = b = 0
+    elif kind != "random":
+        f = (UniPoly((-t1, 1)) ** 2 * UniPoly((-t2, 1))).scale(f3) + UniPoly.constant(u0)
+        f0, f1, f2, f3 = f.coeffs
+        if kind == U_LINE_FAMILIES[0]:
+            b = -3 * k * k - a * u0
+            e = 2 * k ** 3 + miss - c * u0 * u0 - d * u0
+        elif kind == U_LINE_FAMILIES[1]:
+            b = -a * u0
+            e = miss - c * u0 * u0 - d * u0
+        elif kind == U_LINE_FAMILIES[2]:
+            a = b = 0
+            e = miss - c * u0 * u0 - d * u0
+        else:  # β = c·(u − ρ)² + miss·(u − ρ)
+            rho = u0 if rho_at_u0 else k
+            a = a or 1
+            b = -a * rho
+            d = -2 * c * rho + miss
+            e = c * rho * rho - miss * rho
+    return SurfaceParams(a, b, c, d, e, f0, f1, f2, f3)
+
+
+@st.composite
+def u_line_surfaces(draw):
+    """Parameters of height 1 to 5, each kind equally often."""
+    height = draw(st.integers(1, 5))
+    rat = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+    kind = draw(st.sampled_from(U_LINE_KINDS))
+    vals = draw(st.lists(rat, min_size=13, max_size=13))
+    miss = draw(st.one_of(st.just(Fraction(0)), rat))
+    return u_line_params(kind, vals, miss, draw(st.booleans()))
+
+
+def assert_u_line_matches_t_chart(params: SurfaceParams) -> str:
+    """The u-line verdict against the t chart's witnesses; returns smooth,
+    singular or degenerate (the t chart's verdict)."""
+    S = Surface(params)
+    try:
+        expected = bool(_chart_singular_witnesses(S.A_t, S.B_t))
+    except DegenerateSurfaceError:
+        with pytest.raises(DegenerateSurfaceError, match="^discriminant vanishes identically$"):
+            _u_line_singular(S)
+        return "degenerate"
+    assert _u_line_singular(S) == expected, params
+    return "singular" if expected else "smooth"
+
+
+@settings(max_examples=400, deadline=None)
+@given(u_line_surfaces())
+def test_u_line_matches_t_chart(params):
+    assert_u_line_matches_t_chart(params)
+
+
+def test_u_line_matches_t_chart_examples():
+    # each planted family reaches both verdicts, exact and missed
+    rng = random.Random(83)
+    for kind in U_LINE_KINDS:
+        outcomes = set()
+        for i in range(60):
+            h = rng.randint(1, 5)
+            vals = [Fraction(rng.randint(-h, h), rng.randint(1, h)) for _ in range(13)]
+            miss = Fraction(rng.choice([-1, 1]) * rng.randint(1, h), rng.randint(1, h))
+            if i % 2:
+                miss = Fraction(0)
+            outcomes.add(assert_u_line_matches_t_chart(u_line_params(kind, vals, miss, i % 4 < 2)))
+        if kind in U_LINE_FAMILIES:
+            assert {"smooth", "singular"} <= outcomes, kind
+
+
+@pytest.mark.parametrize("k", [Fraction(0), Fraction(1), Fraction(-2, 3)])
+def test_u_line_refuses_a_degenerate_surface(k):
+    # 4α³ + 27β² ≡ 0 exactly when α = −3k² and β = 2k³ are constants
+    S = Surface(SurfaceParams(0, -3 * k * k, 0, 0, 2 * k ** 3, 1, -2, 0, 3))
+    for decide in (_u_line_singular, smoothness_check, smoothness_check):
+        with pytest.raises(DegenerateSurfaceError, match="^discriminant vanishes identically$"):
+            decide(S)
+    near = Surface(SurfaceParams(0, -3 * k * k, 0, 0, 2 * k ** 3 + 1, 1, -2, 0, 3))
+    assert _u_line_singular(near) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scan_rat, min_size=3, max_size=3), scan_rat.filter(bool))
+def test_critical_value_poly_is_the_discriminant_of_f_minus_u(vals, f3):
+    t, u = sp.symbols("t u")
+    f = UniPoly((*vals, f3))
+    F, n = f.cs, f.den
+    D = _critical_value_poly(F, n)
+    expected = sp.Poly(sp.discriminant(sum(c * t ** i for i, c in enumerate(F)) - n * u, t), u)
+    assert D == [int(c) for c in reversed(expected.all_coeffs())]
+    # f's critical values are roots of D
+    for root, _ in poly.rational_roots(f.derivative()):
+        assert poly._homogeneous_value(D, *f(root).as_integer_ratio()) == 0
+
+
+def chart_calls(monkeypatch, S: Surface) -> list:
+    """The charts, in order, whose witnesses one smoothness_check of a fresh
+    copy of S computes."""
+    S = Surface(S.params)
+    calls = []
+    real = surface._chart_singular_witnesses
+
+    def counted(A, B):
+        calls.append("t" if A is S.A_t and B is S.B_t
+                     else "s" if A is S.A_s and B is S.B_s else "other")
+        return real(A, B)
+
+    with monkeypatch.context() as m:
+        m.setattr(surface, "_chart_singular_witnesses", counted)
+        smoothness_check(S)
+    return calls
+
+
+def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surface,
+                                                       worked_surface_2, singular_fixture):
+    rng = random.Random(89)
+    smooth = [worked_surface, worked_surface_2]
+    smooth += [random_smooth_surface(rng, height=4) for _ in range(20)]
+    for S in smooth:
+        assert chart_calls(monkeypatch, S) == []
+    vals = [Fraction(v) for v in (1, -2, 3, 1, -1, 0, 0, 0, 2, 1, -1, Fraction(1, 2), 2)]
+    singular = [
+        singular_fixture,  # A ≡ 0, B = (t³ + 1)²
+        Surface(dataclasses.replace(worked_surface.params, c=Fraction(0))),  # only at t = ∞
+        Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)),  # B = t³, and c = 0
+    ] + [Surface(u_line_params(kind, vals, Fraction(0), True)) for kind in U_LINE_FAMILIES]
+    for S in singular:
+        assert smoothness_check(S).kind == "singular"
+        assert chart_calls(monkeypatch, S) == ["t", "s"]
+
+
+def test_u_line_and_t_chart_must_agree(monkeypatch, worked_surface):
+    monkeypatch.setattr(surface, "_u_line_singular", lambda S: True)
+    with pytest.raises(InvariantError, match="u-line calls the t chart singular"):
+        smoothness_check(Surface(worked_surface.params))
+    # with c = 0 the t chart runs anyway, and must find what the u-line found
+    monkeypatch.setattr(surface, "_u_line_singular", lambda S: False)
+    with pytest.raises(InvariantError, match="u-line calls the t chart smooth"):
+        smoothness_check(Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)))
+
+
 def test_cross_check_on_worked(worked_surface, singular_fixture):
     out = smoothness_cross_check(worked_surface, (7, 11, 13))
     assert out["symbolic"] == "smooth"
@@ -646,6 +823,18 @@ def test_chart_polynomials_match_composition(vals, f3, t):
     assert S.A_t == compose(UniPoly((p.b, p.a)), S.f)
     assert S.B_t == compose(UniPoly((p.e, p.d, p.c)), S.f)
     assert S.fiber_at(t) == FiberCurve(t, S.A_t(t), S.B_t(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(surface_rat, min_size=8, max_size=8), surface_rat.filter(bool))
+def test_chart_build_matches_unipoly_reference(vals, f3):
+    # the ℤ[t] build from α, β over one denominator against UniPoly arithmetic
+    p = SurfaceParams(*vals, f3)
+    S = Surface(p)
+    assert (S.A_t, S.B_t, S.A_s, S.B_s) == chart_polys_by_unipoly(p)
+    assert UniPoly(S.alpha, S.ab_den) == UniPoly((p.b, p.a))
+    assert UniPoly(S.beta, S.ab_den) == UniPoly((p.e, p.d, p.c))
+    assert all(cs == () or cs[-1] != 0 for cs in (S.alpha, S.beta))
 
 
 def test_discriminant_form_z12_coefficient():
