@@ -445,25 +445,30 @@ def brute_force_oracle(
     keeping (x, ±y) whenever x³ + A(t)x + B(t) is a rational square.
 
     Ground truth for engine output; intended for small boxes only (the cost
-    is O(t-box · x-box) exact square tests).  Each cell is one integer test:
-    with L·A, L·B integral and x = p/q, x³ + Ax + B = N/(L·q³), where
+    is O(t-box · x-box) exact square tests).  The box is walked as coprime
+    integer pairs, and each cell is one integer test: with A(t) = an/ad and
+    B(t) = bn/bd read by ``value_ints``, L any common multiple of ad and bd
+    and x = p/q, x³ + Ax + B = N/(L·q³), where
     N = L·p³ + (L·A)·pq² + (L·B)·q³, is a square exactly when N·L·q is an
-    integer square r², and then y = r/(L·q²).
+    integer square r², and then y = r/(L·q²).  Fractions are built only for
+    the cells that hold a point.
     """
     check_box(x_num, x_den, t_num, t_den)
     out: List[Tuple[Fraction, ECPoint]] = []
-    xs = [(x, x.numerator ** 3 * x.denominator, x.numerator * x.denominator ** 3,
-           x.denominator) for x in _box_rationals(x_num, x_den)]
-    for t in _box_rationals(t_num, t_den):
-        E = S.fiber_at(t)
-        L = math.lcm(E.A.denominator, E.B.denominator)
-        LLA = E.A.numerator * (L // E.A.denominator) * L
-        LLB = E.B.numerator * (L // E.B.denominator) * L
-        for x, p3q, pq3, q in xs:
-            root = is_square(L * L * p3q + LLA * pq3 + LLB * q ** 4)
+    xs = [(p, q, p ** 3 * q, p * q ** 3, q ** 4) for p, q in _box_pairs(x_num, x_den)]
+    for tn, td in _box_pairs(t_num, t_den):
+        an, ad = S.A_t.value_ints(tn, td)
+        bn, bd = S.B_t.value_ints(tn, td)
+        L = math.lcm(ad, bd)
+        LL, LLA, LLB = L * L, an * (L // ad) * L, bn * (L // bd) * L
+        t = None
+        for p, q, p3q, pq3, q4 in xs:
+            root = is_square(LL * p3q + LLA * pq3 + LLB * q4)
             if root is None:
                 continue
-            y = root / (L * q * q)
+            if t is None:
+                t = Fraction(tn, td)
+            x, y = Fraction(p, q), root / (L * q * q)
             out.append((t, ECPoint(x, y)))
             if y != 0:
                 out.append((t, ECPoint(x, -y)))
@@ -477,8 +482,9 @@ def check_box(x_num: int, x_den: int, t_num: int, t_den: int) -> None:
                          f"got x-num {x_num}, x-den {x_den}, t-num {t_num}, t-den {t_den}")
 
 
-def _box_rationals(num_bound: int, den_bound: int) -> Iterator[Fraction]:
-    """Rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, each once.
+def _box_pairs(num_bound: int, den_bound: int) -> Iterator[Tuple[int, int]]:
+    """The rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, each once,
+    as coprime pairs (p, q).
 
     Only coprime pairs are kept: any other pair reduces to one already
     yielded at a smaller q, so the order is that of first appearance.
@@ -486,4 +492,4 @@ def _box_rationals(num_bound: int, den_bound: int) -> Iterator[Fraction]:
     for q in range(1, den_bound + 1):
         for p in range(-num_bound, num_bound + 1):
             if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
+                yield p, q

@@ -19,7 +19,18 @@ class InvariantError(RuntimeError):
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; bad text or q = 0 is a ValueError."""
+    """Parse "p/q" or "p" into a Fraction; bad text or q = 0 is a ValueError.
+
+    An ASCII "-?digits" or "-?digits/digits" is read with ``int``; every
+    other text goes to ``Fraction``'s own parser, which gives the same value
+    and refuses the same texts.
+    """
+    num, slash, den = s.partition("/")
+    if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+        n, d = int(num), int(den) if slash else 1
+        if d:
+            return Fraction(n, d)
+        raise ValueError(f"zero denominator in {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

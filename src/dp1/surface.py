@@ -10,8 +10,10 @@ surface is the base change along u = f(t) of a rational elliptic surface
 over the u-line.  Smoothness of the t chart is decided there, on
 polynomials of degree at most 4 in u; the point at infinity s = 0 is
 singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only for a
-singular surface, to list its witnesses.  The mod-p oracle shares neither:
-it scans the t chart point by point.
+singular surface, to list its witnesses.  The mod-p oracle shares with the
+decision only the evaluation A = α(f), B = β(f): it reduces α, β and f mod p
+once and scans P¹(F_p) point by point, with none of the u-line's δ, γ, D or
+gcds.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class SurfaceParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "e", "f0", "f1", "f2", "f3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            v = getattr(self, name)
+            if not isinstance(v, Fraction):
+                object.__setattr__(self, name, Fraction(v))
         if self.f3 == 0:
             raise ValueError("f3 must be nonzero (f must be a cubic)")
 
@@ -301,7 +305,8 @@ class Surface:
     """An immutable member of the family, with its chart polynomials.
 
     alpha and beta are the integer numerators, over the one denominator
-    ab_den and with no trailing zero, of α = a·u + b and β = c·u² + d·u + e.
+    ab_den and with no trailing zero, of α = a·u + b and β = c·u² + d·u + e;
+    params_den is the lcm of the nine parameter denominators.
     A_t = α(f) and B_t = β(f) are the Weierstrass coefficients
     as polynomials in t = z/w; A_s, B_s are their chart-at-infinity
     counterparts in s = w/z (degree-4 and degree-6 reversals of the
@@ -315,6 +320,8 @@ class Surface:
         # one denominator m; with f = F/n, A = α(f) and B = β(f) are
         # (r0·n + r1·F)/(m·n) and (s0·n² + s1·n·F + s2·F²)/(m·n²) in ℤ[t]
         m = self.ab_den = math.lcm(*(v.denominator for v in (p.a, p.b, p.c, p.d, p.e)))
+        # the lcm of all nine parameter denominators: f.den is that of f's four
+        self.params_den = math.lcm(m, f.den)
         r0, r1, s0, s1, s2 = (v.numerator * (m // v.denominator) for v in (p.b, p.a, p.e, p.d, p.c))
         self.alpha = _trimmed((r0, r1))
         self.beta = _trimmed((s0, s1, s2))
@@ -497,35 +504,62 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     point of P¹(F_p), since the s chart's points with s ≠ 0 are the t chart's
     at t = 1/s.  A fiber with 4A³ + 27B² ≢ 0 has a cubic with distinct roots
     (p ≥ 5), so no singular point; on every other fiber the three partials
-    are checked directly at each x.  Independent of the symbolic criterion.
+    are checked directly at each x.
+
+    α, β and f are reduced mod p once, and each fiber t ∈ F_p takes
+    A(t) = α(f(t)) and B(t) = β(f(t)) from those residues.  The derivatives
+    of the rare Δ ≡ 0 fibers, and the point s = 0, come from the chart
+    polynomials A_t, B_t and A_s, B_s.  Independent of the symbolic
+    criterion: no δ, γ, D or gcd of the u-line decision is used.
     """
     check_prime(p)
-    for params_den in _param_denominators(S.params):
-        if params_den % p == 0:
-            raise ValueError(f"prime {p} divides a parameter denominator")
+    if S.params_den % p == 0:
+        raise ValueError(f"prime {p} divides a parameter denominator")
+    # p ∤ params_den, so every denominator below is a unit mod p
+    r0, r1 = _residues(S.alpha, S.ab_den, p, 2)
+    s0, s1, s2 = _residues(S.beta, S.ab_den, p, 3)
+    f0, f1, f2, f3 = _residues(S.f.cs, S.f.den, p, 4)
     degenerate = True
     singular = False
-    for A, B, ts in ((S.A_t, S.B_t, range(p)), (S.A_s, S.B_s, (0,))):
-        # p ∤ den, as p divides no parameter denominator
-        a, b = ([c * inv % p for c in F.cs] for F in (A, B) for inv in [pow(F.den, -1, p)])
-        da, db = poly.deriv(a), poly.deriv(b)
-        for t in ts:
-            at, bt = poly.eval_mod(a, t, p), poly.eval_mod(b, t, p)
-            if (4 * at ** 3 + 27 * bt ** 2) % p:
-                degenerate = False
-                continue
-            dat, dbt = poly.eval_mod(da, t, p), poly.eval_mod(db, t, p)
-            for x in range(p):
-                if (x ** 3 + at * x + bt) % p:
-                    continue
-                if (3 * x * x + at) % p:
-                    continue
-                if (dat * x + dbt) % p:
-                    continue
-                singular = True
+    derivs = None  # A_t′ and B_t′ mod p, once a Δ ≡ 0 fiber needs them
+    for t in range(p):
+        u = (((f3 * t + f2) * t + f1) * t + f0) % p
+        at = (r0 + r1 * u) % p
+        bt = (s0 + (s1 + s2 * u) * u) % p
+        if (4 * at * at * at + 27 * bt * bt) % p:
+            degenerate = False
+            continue
+        if singular:
+            continue
+        if derivs is None:
+            derivs = [poly.deriv(_residues(F.cs, F.den, p)) for F in (S.A_t, S.B_t)]
+        da, db = (poly.eval_mod(d, t, p) for d in derivs)
+        singular = _singular_on_fiber(at, bt, da, db, p)
+    # s = 0, where the values and the derivatives are the first two coefficients
+    a, b = (_residues(F.cs[:2], F.den, p, 2) for F in (S.A_s, S.B_s))
+    if (4 * a[0] ** 3 + 27 * b[0] ** 2) % p:
+        degenerate = False
+    elif not singular:
+        singular = _singular_on_fiber(a[0], b[0], a[1], b[1], p)
     if degenerate:
         return "bad_prime"
     return "singular" if singular else "smooth"
+
+
+def _residues(cs: Sequence[int], den: int, p: int, n: int = 0) -> List[int]:
+    """The coefficients of cs/den mod p, p ∤ den, padded with zeros to length n."""
+    inv = pow(den, -1, p)
+    out = [c * inv % p for c in cs]
+    return out + [0] * (n - len(out))
+
+
+def _singular_on_fiber(a: int, b: int, da: int, db: int, p: int) -> bool:
+    """Whether x³ + a·x + b has a point over F_p where all three partials
+    vanish: the cubic, 3x² + a, and da·x + db (the t-derivative)."""
+    return any(
+        (x * x * x + a * x + b) % p == 0 and (3 * x * x + a) % p == 0 and (da * x + db) % p == 0
+        for x in range(p)
+    )
 
 
 def check_prime(p: int) -> None:
@@ -533,13 +567,6 @@ def check_prime(p: int) -> None:
     and cheap beside the 2p² scan."""
     if p < 5 or not poly.is_prime(p):
         raise ValueError(f"scan needs a prime p >= 5, got {p}")
-
-
-def _param_denominators(params: SurfaceParams) -> List[int]:
-    return [
-        getattr(params, k).denominator
-        for k in ("a", "b", "c", "d", "e", "f0", "f1", "f2", "f3")
-    ]
 
 
 class OracleDisagreementError(RuntimeError):
@@ -570,7 +597,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     )
     per_prime: Dict[int, str] = {}
     for p in primes:
-        if any(den % p == 0 for den in _param_denominators(S.params)):
+        if S.params_den % p == 0:
             per_prime[p] = "skipped"
             continue
         per_prime[p] = modp_singular_scan(S, p)

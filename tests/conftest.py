@@ -370,6 +370,37 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
     return out
 
 
+# -- the box oracle in Fraction arithmetic --------------------------------
+# The reference that the integer brute_force_oracle is tested against: the
+# box as Fractions, each cell's x³ + A(t)x + B(t) in Fraction arithmetic.
+
+def box_rationals(num_bound: int, den_bound: int):
+    """Rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, each once.
+
+    Only coprime pairs are kept: any other pair reduces to one already
+    yielded at a smaller q, so the order is that of first appearance.
+    """
+    for q in range(1, den_bound + 1):
+        for p in range(-num_bound, num_bound + 1):
+            if math.gcd(p, q) == 1:
+                yield Fraction(p, q)
+
+
+def fraction_oracle(S: Surface, x_num: int, x_den: int, t_num: int, t_den: int):
+    """Reference box search: each cell's x³ + A(t)x + B(t) in Fraction
+    arithmetic, tested by is_square."""
+    out = []
+    for t in box_rationals(t_num, t_den):
+        E = S.fiber_at(t)
+        for x in box_rationals(x_num, x_den):
+            root = is_square(E.rhs(x))
+            if root is not None:
+                out.append((t, ECPoint(x, root)))
+                if root != 0:
+                    out.append((t, ECPoint(x, -root)))
+    return out
+
+
 # -- F_W and its normal forms, in sympy --------------------------------
 
 X_SYMBOLS = sp.symbols("X0:4")

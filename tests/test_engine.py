@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +9,23 @@ from hypothesis import strategies as st
 
 from conftest import (
     bit_size,
+    box_rationals,
     cp_sweep_by_fractions,
+    fraction_oracle,
     off_curve_after,
+    random_params,
     surface_through,
     time_limit,
     u_hop_by_fractions,
 )
-from dp1 import elliptic, engine, poly
+from dp1 import cli, elliptic, engine, poly
 from dp1.cubic import SingularImageError, tangent_point, tangent_section
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
     HypothesisFailure,
     HypothesisReport,
-    _box_rationals,
+    _box_pairs,
     bounded_height_rationals,
     brute_force_oracle,
     check_hypotheses,
@@ -626,21 +630,6 @@ def test_oracle_second_surface(worked_surface_2):
         assert (t, ECPoint(Fraction(1), Fraction(2))) in pts
 
 
-def fraction_oracle(S, x_num, x_den, t_num, t_den):
-    """Reference box search: each cell's x³ + A(t)x + B(t) in Fraction
-    arithmetic, tested by is_square."""
-    out = []
-    for t in _box_rationals(t_num, t_den):
-        E = S.fiber_at(t)
-        for x in _box_rationals(x_num, x_den):
-            root = is_square(E.rhs(x))
-            if root is not None:
-                out.append((t, ECPoint(x, root)))
-                if root != 0:
-                    out.append((t, ECPoint(x, -root)))
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(1, 2), st.integers(0, 1),
        st.integers(1, 2))
@@ -656,13 +645,74 @@ def test_oracle_matches_fraction_cells(seed, dxn, dxd, dtn, dtd):
 
 
 def test_oracle_matches_fraction_cells_examples(worked_surface, worked_surface_2):
-    # y² = x³ + t⁶ − 1 has y = 0 at x = 0, t = ±1
+    # y² = x³ + t⁶ − 1: A ≡ 0, singular fibers at t = ±1 with y = 0 at x = 0,
+    # and (−3, ±6) on t = 2, (1, ±1/8) on t = 1/2
     two_torsion = Surface(SurfaceParams(0, 0, 1, 0, -1, 0, 0, 0, 1))
-    for S in (worked_surface, worked_surface_2, two_torsion):
-        for box in ((0, 1, 0, 1), (5, 1, 1, 1), (4, 3, 2, 3), (9, 4, 1, 2)):
+    # parameters with denominators, so A(t) and B(t) have different ones
+    with_dens = Surface(SurfaceParams(Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), 0,
+                                      Fraction(5, 6), Fraction(1, 2), 0, -1, 1))
+    for S in (worked_surface, worked_surface_2, two_torsion, with_dens):
+        for box in ((0, 1, 0, 1), (5, 1, 1, 1), (4, 3, 2, 3), (9, 4, 1, 2), (3, 2, 2, 2)):
             assert brute_force_oracle(S, *box) == fraction_oracle(S, *box)
     found = brute_force_oracle(two_torsion, 2, 2, 1, 2)
     assert found.count((Fraction(1), ECPoint(Fraction(0), Fraction(0)))) == 1
+    # what the boxes cover
+    found = brute_force_oracle(two_torsion, 3, 2, 2, 2)
+    assert two_torsion.A_t.is_zero()
+    assert any(two_torsion.fiber_at(t).is_singular() for t in box_rationals(2, 2))
+    assert any(Q.y == 0 for _, Q in found)
+    assert any(Q.x < 0 for _, Q in found)
+    assert any(t.denominator == 2 for t, _ in found)
+
+
+def counted(fn):
+    """fn wrapped to record each call's arguments, and the list they go to."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper, calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 5), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 3))
+def test_oracle_tests_each_cell_once(seed, x_num, x_den, t_num, t_den):
+    # perfbench counts the oracle's cells as its is_square spans
+    S = Surface(random_params(random.Random(seed), height=4))
+    cells = len(list(box_rationals(t_num, t_den))) * len(list(box_rationals(x_num, x_den)))
+    wrapper, calls = counted(is_square)
+    with mock.patch.object(engine, "is_square", wrapper):
+        brute_force_oracle(S, x_num, x_den, t_num, t_den)
+    assert len(calls) == cells
+
+
+def test_census_row_searches_the_box_once_per_smooth_row(worked_surface, singular_fixture):
+    rng = random.Random(43)
+    surfaces = [worked_surface, singular_fixture, Surface(SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1))]
+    surfaces += [Surface(random_params(rng, height=3)) for _ in range(12)]
+    kinds = set()
+    for S in surfaces:
+        wrapper, calls = counted(engine.brute_force_oracle)
+        with mock.patch.object(engine, "brute_force_oracle", wrapper):
+            row = cli.census_row(S, (5, 1, 2, 2))
+        assert len(calls) == (row["smooth"] == "smooth")
+        kinds.add(row["smooth"])
+    assert kinds == {"smooth", "singular", "degenerate"}
+
+
+def test_oracle_builds_no_fiber_curve(monkeypatch, worked_surface):
+    # each cell is an integer test; A(t) and B(t) are read as integers
+    expected = fraction_oracle(worked_surface, 5, 2, 2, 2)
+
+    def refuse(*args):
+        raise AssertionError("the oracle built a FiberCurve")
+
+    monkeypatch.setattr(Surface, "fiber_at", refuse)
+    monkeypatch.setattr(engine, "FiberCurve", refuse)
+    assert brute_force_oracle(worked_surface, 5, 2, 2, 2) == expected
 
 
 @pytest.mark.parametrize("box", [(-1, 1, 1, 1), (5, 0, 1, 1), (5, 1, -2, 1), (5, 1, 1, 0)])
@@ -687,9 +737,9 @@ def box_rationals_by_set(num_bound, den_bound):
 @pytest.mark.parametrize("num_bound", range(1, 7))
 @pytest.mark.parametrize("den_bound", range(1, 7))
 def test_box_rationals_match_set_dedup(num_bound, den_bound):
-    assert list(_box_rationals(num_bound, den_bound)) == box_rationals_by_set(
-        num_bound, den_bound
-    )
+    reference = box_rationals_by_set(num_bound, den_bound)
+    assert list(box_rationals(num_bound, den_bound)) == reference
+    assert [Fraction(p, q) for p, q in _box_pairs(num_bound, den_bound)] == reference
 
 
 def on_surface_by_params(S: Surface, t: Fraction, Q: ECPoint) -> bool:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import bit_size
@@ -61,3 +61,62 @@ def test_is_square_of_int_matches_fraction(n):
 def test_bit_size():
     assert bit_size(Fraction(0)) == 1
     assert bit_size(Fraction(255, 7)) == 8
+
+
+def parse_by_fraction(s: str) -> Fraction:
+    """The parser without its fast path: Fraction's own, with q = 0 a
+    ValueError of the same text."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None
+
+
+def parsed(parse, s: str):
+    """("value", v) or ("error", message) for one parser on one text."""
+    try:
+        v = parse(s)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert type(v) is Fraction
+    return "value", v
+
+
+# signs, spaces, "/", "_", ".", "e", an Arabic-Indic and a superscript digit
+RATIONAL_ALPHABET = "0123456789-+/ _.e\u0663\u00b2"
+rational_texts = st.one_of(
+    st.text(st.sampled_from(RATIONAL_ALPHABET), max_size=9),
+    st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " ", "--"]),
+              st.integers(0, 10 ** 30),
+              st.sampled_from(["", "/"]).flatmap(
+                  lambda slash: st.integers(0, 10 ** 30).map(lambda d: slash + str(d))
+                  if slash else st.just(""))),
+)
+
+
+@given(rational_texts)
+@example("3/0")
+@example("-0")
+@example("")
+@example("/")
+@example("0/0")
+@example(" 3 / 4 ")
+@example("1_000/3")
+@example("1.5e2")
+@example("\u0663/4")
+@example("\u00b2")
+@example("-3/-4")
+def test_parse_rational_matches_fraction_parser(s):
+    assert parsed(parse_rational, s) == parsed(parse_by_fraction, s)
+
+
+def test_parse_rational_examples():
+    assert parse_rational("-12/8") == Fraction(-3, 2)
+    assert parse_rational(" 7 ") == 7
+    assert parse_rational("\u0663") == 3
+    for s in ("3/0", "-0/0"):
+        with pytest.raises(ValueError, match=f"zero denominator in '{s}'"):
+            parse_rational(s)
+    for s in ("", "/", "3/", "/4", "3/-4", "--3", "\u00b2"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            parse_rational(s)

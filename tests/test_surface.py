@@ -351,9 +351,11 @@ def test_modp_scan_accepts_prime(worked_surface):
     assert modp_singular_scan(worked_surface, 101) == "smooth"
 
 
-def modp_scan_per_coefficient(S: Surface, p: int) -> str:
-    """Reference mod-p scan: each Fraction coefficient reduced with its own
-    inverse, and degeneracy decided in a pass of its own."""
+def modp_singular_points(S: Surface, p: int) -> list:
+    """Reference mod-p scan: each Fraction coefficient of A_t, B_t, A_s and
+    B_s reduced with its own inverse, every (t, x) of both charts over F_p
+    tried.  Returns the singular points as (chart, t, x), or None when
+    Δ ≡ 0 at every point (a bad prime)."""
     def reduce(f: UniPoly) -> list:
         return [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
 
@@ -363,8 +365,8 @@ def modp_scan_per_coefficient(S: Surface, p: int) -> str:
     def value(cs: list, t: int) -> int:
         return sum(c * t ** i for i, c in enumerate(cs)) % p
 
-    degenerate, singular = True, False
-    for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
+    degenerate, points = True, []
+    for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s)):
         a, b = reduce(A), reduce(B)
         da, db = deriv(a), deriv(b)
         if any((4 * value(a, t) ** 3 + 27 * value(b, t) ** 2) % p for t in range(p)):
@@ -374,36 +376,65 @@ def modp_scan_per_coefficient(S: Surface, p: int) -> str:
             for x in range(p):
                 if (x ** 3 + at * x + bt) % p == 0 and (3 * x * x + at) % p == 0 \
                         and (dat * x + dbt) % p == 0:
-                    singular = True
-    if degenerate:
+                    points.append((chart, t, x))
+    return None if degenerate else points
+
+
+def modp_scan_per_coefficient(S: Surface, p: int) -> str:
+    """The reference's verdict: "bad_prime", "singular" or "smooth"."""
+    points = modp_singular_points(S, p)
+    if points is None:
         return "bad_prime"
-    return "singular" if singular else "smooth"
+    return "singular" if points else "smooth"
 
 
 SCAN_PRIMES = [p for p in range(5, 51) if all(p % d for d in range(2, p))]
 scan_rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+scan_unit = st.sampled_from([-2, -1, 1, 2])
 
 
 @st.composite
 def scan_params(draw):
-    """Random parameters, some with a, …, e scaled by a prime up to 50 (bad
-    reduction there), A ≡ 0, c = 0 (singular at t = ∞), c ≡ 0 mod a prime up
-    to 50 but c ≠ 0 (singular at t = ∞ mod that prime), or a, …, e all zero
-    (degenerate over Q)."""
+    """Random parameters, some planted to meet each case of the scan at a
+    prime p up to 50:
+    - "scaled": a, …, e all divisible by p (bad reduction there);
+    - "A=0"; "c=0" (singular at t = ∞ over Q);
+    - "p | c" with c ≠ 0, so Δ ≡ 0 at s = 0;
+    - "p | f3", so f drops a degree mod p and s = 0 has Δ ≡ 0 as well;
+    - "singular mod p": α(f0) = −3x0², β(f0) = 2x0³ and p | f1, so the fiber
+      t = 0 has Δ ≡ 0 and the surface a singular point at x = x0 mod p;
+    - "bad prime": a ≡ c ≡ d ≡ 0, b ≡ −3λ² and e ≡ 2λ³ mod p, so α ≡ −3λ²
+      and β ≡ 2λ³ are constants with Δ ≡ 0 at every point, a, …, e not all
+      divisible by p;
+    - "degenerate": a, …, e all zero (degenerate over Q)."""
     vals = [draw(scan_rat) for _ in range(5)]
-    kind = draw(st.sampled_from(["random", "scaled", "A=0", "c=0", "c=0 mod p", "degenerate"]))
+    f = [draw(scan_rat) for _ in range(3)] + [draw(scan_rat.filter(bool))]
+    kind = draw(st.sampled_from(["random", "scaled", "A=0", "c=0", "p | c", "p | f3",
+                                 "singular mod p", "bad prime", "degenerate"]))
+    p = draw(st.sampled_from(SCAN_PRIMES))
     if kind == "scaled":
-        p = draw(st.sampled_from(SCAN_PRIMES))
         vals = [v * p for v in vals]
     elif kind == "A=0":
         vals[:2] = [0, 0]
     elif kind == "c=0":
         vals[2] = 0
-    elif kind == "c=0 mod p":
-        vals[2] = draw(st.sampled_from(SCAN_PRIMES)) * draw(st.sampled_from([-2, -1, 1, 2]))
+    elif kind == "p | c":
+        vals[2] = p * draw(scan_unit)
+    elif kind == "p | f3":
+        f[3] = p * draw(scan_unit)
+    elif kind == "singular mod p":
+        x0, (a, _b, c, d, _e) = draw(st.integers(-3, 3)), vals
+        vals[1] = -3 * x0 ** 2 - a * f[0]
+        vals[4] = 2 * x0 ** 3 - (c * f[0] + d) * f[0]
+        f[1] = p * draw(st.integers(-2, 2))
+    elif kind == "bad prime":
+        lam = draw(st.integers(1, 3))
+        vals = [p * draw(scan_rat) for _ in range(5)]
+        vals[1] += -3 * lam ** 2
+        vals[4] += 2 * lam ** 3
     elif kind == "degenerate":
         vals = [0] * 5
-    return SurfaceParams(*vals, *[draw(scan_rat) for _ in range(3)], draw(scan_rat.filter(bool)))
+    return SurfaceParams(*vals, *f)
 
 
 def assert_scans_match(params: SurfaceParams) -> set:
@@ -419,7 +450,7 @@ def assert_scans_match(params: SurfaceParams) -> set:
     return outcomes
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(scan_params())
 def test_modp_scan_matches_per_coefficient_reduction(params):
     assert_scans_match(params)
@@ -437,6 +468,42 @@ def test_modp_scan_matches_per_coefficient_reduction_examples(worked_surface, si
     for p in params:
         outcomes |= assert_scans_match(p)
     assert outcomes == {"smooth", "singular", "bad_prime"}
+
+
+@pytest.mark.parametrize("params, p, where, verdict", [
+    # y² = x³ + t⁶ + 2t³ + 3 is smooth mod 7
+    (SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1), 7, set(), "smooth"),
+    # α(0) = −3, β(0) = 2 and f = t³ + 5t: x³ − 3x + 2 = (x − 1)²(x + 2) on
+    # t = 0, where f′ ≡ 0 mod 5
+    (SurfaceParams(0, -3, 1, 0, 2, 0, 5, 0, 1), 5, {"finite t"}, "singular"),
+    # 5 | c, so B_s(0) = c·f3² ≡ 0 and B_s′(0) = 2c·f2·f3 ≡ 0 at x = 0
+    (SurfaceParams(0, 0, 5, 2, 3, 0, 0, 0, 1), 5, {"s = 0"}, "singular"),
+    # a ≡ c ≡ d ≡ 0, α ≡ −3 and β ≡ 2 mod 7: Δ ≡ 0 everywhere
+    (SurfaceParams(7, -3, 14, -7, 2, 1, 1, 0, 1), 7, None, "bad_prime"),
+])
+def test_modp_scan_reaches_each_verdict(params, p, where, verdict):
+    S = Surface(params)
+    points = modp_singular_points(S, p)
+    # a point of the chart s with s ≠ 0 is one of the chart t as well
+    assert where == (None if points is None else {
+        "s = 0" if (chart, t) == ("s", 0) else "finite t" for chart, t, _x in points})
+    assert modp_singular_scan(S, p) == verdict
+
+
+def test_modp_scan_shares_no_decision_algebra(monkeypatch, worked_surface, singular_fixture):
+    # the oracle must not run the algebra it checks
+    def refuse(*args):
+        raise AssertionError("the mod-p scan ran the smoothness decision's algebra")
+
+    for name in ("_u_line_singular", "_critical_value_poly", "_chart_singular_witnesses"):
+        monkeypatch.setattr(surface, name, refuse)
+    monkeypatch.setattr(poly, "int_gcd", refuse)
+    verdicts = set()
+    for params in (worked_surface.params, singular_fixture.params,
+                   SurfaceParams(0, -3, 1, 0, 2, 0, 5, 0, 1), SurfaceParams(0, 0, 5, 2, 3, 0, 0, 0, 1),
+                   SurfaceParams(7, -3, 14, -7, 2, 1, 1, 0, 1)):
+        verdicts |= {modp_singular_scan(Surface(params), p) for p in (5, 7, 11)}
+    assert verdicts == {"smooth", "singular", "bad_prime"}
 
 
 @pytest.mark.parametrize("f0", [Fraction(1, 4), Fraction(1, 3)])
