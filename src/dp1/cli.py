@@ -9,7 +9,6 @@ that no command records).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -51,6 +50,7 @@ def _emit(payload: dict, args) -> None:
         sys.stderr.write(json.dumps(payload) + "\n")
         return
     if csv_mode:
+        import csv  # on first use: no other output needs it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "x", "y", "provenance"])

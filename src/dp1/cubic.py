@@ -12,14 +12,13 @@ tests; at run time only their residue condition is left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import elliptic
 from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
-from .rational import InvariantError, is_square
+from .rational import InvariantError, is_square, record
 from .surface import Surface, WPoint
 
 
@@ -68,7 +67,7 @@ def theta(S: Surface, P: WPoint) -> Tuple[int, int, int, int]:
     return pt
 
 
-@dataclass(frozen=True)
+@record
 class PlaneForm:
     """The hyperplane αX0 + βX1 + γX2 + δX3 = 0 in P³."""
 
@@ -121,7 +120,7 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
     return PlaneForm(Fraction(alpha), Fraction(beta), Fraction(gamma), Fraction(delta))
 
 
-@dataclass(frozen=True)
+@record
 class TangentData:
     """The tangent section at ``point`` on ``fiber``: the tangent plane at
     θ = (x, y, f(t), 1), pulled back to ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w)
@@ -205,7 +204,7 @@ def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
 
 # -- singularity classification ---------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SingularityReport:
     locus: str
     sqrt_c: str  # "rational" | "irrational"

@@ -9,11 +9,10 @@ that form, building Fractions only for the points it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .rational import InvariantError
+from .rational import InvariantError, record
 
 # Over Q a torsion point has order in {1,...,10,12} (Mazur), so walking the
 # multiples up to [12]P decides torsion exactly.
@@ -34,7 +33,7 @@ class SingularFiberError(ValueError):
     """Operation requires a nonsingular Weierstrass curve."""
 
 
-@dataclass(frozen=True)
+@record
 class FiberCurve:
     """A Weierstrass fiber y² = x³ + A·x + B at fibration parameter t."""
 
@@ -52,7 +51,7 @@ class FiberCurve:
         return x ** 3 + self.A * x + self.B
 
 
-@dataclass(frozen=True)
+@record
 class ECPoint:
     """Affine point (x, y), or the point at infinity (x = y = None)."""
 

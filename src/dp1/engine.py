@@ -23,18 +23,17 @@ A known root that is not one makes the exact division raise InvariantError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
 from .poly import UniPoly
-from .rational import InvariantError, format_rational, is_square
+from .rational import InvariantError, format_rational, is_square, record
 from .surface import Surface, WPoint, smoothness_check
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     """The five decidable hypotheses for a candidate seed point."""
 
@@ -254,7 +253,7 @@ def cp_sweep(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GenerationConfig:
     t_height_bound: int = 10
     multiple_bound: int = 10
@@ -271,7 +270,7 @@ class GenerationConfig:
             raise ValueError("bit cap must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class PointRecord:
     t: Fraction
     point: ECPoint
@@ -286,13 +285,13 @@ class PointRecord:
         }
 
 
-@dataclass
 class GenerationReport:
-    points: List[PointRecord] = field(default_factory=list)
-    fibers: Dict[Fraction, int] = field(default_factory=dict)
-    all_verified: bool = False
-    truncated: bool = False
-    skipped: List[str] = field(default_factory=list)
+    def __init__(self):
+        self.points: List[PointRecord] = []
+        self.fibers: Dict[Fraction, int] = {}
+        self.all_verified = False
+        self.truncated = False
+        self.skipped: List[str] = []
 
     def to_json(self, S: Surface, seed: WPoint) -> dict:
         return {

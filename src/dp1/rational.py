@@ -3,12 +3,13 @@
 Rationals are plain ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator, so the canonical-form invariants come
 for free).  This module parses and prints them, and decides which are
-squares.
+squares.  It also holds ``record``, the package's value-class decorator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -16,6 +17,35 @@ from typing import Optional, Union
 class InvariantError(RuntimeError):
     """An internal invariant failed: a result the library computed does not
     certify.  A bug, never bad input, so it is not a ValueError."""
+
+
+def _record_eq(a, b):
+    if type(b) is type(a):
+        return tuple.__eq__(a, b)
+    # NotImplemented would let tuple's own == compare a plain tuple's fields
+    return False if isinstance(b, tuple) else NotImplemented
+
+
+def record(cls):
+    """The annotated class body ``cls`` as an immutable value class: a
+    ``namedtuple`` subclass whose fields are the annotations, with the class
+    values as their defaults.  ``__post_init__``, if defined, checks each new
+    instance inside ``__new__`` and may return a converted one instead.  A
+    record equals only a record of its own class, and hashes as its fields'
+    tuple."""
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    names = list(cls.__annotations__)
+    base = namedtuple(cls.__name__, names, defaults=[body.pop(n) for n in names if n in body],
+                      module=cls.__module__)
+    check = body.pop("__post_init__", None)
+    if check is not None:
+        def __new__(klass, *args, **kwargs):
+            self = base.__new__(klass, *args, **kwargs)
+            return check(self) or self
+        body["__new__"] = __new__
+    # object.__ne__ negates __eq__, where tuple.__ne__ would compare across classes
+    body.update(__slots__=(), __eq__=_record_eq, __ne__=object.__ne__, __hash__=tuple.__hash__)
+    return type(cls.__name__, (base,), body)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -19,21 +19,20 @@ gcds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
-from .rational import InvariantError, format_rational, parse_rational
+from .rational import InvariantError, format_rational, parse_rational, record
 
 
 class DegenerateSurfaceError(ValueError):
     """The discriminant form vanishes identically (degenerate family member)."""
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceParams:
     """The nine rational parameters (a,b,c,d,e,f0..f3) of the family."""
 
@@ -48,10 +47,8 @@ class SurfaceParams:
     f3: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e", "f0", "f1", "f2", "f3"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+        if not all(isinstance(v, Fraction) for v in self):
+            return type(self)(*map(Fraction, self))
         if self.f3 == 0:
             raise ValueError("f3 must be nonzero (f must be a cubic)")
 
@@ -179,7 +176,7 @@ def _lift_scale(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> int:
     return lam * n
 
 
-@dataclass(frozen=True)
+@record
 class WPoint:
     """A point of P(2,3,1,1) in canonical integer form (weights 2,3,1,1).
 
@@ -360,7 +357,7 @@ class Surface:
 
 # -- smoothness of the branch sextic ----------------------------------
 
-@dataclass(frozen=True)
+@record
 class SmoothnessVerdict:
     """Outcome of the exact smoothness decision for the branch sextic.
 
@@ -618,7 +615,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
 
 # -- discriminant form and singular fibers ----------------------------
 
-@dataclass(frozen=True)
+@record
 class FiberFactor:
     factor: UniPoly
     degree: int
@@ -626,7 +623,7 @@ class FiberFactor:
     reduction: str  # "additive" when A vanishes at the factor's roots
 
 
-@dataclass(frozen=True)
+@record
 class SingularFiberReport:
     factors: Tuple[FiberFactor, ...]
     multiplicity_at_infinity: int

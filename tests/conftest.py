@@ -18,6 +18,13 @@ from dp1.rational import InvariantError, is_square
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
 
+def replaced(obj, **changes):
+    """A copy of the record obj with some fields changed, built through its
+    constructor so that the record's own checks run on the result (a
+    namedtuple's ``_replace`` would skip them)."""
+    return type(obj)(**{**obj._asdict(), **changes})
+
+
 def leading_coefficient(f: UniPoly) -> Fraction:
     """The leading coefficient of a non-zero f."""
     return Fraction(f.cs[-1], f.den)

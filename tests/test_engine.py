@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +13,7 @@ from conftest import (
     fraction_oracle,
     off_curve_after,
     random_params,
+    replaced,
     surface_through,
     time_limit,
     u_hop_by_fractions,
@@ -467,7 +467,7 @@ def test_generate_max_points_is_a_cap(worked_surface, worked_seed, max_points):
     # the seed's own fiber alone gives 11 points at n 10, so every cap bites
     cfg = GenerationConfig(t_height_bound=2, multiple_bound=10, depth=1)
     full = generate(worked_surface, worked_seed, cfg)
-    rep = generate(worked_surface, worked_seed, dataclasses.replace(cfg, max_points=max_points))
+    rep = generate(worked_surface, worked_seed, replaced(cfg, max_points=max_points))
     assert len(rep.points) <= max_points
     assert rep.points == full.points[:max_points]
     assert rep.fibers == {r.t: sum(q.t == r.t for q in rep.points) for r in rep.points}

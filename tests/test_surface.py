@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +16,7 @@ from conftest import (
     poly_divmod,
     random_params,
     random_smooth_surface,
+    replaced,
     squarefree_factorization_by_fractions,
     surface_through,
     time_limit,
@@ -129,7 +129,7 @@ def test_membership_matches_weighted_forms(seed, lam, shift, x, y, z):
         assert S.membership(Q) == on_surface_by_forms(S, Q), Q
     # c solved so that [x:y:z:0] lies on the surface
     c = Fraction(y * y - x ** 3) / (S.params.f3 ** 2 * z ** 6)
-    S0 = Surface(dataclasses.replace(S.params, c=c))
+    S0 = Surface(replaced(S.params, c=c))
     for Q in (WPoint(x, y, z, 0), rescaled(WPoint(x, y, z, 0), lam)):
         assert S0.membership(Q) and on_surface_by_forms(S0, Q), Q
 
@@ -552,7 +552,7 @@ def test_verdict_matches_two_chart_decision(params):
 def test_verdict_matches_two_chart_decision_examples(worked_surface, singular_fixture):
     rng = random.Random(29)
     params = [worked_surface.params, singular_fixture.params,
-              dataclasses.replace(worked_surface.params, c=Fraction(0)),
+              replaced(worked_surface.params, c=Fraction(0)),
               SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1)]
     params += [random_params(rng, height=3, c=c) for c in (None, 0) for _ in range(20)]
     outcomes = {assert_verdict_matches_two_charts(p) for p in params}
@@ -818,7 +818,7 @@ def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surfa
     vals = [Fraction(v) for v in (1, -2, 3, 1, -1, 0, 0, 0, 2, 1, -1, Fraction(1, 2), 2)]
     singular = [
         singular_fixture,  # A ≡ 0, B = (t³ + 1)²
-        Surface(dataclasses.replace(worked_surface.params, c=Fraction(0))),  # only at t = ∞
+        Surface(replaced(worked_surface.params, c=Fraction(0))),  # only at t = ∞
         Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)),  # B = t³, and c = 0
     ] + [Surface(u_line_params(kind, vals, Fraction(0), True)) for kind in U_LINE_FAMILIES]
     for S in singular:
