@@ -27,6 +27,7 @@ from .surface import (
     SurfaceParams,
     WPoint,
     singular_fiber_report,
+    singular_witnesses,
     smoothness_check,
 )
 
@@ -68,10 +69,10 @@ def _emit(payload: dict, args) -> None:
         sys.stderr.write(f"truncated: stopped early, {len(payload['skipped'])} skipped\n")
 
 
-def _witness_json(verdict) -> list:
+def _witness_json(S: Surface) -> list:
     return [
         {"chart": chart, "coeffs": [format_rational(c) for c in wp.coeffs]}
-        for chart, wp in verdict.witnesses
+        for chart, wp in singular_witnesses(S)
     ]
 
 
@@ -87,7 +88,7 @@ def cmd_classify(args) -> int:
     S = _load_surface(args.surface)
     verdict = smoothness_check(S)
     if not verdict.smooth:
-        _emit({"error": "surface is not smooth", "witnesses": _witness_json(verdict)}, args)
+        _emit({"error": "surface is not smooth", "witnesses": _witness_json(S)}, args)
         return EXIT_NEGATIVE
     report = cubic.classify_singularities(S)
     _emit(report.to_json(), args)
@@ -105,7 +106,7 @@ def cmd_smooth(args) -> int:
     primes = _parse_primes(args.primes) if args.primes else None
     S = _load_surface(args.surface)
     verdict = smoothness_check(S)
-    payload = {"verdict": verdict.kind, "witnesses": _witness_json(verdict)}
+    payload = {"verdict": verdict.kind, "witnesses": _witness_json(S)}
     if primes:
         payload["cross_check"] = cross_check_result(S, primes)
     _emit(payload, args)

@@ -12,17 +12,12 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .poly import REDUCTION_PRIME  # the prime of torsion_status's reduction test
 from .rational import InvariantError, record
 
 # Over Q a torsion point has order in {1,...,10,12} (Mazur), so walking the
 # multiples up to [12]P decides torsion exactly.
 MAZUR_ORDERS = tuple(list(range(1, 11)) + [12])
-
-# The prime of torsion_status's reduction test, 2³⁰ − 35, the largest prime
-# below 2³⁰: far above the Mazur orders, dividing almost no denominator or
-# discriminant, and small enough that its residues are one-digit CPython ints,
-# so each modular inverse is cheap.
-REDUCTION_PRIME = 1073741789
 
 
 class OffCurveError(ValueError):

@@ -206,9 +206,46 @@ def combination(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> List[int]
     return out
 
 
+# 2³⁰ − 35, the prime of int_gcd's coprimality test and torsion_status's
+# reduction test: far above the Mazur orders, dividing almost no coefficient or
+# discriminant, and with one-digit CPython ints as residues, inverted cheaply.
+REDUCTION_PRIME = 1073741789
+
+
+def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
+    """Whether f and g have a unit gcd mod p, p ∤ f's leading coefficient:
+    Euclid over F_p."""
+    f, g = [c % p for c in f], [c % p for c in g]
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        inv, dg = pow(g[-1], -1, p), len(g) - 1
+        while len(f) > dg:
+            q, k = f[-1] * inv % p, len(f) - 1 - dg
+            for i in range(dg):
+                f[k + i] = (f[k + i] - q * g[i]) % p
+            f.pop()
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Primitive gcd, up to sign, of trimmed integer polynomials (zero for two
-    zeros); each pseudo-remainder is made primitive to curb coefficient growth."""
+    zeros).
+
+    With a = t^va·a′ and b = t^vb·b′, t dividing neither a′ nor b′, the gcd is
+    t^min(va, vb)·gcd(a′, b′).  When p = REDUCTION_PRIME does not divide a′'s
+    leading coefficient and a′, b′ are coprime mod p, that is t^min(va, vb):
+    by Gauss's lemma an integer gcd of degree d divides a′ in ℤ[t], so it
+    keeps degree d mod p and divides both residues.  Otherwise a primitive
+    remainder sequence decides, each pseudo-remainder made primitive to curb
+    coefficient growth."""
+    if a and b:
+        va, vb = (next(i for i, c in enumerate(x) if c) for x in (a, b))
+        if a[-1] % REDUCTION_PRIME and _coprime_mod(a[va:], b[vb:], REDUCTION_PRIME):
+            return [0] * min(va, vb) + [1]
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a

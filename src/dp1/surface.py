@@ -9,11 +9,11 @@ A = α(f) and B = β(f) for α = a·u + b and β = c·u² + d·u + e, so the
 surface is the base change along u = f(t) of a rational elliptic surface
 over the u-line.  Smoothness of the t chart is decided there, on
 polynomials of degree at most 4 in u; the point at infinity s = 0 is
-singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only for a
-singular surface, to list its witnesses.  The mod-p oracle shares with the
-decision only the evaluation A = α(f), B = β(f): it reduces α, β and f mod p
-once and scans P¹(F_p) point by point, with none of the u-line's δ, γ, D or
-gcds.
+singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only where a
+singular surface's witnesses are read (``singular_witnesses``).  The mod-p
+oracle shares with the decision only the evaluation A = α(f), B = β(f): it
+reduces α, β and f mod p once and scans P¹(F_p) point by point, with none of
+the u-line's δ, γ, D or gcds.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ class Surface:
     A_t = α(f) and B_t = β(f) are the Weierstrass coefficients
     as polynomials in t = z/w; A_s, B_s are their chart-at-infinity
     counterparts in s = w/z (degree-4 and degree-6 reversals of the
-    homogeneous forms).
+    homogeneous forms), built on each read.
     """
 
     def __init__(self, params: SurfaceParams):
@@ -326,11 +326,13 @@ class Surface:
         self.A_t = UniPoly(poly.combination(n, (r0,), r1, F), m * n)
         sF = poly.combination(n * n, (s0,), s1 * n, F)
         self.B_t = UniPoly(poly.combination(1, sF, s2, poly.int_mul(F, F)), m * n * n)
-        self.A_s = self.A_t.reverse(4)
-        self.B_s = self.B_t.reverse(6)
         # smoothness_check's verdict, or the message of its
-        # DegenerateSurfaceError, once decided
+        # DegenerateSurfaceError, once decided; singular_witnesses' list
         self._smoothness = None
+        self._witnesses = None
+
+    A_s = property(lambda self: self.A_t.reverse(4))
+    B_s = property(lambda self: self.B_t.reverse(6))
 
     # -- point operations --------------------------------------------
     def membership(self, P: WPoint) -> bool:
@@ -361,13 +363,11 @@ class Surface:
 class SmoothnessVerdict:
     """Outcome of the exact smoothness decision for the branch sextic.
 
-    kind is "smooth", "singular", or "degenerate"; for a singular surface the
-    witnesses list the nontrivial gcd factors per chart whose roots carry
-    singular points.
+    kind is "smooth", "singular", or "degenerate"; ``singular_witnesses``
+    lists where a singular surface is singular.
     """
 
     kind: str
-    witnesses: Tuple[Tuple[str, UniPoly], ...] = ()
 
     @property
     def smooth(self) -> bool:
@@ -408,12 +408,16 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
 def smoothness_check(S: Surface) -> SmoothnessVerdict:
     """Decide smoothness of the branch sextic over every point of P¹.
 
-    The decision is made once per Surface: later calls return the same
-    verdict, or raise DegenerateSurfaceError again.
+    The u-line decides the t chart.  The s chart's points with s ≠ 0 are the
+    t chart's at t = 1/s, and at s = 0, A_s(0) = 0 and B_s(0) = c·f3² with
+    f3 ≠ 0, so the point at infinity is singular iff c = 0.  No chart
+    algebra runs.  The decision is made once per Surface: later calls return
+    the same verdict, or raise DegenerateSurfaceError again.
     """
     if S._smoothness is None:
         try:
-            S._smoothness = _decide_smoothness(S)
+            singular = _u_line_singular(S) or S.params.c == 0
+            S._smoothness = SmoothnessVerdict("singular" if singular else "smooth")
         except DegenerateSurfaceError as exc:
             S._smoothness = str(exc)
     if isinstance(S._smoothness, str):
@@ -467,28 +471,25 @@ def _u_line_singular(S: Surface) -> bool:
     return len(common) > 1 or (at_root(s) and (at_root(ds) or at_root(D)))
 
 
-def _decide_smoothness(S: Surface) -> SmoothnessVerdict:
-    """The u-line decides the t chart; the charts' algebra runs only to list
-    the witnesses of a singular surface, the t chart then the s chart.
-
-    The s chart's points with s ≠ 0 are the t chart's at t = 1/s.  At s = 0,
-    A_s(0) = 0 and B_s(0) = c·f3² with f3 ≠ 0, so the point at infinity is
-    singular iff c = 0: with c ≠ 0 and no u-line witness the surface is
-    smooth.  When the t chart runs, its witnesses must agree with the u-line.
-    """
-    singular_t = _u_line_singular(S)
-    if not singular_t and S.params.c != 0:
-        return SmoothnessVerdict("smooth")
-    witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
-    if bool(witnesses) != singular_t:
-        raise InvariantError(
-            f"the u-line calls the t chart {'singular' if singular_t else 'smooth'}, "
-            f"but its witnesses are {[w for _, w in witnesses]}"
-        )
-    witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]
-    if witnesses:
-        return SmoothnessVerdict("singular", tuple(witnesses))
-    return SmoothnessVerdict("smooth")
+def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
+    """The witnesses of a singular surface, () for a smooth one: (chart,
+    monic factor) for each nontrivial gcd factor whose roots carry singular
+    points, the t chart's then the s chart's.  Listed once per Surface; the t
+    chart's must agree with the u-line (InvariantError otherwise)."""
+    if S._witnesses is not None:
+        return S._witnesses
+    witnesses = []
+    if not smoothness_check(S).smooth:
+        singular_t = S.params.c != 0 or _u_line_singular(S)
+        witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
+        if bool(witnesses) != singular_t:
+            raise InvariantError(
+                f"the u-line calls the t chart {'singular' if singular_t else 'smooth'}, "
+                f"but its witnesses are {[w for _, w in witnesses]}"
+            )
+        witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]
+    S._witnesses = tuple(witnesses)
+    return S._witnesses
 
 
 # -- mod-p exhaustive oracle ------------------------------------------
@@ -506,19 +507,26 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     α, β and f are reduced mod p once, and each fiber t ∈ F_p takes
     A(t) = α(f(t)) and B(t) = β(f(t)) from those residues.  The derivatives
     of the rare Δ ≡ 0 fibers, and the point s = 0, come from the chart
-    polynomials A_t, B_t and A_s, B_s.  Independent of the symbolic
-    criterion: no δ, γ, D or gcd of the u-line decision is used.
+    polynomials A_t and B_t: A_s = s⁴A(1/s) and B_s = s⁶B(1/s), so A_s(0)
+    and A_s′(0) are A_t's coefficients 4 and 3, B_s(0) and B_s′(0) B_t's 6
+    and 5.  Independent of the symbolic criterion: no δ, γ, D or gcd of the
+    u-line decision is used.
     """
     check_prime(p)
     if S.params_den % p == 0:
         raise ValueError(f"prime {p} divides a parameter denominator")
-    # p ∤ params_den, so every denominator below is a unit mod p
-    r0, r1 = _residues(S.alpha, S.ab_den, p, 2)
-    s0, s1, s2 = _residues(S.beta, S.ab_den, p, 3)
-    f0, f1, f2, f3 = _residues(S.f.cs, S.f.den, p, 4)
+    # p ∤ params_den, so m and n are units mod p, inverted once each; the
+    # denominators of A_t and B_t divide m·n and m·n²
+    m, n = S.ab_den, S.f.den
+    im, i_n = pow(m, -1, p), pow(n, -1, p)
+    r0, r1 = _residues(S.alpha, im, p, 2)
+    s0, s1, s2 = _residues(S.beta, im, p, 3)
+    f0, f1, f2, f3 = _residues(S.f.cs, i_n, p, 4)
+    A = _residues(S.A_t.cs, m * n // S.A_t.den * im * i_n, p, 5)
+    B = _residues(S.B_t.cs, m * n * n // S.B_t.den * im * i_n * i_n, p, 7)
+    dA, dB = poly.deriv(A), poly.deriv(B)
     degenerate = True
     singular = False
-    derivs = None  # A_t′ and B_t′ mod p, once a Δ ≡ 0 fiber needs them
     for t in range(p):
         u = (((f3 * t + f2) * t + f1) * t + f0) % p
         at = (r0 + r1 * u) % p
@@ -526,26 +534,20 @@ def modp_singular_scan(S: Surface, p: int) -> str:
         if (4 * at * at * at + 27 * bt * bt) % p:
             degenerate = False
             continue
-        if singular:
-            continue
-        if derivs is None:
-            derivs = [poly.deriv(_residues(F.cs, F.den, p)) for F in (S.A_t, S.B_t)]
-        da, db = (poly.eval_mod(d, t, p) for d in derivs)
-        singular = _singular_on_fiber(at, bt, da, db, p)
-    # s = 0, where the values and the derivatives are the first two coefficients
-    a, b = (_residues(F.cs[:2], F.den, p, 2) for F in (S.A_s, S.B_s))
-    if (4 * a[0] ** 3 + 27 * b[0] ** 2) % p:
+        if not singular:
+            da, db = poly.eval_mod(dA, t, p), poly.eval_mod(dB, t, p)
+            singular = _singular_on_fiber(at, bt, da, db, p)
+    if (4 * A[4] ** 3 + 27 * B[6] ** 2) % p:  # s = 0
         degenerate = False
     elif not singular:
-        singular = _singular_on_fiber(a[0], b[0], a[1], b[1], p)
+        singular = _singular_on_fiber(A[4], B[6], A[3], B[5], p)
     if degenerate:
         return "bad_prime"
     return "singular" if singular else "smooth"
 
 
-def _residues(cs: Sequence[int], den: int, p: int, n: int = 0) -> List[int]:
-    """The coefficients of cs/den mod p, p ∤ den, padded with zeros to length n."""
-    inv = pow(den, -1, p)
+def _residues(cs: Sequence[int], inv: int, p: int, n: int) -> List[int]:
+    """The coefficients of cs·inv mod p, padded with zeros to length n."""
     out = [c * inv % p for c in cs]
     return out + [0] * (n - len(out))
 
@@ -561,7 +563,7 @@ def _singular_on_fiber(a: int, b: int, da: int, db: int, p: int) -> bool:
 
 def check_prime(p: int) -> None:
     """Refuse a scan prime unless it is a prime ≥ 5; trial division is exact,
-    and cheap beside the 2p² scan."""
+    and cheap beside the scan of p + 1 fibers."""
     if p < 5 or not poly.is_prime(p):
         raise ValueError(f"scan needs a prime p >= 5, got {p}")
 
@@ -589,9 +591,11 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     for p in primes:
         check_prime(p)
     verdict = smoothness_check(S)
-    has_rational_witness = verdict.kind == "singular" and any(
-        poly.rational_roots(wp) for _, wp in verdict.witnesses
-    )
+    # with c = 0, s = 0 is a rational singular point: s divides A_s, B_s and
+    # B_s′, since deg A, deg B ≤ 3
+    has_rational_witness = not verdict.smooth and (S.params.c == 0 or any(
+        poly.rational_roots(wp) for _, wp in singular_witnesses(S)
+    ))
     per_prime: Dict[int, str] = {}
     for p in primes:
         if S.params_den % p == 0:

@@ -15,7 +15,7 @@ from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_cur
 from dp1.engine import bounded_height_rationals
 from dp1.poly import UniPoly, gcd
 from dp1.rational import InvariantError, is_square
-from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
+from dp1.surface import Surface, SurfaceParams, WPoint, singular_witnesses, smoothness_check
 
 
 def replaced(obj, **changes):
@@ -134,6 +134,18 @@ def frac_gcd(f: tuple, g: tuple) -> tuple:
             rem = list(frac_trim(rem))
         f, g = g, tuple(rem)
     return frac_monic(f)
+
+
+def int_gcd_by_prs(a, b) -> list:
+    """Reference integer gcd, up to sign: a primitive pseudo-remainder
+    sequence on every pair, with no modular shortcut."""
+    a, b = poly._primitive(a), poly._primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = poly._int_prem(a, b)
+        a, b = b, poly._primitive(r) if r else []
+    return a
 
 
 def squarefree_factorization_by_fractions(f: UniPoly):
@@ -593,10 +605,11 @@ def random_smooth_surface(
         S = Surface(p)
         try:
             verdict = smoothness_check(S)
+            witnesses = singular_witnesses(S) if finite_only else ()
         except Exception:
             continue
         if finite_only:
-            if all(chart != "t" for chart, _ in verdict.witnesses):
+            if all(chart != "t" for chart, _ in witnesses):
                 return S
         elif verdict.smooth:
             return S

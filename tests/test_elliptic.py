@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mul, off_curve_after
-from dp1 import elliptic
+from dp1 import elliptic, poly
 from dp1.elliptic import (
     ECPoint,
     FiberCurve,
@@ -337,3 +337,15 @@ def test_chord_step_matches_fraction_chord(x0, y0, x1, y1, A, kind):
         assert_lowest_terms(R)
         assert R == expected.x.as_integer_ratio() + expected.y.as_integer_ratio()
     assert add(E, P, Q) == expected
+
+
+def test_reduction_prime_is_the_one_of_int_gcd_and_torsion_status(monkeypatch):
+    p = poly.REDUCTION_PRIME
+    # the largest prime below 2³⁰
+    assert poly.is_prime(p) and not any(map(poly.is_prime, range(p + 1, 2 ** 30)))
+    assert elliptic.REDUCTION_PRIME is p
+    primes = []
+    real = elliptic._nontorsion_mod
+    monkeypatch.setattr(elliptic, "_nontorsion_mod", lambda E, P, q: primes.append(q) or real(E, P, q))
+    assert torsion_status(E2, ECPoint(Fraction(-1), Fraction(1))) is None
+    assert primes == [p]

@@ -34,7 +34,14 @@ from dp1.engine import (
     u_hop,
 )
 from dp1.rational import InvariantError, is_square
-from dp1.surface import DegenerateSurfaceError, Surface, SurfaceParams, WPoint, smoothness_check
+from dp1.surface import (
+    DegenerateSurfaceError,
+    Surface,
+    SurfaceParams,
+    WPoint,
+    singular_witnesses,
+    smoothness_check,
+)
 
 
 def _by_t(found):
@@ -226,7 +233,7 @@ def sweep_case(rng: random.Random, height: int, kind: str):
             verdict = smoothness_check(S)
         except DegenerateSurfaceError:
             continue
-        if not (verdict.smooth or c == 0 and all(w[0] != "t" for w in verdict.witnesses)):
+        if not (verdict.smooth or c == 0 and all(w[0] != "t" for w in singular_witnesses(S))):
             continue
         E, Q = S.fiber_at(t0), ECPoint(x0, y0)
         try:

@@ -20,15 +20,19 @@ from conftest import (
     frac_sub,
     frac_trim,
     frac_value,
+    int_gcd_by_prs,
     leading_coefficient,
     poly_divmod,
     squarefree_factorization_by_fractions,
     squarefree_part,
 )
+from dp1 import poly
 from dp1.poly import (
+    REDUCTION_PRIME,
     UniPoly,
     gcd,
     int_exact_div,
+    int_gcd,
     int_mul,
     int_roots,
     is_separable,
@@ -540,3 +544,93 @@ def test_unipoly_matches_fraction_tuples(a, b, c, den, n, pad, t):
         assert_normalised(got)
         assert got.coeffs == want
     assert f(t) == frac_value(fa, Fraction(t))
+
+
+# -- int_gcd: coprimality certified mod REDUCTION_PRIME, else the PRS ----------
+
+PRIME = REDUCTION_PRIME
+
+
+def trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def up_to_sign(f: list, g: list) -> bool:
+    return f == g or f == [-c for c in g]
+
+
+# small, up to 2⁶⁴, and near multiples of p = REDUCTION_PRIME, so that
+# residues collide and p divides some leading coefficients
+gcd_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-2 ** 64, 2 ** 64),
+    st.builds(lambda k, r: k * PRIME + r, st.integers(-3, 3), st.integers(-2, 2)),
+)
+gcd_poly = st.lists(gcd_coeff, max_size=5).map(trim)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Trimmed (a, b), each t^k·u·h: a planted common factor h, planted
+    powers of t, a constant or a zero operand, or none of these."""
+    kind = draw(st.sampled_from(["random", "common", "t powers", "common and t powers",
+                                 "constant", "zero"]))
+    a, b = draw(gcd_poly), draw(gcd_poly)
+    if "common" in kind:
+        h = draw(gcd_poly.filter(lambda h: len(h) > 1))
+        a, b = int_mul(a, h), int_mul(b, h)
+    if "t powers" in kind:
+        a = [0] * draw(st.integers(0, 4)) + a if a else a
+        b = [0] * draw(st.integers(0, 4)) + b if b else b
+    if kind == "constant":
+        a = [draw(gcd_coeff.filter(bool))]
+    elif kind == "zero":
+        a = []
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gcd_pairs())
+def test_int_gcd_matches_prs(pair):
+    a, b = pair
+    assert up_to_sign(int_gcd(a, b), int_gcd_by_prs(a, b))
+
+
+def pseudo_remainders(monkeypatch) -> list:
+    """A list that gets one entry per _int_prem call from now on."""
+    calls = []
+    real = poly._int_prem
+    monkeypatch.setattr(poly, "_int_prem", lambda f, g: calls.append(1) or real(f, g))
+    return calls
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([1, 1], [1 + PRIME, 1], [1]),  # t + 1 and t + 1 + p: coprime, equal mod p
+    ([1, 0, PRIME], [1, 1], [1]),  # p divides the leading coefficient of p·t² + 1
+    ([0, 1, 1], [1 + PRIME, 1], [1]),  # t(t + 1) and t + 1 + p: t-free parts equal mod p
+    # (p·t + 1)(t + 2) and (p·t + 1)(t + 3): coprime mod p, where the common
+    # factor drops to 1, so only the leading-coefficient test keeps it
+    ([2, 2 * PRIME + 1, PRIME], [3, 3 * PRIME + 1, PRIME], [1, PRIME]),
+    ([2, 3, 1], [-3, -2, 1], [1, 1]),  # (t + 1)(t + 2) and (t + 1)(t − 3)
+])
+def test_int_gcd_falls_back_to_prs(monkeypatch, a, b, expected):
+    calls = pseudo_remainders(monkeypatch)
+    assert up_to_sign(int_gcd(a, b), expected)
+    assert calls, "the pseudo-remainder sequence did not run"
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([0, 1], [PRIME, 1], [1]),  # t and t + p share t mod p, but stripping t leaves 1
+    ([0, 0, 1, 1], [0, 2, 0, 5], [0, 1]),  # t²(t + 1) and t(5t² + 2)
+    ([0, 0, 0, 7], [0, 0, 4], [0, 0, 1]),  # 7t³ and 4t²
+    ([3], [1, 2, 3], [1]),
+    ([5, 0, 0, 1], [0, 0, 3], [1]),  # t³ + 5 and its derivative
+    ([2 ** 64 + 1, 3, 2 ** 63], [1, -(2 ** 62), 7], [1]),
+])
+def test_coprime_pairs_take_no_pseudo_remainder(monkeypatch, a, b, expected):
+    calls = pseudo_remainders(monkeypatch)
+    assert int_gcd(a, b) == expected
+    assert calls == []
+    assert up_to_sign(int_gcd_by_prs(a, b), expected)

@@ -37,7 +37,7 @@ RECORDS = [
     PointRecord(F(2), POINT, "seed"),
     PARAMS,
     WPoint(1, -2, 3, 4),
-    SmoothnessVerdict("singular", (("t", UniPoly((1, 1))),)),
+    SmoothnessVerdict("singular"),
     FACTOR,
     SingularFiberReport((FACTOR,), 10),
 ]
@@ -97,7 +97,8 @@ def test_repr_and_str_kept():
     assert repr(FiberCurve(F(1, 2), F(0), F(-3))) == (
         "FiberCurve(t=Fraction(1, 2), A=Fraction(0, 1), B=Fraction(-3, 1))"
     )
-    assert SmoothnessVerdict("smooth").witnesses == ()
+    assert SmoothnessVerdict("smooth") == SmoothnessVerdict(kind="smooth")
+    assert SmoothnessVerdict("singular")._fields == ("kind",)
 
 
 def test_surface_params_coerce_to_fraction():

@@ -36,6 +36,7 @@ from dp1.surface import (
     WPoint,
     modp_singular_scan,
     singular_fiber_report,
+    singular_witnesses,
     smoothness_check,
     smoothness_cross_check,
     _chart_singular_witnesses,
@@ -331,7 +332,7 @@ def test_smoothness_worked(worked_surface, worked_surface_2):
 def test_smoothness_singular_fixture(singular_fixture):
     verdict = smoothness_check(singular_fixture)
     assert verdict.kind == "singular"
-    assert verdict.witnesses
+    assert singular_witnesses(singular_fixture)
 
 
 def test_modp_scan_worked(worked_surface, singular_fixture):
@@ -515,31 +516,34 @@ def test_cross_check_refuses_invalid_primes_on_every_surface(f0):
                 smoothness_cross_check(Surface(params), primes)
 
 
-def uncached_verdict(S: Surface) -> SmoothnessVerdict:
-    """The two-chart decision, made afresh from the chart polynomials."""
+def uncached_verdict(S: Surface) -> tuple:
+    """The two-chart decision, made afresh from the chart polynomials: the
+    verdict and the witnesses."""
     witnesses = tuple(
         (chart, wpoly)
         for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s))
         for wpoly in _chart_singular_witnesses(A, B)
     )
-    return SmoothnessVerdict("singular" if witnesses else "smooth", witnesses)
+    return SmoothnessVerdict("singular" if witnesses else "smooth"), witnesses
 
 
 def assert_verdict_matches_two_charts(params: SurfaceParams) -> str:
-    """smoothness_check against the two-chart reference, witnesses included;
-    returns the case: smooth, singular, singular only at infinity, or
-    degenerate."""
+    """smoothness_check and singular_witnesses against the two-chart
+    reference; returns the case: smooth, singular, singular only at infinity,
+    or degenerate."""
     S = Surface(params)
     try:
-        expected = uncached_verdict(S)
+        expected, witnesses = uncached_verdict(S)
     except DegenerateSurfaceError:
-        with pytest.raises(DegenerateSurfaceError):
-            smoothness_check(S)
+        for decide in (smoothness_check, singular_witnesses):
+            with pytest.raises(DegenerateSurfaceError):
+                decide(S)
         return "degenerate"
     assert smoothness_check(S) == expected, params
+    assert singular_witnesses(S) == witnesses, params
     if expected.smooth:
         return "smooth"
-    only_s = {chart for chart, _ in expected.witnesses} == {"s"}
+    only_s = {chart for chart, _ in witnesses} == {"s"}
     return "singular only at infinity" if only_s else "singular"
 
 
@@ -565,13 +569,14 @@ def test_memoized_verdict_matches_uncached_decision(singular_fixture):
     kinds = set()
     for S in surfaces:
         expected = uncached_verdict(S)
-        first = smoothness_check(S)
+        first = smoothness_check(S), singular_witnesses(S)
         assert first == expected
-        assert smoothness_check(S) is first
+        assert smoothness_check(S) is first[0] and singular_witnesses(S) is first[1]
         # the memo is per instance: a new Surface decides afresh
-        again = smoothness_check(Surface(S.params))
-        assert again == expected and again is not first
-        kinds.add(expected.kind)
+        T = Surface(S.params)
+        again = smoothness_check(T), singular_witnesses(T)
+        assert again == expected and again[0] is not first[0]
+        kinds.add(expected[0].kind)
     assert kinds == {"smooth", "singular"}
 
 
@@ -790,31 +795,35 @@ def test_critical_value_poly_is_the_discriminant_of_f_minus_u(vals, f3):
         assert poly._homogeneous_value(D, *f(root).as_integer_ratio()) == 0
 
 
-def chart_calls(monkeypatch, S: Surface) -> list:
-    """The charts, in order, whose witnesses one smoothness_check of a fresh
+def chart_calls(monkeypatch, S: Surface, decide) -> list:
+    """The charts, in order, whose witnesses one call of decide on a fresh
     copy of S computes."""
     S = Surface(S.params)
     calls = []
     real = surface._chart_singular_witnesses
 
     def counted(A, B):
+        # A_s and B_s are built on each read, so they are told apart by value
         calls.append("t" if A is S.A_t and B is S.B_t
-                     else "s" if A is S.A_s and B is S.B_s else "other")
+                     else "s" if (A, B) == (S.A_s, S.B_s) else "other")
         return real(A, B)
 
     with monkeypatch.context() as m:
         m.setattr(surface, "_chart_singular_witnesses", counted)
-        smoothness_check(S)
+        decide(S)
     return calls
 
 
 def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surface,
                                                        worked_surface_2, singular_fixture):
+    # the verdict never runs the charts; the witness list runs them for a
+    # singular surface only
     rng = random.Random(89)
     smooth = [worked_surface, worked_surface_2]
     smooth += [random_smooth_surface(rng, height=4) for _ in range(20)]
     for S in smooth:
-        assert chart_calls(monkeypatch, S) == []
+        for decide in (smoothness_check, singular_witnesses):
+            assert chart_calls(monkeypatch, S, decide) == []
     vals = [Fraction(v) for v in (1, -2, 3, 1, -1, 0, 0, 0, 2, 1, -1, Fraction(1, 2), 2)]
     singular = [
         singular_fixture,  # A ≡ 0, B = (t³ + 1)²
@@ -823,17 +832,65 @@ def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surfa
     ] + [Surface(u_line_params(kind, vals, Fraction(0), True)) for kind in U_LINE_FAMILIES]
     for S in singular:
         assert smoothness_check(S).kind == "singular"
-        assert chart_calls(monkeypatch, S) == ["t", "s"]
+        assert chart_calls(monkeypatch, S, smoothness_check) == []
+        assert chart_calls(monkeypatch, S, singular_witnesses) == ["t", "s"]
 
 
 def test_u_line_and_t_chart_must_agree(monkeypatch, worked_surface):
     monkeypatch.setattr(surface, "_u_line_singular", lambda S: True)
     with pytest.raises(InvariantError, match="u-line calls the t chart singular"):
-        smoothness_check(Surface(worked_surface.params))
+        singular_witnesses(Surface(worked_surface.params))
     # with c = 0 the t chart runs anyway, and must find what the u-line found
     monkeypatch.setattr(surface, "_u_line_singular", lambda S: False)
     with pytest.raises(InvariantError, match="u-line calls the t chart smooth"):
-        smoothness_check(Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)))
+        singular_witnesses(Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_params())
+def test_c_zero_surface_lists_a_witness_at_s_zero(params):
+    # the premise of the cross-check's c = 0 shortcut: s = 0 is a rational
+    # singular point, so some s witness vanishes at 0
+    S = Surface(replaced(params, c=Fraction(0)))
+    try:
+        witnesses = singular_witnesses(S)
+    except DegenerateSurfaceError:
+        return
+    assert smoothness_check(S).kind == "singular"
+    assert any(chart == "s" and wp[0] == 0 for chart, wp in witnesses), params
+
+
+def test_c_zero_verdict_and_cross_check_run_no_chart_algebra(monkeypatch, worked_surface):
+    def refuse(A, B):
+        raise AssertionError("the chart algebra ran")
+
+    monkeypatch.setattr(surface, "_chart_singular_witnesses", refuse)
+    rng = random.Random(97)
+    params = [replaced(worked_surface.params, c=Fraction(0)), SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)]
+    params += [random_params(rng, height=5, c=0) for _ in range(40)]
+    for p in params:
+        S = Surface(p)
+        assert smoothness_check(S).kind == "singular"
+        assert smoothness_cross_check(S, (7, 11, 13))["symbolic"] == "singular"
+    with pytest.raises(AssertionError, match="chart algebra ran"):
+        singular_witnesses(S)
+
+
+def test_modp_scan_inverts_two_denominators_and_builds_no_reversal(monkeypatch):
+    # 1/ab_den and 1/f.den, once per scan; s = 0 read from A_t and B_t
+    def refuse(S):
+        raise AssertionError("the scan built a reversal")
+
+    rng = random.Random(101)
+    params = [random_params(rng, height=5) for _ in range(10)]
+    expected = [modp_scan_per_coefficient(Surface(p), 13) for p in params]
+    calls = []
+    monkeypatch.setattr(surface, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    monkeypatch.setattr(Surface, "A_s", property(refuse))
+    monkeypatch.setattr(Surface, "B_s", property(refuse))
+    assert [modp_singular_scan(Surface(p), 13) for p in params] == expected
+    assert len(calls) == 2 * len(params)
 
 
 def test_cross_check_on_worked(worked_surface, singular_fixture):
