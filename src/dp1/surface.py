@@ -1,9 +1,10 @@
 """The degree-one del Pezzo family y² = x³ + a₄(f(z/w))·x·w⁴ + a₆(f(z/w))·w⁶.
 
-Covers construction from the nine rational parameters, weighted-point
-normalization and membership, the exact smoothness decision for the branch
-sextic, a mod-p exhaustive oracle cross-checking it over the points of
-P¹(F_p), and the degree-12 discriminant bookkeeping for singular fibers.
+Covers construction from the nine rational parameters, the lift of a
+rational point to a canonical weighted point by its Weierstrass denominators,
+membership, the exact smoothness decision for the branch sextic, a mod-p
+exhaustive oracle cross-checking it over the points of P¹(F_p), and the
+degree-12 discriminant bookkeeping for singular fibers.
 
 A = α(f) and B = β(f) for α = a·u + b and β = c·u² + d·u + e, so the
 surface is the base change along u = f(t) of a rational elliptic surface
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
@@ -76,104 +77,70 @@ class SurfaceParams:
         return out
 
 
-def _vp(n: int, p: int) -> Optional[int]:
-    """p-adic valuation; None stands for +infinity (n == 0)."""
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-# Lifting factors integers only by trial division below this bound; a part
-# left after it is decided by exact powers and gcds, or refused.
+# Lifting finds the primes of a denominator by trial division below this bound.
 TRIAL_BOUND = 1000
+_SMALL_PRIMES = [p for p in range(2, TRIAL_BOUND) if poly.is_prime(p)]
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
-def _trial_primes(n: int) -> Tuple[List[int], int]:
-    """The primes of n ≥ 1 that trial division below TRIAL_BOUND finds, and
-    the cofactor of n they leave.  The cofactor has no prime below the bound,
-    so when it is, or is an exact power of, a number below TRIAL_BOUND², that
-    number is prime: it is listed too, and 1 is left."""
-    primes = []
-    d = 2
-    while d < TRIAL_BOUND and d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    root = n
-    while (r := _exact_root(root, 2) or _exact_root(root, 3)) > 1:
-        root = r
-    if 1 < root < TRIAL_BOUND ** 2:
-        primes.append(root)
-        n = 1
-    return primes, n
-
-
-def _exact_root(n: int, k: int) -> int:
-    """The k-th root (k = 2 or 3) of n ≥ 1 when n is a k-th power, else 0."""
-    if n < 1:
-        return 0
+def _iroot(n: int, k: int) -> int:
+    """⌊n^(1/k)⌋ for n ≥ 1 and k = 2 or 3."""
     if k == 2:
-        r = math.isqrt(n)
-    else:  # integer Newton from above, to the floor of the cube root
-        r = 1 << -(-n.bit_length() // 3)
-        while (s := (2 * r + n // (r * r)) // 3) < r:
-            r = s
-    return r if r ** k == n else 0
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // 3)  # integer Newton from above
+    while (s := (2 * r + n // (r * r)) // 3) < r:
+        r = s
+    return r
 
 
-def _part_over(c: int, m: int) -> int:
-    """The largest divisor of |c| whose primes all divide m, by gcds; 0 for c = 0."""
-    if c == 0:
-        return 0
-    part, c = 1, abs(c)
-    g = math.gcd(c, m)
-    while g > 1:
-        part *= g
-        c //= g
-        g = math.gcd(c, g)
-    return part
+def _large_base(n: int) -> int:
+    """What is left of n ≥ 1 past its primes below TRIAL_BOUND, taken to its
+    exact square or cube root while it has one; below TRIAL_BOUND² that is
+    1 or a prime."""
+    while (g := math.gcd(n, _PRIMORIAL)) > 1:
+        n //= g
+    while n > 1 and ((r := _iroot(n, 2)) ** 2 == n or (r := _iroot(n, 3)) ** 3 == n):
+        n = r
+    return n
 
 
-def _undecided(part: int) -> ValueError:
-    return ValueError(
-        f"cannot lift to a weighted point without factoring {part}: it has no "
-        f"prime factor below the trial-division bound {TRIAL_BOUND}, and exact "
-        "powers and gcds do not decide it"
-    )
+def _lift_scale(dx: int, dy: int, *near: int) -> int:
+    """The least λ ≥ 1 with dx | λ² and dy | λ³; the numbers ``near`` may
+    share primes with dx and dy.
 
-
-def _lift_scale(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> int:
-    """The least λ ≥ 1 with λ²x, λ³y, λz and λw integral.
-
-    For each prime, v(λ) = max(⌈v(den x)/2⌉, ⌈v(den y)/3⌉, v(den z·w)), with
-    den z·w the lcm of the two.  Primes found by trial division are counted
-    one by one.  For the cofactors X, Y, C left, λ's part is n = lcm(C, e₂, e₃).
-    A cofactor K below TRIAL_BOUND³ has at most two primes, all above the
-    bound, so it is p, p·q or p², and e is √K or K.  Above, e₂² = X and
-    e₃³ = Y where they exist.  Each of the three must divide λ, so n is
-    least once X | n² and Y | n³, which is checked.
+    Each prime found goes into λ as often as its valuations in dx and dy
+    need.  Trial division finds the primes below TRIAL_BOUND.  Past them, a
+    _large_base below TRIAL_BOUND² of dx, dy or a number of ``near`` is a
+    prime.  What is then left of dx and dy, as n with k = 2 and 3, is 1, p
+    or p·q below TRIAL_BOUND³ and needs n in λ; above, it needs n's exact
+    k-th root, where there is one.  Each of these divides λ, so their lcm c
+    is λ's last part when it clears both, and the lift is refused
+    otherwise.  On a point of the family what is left is c² and c³ at every
+    prime where the Weierstrass coefficients are integral (Silverman, AEC
+    VII.1), so only primes ≥ TRIAL_BOUND of parameter denominators can
+    refuse it.
     """
-    dens = [x.denominator, y.denominator, math.lcm(z.denominator, w.denominator)]
-    primes = {p for d in dens for p in _trial_primes(d)[0]}
-    lam = 1
-    for p in primes:
-        vx, vy, vc = (_vp(d, p) for d in dens)
-        dens = [d // p ** v for d, v in zip(dens, (vx, vy, vc))]
-        lam *= p ** max(-(-vx // 2), -(-vy // 3), vc)
-    X, Y, C = dens
-    below = TRIAL_BOUND ** 3
-    e2 = (_exact_root(X, 2) or X) if X < below else (_exact_root(X, 2) or 1)
-    e3 = (_exact_root(Y, 2) or Y) if Y < below else (_exact_root(Y, 3) or 1)
-    n = math.lcm(C, e2, e3)
-    if (n * n) % X or n ** 3 % Y:
-        raise _undecided(math.lcm(X, Y))
-    return lam * n
+    lam, primes = 1, iter(_SMALL_PRIMES)
+    while dx > 1 or dy > 1:
+        p = next(primes, 0) or next((b for b in map(_large_base, (dx, dy) + near)
+                                     if 1 < b < TRIAL_BOUND ** 2 and (dx % b == 0 or dy % b == 0)), 0)
+        if not p:
+            break
+        while dx % p == 0 or dy % p == 0:  # one more p in λ
+            lam *= p
+            dx //= math.gcd(dx, p * p)
+            dy //= math.gcd(dy, p ** 3)
+    c = 1
+    for n, k in ((dx, 2), (dy, 3)):
+        if n < TRIAL_BOUND ** 3:
+            c = math.lcm(c, n)
+        elif (r := _iroot(n, k)) ** k == n:
+            c = math.lcm(c, r)
+    if (c * c) % dx or c ** 3 % dy:
+        raise ValueError(f"cannot lift to a weighted point: past the primes below the trial-division "
+                         f"bound {TRIAL_BOUND}, exact roots do not decide the least scale for the "
+                         f"scaled denominators {dx} of x and {dy} of y")
+    return lam * c
 
 
 @record
@@ -182,6 +149,8 @@ class WPoint:
 
     Canonical means no prime λ divides (x,y,z,w) as (λ²,λ³,λ,λ), and the
     sign is fixed so that the first nonzero of (w, z) is positive, else y.
+    ``from_fractions`` lifts a rational quadruple by its Weierstrass
+    denominators, and is exact wherever it answers.
     """
 
     x: int
@@ -190,71 +159,37 @@ class WPoint:
     w: int
 
     @staticmethod
-    def _reduced(x: int, y: int, z: int, w: int, coprime: int) -> "WPoint":
-        """(x, y, z, w) divided by the largest r with r | z, r | w, r² | x and
-        r³ | y, given that no prime of ``coprime`` divides r.
-
-        Primes found by trial division are counted one by one.  A cofactor
-        they leave below TRIAL_BOUND³ is squarefree, and gcds decide r's part.
-        Over the primes of a larger cofactor, with x' and y' the parts of x and
-        y made of those primes, every valid r divides the gcd of the cofactor,
-        z, w, x' (or √x', when x' is a square) and y' (or ∛y', when y' is a
-        cube); that gcd is r's part when it is valid itself.
-        """
-        if x == y == z == w == 0:
-            raise ValueError("all four coordinates are zero")
-        if z or w:
-            base = math.gcd(z, w)
-        elif x and y:
-            base = math.gcd(x, y)
-        else:
-            base = abs(x or y)
-        while (g := math.gcd(base, coprime)) > 1:
-            base //= g
-        primes, rest = _trial_primes(base)
-        for p in primes:
-            exps = [
-                v for v in (
-                    _vp(z, p),
-                    _vp(w, p),
-                    None if x == 0 else _vp(x, p) // 2,
-                    None if y == 0 else _vp(y, p) // 3,
-                )
-                if v is not None
-            ]
-            e = min(exps) if exps else 0
-            if e > 0:
-                x //= p ** (2 * e)
-                y //= p ** (3 * e)
-                z //= p ** e
-                w //= p ** e
-        if rest > 1:
-            if rest < TRIAL_BOUND ** 3:
-                # one or two primes above the bound, and no square: squarefree,
-                # so p² | x exactly when p | x / gcd(x, rest), and so for p³ | y
-                x1, y1 = x // math.gcd(x, rest), y // math.gcd(y, rest)
-                r = math.gcd(rest, z, w, x1, y1 // math.gcd(y1, rest))
-            else:
-                xr, yr = _part_over(x, rest), _part_over(y, rest)
-                r = math.gcd(rest, z, w, _exact_root(xr, 2) or xr, _exact_root(yr, 3) or yr)
-            if x % (r * r) or y % r ** 3:
-                raise _undecided(r)
-            x, y, z, w = x // (r * r), y // r ** 3, z // r, w // r
-        if w < 0 or (w == 0 and z < 0) or (w == z == 0 and y < 0):
-            y, z, w = -y, -z, -w
-        return WPoint(x, y, z, w)
-
-    @staticmethod
     def from_fractions(x: Fraction, y: Fraction, z: Fraction, w: Fraction) -> "WPoint":
         """Scale a rational quadruple into canonical integer form.
 
-        No prime of the least integral scale λ divides the scaled point's
-        weighted content, so only the other primes are looked for.
+        (z, w) scales to the coprime (p, q) with t = z/w = p/q and q > 0, or
+        to (1, 0) when w = 0, and (x, y) with it to (X, Y).  With λ the least
+        integer that makes λ²X and λ³Y integral (``_lift_scale``),
+        [λ²X : λ³Y : λp : λq] is canonical: a weighted content r divides λ,
+        and λ/r would be a smaller such integer.  λ is found for every point
+        of every surface whose parameter denominators have no prime ≥
+        TRIAL_BOUND.  Past that, a point of a surface with such a prime, or
+        a quadruple, may be refused with a ValueError where the primes of
+        den X and den Y that trial division leaves are not decided.  When
+        z = w = 0, every member of the family has y² = x³, and the point is
+        [1:1:0:0].
         """
-        lam = _lift_scale(x, y, z, w)
-        return WPoint._reduced(
-            int(x * lam ** 2), int(y * lam ** 3), int(z * lam), int(w * lam), lam
-        )
+        if not (z or w):
+            if x and y * y == x ** 3:
+                return WPoint(1, 1, 0, 0)
+            raise ValueError(f"[{x}:{y}:0:0] is on no member of the family, "
+                             "where z = w = 0 needs y^2 = x^3 != 0")
+        zn, zd, wn, wd = z.numerator, z.denominator, w.numerator, w.denominator
+        # k/g scales (z, w) to (P/g, Q/g): coprime, and the first nonzero of Q, P positive
+        P, Q, k = zn * wd, zd * wn, zd * wd
+        g = math.gcd(P, Q)
+        if (wn or zn) < 0:
+            g = -g
+        X = Fraction(x.numerator * k * k, x.denominator * g * g)
+        Y = Fraction(y.numerator * k ** 3, y.denominator * g ** 3)
+        lam = _lift_scale(X.denominator, Y.denominator, x.denominator, y.denominator, zd, wd, abs(g))
+        return WPoint(X.numerator * (lam * lam // X.denominator),
+                      Y.numerator * (lam ** 3 // Y.denominator), lam * P // g, lam * Q // g)
 
     @staticmethod
     def from_affine(t: Fraction, x: Fraction, y: Fraction) -> "WPoint":
@@ -327,9 +262,9 @@ class Surface:
         sF = poly.combination(n * n, (s0,), s1 * n, F)
         self.B_t = UniPoly(poly.combination(1, sF, s2, poly.int_mul(F, F)), m * n * n)
         # smoothness_check's verdict, or the message of its
-        # DegenerateSurfaceError, once decided; singular_witnesses' list
-        self._smoothness = None
-        self._witnesses = None
+        # DegenerateSurfaceError, once decided, and the u-line's answer for the
+        # t chart; singular_witnesses' list
+        self._smoothness = self._t_singular = self._witnesses = None
 
     A_s = property(lambda self: self.A_t.reverse(4))
     B_s = property(lambda self: self.B_t.reverse(6))
@@ -416,7 +351,8 @@ def smoothness_check(S: Surface) -> SmoothnessVerdict:
     """
     if S._smoothness is None:
         try:
-            singular = _u_line_singular(S) or S.params.c == 0
+            S._t_singular = _u_line_singular(S)
+            singular = S._t_singular or S.params.c == 0
             S._smoothness = SmoothnessVerdict("singular" if singular else "smooth")
         except DegenerateSurfaceError as exc:
             S._smoothness = str(exc)
@@ -480,11 +416,10 @@ def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
         return S._witnesses
     witnesses = []
     if not smoothness_check(S).smooth:
-        singular_t = S.params.c != 0 or _u_line_singular(S)
         witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
-        if bool(witnesses) != singular_t:
+        if bool(witnesses) != S._t_singular:
             raise InvariantError(
-                f"the u-line calls the t chart {'singular' if singular_t else 'smooth'}, "
+                f"the u-line calls the t chart {'singular' if S._t_singular else 'smooth'}, "
                 f"but its witnesses are {[w for _, w in witnesses]}"
             )
         witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]

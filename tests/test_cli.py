@@ -252,12 +252,32 @@ def test_input_error_exit_two(tmp_path, capsys):
 
 
 def test_undecidable_seed_exit_two(surface_file, capsys):
-    # den x = 1009·1013·1019 is above 1000³: trial division below 1000
-    # cannot tell p·q·r from p²·q
+    # den x = 1009·1013·1019 is above 1000³ and no square, and den y = 1 holds
+    # none of its primes: trial division below 1000 cannot tell p·q·r from p²·q
     code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/1041537223:1:1:1]"])
     err = capsys.readouterr().err
     assert code == 2
     assert "trial-division bound 1000" in err
+
+
+def test_off_family_base_seed_exit_two(surface_file, capsys):
+    # z = w = 0 leaves y² = x³ on every member of the family
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", "[0:1:0:0]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: [0:1:0:0] is on no member of the family, "
+                            "where z = w = 0 needs y^2 = x^3 != 0\n")
+
+
+def test_seed_over_large_parameter_denominator(surface_file, capsys):
+    # f0 = 1/1009: at t = 0, x = 0 and y = 1/1009 leave den y = 1009 with
+    # den x = 1, and at t = -1 the census seed has den y = 1009³
+    params = {"a": "1", "b": "1", "c": "1", "d": "0", "e": "0", "f": ["1/1009", "1", "0", "1"]}
+    code, out = run(capsys, "check", "--surface", surface_file(params), "--seed", "[0:1/1009:0:1]")
+    assert code == 1 and out["smooth"] is True and out["slope_condition"] is False
+    row, = search_params([SurfaceParams.from_json(params)], (1, 1, 1, 1))["rows"]
+    assert row["certified"] is True and row["seed"] == "[0:2053469377:-1009:1009]"
 
 
 def test_runtime_imports_no_sympy(surface_file):

@@ -22,7 +22,7 @@ from conftest import (
     time_limit,
 )
 from dp1 import poly, surface
-from dp1.elliptic import FiberCurve
+from dp1.elliptic import ECPoint, FiberCurve, multiples
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
 from dp1.rational import InvariantError
@@ -146,14 +146,22 @@ def test_wpoint_parse_and_canonical():
 # (the reference) still factors at once.
 LARGE_PRIMES = [1_000_003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1]
 REFUSAL = "trial-division bound 1000"
+OFF_FAMILY = "needs y^2 = x^3 != 0"
 
 
-def canonical_or_refused(Q: WPoint, expected: WPoint) -> None:
-    """from_fractions(Q) is expected, or refuses by naming the bound."""
+def canonical_or_refused(coords, expected: WPoint) -> None:
+    """from_fractions(*coords) is expected, or refuses by naming the bound;
+    a quadruple with z = w = 0 is refused only off y² = x³ ≠ 0, and says so."""
+    x, y, z, w = coords
     try:
-        assert WPoint.from_fractions(Q.x, Q.y, Q.z, Q.w) == expected
+        got = WPoint.from_fractions(*coords)
     except ValueError as exc:
-        assert REFUSAL in str(exc)
+        if z or w:
+            assert REFUSAL in str(exc)
+        else:
+            assert (x == 0 or y * y != x ** 3) and OFF_FAMILY in str(exc)
+        return
+    assert got == expected
 
 
 rational_below_1e6 = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
@@ -163,10 +171,14 @@ rational_below_1e6 = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.inte
 @given(st.tuples(*[rational_below_1e6] * 4).filter(any))
 def test_lift_matches_factoring_on_rational_quadruples(coords):
     # numerators and denominators are below TRIAL_BOUND² = 10⁶, so trial
-    # division factors each completely: the lift must decide every case
+    # division and the cofactors below 10⁶ find every prime: the lift must
+    # decide every case but z = w = 0, where only y² = x³ ≠ 0 is a point
     x, y, z, w = coords
-    P = WPoint.from_fractions(x, y, z, w)
-    assert P == from_fractions_by_factoring(x, y, z, w)
+    P = from_fractions_by_factoring(x, y, z, w)
+    if z or w:
+        assert WPoint.from_fractions(x, y, z, w) == P
+    else:
+        canonical_or_refused(coords, P)
     # the scaled integers can hold two unknown primes: from_fractions may
     # refuse them, but never answers wrongly
     canonical_or_refused(P, P)
@@ -176,10 +188,15 @@ def test_lift_matches_factoring_on_rational_quadruples(coords):
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
 def test_canonicalize_matches_factoring_on_integers(coords):
-    # the weighted content divides a coordinate below 10⁶: always decided
+    # the weighted content divides gcd(z, w) below 10⁶, which has at most
+    # one prime above the bound: always decided but z = w = 0
+    x, y, z, w = coords
     if coords == (0, 0, 0, 0):
         return
-    assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
+    if z or w:
+        assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
+    else:
+        canonical_or_refused(coords, canonicalize_by_factoring(*coords))
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,6 +209,12 @@ def test_lift_rescaled_by_large_prime(coords, lam, zero_w):
     if x == y == z == w == 0:
         return
     P = canonicalize_by_factoring(x, y, z, w)
+    if z == w == 0:  # on every member of the family exactly when y² = x³ ≠ 0
+        big = lam * LARGE_PRIMES[0]
+        for k in (1, lam, big):
+            canonical_or_refused(rescaled(P, k), P)
+            canonical_or_refused((Fraction(P.x, k ** 2), Fraction(P.y, k ** 3), 0, 0), P)
+        return
     up = rescaled(P, lam)
     assert WPoint.from_fractions(up.x, up.y, up.z, up.w) == P
     down = (Fraction(P.x, lam ** 2), Fraction(P.y, lam ** 3), Fraction(P.z, lam), Fraction(P.w, lam))
@@ -204,17 +227,57 @@ def test_lift_rescaled_by_large_prime(coords, lam, zero_w):
     assert WPoint.from_fractions(*down) == P
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2 ** 32))
-def test_lift_of_generated_points_matches_factoring(seed):
+# Rescalings of a point that leave its class alone: primes far above the
+# trial-division bound, alone and in products.
+COMPOSITE_SCALES = [1_000_003, 2 ** 61 - 1, 1009 * 1013, (2 ** 31 - 1) * (2 ** 61 - 1)]
+
+
+# sympy's factorint, which the lift's oracle runs on the primes of the scale,
+# takes up to seconds on a scale of 100 bits or more with two large primes;
+# below this size it takes milliseconds.
+ORACLE_BITS = 64
+
+
+def lifts_back_unchanged(P: WPoint) -> None:
+    """P, rescaled up and down by each composite scale, parses back to P."""
+    for lam in COMPOSITE_SCALES:
+        down = [Fraction(v, lam ** k) for v, k in zip(P, (2, 3, 1, 1))]
+        for text in (str(rescaled(P, lam)), "[" + ":".join(map(str, down)) + "]"):
+            assert WPoint.parse(text) == P, text
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(3, 9),
+       st.tuples(nonzero, small, small).filter(lambda zxy: zxy[2] ** 2 != zxy[1] ** 3))
+def test_lift_of_generated_points_matches_factoring(seed, height, xyz):
+    # every point of a surface whose parameter denominators have no prime
+    # above the bound is lifted, never refused, and equals the oracle where
+    # its scale (w, or z when w = 0) is small enough to factor at once
     rng = random.Random(seed)
-    S, P = surface_through(rng, height=3)
+    S, P = surface_through(rng, height=height)
     while not check_hypotheses(S, P).overall:
-        S, P = surface_through(rng, height=3)
-    rep = generate(S, P, GenerationConfig(t_height_bound=2, multiple_bound=6, depth=1, bit_cap=512))
+        S, P = surface_through(rng, height=height)
+    rep = generate(S, P, GenerationConfig(t_height_bound=2, multiple_bound=6, depth=2, bit_cap=512))
     for r in rep.points:
         t, x, y = r.t, r.point.x, r.point.y
-        assert WPoint.from_affine(t, x, y) == from_fractions_by_factoring(x, y, t, Fraction(1))
+        Q = WPoint.from_affine(t, x, y)
+        if Q.w.bit_length() <= ORACLE_BITS:
+            assert Q == from_fractions_by_factoring(x, y, t, Fraction(1))
+        lifts_back_unchanged(Q)
+    # w = 0: c solved so that [x:y:z:0] lies on the surface, and the
+    # multiples of (x/z², y/z³) on its fiber at infinity y² = x³ + c·f3²
+    z, x, y = xyz
+    c = Fraction(y * y - x ** 3) / (S.params.f3 ** 2 * z ** 6)
+    S0 = Surface(replaced(S.params, c=c))
+    E = FiberCurve(Fraction(0), Fraction(0), c * S.params.f3 ** 2)
+    for R in multiples(E, ECPoint(Fraction(x, z * z), Fraction(y, z ** 3)), 4):
+        if R.is_infinity:
+            continue
+        Q = WPoint.from_fractions(R.x, R.y, Fraction(1), Fraction(0))
+        if Q.z.bit_length() <= ORACLE_BITS:
+            assert Q == from_fractions_by_factoring(R.x, R.y, Fraction(1), Fraction(0))
+        assert S0.membership(Q)
+        lifts_back_unchanged(Q)
 
 
 def test_lift_of_semiprime_content_is_immediate():
@@ -236,6 +299,11 @@ def test_lift_of_semiprime_content_is_immediate():
     # 1009²·1013 is above 1000³, but 1013 | den y leaves 1009², whose part is 1009
     f"[1/{1009 ** 2 * 1013}:1/1013:1:1]",
     f"[1:1/{1009 ** 2 * 1013}:1/1013:1]",
+    # den x = 1009 and den y = 1009³ once (z, w) scales to (1, 1)
+    "[1009:1:1009:1009]",
+    # on S with f0 = 1/1009 and c = 1 (B(0) = 1/1009²): den x = 1 and den y =
+    # 1009 are no e² and e³, as 1009 divides a parameter denominator
+    "[0:1/1009:0:1]",
 ])
 def test_lift_decides_squarefree_cofactor(seed):
     coords = [Fraction(v) for v in seed.strip("[]").split(":")]
@@ -253,24 +321,21 @@ MEDIUM_PRIMES = [1009, 1013, 1019, 31607]
                 min_size=4, max_size=4))
 def test_lift_decides_cofactors_below_cube_of_bound(coords):
     # a cofactor below 1000³ is p, p·q or p², also when a prime of one
-    # denominator is found in another, and the lift must decide it; above,
-    # it may refuse, but never answers wrongly
+    # denominator is found in another, and the lift must decide it but for
+    # z = w = 0; above, it may refuse, but never answers wrongly
     fracs = [Fraction(num, small * math.prod(big)) for num, small, big in coords]
     assume(any(fracs))
     expected = from_fractions_by_factoring(*fracs)
-    if all(math.prod(big) < 1000 ** 3 for _, _, big in coords):
+    if all(math.prod(big) < 1000 ** 3 for _, _, big in coords) and (fracs[2] or fracs[3]):
         assert WPoint.from_fractions(*fracs) == expected
     else:
-        try:
-            assert WPoint.from_fractions(*fracs) == expected
-        except ValueError as exc:
-            assert REFUSAL in str(exc)
+        canonical_or_refused(fracs, expected)
 
 
 @pytest.mark.parametrize("seed", [
     # above 1000³ and not a square: 1009·1013·1019, or p²·q?
     "[1/1041537223:1:1:1]",
-    # above 1000³: content 1, or p when 1041537223 = 1009·1013·1019 is p²·q?
+    # scaled to (p, q) = (1, 1), x = 1/N and y = 1 leave N, above 1000³
     f"[{1041537223}:{1041537223 ** 2}:{1041537223}:{1041537223}]",
     f"[1:1/{(2 ** 61 - 1) ** 2 * 1009 ** 2}:1:1]",  # den y a square of an unknown, not a cube
 ])
@@ -315,7 +380,9 @@ def squarefree_cofactor_quadruple(draw):
 @settings(max_examples=300, deadline=None)
 @given(squarefree_cofactor_quadruple())
 def test_canonicalize_never_refuses_squarefree_cofactor(coords):
-    assert WPoint.from_fractions(*coords) == canonicalize_by_factoring(*coords)
+    # scaling (z, w) to coprime integers can leave p·q in g² and g³ with
+    # other primes, which nothing splits: refused or right
+    canonical_or_refused(coords, canonicalize_by_factoring(*coords))
 
 
 def test_wpoint_affine_roundtrip():
@@ -834,6 +901,18 @@ def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surfa
         assert smoothness_check(S).kind == "singular"
         assert chart_calls(monkeypatch, S, smoothness_check) == []
         assert chart_calls(monkeypatch, S, singular_witnesses) == ["t", "s"]
+
+
+def test_u_line_runs_once_per_surface(monkeypatch):
+    # with c = 0 the verdict does not say what the u-line found, and the
+    # witness list reuses its answer instead of deciding it again
+    calls = []
+    real = surface._u_line_singular
+    monkeypatch.setattr(surface, "_u_line_singular", lambda S: calls.append(S) or real(S))
+    S = Surface(SurfaceParams(1, 2, 0, 3, 4, 1, 0, 0, 1))
+    assert smoothness_check(S).kind == "singular"
+    assert singular_witnesses(S)
+    assert len(calls) == 1
 
 
 def test_u_line_and_t_chart_must_agree(monkeypatch, worked_surface):
