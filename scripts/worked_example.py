@@ -9,7 +9,7 @@ point on the fiber, hypothesis checks, and bounded point generation.
 import json
 from fractions import Fraction
 
-from dp1.cubic import classify_singularities, tangent_point, tangent_section, theta
+from dp1.cubic import classify_singularities, tangent_plane, tangent_point
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.rational import format_rational
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
@@ -28,11 +28,11 @@ def main() -> None:
     rep = classify_singularities(S)
     print("cubic model singularities:", json.dumps(rep.to_json()))
 
-    print("theta(seed):", theta(S, P))
-    section = tangent_section(S, *S.fiber_point(P))
-    print("tangent plane:", tuple(format_rational(c) for c in section.plane.as_tuple()))
+    E, Q0 = S.fiber_point(P)
+    plane = tangent_plane(S, (Q0.x, Q0.y, S.f(E.t), Fraction(1)))
+    print("tangent plane:", tuple(str(c) for c in plane))
 
-    t, Q = tangent_point(section)
+    t, Q = tangent_point(S, E, Q0)
     print(f"tangent point: ({format_rational(Q.x)}, {format_rational(Q.y)}) "
           f"on fiber t = {format_rational(t)}")
     if (t, Q.x, Q.y) != (Fraction(-1), Fraction(17, 4), Fraction(71, 8)):

@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
     if P.w == 0:
         # the tangent plane at a w = 0 point is X3 = 0: it meets no affine fiber
         raise ValueError("tangent construction needs w != 0")
-    found = engine.cp_sweep(cubic.tangent_section(S, *S.fiber_point(P)), args.t_height)
+    found = engine.cp_sweep(S, *S.fiber_point(P), args.t_height)
     payload = {
         "surface": S.params.to_json(),
         "seed": str(P),
@@ -201,7 +201,8 @@ def cross_check_result(S: Surface, primes: Sequence[int]):
 
 
 def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
-    """Smoothness verdict plus a brute-force seed search for one tuple."""
+    """Smoothness verdict plus a brute-force seed search for one tuple; a
+    certified seed that the lift refuses gets its reason as "seed_error"."""
     row: dict = {"params": S.params.to_json(), "picard_rank": "not computed"}
     try:
         verdict = smoothness_check(S)
@@ -217,7 +218,10 @@ def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
     for t, q in engine.brute_force_oracle(S, *seed_box):
         if engine.check_fiber_hypotheses(S, S.fiber_at(t), q).overall:
             row["certified"] = True
-            row["seed"] = str(WPoint.from_affine(t, q.x, q.y))
+            try:
+                row["seed"] = str(WPoint.from_affine(t, q.x, q.y))
+            except ValueError as exc:
+                row["seed_error"] = str(exc)
             break
     return row
 

@@ -1,10 +1,11 @@
-"""The singular cubic model W ⊂ P³ and its tangent-section machinery.
+"""The singular cubic model W ⊂ P³: its tangent planes and singularities.
 
-W is the image of the weighted surface under [x:y:z:w] ↦ [xw:y:w³f(z/w):w³];
-fibers with equal f-value collapse onto plane sections.  This module builds
-the cubic form, computes tangent planes and their weighted pullbacks, cuts
-tangent sections down to fiber lines, and classifies the ADE singularities of
-W by its (a, c) regime.  The normal-form identities behind the classification
+W is the image of the weighted surface under [x:y:z:w] ↦ [xw:y:w³f(z/w):w³],
+which puts the point (x, y) of the fiber t at (x, y, f(t), 1); fibers with
+equal f-value collapse onto plane sections.  This module computes the
+tangent plane to W at a point as four primitive integers, eliminates y from
+its line on a fiber in integers, and classifies the ADE singularities of W
+by its (a, c) regime.  The normal-form identities behind the classification
 hold for every parameter value, so they are proven once, symbolically, in the
 tests; at run time only their residue condition is left.
 """
@@ -17,9 +18,8 @@ from typing import List, Sequence, Tuple
 
 from . import elliptic
 from .elliptic import ECPoint, FiberCurve
-from .poly import UniPoly
 from .rational import InvariantError, is_square, record
-from .surface import Surface, WPoint
+from .surface import Surface
 
 
 class SingularImageError(ValueError):
@@ -30,67 +30,14 @@ class TwoTorsionSeedError(ValueError):
     """The tangent construction degenerates for 2-torsion seeds."""
 
 
-def cubic_value(S: Surface, X: Sequence[Fraction]) -> Fraction:
-    """F_W(X), the cubic form at a point of P³ in any representative."""
-    p = S.params
-    x0, x1, x2, x3 = X
-    quad = p.a * x0 * x2 + p.b * x0 * x3 + p.c * x2 * x2 + p.d * x2 * x3 + p.e * x3 * x3
-    return x0 * x0 * x0 + x3 * (quad - x1 * x1)
-
-
-def _canonical_p3(coords: Sequence[Fraction]) -> Tuple[int, int, int, int]:
-    """Scale a rational quadruple to coprime integers, last nonzero positive."""
-    den = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * den) for c in coords]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        raise ValueError("zero vector is not a projective point")
-    ints = [v // g for v in ints]
-    last = next(v for v in reversed(ints) if v != 0)
-    if last < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)  # type: ignore[return-value]
-
-
-def theta(S: Surface, P: WPoint) -> Tuple[int, int, int, int]:
-    """Image [xw : y : f_hom(z,w) : w³] of P on the cubic W, canonicalized."""
-    if not S.membership(P):
-        raise ValueError(f"{P} is not on the surface")
-    x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
-    f_hom = S.f(z / w) * w ** 3 if w else S.params.f3 * z ** 3
-    img = (x * w, y, f_hom, w ** 3)
-    pt = _canonical_p3(img)
-    if cubic_value(S, pt) != 0:
-        raise InvariantError(f"theta({P}) = {pt} is not on the cubic model W")
-    return pt
-
-
-@record
-class PlaneForm:
-    """The hyperplane αX0 + βX1 + γX2 + δX3 = 0 in P³."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-
-    def __post_init__(self):
-        if not any((self.alpha, self.beta, self.gamma, self.delta)):
-            raise ValueError("zero plane form")
-
-    def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-
 def _text(X: Sequence[Fraction]) -> str:
     """A point of P³ as the text [X0:X1:X2:X3] of its refusals."""
     return ":".join(str(Fraction(v)) for v in X)
 
 
-def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
-    """Gradient of the cubic form at the point X of W, in any representative.
+def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int]:
+    """The tangent plane αX0 + βX1 + γX2 + δX3 = 0 to W at the point X, in
+    any representative, as the primitive integer gradient (α, β, γ, δ).
 
     The gradient is quadratic, so rescaling X by μ scales it by μ² > 0, and
     dividing by the content leaves one plane per point.  It is computed in
@@ -117,30 +64,7 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> PlaneForm:
     alpha, beta, gamma, delta = (g // content for g in grads)
     if alpha * x0 + beta * x1 + gamma * x2 + delta * x3 != 0:
         raise ValueError(f"[{_text(X)}] is not on the cubic model W")
-    return PlaneForm(Fraction(alpha), Fraction(beta), Fraction(gamma), Fraction(delta))
-
-
-@record
-class TangentData:
-    """The tangent section at ``point`` on ``fiber``: the tangent plane at
-    θ = (x, y, f(t), 1), pulled back to ℓ(x,y,z,w) = αxw + βy + γf_hom(z,w)
-    + δw³ (weighted degree 3)."""
-
-    plane: PlaneForm
-    surface: Surface
-    fiber: FiberCurve
-    point: ECPoint
-
-    def restrict_to_fiber(self, t: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
-        """Affine line αx + βy + c0 = 0 on the Weierstrass fiber at t."""
-        a, b, g, d = self.plane.as_tuple()
-        return (a, b, g * self.surface.f(Fraction(t)) + d)
-
-
-def tangent_section(S: Surface, E: FiberCurve, Q: ECPoint) -> TangentData:
-    """The tangent section at the affine point Q of the fiber E of S."""
-    theta_q = (Q.x, Q.y, S.f(E.t), Fraction(1))
-    return TangentData(tangent_plane(S, theta_q), S, E, Q)
+    return alpha, beta, gamma, delta
 
 
 def line_cubic_ints(line: Tuple[int, int, int], curve: elliptic.Quad) -> List[int]:
@@ -153,42 +77,31 @@ def line_cubic_ints(line: Tuple[int, int, int], curve: elliptic.Quad) -> List[in
     return [b2 * Bn * Ad - c * c * ABd, b2 * An * Bd - 2 * a * c * ABd, -a * a * ABd, b2 * ABd]
 
 
-def fiber_line_cubic(E: FiberCurve, line: Tuple[Fraction, Fraction, Fraction]) -> UniPoly:
-    """Eliminate y from αx + βy + c0 = 0 on E: β²(x³ + Ax + B) − (αx + c0)².
-
-    Requires β ≠ 0; the result is a genuine cubic in x.  The line times the
-    lcm L of its denominators goes to ``line_cubic_ints``, whose result is
-    put over L²·Ad·Bd.
-    """
-    if line[1] == 0:
-        raise ValueError("vertical line has no eliminated cubic")
-    L = math.lcm(*(v.denominator for v in line))
-    curve = elliptic._curve_ints(E)
-    return UniPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
-                   L * L * curve[1] * curve[3])
-
-
-def tangent_point(ell: TangentData) -> Tuple[Fraction, ECPoint]:
-    """Third intersection of the tangent section at P with P's own fiber.
+def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Fraction, ECPoint]:
+    """Third intersection of the tangent section at P with P's own fiber E.
 
     Geometrically this is the forced extra rational point of the tangent
     section on P's own fiber; it must coincide with −[2]P under the group
     law, and both routes are checked against each other.  ``generate``
     takes −[2]P from its walk and leaves this route to the tests.
     """
-    E, P = ell.fiber, ell.point
     t0, x0, y0 = E.t, P.x, P.y
     if y0 == 0:
         raise TwoTorsionSeedError("seed is 2-torsion; the tangent line is vertical")
-    a, b, c0 = ell.restrict_to_fiber(t0)
+    u0 = S.f(t0)
+    al, be, ga, de = tangent_plane(S, (x0, y0, u0, Fraction(1)))
+    # the tangent line αx + βy + γ·f(t0) + δ = 0 on E, times fd
+    fn, fd = u0.as_integer_ratio()
+    a, b, c0 = al * fd, be * fd, ga * fn + de * fd
     if b == 0:  # b = -2*y0 up to scaling, nonzero off 2-torsion
         raise InvariantError(f"tangent line at {P} is vertical off 2-torsion")
     # the tangency forces a double root at x0, and the x² coefficient −α²
     # puts the third root at x3: the cubic is β²(x − x0)²(x − x3)
-    x3 = (a / b) ** 2 - 2 * x0
+    x3 = Fraction(a, b) ** 2 - 2 * x0
     b2 = b * b
     expected = (-b2 * x0 * x0 * x3, b2 * x0 * (x0 + 2 * x3), -b2 * (2 * x0 + x3), b2)
-    if fiber_line_cubic(E, (a, b, c0)).coeffs != expected:
+    curve = elliptic._curve_ints(E)
+    if line_cubic_ints((a, b, c0), curve) != [curve[1] * curve[3] * v for v in expected]:
         raise InvariantError(
             f"the tangent cubic at {P} is not β²(x − x0)²(x − x3) with x3 = {x3}"
         )
@@ -210,7 +123,6 @@ class SingularityReport:
     sqrt_c: str  # "rational" | "irrational"
     singularity_type: str  # "2xA2" | "A5" | "E6"
     identity_verified: bool
-    locus_points: Tuple[Tuple[int, ...], ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -252,24 +164,16 @@ def classify_singularities(S: Surface) -> SingularityReport:
     p = S.params
     root_c = is_square(p.c)
     sqrt_c = "rational" if root_c is not None else "irrational"
-    if root_c is not None:
-        if root_c == 0:
-            locus = "[0:0:1:0]"
-            locus_points: Tuple[Tuple[int, ...], ...] = ((0, 0, 1, 0),)
-        else:
-            locus = f"[0:±{root_c}:1:0]"
-            locus_points = tuple(
-                _canonical_p3([Fraction(0), sgn * root_c, Fraction(1), Fraction(0)])
-                for sgn in (1, -1)
-            )
-    else:
+    if root_c is None:
         locus = f"[0:±√({p.c}):1:0]"
-        locus_points = ()
+    elif root_c == 0:
+        locus = "[0:0:1:0]"
+    else:
+        locus = f"[0:±{root_c}:1:0]"
     if p.c != 0:
         kind = "2xA2"
     elif p.a != 0:
         kind = "A5"
     else:
         kind = "E6"
-    verified = verify_normal_form(S)
-    return SingularityReport(locus, sqrt_c, kind, verified, locus_points)
+    return SingularityReport(locus, sqrt_c, kind, verify_normal_form(S))

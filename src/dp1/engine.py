@@ -200,30 +200,28 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoin
     return out
 
 
-def cp_sweep(
-    ell: cubic.TangentData, t_height_bound: int
-) -> List[Tuple[FiberCurve, ECPoint]]:
-    """Sweep the tangent section at P across bounded-height fibers.
+def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
+             ) -> List[Tuple[FiberCurve, ECPoint]]:
+    """Sweep the tangent section at P = (x0, y0) on the fiber E, t = t0,
+    across bounded-height fibers.
 
-    Restricts the section to each fiber t = tn/td as an integer line
-    αx + βy + c = 0, eliminates y into an integer cubic in x, solves it for
-    rational points and excludes P itself.  On P's own fiber the plane is
-    tangent at P, so the double root x0 is divided out and the linear factor
-    left gives the third point; elsewhere ``poly.int_roots`` finds the
-    roots.  Each point is checked on its fiber in integers, and Fractions
-    are built only for the points returned, each with its fiber.
+    Takes the tangent plane at (x0, y0, f(t0), 1), restricts it to each
+    fiber t = tn/td as an integer line αx + βy + c = 0, eliminates y into an
+    integer cubic in x, solves it for rational points and excludes P itself.
+    On P's own fiber the plane is tangent at P, so the double root x0 is
+    divided out and the linear factor left gives the third point; elsewhere
+    ``poly.int_roots`` finds the roots.  Each point is checked on its fiber
+    in integers, and Fractions are built only for the points returned, each
+    with its fiber.
     """
-    S, P = ell.surface, ell.point
-    plane = ell.plane.as_tuple()
-    L = math.lcm(*(v.denominator for v in plane))
-    al, be, ga, de = (v.numerator * (L // v.denominator) for v in plane)
-    own, pt = ell.fiber.t.as_integer_ratio(), elliptic._ints(P)
+    al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, S.f(E.t), Fraction(1)))
+    own, pt = E.t.as_integer_ratio(), elliptic._ints(P)
     out: List[Tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
-        E = S.fiber_at(t)
-        curve = elliptic._curve_ints(E)
+        Et = S.fiber_at(t)
+        curve = elliptic._curve_ints(Et)
         tn, td = t.as_integer_ratio()
-        # L·den·td³ times αx + βy + γ·f(t) + δ
+        # den·td³ times αx + βy + γ·f(t) + δ
         fn, fd = S.f.value_ints(tn, td)
         a, b, c = al * fd, be * fd, ga * fn + de * fd
         if b != 0:
@@ -236,20 +234,22 @@ def cp_sweep(
             found = [(xn, xd) + elliptic._reduced(-(a * xn + c * xd), b * xd) for xn, xd in xs]
         elif a != 0:
             x = Fraction(-c, a)
-            root = is_square(E.rhs(x))
+            root = is_square(Et.rhs(x))
             if root is None:
                 continue
             found = [elliptic._ints(ECPoint(x, root))]
             if root != 0:
                 found.append(elliptic._ints(ECPoint(x, -root)))
         else:
-            continue  # plane misses the affine fiber entirely
+            # α = β = 0 only at a singular point P of its fiber: the plane u = f(t0)
+            # misses the fibers with f(t) ≠ f(t0) and contains the others, all singular
+            continue
         for R in found:
             if R == pt and (tn, td) == own:
                 continue
             if not elliptic._on_curve_ints(curve, R):
                 raise InvariantError(f"swept point {elliptic._point(R)} fails the fiber t={t}")
-            out.append((E, elliptic._point(R)))
+            out.append((Et, elliptic._point(R)))
     return out
 
 
@@ -350,8 +350,7 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
     # sweep of the same section; y = 0 has order 2, skipped above
     if Q.y != 0:
         yield E, elliptic.neg(walk[1]), "tangent"
-        for Es, Qs in _on_smooth_fibers(cp_sweep(cubic.tangent_section(S, E, Q),
-                                                 cfg.t_height_bound)):
+        for Es, Qs in _on_smooth_fibers(cp_sweep(S, E, Q, cfg.t_height_bound)):
             yield Es, Qs, f"sweep({Es.t})"
     # multisection hops
     for Eh, Qh in _on_smooth_fibers(u_hop(S, t, Q)):

@@ -9,8 +9,8 @@ import pytest
 import sympy as sp
 from sympy import factorint
 
-from dp1 import poly
-from dp1.cubic import TangentData, fiber_line_cubic, tangent_section
+from dp1 import elliptic, poly
+from dp1.cubic import line_cubic_ints, tangent_plane
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
 from dp1.engine import bounded_height_rationals
 from dp1.poly import UniPoly, gcd
@@ -295,6 +295,70 @@ def chart_polys_by_unipoly(params: SurfaceParams):
     return A_t, B_t, A_t.reverse(4), B_t.reverse(6)
 
 
+# -- the cubic model W and its tangent sections ----------------------------
+# The map θ, the cubic form F_W, the elimination on a fiber in Fractions and
+# the plane's restriction to a fiber: references for cubic.py and the sweep.
+
+def cubic_value(S: Surface, X) -> Fraction:
+    """F_W(X), the cubic form at a point of P³ in any representative."""
+    p = S.params
+    x0, x1, x2, x3 = X
+    quad = p.a * x0 * x2 + p.b * x0 * x3 + p.c * x2 * x2 + p.d * x2 * x3 + p.e * x3 * x3
+    return x0 * x0 * x0 + x3 * (quad - x1 * x1)
+
+
+def _canonical_p3(coords):
+    """Scale a rational quadruple to coprime integers, last nonzero positive."""
+    den = math.lcm(*(c.denominator for c in coords))
+    ints = [int(c * den) for c in coords]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    if g == 0:
+        raise ValueError("zero vector is not a projective point")
+    ints = [v // g for v in ints]
+    last = next(v for v in reversed(ints) if v != 0)
+    if last < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def theta(S: Surface, P: WPoint):
+    """Image [xw : y : f_hom(z,w) : w³] of P on the cubic W, canonicalized."""
+    if not S.membership(P):
+        raise ValueError(f"{P} is not on the surface")
+    x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
+    f_hom = S.f(z / w) * w ** 3 if w else S.params.f3 * z ** 3
+    img = (x * w, y, f_hom, w ** 3)
+    pt = _canonical_p3(img)
+    if cubic_value(S, pt) != 0:
+        raise InvariantError(f"theta({P}) = {pt} is not on the cubic model W")
+    return pt
+
+
+def fiber_line_cubic(E: FiberCurve, line) -> UniPoly:
+    """Eliminate y from αx + βy + c0 = 0 on E: β²(x³ + Ax + B) − (αx + c0)².
+
+    Requires β ≠ 0; the result is a genuine cubic in x.  The line times the
+    lcm L of its denominators goes to ``line_cubic_ints``, whose result is
+    put over L²·Ad·Bd.
+    """
+    if line[1] == 0:
+        raise ValueError("vertical line has no eliminated cubic")
+    L = math.lcm(*(v.denominator for v in line))
+    curve = elliptic._curve_ints(E)
+    return UniPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
+                   L * L * curve[1] * curve[3])
+
+
+def fiber_line(S: Surface, E: FiberCurve, Q: ECPoint, t):
+    """(α, β, γ·f(t) + δ): the tangent plane at the point Q of the fiber E,
+    taken at (x, y, f(E.t), 1), restricted to the fiber t as the line
+    αx + βy + c0 = 0, in Fractions."""
+    al, be, ga, de = tangent_plane(S, (Q.x, Q.y, S.f(E.t), Fraction(1)))
+    return Fraction(al), Fraction(be), ga * S.f(Fraction(t)) + de
+
+
 # -- transversality of a tangent section ---------------------------------
 
 class DegenerateRestrictionError(ValueError):
@@ -316,7 +380,7 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
     E = S.fiber_at(P.t())
     if E.is_singular():
         raise ValueError("fiber of P is singular")
-    a, b, c0 = tangent_section(S, *S.fiber_point(R)).restrict_to_fiber(P.t())
+    a, b, c0 = fiber_line(S, *S.fiber_point(R), P.t())
     if a == 0 and b == 0:
         if c0 == 0:
             raise DegenerateRestrictionError("plane restricts to zero on the fiber")
@@ -331,14 +395,14 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
 # The reference that the integer cp_sweep and u_hop are tested against: the
 # same steps, one Fraction per coefficient, every root searched for.
 
-def cp_sweep_by_fractions(ell: TangentData, t_height_bound: int):
+def cp_sweep_by_fractions(S: Surface, E0: FiberCurve, P: ECPoint, t_height_bound: int):
     """Reference sweep: each fiber's line and cubic β²(x³ + Ax + B) − (αx + c0)²
     in Fractions, every root from ``poly.rational_roots``, y = −(αx + c0)/β,
     P itself left out and each point checked by ``on_curve``."""
-    S, p_t, P = ell.surface, ell.fiber.t, ell.point
+    p_t = E0.t
     out = []
     for t in bounded_height_rationals(t_height_bound):
-        a, b, c0 = ell.restrict_to_fiber(t)
+        a, b, c0 = fiber_line(S, E0, P, t)
         E = S.fiber_at(t)
         found = []
         if b != 0:
@@ -541,8 +605,9 @@ def worked_seed() -> WPoint:
 
 @pytest.fixture
 def worked_section(worked_surface, worked_seed):
-    """The tangent section at the worked seed, on its fiber t = -1."""
-    return tangent_section(worked_surface, *worked_surface.fiber_point(worked_seed))
+    """(S, E, P): the worked surface, the seed's fiber t = -1 and the seed on
+    it, which give the tangent section to cp_sweep and tangent_point."""
+    return (worked_surface, *worked_surface.fiber_point(worked_seed))
 
 
 @pytest.fixture

@@ -8,7 +8,11 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
+    fiber_line,
+    fiber_line_cubic,
     mul,
     normal_form_by_sympy,
     random_params,
@@ -17,10 +21,10 @@ from conftest import (
     transversality_check,
 )
 from dp1.cubic import (
+    SingularImageError,
     classify_singularities,
-    fiber_line_cubic,
+    tangent_plane,
     tangent_point,
-    tangent_section,
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve, O, add, neg, torsion_status
@@ -53,9 +57,13 @@ def verdict_line(capsys, index, label):
 
 def test_criterion_1_singularity_classification(capsys):
     with verdict_line(capsys, 1, "singularity classification"):
-        rep = classify_singularities(Surface(SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1)))
+        rep = classify_singularities(WORKED)
         assert rep.singularity_type == "2xA2"
-        assert rep.locus_points == ((0, 1, 1, 0), (0, -1, 1, 0))
+        # the locus is [0:1:1:0] and [0:-1:1:0], where the gradient of F_W vanishes
+        assert rep.locus == "[0:±1:1:0]"
+        for X in ((0, 1, 1, 0), (0, -1, 1, 0)):
+            with pytest.raises(SingularImageError):
+                tangent_plane(WORKED, X)
         rep = classify_singularities(Surface(SurfaceParams(1, 0, 0, 1, 1, 0, 0, 0, 1)))
         assert rep.singularity_type == "A5"
         rep = classify_singularities(Surface(SurfaceParams(0, 0, 0, 1, 1, 0, 0, 0, 1)))
@@ -141,12 +149,11 @@ def test_criterion_3_group_law(capsys):
 def _check_tangent_identity(S, P):
     t0 = P.t()
     x0, y0 = P.affine_xy()
-    ell = tangent_section(S, *S.fiber_point(P))
-    t, Q = tangent_point(ell)
+    E, P0 = S.fiber_point(P)
+    t, Q = tangent_point(S, E, P0)
     assert t == t0
-    E = S.fiber_at(t0)
     assert Q == neg(mul(E, 2, ECPoint(x0, y0)))
-    line = ell.restrict_to_fiber(t0)
+    line = fiber_line(S, E, P0, t0)
     alpha, beta, c0 = line
     # the restricted line vanishes at Q
     assert alpha * Q.x + beta * Q.y + c0 == 0

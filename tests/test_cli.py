@@ -227,6 +227,16 @@ def test_sweep_rejects_seed_with_w_zero(surface_file, capsys):
     assert captured.out == "" and "w != 0" in captured.err
 
 
+def test_sweep_from_a_singular_point_of_its_fiber(surface_file, capsys):
+    # [0:0:1:1] is the cusp (0, 0) of the fiber t = 1 of y² = x³ + z⁶ − w⁶:
+    # α = β = 0, and the plane u = f(1) misses every fiber with f(t) ≠ 1 and
+    # contains the fiber t = 1, which is singular
+    params = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "-1", "f": ["0", "0", "0", "1"]}
+    code, out = run(capsys, "sweep", "--surface", surface_file(params), "--seed", "[0:0:1:1]")
+    assert code == 0
+    assert out["points"] == []
+
+
 def test_oracle_command(surface_file, capsys):
     code, out = run(
         capsys, "oracle", "--surface", surface_file(WORKED),
@@ -454,6 +464,24 @@ def test_search_params_primes_records_cross_check(capsys):
     assert rows[1]["smooth"] == "smooth"
     assert [{k: v for k, v in r.items() if k != "cross_check"} for r in rows] == plain["rows"]
     assert out["summary"] == dict(plain["summary"], cross_checked=1)
+
+
+# a smooth tuple whose certified seed (t, x, y) = (0, −5, 1/1041537223) the
+# weighted lift refuses: 1041537223 = 1009·1013·1019 is past its trial
+# division and no cube
+UNLIFTED_SEED = {"a": "-2", "b": "1", "c": "1", "d": "-2",
+                 "e": "141023972296291724771/1084799786894551729", "f": ["0", "2", "1", "-2"]}
+
+
+def test_search_params_goes_on_when_the_lift_refuses_a_seed(surface_file, capsys):
+    code, out = run(capsys, "search-params", "--surface", surface_file(UNLIFTED_SEED),
+                    "--samples", "3", "--height", "2")
+    assert code == 0
+    row = out["rows"][0]
+    assert row["smooth"] == "smooth" and row["certified"] is True and row["seed"] is None
+    assert row["seed_error"].startswith("cannot lift to a weighted point: past the primes below")
+    assert out["summary"]["scanned"] == 4
+    assert all("seed_error" not in r for r in out["rows"][1:])
 
 
 def test_search_params_primes_degenerate_tuple():

@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 from conftest import (
     X_SYMBOLS,
     cubic_gradient,
+    cubic_value,
     cubic_value_and_gradient_sympy,
+    fiber_line,
+    fiber_line_cubic,
     mul,
     normal_form_by_sympy,
     normal_form_residue,
     random_smooth_surface,
     surface_through,
+    theta,
     transversality_check,
 )
 from dp1 import elliptic
@@ -28,12 +32,8 @@ from dp1.cubic import (
     SingularImageError,
     TwoTorsionSeedError,
     classify_singularities,
-    cubic_value,
-    fiber_line_cubic,
     tangent_plane,
     tangent_point,
-    tangent_section,
-    theta,
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve
@@ -78,14 +78,14 @@ def test_theta_lands_on_cubic_random():
 
 def test_tangent_plane_worked(worked_surface, worked_seed):
     plane = tangent_plane(worked_surface, theta(worked_surface, worked_seed))
-    assert plane.as_tuple() == (3, -2, 0, 5)
+    assert plane == (3, -2, 0, 5)
     assert 3 * (-1) - 2 * 1 + 0 + 5 * 1 == 0
 
 
 def test_tangent_plane_at_base_point(worked_surface):
     # the gradient at [0:1:0:0] has last component −1 (scaled): nonzero
     plane = tangent_plane(worked_surface, theta(worked_surface, WPoint(1, 1, 0, 0)))
-    assert plane.delta != 0
+    assert plane[3] != 0
 
 
 def test_euler_relation_random():
@@ -94,7 +94,7 @@ def test_euler_relation_random():
         S, P = surface_through(rng)
         pt = [Fraction(v) for v in theta(S, P)]
         plane = tangent_plane(S, pt)
-        assert sum(c * v for c, v in zip(plane.as_tuple(), pt)) == 0
+        assert sum(c * v for c, v in zip(plane, pt)) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,11 +161,12 @@ def test_tangent_plane_rejects_point_off_cubic(worked_surface):
 
 
 def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
-    ell = worked_section
-    assert ell.restrict_to_fiber(Fraction(-1)) == (3, -2, 5)
-    assert ell.restrict_to_fiber(Fraction(0)) == (3, -2, 5)
+    S, E, P = worked_section
+    assert fiber_line(S, E, P, Fraction(-1)) == (3, -2, 5)
+    assert fiber_line(S, E, P, Fraction(0)) == (3, -2, 5)
     pt = theta(worked_surface, worked_seed)
-    assert sum(c * v for c, v in zip(ell.plane.as_tuple(), pt)) == 0
+    plane = tangent_plane(S, (P.x, P.y, S.f(E.t), Fraction(1)))
+    assert sum(c * v for c, v in zip(plane, pt)) == 0
 
 
 def test_restricted_cubic_worked(worked_surface, worked_seed):
@@ -175,13 +176,13 @@ def test_restricted_cubic_worked(worked_surface, worked_seed):
 
 
 def test_tangent_point_worked(worked_section):
-    t, Q = tangent_point(worked_section)
+    t, Q = tangent_point(*worked_section)
     assert t == Fraction(-1)
     assert (Q.x, Q.y) == (Fraction(17, 4), Fraction(71, 8))
 
 
 def test_tangent_point_is_minus_double(worked_surface, worked_section):
-    t, Q = tangent_point(worked_section)
+    t, Q = tangent_point(*worked_section)
     E = worked_surface.fiber_at(t)
     assert Q == elliptic.neg(mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
 
@@ -189,7 +190,7 @@ def test_tangent_point_is_minus_double(worked_surface, worked_section):
 def test_tangent_point_raises_when_routes_disagree(worked_section, monkeypatch):
     monkeypatch.setattr(elliptic, "multiples", lambda E, P, n: [P] * n)
     with pytest.raises(InvariantError, match="routes disagree"):
-        tangent_point(worked_section)
+        tangent_point(*worked_section)
 
 
 def test_tangent_point_makes_no_add_call(worked_section, monkeypatch):
@@ -202,7 +203,7 @@ def test_tangent_point_makes_no_add_call(worked_section, monkeypatch):
         return real_add(E, P, Q)
 
     monkeypatch.setattr(elliptic, "add", counting_add)
-    tangent_point(worked_section)
+    tangent_point(*worked_section)
     assert calls == []
 
 
@@ -211,10 +212,10 @@ from dp1 import cubic, elliptic
 from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 S = Surface(SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1))
-section = cubic.tangent_section(S, *S.fiber_point(WPoint.parse("[-1:1:-1:1]")))
+E, P = S.fiber_point(WPoint.parse("[-1:1:-1:1]"))
 elliptic.multiples = lambda E, P, n: [P] * n
 try:
-    cubic.tangent_point(section)
+    cubic.tangent_point(S, E, P)
 except InvariantError:
     raise SystemExit(0)
 raise SystemExit(1)
@@ -236,7 +237,7 @@ def test_tangent_point_rejects_two_torsion():
     P = WPoint.from_affine(Fraction(0), Fraction(2), Fraction(0))
     assert S.membership(P)
     with pytest.raises(TwoTorsionSeedError):
-        tangent_point(tangent_section(S, *S.fiber_point(P)))
+        tangent_point(S, *S.fiber_point(P))
 
 
 def test_tangent_point_random_pairs():
@@ -250,7 +251,7 @@ def test_tangent_point_random_pairs():
         x0, y0 = P.affine_xy()
         if y0 == 0:
             continue
-        t, Q = tangent_point(tangent_section(S, *S.fiber_point(P)))  # internal cross-checks assert the identity
+        t, Q = tangent_point(S, *S.fiber_point(P))  # internal cross-checks assert the identity
         assert elliptic.on_curve(E, Q)
         checked += 1
 
@@ -258,7 +259,11 @@ def test_tangent_point_random_pairs():
 def test_classification_regimes(worked_surface):
     rep = classify_singularities(worked_surface)
     assert rep.singularity_type == "2xA2"
-    assert rep.locus_points == ((0, 1, 1, 0), (0, -1, 1, 0))
+    # the locus is [0:1:1:0] and [0:-1:1:0], where the gradient of F_W vanishes
+    assert rep.locus == "[0:±1:1:0]"
+    for X in ((0, 1, 1, 0), (0, -1, 1, 0)):
+        with pytest.raises(SingularImageError):
+            tangent_plane(worked_surface, X)
     assert rep.identity_verified
 
     rep = classify_singularities(Surface(SurfaceParams(1, 1, 0, 1, 1, 0, 0, 0, 1)))
@@ -409,8 +414,8 @@ def test_tangent_plane_matches_fraction_gradient(seed, mu, where):
             tangent_plane(S, X)
         return
     plane = tangent_plane(S, X)
-    assert plane.as_tuple() == plane_by_fractions(S, X)
-    assert all(isinstance(v, Fraction) and v.denominator == 1 for v in plane.as_tuple())
+    assert plane == plane_by_fractions(S, X)
+    assert all(type(v) is int for v in plane)
     assert plane == tangent_plane(S, [-v for v in X])
 
 

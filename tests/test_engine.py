@@ -10,6 +10,7 @@ from conftest import (
     bit_size,
     box_rationals,
     cp_sweep_by_fractions,
+    fiber_line,
     fraction_oracle,
     off_curve_after,
     random_params,
@@ -19,7 +20,7 @@ from conftest import (
     u_hop_by_fractions,
 )
 from dp1 import cli, elliptic, engine, poly
-from dp1.cubic import SingularImageError, tangent_point, tangent_section
+from dp1.cubic import SingularImageError, tangent_plane, tangent_point
 from dp1.elliptic import ECPoint
 from dp1.engine import (
     GenerationConfig,
@@ -126,18 +127,18 @@ def test_u_hop_refuses_a_point_off_its_fiber(worked_surface):
 
 
 def test_cp_sweep_finds_tangent_point(worked_section):
-    found = _by_t(cp_sweep(worked_section, 2))
+    found = _by_t(cp_sweep(*worked_section, 2))
     assert (Fraction(-1), ECPoint(Fraction(17, 4), Fraction(71, 8))) in found
 
 
 def test_cp_sweep_excludes_seed(worked_section):
-    found = _by_t(cp_sweep(worked_section, 2))
+    found = _by_t(cp_sweep(*worked_section, 2))
     assert (Fraction(-1), ECPoint(Fraction(-1), Fraction(1))) not in found
 
 
 def test_cp_sweep_no_root_at_zero(worked_section):
     # at t = 0 the cubic 4x³−9x²−30x−13 has no rational root
-    found = _by_t(cp_sweep(worked_section, 1))
+    found = _by_t(cp_sweep(*worked_section, 1))
     assert not any(t == 0 for t, _ in found)
 
 
@@ -148,7 +149,7 @@ def test_cp_sweep_vertical_section():
     S = Surface(SurfaceParams(-1, -1, -1, 1, 0, 0, -2, 0, 2))
     E, Q = S.fiber_point(WPoint.parse("[-1:0:-1:1]"))
     assert Q.y == 0
-    found = cp_sweep(tangent_section(S, E, Q), 4)
+    found = cp_sweep(S, E, Q, 4)
     assert _by_t(found) == [
         (Fraction(0), ECPoint(Fraction(-1), Fraction(0))),
         (Fraction(1), ECPoint(Fraction(-1), Fraction(0))),
@@ -157,6 +158,15 @@ def test_cp_sweep_vertical_section():
     ]
     for Es, Qs in found:
         assert Es == S.fiber_at(Es.t) and elliptic.on_curve(Es, Qs)
+
+
+def test_cp_sweep_from_a_singular_point_of_its_fiber():
+    # the cusp (0, 0) of y² = x³ on t = 1: the tangent plane is u = f(1)
+    S = Surface(SurfaceParams(0, 0, 1, 0, -1, 0, 0, 0, 1))
+    E, Q = S.fiber_point(WPoint.parse("[0:0:1:1]"))
+    assert E.is_singular()
+    assert tangent_plane(S, (Q.x, Q.y, S.f(E.t), Fraction(1))) == (0, 0, 1, -1)
+    assert cp_sweep(S, E, Q, 3) == []
 
 
 def test_generate_drops_points_on_singular_fibers(monkeypatch):
@@ -168,7 +178,7 @@ def test_generate_drops_points_on_singular_fibers(monkeypatch):
     S = Surface(SurfaceParams(0, 0, 1, -1, 0, -1, 2, 1, -1))
     seed = WPoint.parse("[-1:-1:0:1]")
     E, Q = S.fiber_point(seed)
-    swept = cp_sweep(tangent_section(S, E, Q), 1)
+    swept = cp_sweep(S, E, Q, 1)
     assert [(Es.t, Es.is_singular()) for Es, _ in swept] == [
         (0, False), (1, True), (1, True), (-1, False), (-1, False)]
     calls = []
@@ -182,7 +192,7 @@ def test_generate_drops_points_on_singular_fibers(monkeypatch):
 
 
 def test_sweep_and_hop_points_carry_their_fibers(worked_surface, worked_section, worked_surface_2):
-    found = cp_sweep(worked_section, 2)
+    found = cp_sweep(*worked_section, 2)
     hops = u_hop(worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))
     assert found and hops
     for S, pairs in ((worked_surface, found), (worked_surface_2, hops)):
@@ -194,7 +204,7 @@ SWEEP_KINDS = ("generic", "vertical", "c=0", "singular", "double")
 
 
 def sweep_case(rng: random.Random, height: int, kind: str):
-    """(S, E, Q, section): a surface of parameter height ≤ height (before the
+    """(S, E, Q, plane): a surface of parameter height ≤ height (before the
     kind's own solving), smooth (for c = 0, over every finite fiber), with an
     affine point Q on its fiber E, whose tangent section exists, of one kind:
 
@@ -237,7 +247,7 @@ def sweep_case(rng: random.Random, height: int, kind: str):
             continue
         E, Q = S.fiber_at(t0), ECPoint(x0, y0)
         try:
-            return S, E, Q, tangent_section(S, E, Q)
+            return S, E, Q, tangent_plane(S, (x0, y0, S.f(t0), Fraction(1)))
         except SingularImageError:
             continue
 
@@ -247,9 +257,9 @@ def separable_by_fractions(S: Surface, t0: Fraction) -> bool:
     return poly.is_separable(S.f - poly.UniPoly.constant(S.f(t0)))
 
 
-def assert_matches_fraction_sweep_and_hop(S, E, Q, ell, t_height):
-    found = cp_sweep(ell, t_height)
-    assert found == cp_sweep_by_fractions(ell, t_height)
+def assert_matches_fraction_sweep_and_hop(S, E, Q, t_height):
+    found = cp_sweep(S, E, Q, t_height)
+    assert found == cp_sweep_by_fractions(S, E, Q, t_height)
     assert u_hop(S, E.t, Q) == u_hop_by_fractions(S, E.t, Q)
     assert engine.check_fiber_hypotheses(S, E, Q).separable == separable_by_fractions(S, E.t)
     return found
@@ -261,18 +271,18 @@ def assert_matches_fraction_sweep_and_hop(S, E, Q, ell, t_height):
 def test_sweep_and_hop_match_fraction_references(rng_seed, kind, height, t_height):
     # the integer sweep and hop return the Fraction versions' fibers and
     # points, in their order; so does the separability test on the quadratic
-    S, E, Q, ell = sweep_case(random.Random(rng_seed), height, kind)
+    S, E, Q, plane = sweep_case(random.Random(rng_seed), height, kind)
     t0 = E.t
     if kind == "singular":
         # the fiber t0 is swept, and the third point of the tangent line
         # there lies on a singular fiber
         t_height = max(t_height, abs(t0.numerator), t0.denominator)
-    found = assert_matches_fraction_sweep_and_hop(S, E, Q, ell, t_height)
+    found = assert_matches_fraction_sweep_and_hop(S, E, Q, t_height)
     if kind == "vertical":
-        assert ell.plane.beta == 0
+        assert plane[1] == 0
     elif kind == "singular":
         # the tangent line at Q meets E again at x3, a point unless Q is a flex
-        a, b, _c0 = ell.restrict_to_fiber(t0)
+        a, b, _c0 = fiber_line(S, E, Q, t0)
         x3 = (a / b) ** 2 - 2 * Q.x
         assert E.is_singular()
         assert any(Es.t == t0 and Qs.x == x3 for Es, Qs in found) == (x3 != Q.x)
@@ -293,7 +303,7 @@ def test_sweep_and_hop_match_fraction_references(rng_seed, kind, height, t_heigh
 def test_sweep_and_hop_match_fraction_references_examples(params, seed, t_height):
     S = Surface(SurfaceParams(*params))
     E, Q = S.fiber_point(WPoint.parse(seed))
-    assert_matches_fraction_sweep_and_hop(S, E, Q, tangent_section(S, E, Q), t_height)
+    assert_matches_fraction_sweep_and_hop(S, E, Q, t_height)
 
 
 FALSE_ROOT = (1, 7919)  # 1/7919, a root of no polynomial these tests meet
@@ -323,16 +333,15 @@ def with_false_root(monkeypatch, S: Surface, makes: str) -> None:
         monkeypatch.setattr(engine, "_quadratic_roots", lambda q: quadratic_roots(q) + [FALSE_ROOT])
 
 
-def test_sweep_and_hop_certify_what_they_make(worked_surface, worked_section, worked_surface_2,
-                                              monkeypatch):
+def test_sweep_and_hop_certify_what_they_make(worked_section, worked_surface_2, monkeypatch):
     # no later step checks a swept or hopped point again: a point off its
     # fiber must be caught by the function that made it.  The worked hop has
     # one u-value, the second surface's two.
-    S, (E, Q) = worked_surface, (worked_section.fiber, worked_section.point)
+    S, E, Q = worked_section
     with monkeypatch.context() as m:
         with_false_root(m, S, "sweep")
         with pytest.raises(InvariantError, match="swept point"):
-            cp_sweep(worked_section, 1)
+            cp_sweep(S, E, Q, 1)
     for S, t0, Q in ((S, E.t, Q), (worked_surface_2, Fraction(1), ECPoint(Fraction(1), Fraction(2)))):
         with monkeypatch.context() as m:
             with_false_root(m, S, "hop")
@@ -353,15 +362,14 @@ def wrong_known_root(monkeypatch, mult: int) -> None:
 
 
 @pytest.mark.parametrize("division", ["sweep", "hop", "separability"])
-def test_a_wrong_known_root_is_refused(worked_surface, worked_seed, worked_section, monkeypatch,
-                                       division):
+def test_a_wrong_known_root_is_refused(worked_seed, worked_section, monkeypatch, division):
     # each root that the sweep and the hop divide out instead of searching
     # for is checked by the exact division itself: a wrong one raises, and
     # the maker returns no point
-    S, (E, Q) = worked_surface, (worked_section.fiber, worked_section.point)
+    S, E, Q = worked_section
     wrong_known_root(monkeypatch, 2 if division == "sweep" else 1)
     make = {
-        "sweep": lambda: cp_sweep(worked_section, 1),
+        "sweep": lambda: cp_sweep(S, E, Q, 1),
         "hop": lambda: u_hop(S, E.t, Q),
         "separability": lambda: engine.check_fiber_hypotheses(S, E, Q),
     }[division]
@@ -403,7 +411,7 @@ def test_tangent_point_is_the_geometric_route(rng_seed):
     rep = generate(S, P, GenerationConfig(t_height_bound=1, multiple_bound=1))
     E, Q = S.fiber_point(P)
     tangent = [(r.t, r.point) for r in rep.points if r.provenance == "tangent"]
-    assert tangent == [tangent_point(tangent_section(S, E, Q))]
+    assert tangent == [tangent_point(S, E, Q)]
 
 
 def test_generate_worked(worked_surface, worked_seed):
@@ -764,7 +772,7 @@ def test_root_finding_tail_on_worked_surface(worked_surface, worked_seed):
     E, Q = S.fiber_point(worked_seed)
     P4 = elliptic.multiples(E, Q, 4)[3]
     with time_limit(20):
-        swept = cp_sweep(tangent_section(S, E, P4), 10)
+        swept = cp_sweep(S, E, P4, 10)
         rep = generate(S, worked_seed, GenerationConfig(t_height_bound=20, multiple_bound=10, depth=2))
     assert swept and len(rep.points) == 22
     for Es, Qs in swept:

@@ -1,5 +1,6 @@
-"""Every module-level function and class of the package is used by the
-package: code that only the tests call belongs in the tests, as a reference.
+"""Every module-level function and class of the package, and every method
+of its classes but the dunder ones, is used by the package: code that only
+the tests call belongs in the tests, as a reference.
 
 The check is by name: a definition counts as used when its name appears, as a
 name or an attribute, anywhere in ``src/dp1`` outside its own definition.  A
@@ -13,10 +14,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dp1"
 
 # Definitions kept although the package does not call them:
-# - cubic.theta, which the tests and scripts/worked_example.py call, until
-#   ROADMAP item 7 moves it to the tests;
 # - cubic.tangent_point, which the benchmark's tracer wraps by name.
-ALLOWED = {"cubic.theta", "cubic.tangent_point"}
+ALLOWED = {"cubic.tangent_point"}
 
 
 def names_used(node: ast.AST) -> Counter:
@@ -30,17 +29,31 @@ def names_used(node: ast.AST) -> Counter:
     return found
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """("name" or "Class.method", node) for each module-level function or
+    class of the tree and each method of its classes not named __…__."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def unused_definitions(trees: dict) -> list:
-    """"module.name" for each module-level function or class of the trees
-    (module name to parsed source) whose name appears in none of them outside
-    its own definition."""
+    """"module.name" for each definition of the trees (module name to parsed
+    source) whose name appears in none of them outside its own definition."""
     total = sum((names_used(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if (total - names_used(node))[node.name] == 0:
-                    unused.append(f"{module}.{node.name}")
+        for qualname, node in definitions(tree):
+            if (total - names_used(node))[node.name] == 0:
+                unused.append(f"{module}.{qualname}")
     return sorted(unused)
 
 
@@ -65,6 +78,16 @@ def test_guard_sees_every_unused_definition():
         "class Unused:\n"
         "    def method(self):\n"
         "        return Unused()\n"
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        self.called()\n"
+        "    def called(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"
+        "    @property\n"
+        "    def read(self):\n"
+        "        return Used().read\n"
         "async def coroutine():\n"
         "    pass\n"
         "def imported_only():\n"
@@ -73,7 +96,7 @@ def test_guard_sees_every_unused_definition():
     second = (
         "from .first import imported_only, used\n"
         "import first\n"
-        "VALUE = used(first.Attr)\n"
+        "VALUE = used(first.Attr), first.Used()\n"
         "class Attr:\n"
         "    pass\n"
         "def note():\n"
@@ -81,6 +104,6 @@ def test_guard_sees_every_unused_definition():
     )
     trees = {"first": ast.parse(first), "second": ast.parse(second)}
     assert unused_definitions(trees) == [
-        "first.Unused", "first.coroutine", "first.imported_only", "first.recursive",
-        "second.note",
+        "first.Unused", "first.Unused.method", "first.Used.read", "first.Used.unused",
+        "first.coroutine", "first.imported_only", "first.recursive", "second.note",
     ]

@@ -379,7 +379,7 @@ def squarefree_cofactor_quadruple(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(squarefree_cofactor_quadruple())
-def test_canonicalize_never_refuses_squarefree_cofactor(coords):
+def test_canonicalize_is_right_or_refuses_on_squarefree_cofactor(coords):
     # scaling (z, w) to coprime integers can leave p·q in g² and g³ with
     # other primes, which nothing splits: refused or right
     canonical_or_refused(coords, canonicalize_by_factoring(*coords))
