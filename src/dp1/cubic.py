@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 from . import elliptic
 from .elliptic import ECPoint, FiberCurve
 from .rational import InvariantError, is_square, record
-from .surface import Surface
+from .surface import Surface, _padded
 
 
 class SingularImageError(ValueError):
@@ -44,12 +44,11 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int
     integers: X times the lcm L of its denominators, and the parameters
     a..e times the lcm M of theirs, give M·L²·∇F(X), over ℤ.  Euler's
     relation X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
+    The numerators of a..e over M = ``S.ab_den`` are the surface's α and β.
     """
     L = math.lcm(*(v.denominator for v in X))
     x0, x1, x2, x3 = (v.numerator * (L // v.denominator) for v in X)
-    p = S.params
-    M = math.lcm(*(v.denominator for v in (p.a, p.b, p.c, p.d, p.e)))
-    a, b, c, d, e = (v.numerator * (M // v.denominator) for v in (p.a, p.b, p.c, p.d, p.e))
+    M, (b, a), (e, d, c) = S.ab_den, _padded(S.alpha, 2), _padded(S.beta, 3)
     grads = (
         3 * M * x0 * x0 + (a * x2 + b * x3) * x3,
         -2 * M * x1 * x3,

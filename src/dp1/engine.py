@@ -87,8 +87,10 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
 
     Q is checked on E once, by ``torsion_status``.  A singular fiber fails
     non-torsion.  The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
-    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0.  Separability
-    of f − f(t0) is decided on the quadratic left by dividing out t0.
+    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0, and read on
+    integers: times n·td, with t0 = tn/td and f = F/n, it is
+    3·tn·F3 + 2·F2·td ≠ 0.  Separability of f − f(t0) is decided on the
+    quadratic left by dividing out t0.
     """
     if Q.is_infinity:
         raise _not_on_fiber(E, Q)
@@ -99,10 +101,12 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
     except elliptic.SingularFiberError:
         non_torsion = False
     smooth = smoothness_check(S).smooth
-    slope = 3 * E.t * S.params.f3 + 2 * S.params.f2 != 0
+    tn, td = E.t.as_integer_ratio()
+    F = S.f.cs
+    slope = 3 * tn * F[3] + 2 * F[2] * td != 0
     # f − f(t0) = (t − t0)·q is separable iff q is and q(t0) ≠ 0
-    q = UniPoly(_hop_quadratic(S, E.t))
-    separable = poly.is_separable(q) and q(E.t) != 0
+    q = _hop_quadratic(S, E.t)
+    separable = poly.is_separable(UniPoly(q)) and poly._homogeneous_value(q, tn, td) != 0
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 

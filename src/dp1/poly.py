@@ -263,8 +263,14 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def is_separable(f: UniPoly) -> bool:
+    """Whether f has no repeated root: a quadratic c + b·t + a·t² iff its
+    discriminant b² − 4ac is nonzero, any other degree iff gcd(f, f′) is a
+    constant."""
     if f.degree() < 1:
         raise ValueError("separability needs degree >= 1")
+    if f.degree() == 2:
+        c, b, a = f.cs
+        return b * b != 4 * a * c
     return gcd(f, f.derivative()).degree() == 0
 
 

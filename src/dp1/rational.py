@@ -9,6 +9,7 @@ squares.  It also holds ``record``, the package's value-class decorator.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
@@ -48,12 +49,22 @@ def record(cls):
     return type(cls.__name__, (base,), body)
 
 
+# The largest decimal exponent parse_rational reads: 10**MAX_EXPONENT has
+# 3,322 bits, where the power of ten of "1e100000000" would have 332 million.
+MAX_EXPONENT = 1000
+# a trailing decimal exponent, as Fraction's parser reads one; compiled on
+# first use, by re's cache, so that a cold start does not pay for it
+_EXPONENT = r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z"
+
+
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction; bad text or q = 0 is a ValueError.
 
     An ASCII "-?digits" or "-?digits/digits" is read with ``int``; every
     other text goes to ``Fraction``'s own parser, which gives the same value
-    and refuses the same texts.
+    and refuses the same texts, except that a text ending in a decimal
+    exponent ("1.5e2") beyond ±MAX_EXPONENT is refused before ``Fraction``
+    builds its power of ten.
     """
     num, slash, den = s.partition("/")
     if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
@@ -61,6 +72,12 @@ def parse_rational(s: str) -> Fraction:
         if d:
             return Fraction(n, d)
         raise ValueError(f"zero denominator in {s!r}")
+    if (exp := re.search(_EXPONENT, s)) is not None:
+        size = 0
+        for digit in exp[1].replace("_", ""):  # one digit at a time: no huge int
+            size = min(10 * size + int(digit), MAX_EXPONENT + 1)
+        if size > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT} in {s.strip()!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

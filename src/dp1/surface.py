@@ -53,9 +53,6 @@ class SurfaceParams:
         if self.f3 == 0:
             raise ValueError("f3 must be nonzero (f must be a cubic)")
 
-    def f_poly(self) -> UniPoly:
-        return UniPoly((self.f0, self.f1, self.f2, self.f3))
-
     @staticmethod
     def from_json(obj) -> "SurfaceParams":
         """Read {"a": .., "e": .., "f": [f0, f1, f2, f3]}, every value a
@@ -77,9 +74,19 @@ class SurfaceParams:
         return out
 
 
+def _primes_below(n: int) -> List[int]:
+    """The primes below n ≥ 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
 # Lifting finds the primes of a denominator by trial division below this bound.
 TRIAL_BOUND = 1000
-_SMALL_PRIMES = [p for p in range(2, TRIAL_BOUND) if poly.is_prime(p)]
+_SMALL_PRIMES = _primes_below(TRIAL_BOUND)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
@@ -233,6 +240,11 @@ def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(cs[:k])
 
 
+def _padded(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """cs padded with zeros to length n."""
+    return cs + (0,) * (n - len(cs))
+
+
 class Surface:
     """An immutable member of the family, with its chart polynomials.
 
@@ -247,20 +259,28 @@ class Surface:
 
     def __init__(self, params: SurfaceParams):
         p = self.params = params
-        f = self.f = params.f_poly()
+        # f = F/n with n the lcm of f0..f3's denominators, in lowest terms: a
+        # prime's whole power in n is that of some fi's denominator, and
+        # prime to that Fi
+        n = math.lcm(p.f0.denominator, p.f1.denominator, p.f2.denominator, p.f3.denominator)
+        F0, F1, F2, F3 = F = [v.numerator * (n // v.denominator) for v in (p.f0, p.f1, p.f2, p.f3)]
+        self.f = UniPoly(F, n)
         # α(u) = a·u + b and β(u) = c·u² + d·u + e as integer numerators over
-        # one denominator m; with f = F/n, A = α(f) and B = β(f) are
+        # one denominator m; A = α(f) and B = β(f) are
         # (r0·n + r1·F)/(m·n) and (s0·n² + s1·n·F + s2·F²)/(m·n²) in ℤ[t]
         m = self.ab_den = math.lcm(*(v.denominator for v in (p.a, p.b, p.c, p.d, p.e)))
-        # the lcm of all nine parameter denominators: f.den is that of f's four
-        self.params_den = math.lcm(m, f.den)
+        # the lcm of all nine parameter denominators
+        self.params_den = math.lcm(m, n)
         r0, r1, s0, s1, s2 = (v.numerator * (m // v.denominator) for v in (p.b, p.a, p.e, p.d, p.c))
         self.alpha = _trimmed((r0, r1))
         self.beta = _trimmed((s0, s1, s2))
-        F, n = f.cs, f.den
-        self.A_t = UniPoly(poly.combination(n, (r0,), r1, F), m * n)
-        sF = poly.combination(n * n, (s0,), s1 * n, F)
-        self.B_t = UniPoly(poly.combination(1, sF, s2, poly.int_mul(F, F)), m * n * n)
+        self.A_t = UniPoly((r0 * n + r1 * F0, r1 * F1, r1 * F2, r1 * F3), m * n)
+        # F² = (F0², 2F0F1, F1² + 2F0F2, 2F0F3 + 2F1F2, F2² + 2F1F3, 2F2F3, F3²);
+        # k = s1·n + 2·s2·F0 collects the terms of B's t¹..t³ coefficients in Fi
+        k = s1 * n + 2 * s2 * F0
+        self.B_t = UniPoly((n * (s0 * n + s1 * F0) + s2 * F0 * F0, F1 * k, F2 * k + s2 * F1 * F1,
+                            F3 * k + 2 * s2 * F1 * F2, s2 * (F2 * F2 + 2 * F1 * F3), 2 * s2 * F2 * F3,
+                            s2 * F3 * F3), m * n * n)
         # smoothness_check's verdict, or the message of its
         # DegenerateSurfaceError, once decided, and the u-line's answer for the
         # t chart; singular_witnesses' list
@@ -380,19 +400,22 @@ def _u_line_singular(S: Surface) -> bool:
     ``_chart_singular_witnesses`` on t become conditions on u: a root of
     gcd(δ, γ·D) that is not a root of α, or a common root of α, β and β′·D
     (of β and β′·D when α ≡ 0).  On the numerators r, s of α, β over m,
-    δ·m³ = 4r³ + 27m·s² and γ·m² = 2rs′ − 3r′s.  α has degree ≤ 1, so its
-    root is rational when it has one.
+    δ·m³ = 4r³ + 27m·s² and γ·m² = 2rs′ − 3r′s, both written out from
+    r = r0 + r1·u and s = s0 + s1·u + s2·u².  α has degree ≤ 1, so its root
+    is rational when it has one.
     """
     r, s = S.alpha, S.beta
-    r3 = poly.int_mul(r, poly.int_mul(r, r))
-    delta = poly.combination(4, r3, 27 * S.ab_den, poly.int_mul(s, s))
+    (r0, r1), (s0, s1, s2), m27 = _padded(r, 2), _padded(s, 3), 27 * S.ab_den
+    delta = _trimmed((4 * r0 ** 3 + m27 * s0 * s0, 12 * r0 * r0 * r1 + 2 * m27 * s0 * s1,
+                      12 * r0 * r1 * r1 + m27 * (s1 * s1 + 2 * s0 * s2),
+                      4 * r1 ** 3 + 2 * m27 * s1 * s2, m27 * s2 * s2))
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
     D = _critical_value_poly(S.f.cs, S.f.den)
     ds = poly.deriv(s)
     if not r:  # A ≡ 0
         return len(poly.int_gcd(s, poly.int_mul(ds, D))) > 1
-    gamma = poly.combination(2, poly.int_mul(r, ds), -3, poly.int_mul(poly.deriv(r), s))
+    gamma = _trimmed((2 * r0 * s1 - 3 * r1 * s0, 4 * r0 * s2 - r1 * s1, r1 * s2))
     common = poly.int_gcd(delta, poly.int_mul(gamma, D))
     if len(r) == 1:  # α is a nonzero constant
         return len(common) > 1

@@ -284,12 +284,18 @@ def off_curve_after(step, calls: int = 0):
     return broken
 
 
+def f_poly(params: SurfaceParams) -> UniPoly:
+    """f = f0 + f1·t + f2·t² + f3·t³ from the Fraction parameters; the
+    reference for Surface's f, read there as numerators over one lcm."""
+    return UniPoly((params.f0, params.f1, params.f2, params.f3))
+
+
 def chart_polys_by_unipoly(params: SurfaceParams):
     """Reference chart polynomials (A_t, B_t, A_s, B_s): A_t = a·f + b and
     B_t = c·f² + d·f + e by UniPoly arithmetic, and their degree-4 and
     degree-6 reversals; the oracle for Surface's build in ℤ[t]."""
     p = params
-    f = p.f_poly()
+    f = f_poly(p)
     A_t = f.scale(p.a) + UniPoly.constant(p.b)
     B_t = (f * f).scale(p.c) + f.scale(p.d) + UniPoly.constant(p.e)
     return A_t, B_t, A_t.reverse(4), B_t.reverse(6)
@@ -699,7 +705,7 @@ def surface_through(rng: random.Random, height: int = 4):
         t0, x0, y0 = rat(), rat(), rat()
         if y0 == 0:
             continue
-        f = SurfaceParams(a, b, c, d, 0, f0, f1, f2, f3).f_poly()
+        f = f_poly(SurfaceParams(a, b, c, d, 0, f0, f1, f2, f3))
         u0 = f(t0)
         e = y0 * y0 - x0 ** 3 - (a * u0 + b) * x0 - c * u0 ** 2 - d * u0
         params = SurfaceParams(a, b, c, d, e, f0, f1, f2, f3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -85,6 +85,31 @@ def test_hypotheses_w_zero(worked_surface):
 def test_hypotheses_off_surface(worked_surface):
     with pytest.raises(ValueError):
         check_hypotheses(worked_surface, WPoint(1, 1, 1, 1))
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_fractions, min_size=9, max_size=9), st.sampled_from(["drawn", "zero", "flat"]),
+       st.booleans())
+def test_slope_condition_matches_fractions(vals, where, f2_zero):
+    # the integer slope 3·tn·F3 + 2·F2·td ≠ 0 against 3·t0·f3 + 2·f2 ≠ 0 in
+    # Fractions, at t0 = 0, at the one t0 where it fails, and with f2 = 0
+    a, b, c, d, f0, f1, f2, f3, t0 = vals
+    f2 = Fraction(0) if f2_zero else f2
+    assume(f3 != 0)
+    t0 = {"drawn": t0, "zero": Fraction(0), "flat": -2 * f2 / (3 * f3)}[where]
+    x0, y0 = Fraction(1), Fraction(2)
+    u0 = ((f3 * t0 + f2) * t0 + f1) * t0 + f0
+    e = y0 * y0 - x0 ** 3 - (a * u0 + b) * x0 - (c * u0 + d) * u0
+    S = Surface(SurfaceParams(a, b, c, d, e, f0, f1, f2, f3))
+    try:
+        rep = engine.check_fiber_hypotheses(S, S.fiber_at(t0), ECPoint(x0, y0))
+    except DegenerateSurfaceError:
+        assume(False)
+    assert rep.slope_condition == (3 * t0 * f3 + 2 * f2 != 0)
+    assert rep.separable == separable_by_fractions(S, t0)
 
 
 def test_bounded_height_enumeration():

@@ -497,6 +497,18 @@ def test_separable_iff_discriminant_nonzero(f):
     assert is_separable(f) == (discriminant(f) != 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(1, 50), st.integers(-50, 50).filter(bool),
+       st.integers(-50, 50), st.booleans())
+def test_quadratic_separability_matches_int_gcd(p, q, k, m, planted):
+    # b² ≠ 4ac against the gcd route, on k·(q·t − p)² (a planted double root)
+    # or k·(q·t − p)·(t − m), k of either sign
+    root = [-p, q]
+    cs = int_mul([k * c for c in root], root if planted else [-m, 1])
+    assert is_separable(UniPoly(cs)) == (len(int_gcd(cs, poly.deriv(cs))) == 1)
+    assert is_separable(UniPoly(cs)) == (not planted and m * q != p)
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         P(1, 1) ** -1

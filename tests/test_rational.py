@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bit_size
+from conftest import bit_size, time_limit
 from dp1.rational import (
+    MAX_EXPONENT,
     format_rational,
     is_square,
     parse_rational,
@@ -107,7 +109,26 @@ rational_texts = st.one_of(
 @example("\u00b2")
 @example("-3/-4")
 def test_parse_rational_matches_fraction_parser(s):
-    assert parsed(parse_rational, s) == parsed(parse_by_fraction, s)
+    # a text whose decimal exponent is past the bound is refused unread
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", s)
+    if exponent and int(exponent[1]) > MAX_EXPONENT:
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            parse_rational(s)
+    else:
+        assert parsed(parse_rational, s) == parsed(parse_by_fraction, s)
+
+
+@pytest.mark.parametrize("s", ["1e1000", "-7.5E-1000", "2e+1_000", "3e0999", "1e\u0663"])
+def test_parse_rational_reads_exponents_up_to_the_bound(s):
+    assert parse_rational(s) == Fraction(s)
+
+
+@pytest.mark.parametrize("s", ["1e100000000", "0e1000000", "1e1001", "-2.5e-1001", " 1E1_001 ",
+                               "1e" + "0" * 5000 + "1001", "1e\u0661\u0660\u0660\u0661"])
+def test_parse_rational_refuses_huge_exponents(s):
+    # refused before Fraction builds 10**exponent, in well under a second
+    with time_limit(1), pytest.raises(ValueError, match=r"decimal exponent beyond ±1000"):
+        parse_rational(s)
 
 
 def test_parse_rational_examples():

@@ -12,6 +12,7 @@ from conftest import (
     canonicalize_by_factoring,
     chart_polys_by_unipoly,
     compose,
+    f_poly,
     from_fractions_by_factoring,
     poly_divmod,
     random_params,
@@ -1038,6 +1039,18 @@ def test_chart_build_matches_unipoly_reference(vals, f3):
     assert UniPoly(S.alpha, S.ab_den) == UniPoly((p.b, p.a))
     assert UniPoly(S.beta, S.ab_den) == UniPoly((p.e, p.d, p.c))
     assert all(cs == () or cs[-1] != 0 for cs in (S.alpha, S.beta))
+    # f's numerators over the lcm of f0..f3's denominators are in lowest terms
+    assert S.f == f_poly(p)
+    assert S.f.den == math.lcm(*(v.denominator for v in (p.f0, p.f1, p.f2, p.f3)))
+    assert S.params_den == math.lcm(*(v.denominator for v in p))
+
+
+def test_small_primes_by_sieve():
+    # the sieve's list is the trial-division one, below TRIAL_BOUND and below
+    # every small n, the squares of primes included
+    assert surface._SMALL_PRIMES == [p for p in range(surface.TRIAL_BOUND) if poly.is_prime(p)]
+    for n in range(2, 200):
+        assert surface._primes_below(n) == [p for p in range(n) if poly.is_prime(p)]
 
 
 def test_discriminant_form_z12_coefficient():
