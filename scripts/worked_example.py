@@ -22,8 +22,7 @@ def main() -> None:
     print("surface:", json.dumps(S.params.to_json()))
     print("seed:   ", P)
 
-    verdict = smoothness_check(S)
-    print("smooth: ", verdict.kind)
+    print("smooth: ", smoothness_check(S))
 
     rep = classify_singularities(S)
     print("cubic model singularities:", json.dumps(rep.to_json()))

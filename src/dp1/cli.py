@@ -86,8 +86,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     S = _load_surface(args.surface)
-    verdict = smoothness_check(S)
-    if not verdict.smooth:
+    if smoothness_check(S) != "smooth":
         _emit({"error": "surface is not smooth", "witnesses": _witness_json(S)}, args)
         return EXIT_NEGATIVE
     report = cubic.classify_singularities(S)
@@ -106,11 +105,11 @@ def cmd_smooth(args) -> int:
     primes = _parse_primes(args.primes) if args.primes else None
     S = _load_surface(args.surface)
     verdict = smoothness_check(S)
-    payload = {"verdict": verdict.kind, "witnesses": _witness_json(S)}
+    payload = {"verdict": verdict, "witnesses": _witness_json(S)}
     if primes:
         payload["cross_check"] = cross_check_result(S, primes)
     _emit(payload, args)
-    return EXIT_OK if verdict.smooth else EXIT_NEGATIVE
+    return EXIT_OK if verdict == "smooth" else EXIT_NEGATIVE
 
 
 def cmd_identities(args) -> int:
@@ -205,15 +204,14 @@ def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
     certified seed that the lift refuses gets its reason as "seed_error"."""
     row: dict = {"params": S.params.to_json(), "picard_rank": "not computed"}
     try:
-        verdict = smoothness_check(S)
+        row["smooth"] = smoothness_check(S)
     except DegenerateSurfaceError:
         row["smooth"] = "degenerate"
         row["certified"] = False
         return row
-    row["smooth"] = verdict.kind
     row["certified"] = False
     row["seed"] = None
-    if not verdict.smooth:
+    if row["smooth"] != "smooth":
         return row
     for t, q in engine.brute_force_oracle(S, *seed_box):
         if engine.check_fiber_hypotheses(S, S.fiber_at(t), q).overall:

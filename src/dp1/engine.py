@@ -28,8 +28,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
-from .poly import UniPoly
-from .rational import InvariantError, format_rational, is_square, record
+from .rational import MAX_DIGITS, InvariantError, format_rational, is_square, record
 from .surface import Surface, WPoint, smoothness_check
 
 
@@ -43,25 +42,10 @@ class HypothesisReport:
     separable: bool
     non_torsion: bool
 
-    @property
-    def overall(self) -> bool:
-        return (
-            self.smooth
-            and self.w0_nonzero
-            and self.slope_condition
-            and self.separable
-            and self.non_torsion
-        )
+    overall = property(all)
 
     def to_json(self) -> dict:
-        return {
-            "smooth": self.smooth,
-            "w0_nonzero": self.w0_nonzero,
-            "slope_condition": self.slope_condition,
-            "separable": self.separable,
-            "non_torsion": self.non_torsion,
-            "overall": self.overall,
-        }
+        return {**self._asdict(), "overall": self.overall}
 
 
 def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
@@ -75,7 +59,7 @@ def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
         return check_fiber_hypotheses(S, *S.fiber_point(P))
     if not S.membership(P):
         raise ValueError(f"{P} is not on the surface")
-    return HypothesisReport(smoothness_check(S).smooth, False, False, False, False)
+    return HypothesisReport(smoothness_check(S) == "smooth", False, False, False, False)
 
 
 def _not_on_fiber(E: FiberCurve, Q: ECPoint) -> ValueError:
@@ -100,13 +84,13 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
         raise _not_on_fiber(E, Q) from None
     except elliptic.SingularFiberError:
         non_torsion = False
-    smooth = smoothness_check(S).smooth
+    smooth = smoothness_check(S) == "smooth"
     tn, td = E.t.as_integer_ratio()
     F = S.f.cs
     slope = 3 * tn * F[3] + 2 * F[2] * td != 0
     # f − f(t0) = (t − t0)·q is separable iff q is and q(t0) ≠ 0
     q = _hop_quadratic(S, E.t)
-    separable = poly.is_separable(UniPoly(q)) and poly._homogeneous_value(q, tn, td) != 0
+    separable = poly.is_separable(q) and poly._homogeneous_value(q, tn, td) != 0
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
@@ -257,6 +241,11 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     return out
 
 
+# The largest bit cap: an integer of at most 14,284 bits has at most
+# MAX_DIGITS digits (2**14284 < 10**4300), so every kept point prints.
+MAX_BIT_CAP = 14284
+
+
 @record
 class GenerationConfig:
     t_height_bound: int = 10
@@ -272,6 +261,9 @@ class GenerationConfig:
             raise ValueError("depth must be >= 0")
         if self.bit_cap < 1:
             raise ValueError("bit cap must be >= 1")
+        if self.bit_cap > MAX_BIT_CAP:
+            raise ValueError(f"bit cap must be <= {MAX_BIT_CAP}: a point over it may have an "
+                             f"integer of more than {MAX_DIGITS} digits, which cannot be printed")
 
 
 @record

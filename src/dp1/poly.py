@@ -132,9 +132,6 @@ class UniPoly:
             return 0, 1
         return _homogeneous_value(self.cs, p, q), self.den * q ** (len(self.cs) - 1)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly(deriv(self.cs), self.den)
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
@@ -262,16 +259,11 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return UniPoly(int_gcd(f.cs, g.cs)).monic()
 
 
-def is_separable(f: UniPoly) -> bool:
-    """Whether f has no repeated root: a quadratic c + b·t + a·t² iff its
-    discriminant b² − 4ac is nonzero, any other degree iff gcd(f, f′) is a
-    constant."""
-    if f.degree() < 1:
-        raise ValueError("separability needs degree >= 1")
-    if f.degree() == 2:
-        c, b, a = f.cs
-        return b * b != 4 * a * c
-    return gcd(f, f.derivative()).degree() == 0
+def is_separable(q: Sequence[int]) -> bool:
+    """Whether the quadratic c + b·t + a·t², given as its integers (c, b, a)
+    with a ≠ 0, has no repeated root: b² ≠ 4ac."""
+    c, b, a = q
+    return b * b != 4 * a * c
 
 
 def squarefree_split(cs: Sequence[int]) -> Tuple[List[int], List[int]]:

@@ -55,6 +55,20 @@ MAX_EXPONENT = 1000
 # a trailing decimal exponent, as Fraction's parser reads one; compiled on
 # first use, by re's cache, so that a cold start does not pay for it
 _EXPONENT = r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z"
+# CPython's default limit on the digits of an int converted from or to a
+# string (sys.get_int_max_str_digits()), which guards against quadratic-time
+# conversion: parse_rational refuses longer integers with its own message.
+MAX_DIGITS = 4300
+
+
+def _refuse_long_integers(s: str) -> None:
+    """Refuse s when one of its integers, underscores aside, has more than
+    MAX_DIGITS digits, before ``int`` refuses it with CPython's message."""
+    if len(s) > MAX_DIGITS:  # no shorter text holds a longer integer
+        for run in re.findall(r"\d+(?:_\d+)*", s):
+            if (size := len(run) - run.count("_")) > MAX_DIGITS:
+                raise ValueError(f"a rational text holds an integer of {size:,} digits, "
+                                 f"over the limit of {MAX_DIGITS:,}")
 
 
 def parse_rational(s: str) -> Fraction:
@@ -64,10 +78,12 @@ def parse_rational(s: str) -> Fraction:
     other text goes to ``Fraction``'s own parser, which gives the same value
     and refuses the same texts, except that a text ending in a decimal
     exponent ("1.5e2") beyond ±MAX_EXPONENT is refused before ``Fraction``
-    builds its power of ten.
+    builds its power of ten.  An integer of more than MAX_DIGITS digits,
+    which ``int`` refuses, is refused with a message that says so.
     """
     num, slash, den = s.partition("/")
     if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+        _refuse_long_integers(s)
         n, d = int(num), int(den) if slash else 1
         if d:
             return Fraction(n, d)
@@ -78,6 +94,7 @@ def parse_rational(s: str) -> Fraction:
             size = min(10 * size + int(digit), MAX_EXPONENT + 1)
         if size > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT} in {s.strip()!r}")
+    _refuse_long_integers(s)
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

@@ -13,8 +13,9 @@ polynomials of degree at most 4 in u; the point at infinity s = 0 is
 singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only where a
 singular surface's witnesses are read (``singular_witnesses``).  The mod-p
 oracle shares with the decision only the evaluation A = α(f), B = β(f): it
-reduces α, β and f mod p once and scans P¹(F_p) point by point, with none of
-the u-line's δ, γ, D or gcds.
+reduces α, β and f mod p once and scans P¹(F_p) point by point, taking each
+fiber's A, B and their t-derivatives from those residues, with none of the
+u-line's δ, γ, D or gcds.
 """
 
 from __future__ import annotations
@@ -281,9 +282,9 @@ class Surface:
         self.B_t = UniPoly((n * (s0 * n + s1 * F0) + s2 * F0 * F0, F1 * k, F2 * k + s2 * F1 * F1,
                             F3 * k + 2 * s2 * F1 * F2, s2 * (F2 * F2 + 2 * F1 * F3), 2 * s2 * F2 * F3,
                             s2 * F3 * F3), m * n * n)
-        # smoothness_check's verdict, or the message of its
-        # DegenerateSurfaceError, once decided, and the u-line's answer for the
-        # t chart; singular_witnesses' list
+        # smoothness_check's verdict ("smooth", "singular" or "degenerate")
+        # once decided, and the u-line's answer for the t chart;
+        # singular_witnesses' list
         self._smoothness = self._t_singular = self._witnesses = None
 
     A_s = property(lambda self: self.A_t.reverse(4))
@@ -313,21 +314,6 @@ class Surface:
 
 
 # -- smoothness of the branch sextic ----------------------------------
-
-@record
-class SmoothnessVerdict:
-    """Outcome of the exact smoothness decision for the branch sextic.
-
-    kind is "smooth", "singular", or "degenerate"; ``singular_witnesses``
-    lists where a singular surface is singular.
-    """
-
-    kind: str
-
-    @property
-    def smooth(self) -> bool:
-        return self.kind == "smooth"
-
 
 def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     """Nontrivial witness factors for singular points of x³ + A(t)x + B(t).
@@ -360,8 +346,9 @@ def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
     return [UniPoly(w).monic() for w in (common, cond) if len(w) > 1]
 
 
-def smoothness_check(S: Surface) -> SmoothnessVerdict:
-    """Decide smoothness of the branch sextic over every point of P¹.
+def smoothness_check(S: Surface) -> str:
+    """Decide smoothness of the branch sextic over every point of P¹:
+    "smooth" or "singular" (``singular_witnesses`` lists where).
 
     The u-line decides the t chart.  The s chart's points with s ≠ 0 are the
     t chart's at t = 1/s, and at s = 0, A_s(0) = 0 and B_s(0) = c·f3² with
@@ -372,12 +359,11 @@ def smoothness_check(S: Surface) -> SmoothnessVerdict:
     if S._smoothness is None:
         try:
             S._t_singular = _u_line_singular(S)
-            singular = S._t_singular or S.params.c == 0
-            S._smoothness = SmoothnessVerdict("singular" if singular else "smooth")
-        except DegenerateSurfaceError as exc:
-            S._smoothness = str(exc)
-    if isinstance(S._smoothness, str):
-        raise DegenerateSurfaceError(S._smoothness)
+            S._smoothness = "singular" if S._t_singular or S.params.c == 0 else "smooth"
+        except DegenerateSurfaceError:
+            S._smoothness = "degenerate"
+    if S._smoothness == "degenerate":
+        raise DegenerateSurfaceError("discriminant vanishes identically")
     return S._smoothness
 
 
@@ -438,7 +424,7 @@ def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
     if S._witnesses is not None:
         return S._witnesses
     witnesses = []
-    if not smoothness_check(S).smooth:
+    if smoothness_check(S) == "singular":
         witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
         if bool(witnesses) != S._t_singular:
             raise InvariantError(
@@ -463,42 +449,32 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     are checked directly at each x.
 
     α, β and f are reduced mod p once, and each fiber t ∈ F_p takes
-    A(t) = α(f(t)) and B(t) = β(f(t)) from those residues.  The derivatives
-    of the rare Δ ≡ 0 fibers, and the point s = 0, come from the chart
-    polynomials A_t and B_t: A_s = s⁴A(1/s) and B_s = s⁶B(1/s), so A_s(0)
-    and A_s′(0) are A_t's coefficients 4 and 3, B_s(0) and B_s′(0) B_t's 6
-    and 5.  Independent of the symbolic criterion: no δ, γ, D or gcd of the
-    u-line decision is used.
+    A(t) = α(f(t)) and B(t) = β(f(t)) from those residues; so do the
+    t-derivatives of the rare Δ ≡ 0 fibers, A′ = a·f′(t) and
+    B′ = (d + 2c·u)·f′(t) with u = f(t).  At s = 0, A_s(0) = 0 and
+    B_s(0) = c·f3², as ``membership`` uses, so that point is singular (at
+    x = 0, where B_s′(0) = 2c·f2·f3 vanishes too) exactly when c·f3 ≡ 0.
+    Independent of the symbolic criterion: no δ, γ, D or gcd of the u-line
+    decision is used.
     """
     check_prime(p)
     if S.params_den % p == 0:
         raise ValueError(f"prime {p} divides a parameter denominator")
-    # p ∤ params_den, so m and n are units mod p, inverted once each; the
-    # denominators of A_t and B_t divide m·n and m·n²
-    m, n = S.ab_den, S.f.den
-    im, i_n = pow(m, -1, p), pow(n, -1, p)
+    # p ∤ params_den, so m and n are units mod p, inverted once each
+    im, i_n = pow(S.ab_den, -1, p), pow(S.f.den, -1, p)
     r0, r1 = _residues(S.alpha, im, p, 2)
     s0, s1, s2 = _residues(S.beta, im, p, 3)
     f0, f1, f2, f3 = _residues(S.f.cs, i_n, p, 4)
-    A = _residues(S.A_t.cs, m * n // S.A_t.den * im * i_n, p, 5)
-    B = _residues(S.B_t.cs, m * n * n // S.B_t.den * im * i_n * i_n, p, 7)
-    dA, dB = poly.deriv(A), poly.deriv(B)
-    degenerate = True
-    singular = False
+    degenerate = singular = s2 * f3 % p == 0  # s = 0
     for t in range(p):
         u = (((f3 * t + f2) * t + f1) * t + f0) % p
         at = (r0 + r1 * u) % p
         bt = (s0 + (s1 + s2 * u) * u) % p
         if (4 * at * at * at + 27 * bt * bt) % p:
             degenerate = False
-            continue
-        if not singular:
-            da, db = poly.eval_mod(dA, t, p), poly.eval_mod(dB, t, p)
-            singular = _singular_on_fiber(at, bt, da, db, p)
-    if (4 * A[4] ** 3 + 27 * B[6] ** 2) % p:  # s = 0
-        degenerate = False
-    elif not singular:
-        singular = _singular_on_fiber(A[4], B[6], A[3], B[5], p)
+        elif not singular:
+            df = (3 * f3 * t + 2 * f2) * t + f1
+            singular = _singular_on_fiber(at, bt, r1 * df, (s1 + 2 * s2 * u) * df, p)
     if degenerate:
         return "bad_prime"
     return "singular" if singular else "smooth"
@@ -551,7 +527,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     verdict = smoothness_check(S)
     # with c = 0, s = 0 is a rational singular point: s divides A_s, B_s and
     # B_s′, since deg A, deg B ≤ 3
-    has_rational_witness = not verdict.smooth and (S.params.c == 0 or any(
+    has_rational_witness = verdict == "singular" and (S.params.c == 0 or any(
         poly.rational_roots(wp) for _, wp in singular_witnesses(S)
     ))
     per_prime: Dict[int, str] = {}
@@ -561,7 +537,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
             continue
         per_prime[p] = modp_singular_scan(S, p)
     usable = {p: v for p, v in per_prime.items() if v in ("smooth", "singular")}
-    if verdict.smooth:
+    if verdict == "smooth":
         if usable and all(v == "singular" for v in usable.values()):
             raise OracleDisagreementError(
                 f"{SINGULAR_MOD_EVERY_PRIME}: {per_prime}"
@@ -572,7 +548,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
             raise OracleDisagreementError(
                 f"rational singular witness does not reduce mod {bad}: {per_prime}"
             )
-    return {"symbolic": verdict.kind, "mod_p": per_prime}
+    return {"symbolic": verdict, "mod_p": per_prime}
 
 
 # -- discriminant form and singular fibers ----------------------------

@@ -25,6 +25,12 @@ def replaced(obj, **changes):
     return type(obj)(**{**obj._asdict(), **changes})
 
 
+def derivative(f: UniPoly) -> UniPoly:
+    """f′, by ``poly.deriv`` on f's integer numerators over the same
+    denominator."""
+    return UniPoly(poly.deriv(f.cs), f.den)
+
+
 def leading_coefficient(f: UniPoly) -> Fraction:
     """The leading coefficient of a non-zero f."""
     return Fraction(f.cs[-1], f.den)
@@ -157,11 +163,11 @@ def squarefree_factorization_by_fractions(f: UniPoly):
     if f.degree() == 0:
         return []
     out = []
-    fp = f.derivative()
+    fp = derivative(f)
     a = gcd(f, fp)
     b = poly_divmod(f, a)[0]
     c = poly_divmod(fp, a)[0]
-    d = c - b.derivative()
+    d = c - derivative(b)
     i = 1
     while b.degree() > 0:
         g = gcd(b, d)
@@ -169,7 +175,7 @@ def squarefree_factorization_by_fractions(f: UniPoly):
             out.append((g.monic(), i))
         b = poly_divmod(b, g)[0]
         c = poly_divmod(d, g)[0]
-        d = c - b.derivative()
+        d = c - derivative(b)
         i += 1
     return out
 
@@ -682,7 +688,7 @@ def random_smooth_surface(
         if finite_only:
             if all(chart != "t" for chart, _ in witnesses):
                 return S
-        elif verdict.smooth:
+        elif verdict == "smooth":
             return S
 
 

@@ -326,6 +326,45 @@ def test_malformed_surface_file_exit_two(surface_file, capsys, obj, message):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "generate"])
+def test_seed_off_its_fiber_exit_two(surface_file, capsys, command):
+    # y² = 1 ≠ x³ + B(1) = 7 on the fiber t = 1: refused before any hypothesis
+    code = main([command, "--surface", surface_file(WORKED), "--seed", "[1:1:1:1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: (1, 1) is not an affine point of the fiber t=1\n"
+
+
+@pytest.mark.parametrize("extra", [["--depth", "1", "--n", "200", "--t-height", "1"], ["--depth", "0"]],
+                         ids=["depth-1", "depth-0"])
+def test_generate_refuses_bit_cap_that_cannot_print(surface_file, capsys, monkeypatch, extra):
+    # over 14,284 bits a kept point could have an integer of more than 4,300
+    # digits, which str() refuses: the cap is refused before anything is
+    # generated, even where the run would never reach it
+    def refuse(S, P, cfg):
+        raise AssertionError("generation ran")
+
+    monkeypatch.setattr(engine, "generate", refuse)
+    argv = ["generate", "--surface", surface_file(WORKED), "--seed", "[-1:1:-1:1]"] + extra
+    code = main(argv + ["--bit-cap", str(engine.MAX_BIT_CAP + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: bit cap must be <= 14284: a point over it may have an integer "
+                            f"of more than 4300 digits, which cannot be printed\n")
+    with pytest.raises(AssertionError, match="generation ran"):
+        main(argv + ["--bit-cap", str(engine.MAX_BIT_CAP)])
+
+
+def test_long_integer_in_seed_exit_two(surface_file, capsys):
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", f"[1:1:{'1' * 5000}:1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: a rational text holds an integer of 5,000 digits, over the limit of 4,300\n"
+
+
 def test_zero_denominator_seed_exit_two(surface_file, capsys):
     code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/0:1:1:1]"])
     captured = capsys.readouterr()

@@ -9,6 +9,7 @@ from sympy import divisors, nextprime
 
 from conftest import (
     compose,
+    derivative,
     frac_add,
     frac_derivative,
     frac_gcd,
@@ -89,7 +90,7 @@ def discriminant(f: UniPoly) -> Fraction:
     if f.degree() < 1:
         raise ValueError("discriminant needs degree >= 1")
     n = f.degree()
-    fp = f.derivative()
+    fp = derivative(f)
     if fp.is_zero():
         return Fraction(0)
     res = resultant(f, fp)
@@ -137,7 +138,7 @@ def test_discriminant_examples():
     assert discriminant(P(0, 0, 0, 1)) == 0
     # brute-force route: disc = (-1)^3 Res(f, f') / lc
     f = P(1, 0, 0, 1)
-    assert discriminant(f) == -resultant(f, f.derivative())
+    assert discriminant(f) == -resultant(f, derivative(f))
     assert discriminant(f) == -27
 
 
@@ -147,9 +148,11 @@ def test_discriminant_constant_rejected():
 
 
 def test_separability():
-    assert is_separable(P(1, 0, 0, 1))
-    assert not is_separable(P(0, 0, 0, 1))
-    assert is_separable(P(-2, 0, 1))
+    # (c, b, a) for c + b·t + a·t²
+    assert is_separable((-2, 0, 1))
+    assert not is_separable((1, 2, 1))
+    assert not is_separable((0, 0, -3))
+    assert is_separable((0, 1, 1))
 
 
 def test_rational_roots_worked_examples():
@@ -185,7 +188,7 @@ def squarefree_part_by_fractions(f: UniPoly) -> UniPoly:
     """Reference squarefree part in Q[t]: f / gcd(f, f′), made monic."""
     if f.degree() == 0:
         return UniPoly.constant(1)
-    q, r = poly_divmod(f, gcd(f, f.derivative()))
+    q, r = poly_divmod(f, gcd(f, derivative(f)))
     assert r.is_zero()
     return q.monic()
 
@@ -490,11 +493,11 @@ def test_rational_roots_match_fraction_oracle_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(small_rat, min_size=3, max_size=4).map(UniPoly))
+@given(st.lists(small_rat, min_size=3, max_size=3).map(UniPoly))
 def test_separable_iff_discriminant_nonzero(f):
     if f.degree() < 2:
         return
-    assert is_separable(f) == (discriminant(f) != 0)
+    assert is_separable(f.cs) == (discriminant(f) != 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -505,8 +508,8 @@ def test_quadratic_separability_matches_int_gcd(p, q, k, m, planted):
     # or k·(q·t − p)·(t − m), k of either sign
     root = [-p, q]
     cs = int_mul([k * c for c in root], root if planted else [-m, 1])
-    assert is_separable(UniPoly(cs)) == (len(int_gcd(cs, poly.deriv(cs))) == 1)
-    assert is_separable(UniPoly(cs)) == (not planted and m * q != p)
+    assert is_separable(cs) == (len(int_gcd(cs, poly.deriv(cs))) == 1)
+    assert is_separable(cs) == (not planted and m * q != p)
 
 
 def test_negative_power_rejected():
@@ -545,7 +548,7 @@ def test_unipoly_matches_fraction_tuples(a, b, c, den, n, pad, t):
         (f * g, frac_mul(fa, fb)),
         (f.scale(c), frac_scale(fa, c)),
         (f ** n, frac_pow(fa, n)),
-        (f.derivative(), frac_derivative(fa)),
+        (derivative(f), frac_derivative(fa)),
         (f.monic(), frac_monic(fa)),
         (f.reverse(), frac_reverse(fa, len(fa) - 1)),
         (f.reverse(f.degree() + pad), frac_reverse(fa, len(fa) - 1 + pad)),

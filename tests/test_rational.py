@@ -6,7 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import bit_size, time_limit
+from dp1.engine import MAX_BIT_CAP
 from dp1.rational import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     format_rational,
     is_square,
@@ -129,6 +131,30 @@ def test_parse_rational_refuses_huge_exponents(s):
     # refused before Fraction builds 10**exponent, in well under a second
     with time_limit(1), pytest.raises(ValueError, match=r"decimal exponent beyond ±1000"):
         parse_rational(s)
+
+
+@pytest.mark.parametrize("s, size", [
+    ("1" * 5000, "5,000"), ("-1/" + "3" * 5000, "5,000"), ("0." + "1" * 5000, "5,000"),
+    ("1e" + "0" * 5000 + "1", "5,001"), ("1" * 4301, "4,301"), ("1_" * 4300 + "1", "4,301"),
+    ("\u0661" * 4301 + "/3", "4,301"),
+])
+def test_parse_rational_refuses_long_integers(s, size):
+    # refused with a message that names the input, not CPython's setting
+    with pytest.raises(ValueError, match=f"integer of {size} digits, over the limit of 4,300"):
+        parse_rational(s)
+
+
+@pytest.mark.parametrize("s", ["1" * 4300, "-1/" + "3" * 4300, "1_" * 4299 + "1",
+                               "1" * 3000 + "." + "1" * 3000, " " * 5000 + "7/2"])
+def test_parse_rational_reads_integers_up_to_the_limit(s):
+    assert parse_rational(s) == Fraction(s)
+
+
+def test_max_bit_cap_prints_every_integer_under_it():
+    # every integer of at most MAX_BIT_CAP bits has at most MAX_DIGITS
+    # digits, and one more bit can have more
+    assert 2 ** MAX_BIT_CAP < 10 ** MAX_DIGITS < 2 ** (MAX_BIT_CAP + 1)
+    assert len(str(-(2 ** MAX_BIT_CAP - 1))) == MAX_DIGITS + 1
 
 
 def test_parse_rational_examples():

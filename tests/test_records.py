@@ -14,7 +14,6 @@ from dp1.poly import UniPoly
 from dp1.surface import (
     FiberFactor,
     SingularFiberReport,
-    SmoothnessVerdict,
     SurfaceParams,
     WPoint,
 )
@@ -33,7 +32,6 @@ RECORDS = [
     PointRecord(F(2), POINT, "seed"),
     PARAMS,
     WPoint(1, -2, 3, 4),
-    SmoothnessVerdict("singular"),
     FACTOR,
     SingularFiberReport((FACTOR,), 10),
 ]
@@ -94,8 +92,6 @@ def test_repr_and_str_kept():
     assert repr(FiberCurve(F(1, 2), F(0), F(-3))) == (
         "FiberCurve(t=Fraction(1, 2), A=Fraction(0, 1), B=Fraction(-3, 1))"
     )
-    assert SmoothnessVerdict("smooth") == SmoothnessVerdict(kind="smooth")
-    assert SmoothnessVerdict("singular")._fields == ("kind",)
 
 
 def test_surface_params_coerce_to_fraction():
@@ -121,6 +117,7 @@ def test_surface_params_refuse_zero_f3(f3):
     ({"max_points": 0}, "bounds must be >= 1"),
     ({"depth": -1}, "depth must be >= 0"),
     ({"bit_cap": 0}, "bit cap must be >= 1"),
+    ({"bit_cap": 14285}, "bit cap must be <= 14284"),
 ])
 def test_generation_config_refuses_each_bad_bound(bad, message):
     with pytest.raises(ValueError, match=message):

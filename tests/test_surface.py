@@ -12,6 +12,7 @@ from conftest import (
     canonicalize_by_factoring,
     chart_polys_by_unipoly,
     compose,
+    derivative,
     f_poly,
     from_fractions_by_factoring,
     poly_divmod,
@@ -31,7 +32,6 @@ from dp1.surface import (
     DegenerateSurfaceError,
     FiberFactor,
     SingularFiberReport,
-    SmoothnessVerdict,
     Surface,
     SurfaceParams,
     WPoint,
@@ -393,13 +393,12 @@ def test_wpoint_affine_roundtrip():
 
 
 def test_smoothness_worked(worked_surface, worked_surface_2):
-    assert smoothness_check(worked_surface).smooth
-    assert smoothness_check(worked_surface_2).smooth
+    assert smoothness_check(worked_surface) == "smooth"
+    assert smoothness_check(worked_surface_2) == "smooth"
 
 
 def test_smoothness_singular_fixture(singular_fixture):
-    verdict = smoothness_check(singular_fixture)
-    assert verdict.kind == "singular"
+    assert smoothness_check(singular_fixture) == "singular"
     assert singular_witnesses(singular_fixture)
 
 
@@ -559,6 +558,31 @@ def test_modp_scan_reaches_each_verdict(params, p, where, verdict):
     assert modp_singular_scan(S, p) == verdict
 
 
+def test_modp_scan_reads_only_alpha_beta_and_f(monkeypatch):
+    # each fiber's A, B and their t-derivatives, and the point s = 0, come
+    # from the residues of α, β and f: the chart polynomials are never read
+    cases = [
+        (SurfaceParams(0, 0, 1, 2, 3, 0, 0, 0, 1), 7),
+        (SurfaceParams(0, -3, 1, 0, 2, 0, 5, 0, 1), 5),
+        (SurfaceParams(0, 0, 5, 2, 3, 0, 0, 0, 1), 5),
+        (SurfaceParams(7, -3, 14, -7, 2, 1, 1, 0, 1), 7),
+        # the "p | c" and "p | f3" kinds of scan_params: Δ ≡ 0 at s = 0
+        (SurfaceParams(1, 2, 14, 3, 4, 1, 1, 2, 1), 7),
+        (SurfaceParams(1, -2, 3, 1, 2, 1, 0, 2, 5), 5),
+    ]
+    surfaces = [(Surface(params), p) for params, p in cases]
+    expected = [modp_scan_per_coefficient(S, p) for S, p in surfaces]
+
+    def refuse(S):
+        raise AssertionError("the scan read a chart polynomial")
+
+    # a property outranks the instance attribute it shadows
+    monkeypatch.setattr(Surface, "A_t", property(refuse), raising=False)
+    monkeypatch.setattr(Surface, "B_t", property(refuse), raising=False)
+    assert [modp_singular_scan(S, p) for S, p in surfaces] == expected
+    assert set(expected) == {"smooth", "singular", "bad_prime"}
+
+
 def test_modp_scan_shares_no_decision_algebra(monkeypatch, worked_surface, singular_fixture):
     # the oracle must not run the algebra it checks
     def refuse(*args):
@@ -592,7 +616,7 @@ def uncached_verdict(S: Surface) -> tuple:
         for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s))
         for wpoly in _chart_singular_witnesses(A, B)
     )
-    return SmoothnessVerdict("singular" if witnesses else "smooth"), witnesses
+    return ("singular" if witnesses else "smooth"), witnesses
 
 
 def assert_verdict_matches_two_charts(params: SurfaceParams) -> str:
@@ -609,7 +633,7 @@ def assert_verdict_matches_two_charts(params: SurfaceParams) -> str:
         return "degenerate"
     assert smoothness_check(S) == expected, params
     assert singular_witnesses(S) == witnesses, params
-    if expected.smooth:
+    if expected == "smooth":
         return "smooth"
     only_s = {chart for chart, _ in witnesses} == {"s"}
     return "singular only at infinity" if only_s else "singular"
@@ -631,7 +655,10 @@ def test_verdict_matches_two_chart_decision_examples(worked_surface, singular_fi
     assert outcomes == {"smooth", "singular", "singular only at infinity", "degenerate"}
 
 
-def test_memoized_verdict_matches_uncached_decision(singular_fixture):
+def test_memoized_verdict_matches_uncached_decision(monkeypatch, singular_fixture):
+    decided = []
+    real = surface._u_line_singular
+    monkeypatch.setattr(surface, "_u_line_singular", lambda S: decided.append(S) or real(S))
     rng = random.Random(53)
     surfaces = [singular_fixture] + [Surface(random_params(rng, height=3)) for _ in range(40)]
     kinds = set()
@@ -639,13 +666,14 @@ def test_memoized_verdict_matches_uncached_decision(singular_fixture):
         expected = uncached_verdict(S)
         first = smoothness_check(S), singular_witnesses(S)
         assert first == expected
-        assert smoothness_check(S) is first[0] and singular_witnesses(S) is first[1]
+        assert smoothness_check(S) == first[0] and singular_witnesses(S) is first[1]
         # the memo is per instance: a new Surface decides afresh
         T = Surface(S.params)
         again = smoothness_check(T), singular_witnesses(T)
-        assert again == expected and again[0] is not first[0]
-        kinds.add(expected[0].kind)
+        assert again == expected and decided[-2:] == [S, T]
+        kinds.add(expected[0])
     assert kinds == {"smooth", "singular"}
+    assert len(decided) == 2 * len(surfaces)
 
 
 def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
@@ -655,7 +683,7 @@ def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
     witnesses = []
-    g = (A * B.derivative()).scale(2) - (A.derivative() * B).scale(3)
+    g = (A * derivative(B)).scale(2) - (derivative(A) * B).scale(3)
     if not A.is_zero():
         common = delta.monic() if g.is_zero() else gcd(delta, g)
         while True:  # strip every factor sharing a root with A
@@ -666,11 +694,11 @@ def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
         if common.degree() >= 1:
             witnesses.append(common)
     if A.is_zero():
-        cond = gcd(B, B.derivative())
+        cond = gcd(B, derivative(B))
     elif B.is_zero():
         cond = A.monic()
     else:
-        cond = gcd(gcd(B, B.derivative()), A)
+        cond = gcd(gcd(B, derivative(B)), A)
     if cond.degree() >= 1:
         witnesses.append(cond)
     return witnesses
@@ -859,7 +887,7 @@ def test_critical_value_poly_is_the_discriminant_of_f_minus_u(vals, f3):
     expected = sp.Poly(sp.discriminant(sum(c * t ** i for i, c in enumerate(F)) - n * u, t), u)
     assert D == [int(c) for c in reversed(expected.all_coeffs())]
     # f's critical values are roots of D
-    for root, _ in poly.rational_roots(f.derivative()):
+    for root, _ in poly.rational_roots(derivative(f)):
         assert poly._homogeneous_value(D, *f(root).as_integer_ratio()) == 0
 
 
@@ -899,7 +927,7 @@ def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surfa
         Surface(SurfaceParams(0, 0, 0, 1, 0, 0, 0, 0, 1)),  # B = t³, and c = 0
     ] + [Surface(u_line_params(kind, vals, Fraction(0), True)) for kind in U_LINE_FAMILIES]
     for S in singular:
-        assert smoothness_check(S).kind == "singular"
+        assert smoothness_check(S) == "singular"
         assert chart_calls(monkeypatch, S, smoothness_check) == []
         assert chart_calls(monkeypatch, S, singular_witnesses) == ["t", "s"]
 
@@ -911,7 +939,7 @@ def test_u_line_runs_once_per_surface(monkeypatch):
     real = surface._u_line_singular
     monkeypatch.setattr(surface, "_u_line_singular", lambda S: calls.append(S) or real(S))
     S = Surface(SurfaceParams(1, 2, 0, 3, 4, 1, 0, 0, 1))
-    assert smoothness_check(S).kind == "singular"
+    assert smoothness_check(S) == "singular"
     assert singular_witnesses(S)
     assert len(calls) == 1
 
@@ -936,7 +964,7 @@ def test_c_zero_surface_lists_a_witness_at_s_zero(params):
         witnesses = singular_witnesses(S)
     except DegenerateSurfaceError:
         return
-    assert smoothness_check(S).kind == "singular"
+    assert smoothness_check(S) == "singular"
     assert any(chart == "s" and wp[0] == 0 for chart, wp in witnesses), params
 
 
@@ -950,14 +978,14 @@ def test_c_zero_verdict_and_cross_check_run_no_chart_algebra(monkeypatch, worked
     params += [random_params(rng, height=5, c=0) for _ in range(40)]
     for p in params:
         S = Surface(p)
-        assert smoothness_check(S).kind == "singular"
+        assert smoothness_check(S) == "singular"
         assert smoothness_cross_check(S, (7, 11, 13))["symbolic"] == "singular"
     with pytest.raises(AssertionError, match="chart algebra ran"):
         singular_witnesses(S)
 
 
 def test_modp_scan_inverts_two_denominators_and_builds_no_reversal(monkeypatch):
-    # 1/ab_den and 1/f.den, once per scan; s = 0 read from A_t and B_t
+    # 1/ab_den and 1/f.den, once per scan; s = 0 read from the residues of β and f
     def refuse(S):
         raise AssertionError("the scan built a reversal")
 
