@@ -278,7 +278,7 @@ def cmd_fibers(args) -> int:
     S = _load_surface(args.surface)
     report = singular_fiber_report(S)
     payload = {
-        "z12_coefficient": format_rational(S.discriminant_t()[12]),
+        "z12_coefficient": format_rational(report.z12_coefficient),
         "multiplicity_at_infinity": report.multiplicity_at_infinity,
         "total_multiplicity": report.total_multiplicity,
         "factors": [

@@ -30,11 +30,6 @@ class TwoTorsionSeedError(ValueError):
     """The tangent construction degenerates for 2-torsion seeds."""
 
 
-def _text(X: Sequence[Fraction]) -> str:
-    """A point of P³ as the text [X0:X1:X2:X3] of its refusals."""
-    return ":".join(str(Fraction(v)) for v in X)
-
-
 def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int]:
     """The tangent plane αX0 + βX1 + γX2 + δX3 = 0 to W at the point X, in
     any representative, as the primitive integer gradient (α, β, γ, δ).
@@ -58,11 +53,11 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int
     )
     content = math.gcd(*grads)
     if content == 0:
-        raise SingularImageError(f"[{_text(X)}] is a singular point of W")
+        raise SingularImageError(f"[{':'.join(map(str, X))}] is a singular point of W")
     # divide by the content only; the gradient's own orientation is kept
     alpha, beta, gamma, delta = (g // content for g in grads)
     if alpha * x0 + beta * x1 + gamma * x2 + delta * x3 != 0:
-        raise ValueError(f"[{_text(X)}] is not on the cubic model W")
+        raise ValueError(f"[{':'.join(map(str, X))}] is not on the cubic model W")
     return alpha, beta, gamma, delta
 
 

@@ -16,10 +16,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from .rational import InvariantError
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class UniPoly:
     """Dense univariate polynomial over Q, coefficients indexed by degree.
 
@@ -33,14 +29,9 @@ class UniPoly:
 
     __slots__ = ("cs", "den")
 
-    def __init__(self, coeffs: Iterable = (), den: int = 1):
-        """The polynomial Σ coeffs[i]·tⁱ / den; coeffs are ints or Fractions."""
+    def __init__(self, coeffs: Iterable[int] = (), den: int = 1):
+        """The polynomial Σ coeffs[i]·tⁱ / den, for integers coeffs and den."""
         cs = list(coeffs)
-        if not all(isinstance(c, int) for c in cs):
-            fs = [_frac(c) for c in cs]
-            m = math.lcm(*(c.denominator for c in fs))
-            cs = [c.numerator * (m // c.denominator) for c in fs]
-            den *= m
         while cs and cs[-1] == 0:
             cs.pop()
         if not den:
@@ -53,12 +44,6 @@ class UniPoly:
         self.cs: Tuple[int, ...] = tuple(cs)
         self.den: int = den
 
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly((c,))
-
-    # -- basic queries ------------------------------------------------
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.cs)
@@ -69,57 +54,9 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.cs
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.cs[i], self.den) if 0 <= i < len(self.cs) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.cs == other.cs and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cs, self.den))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "UniPoly(0)"
-        parts = [f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "UniPoly(" + " + ".join(parts) + ")"
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        return self._combine(1, other)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self._combine(-1, other)
-
-    def _combine(self, sign: int, other: "UniPoly") -> "UniPoly":
-        """self + sign·other, over the lcm of the two denominators."""
-        den = math.lcm(self.den, other.den)
-        x, y = den // self.den, sign * (den // other.den)
-        return UniPoly(combination(x, self.cs, y, other.cs), den)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         """Product by convolving the integer numerators."""
         return UniPoly(int_mul(self.cs, other.cs), self.den * other.den)
-
-    def scale(self, c) -> "UniPoly":
-        c = _frac(c)
-        return UniPoly([a * c.numerator for a in self.cs], self.den * c.denominator)
-
-    def __pow__(self, n: int) -> "UniPoly":
-        """self**n by square-and-multiply, squaring no further than the
-        last bit of n."""
-        if n < 0:
-            raise ValueError("negative power")
-        result, base = UniPoly.constant(1), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
         """f(t), one Fraction built from ``value_ints``."""
@@ -136,17 +73,6 @@ class UniPoly:
         if self.is_zero():
             return self
         return UniPoly(self.cs, self.cs[-1])
-
-    def reverse(self, n: Optional[int] = None) -> "UniPoly":
-        """Coefficient reversal t^n · f(1/t), n defaulting to deg f.
-
-        Used to move between the two affine charts of P^1.
-        """
-        if n is None:
-            n = self.degree()
-        if n < self.degree():
-            raise ValueError("reversal order below degree")
-        return UniPoly([0] * (n - self.degree()) + list(reversed(self.cs)), self.den)
 
 
 # -- integer-polynomial helpers (gcd via primitive PRS) ----------------

@@ -11,7 +11,9 @@ surface is the base change along u = f(t) of a rational elliptic surface
 over the u-line.  Smoothness of the t chart is decided there, on
 polynomials of degree at most 4 in u; the point at infinity s = 0 is
 singular iff c = 0.  The t and s charts' gcds in ℤ[t] run only where a
-singular surface's witnesses are read (``singular_witnesses``).  The mod-p
+singular surface's witnesses are read (``singular_witnesses``); the s
+chart's A and B are the t chart's integer numerators, padded to degrees 4
+and 6 and reversed, and Δ is built on the same numerators.  The mod-p
 oracle shares with the decision only the evaluation A = α(f), B = β(f): it
 reduces α, β and f mod p once and scans P¹(F_p) point by point, taking each
 fiber's A, B and their t-derivatives from those residues, with none of the
@@ -27,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
-from .rational import InvariantError, format_rational, parse_rational, record
+from .rational import MAX_DIGITS, InvariantError, format_rational, parse_rational, record
 
 
 class DegenerateSurfaceError(ValueError):
@@ -151,6 +153,10 @@ def _lift_scale(dx: int, dy: int, *near: int) -> int:
     return lam * c
 
 
+# the least integer of more than MAX_DIGITS digits, which str() refuses
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+
+
 @record
 class WPoint:
     """A point of P(2,3,1,1) in canonical integer form (weights 2,3,1,1).
@@ -210,14 +216,24 @@ class WPoint:
 
     @staticmethod
     def parse(s: str) -> "WPoint":
+        """The canonical point of the text "[x:y:z:w]", refused when it or its
+        affine (t, x, y) has an integer of more than MAX_DIGITS digits, which
+        no output could print."""
         s = s.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"expected [x:y:z:w], got {s!r}")
         parts = s[1:-1].split(":")
         if len(parts) != 4:
             raise ValueError(f"expected four coordinates, got {s!r}")
-        x, y, z, w = map(parse_rational, parts)
-        return WPoint.from_fractions(x, y, z, w)
+        P = WPoint.from_fractions(*map(parse_rational, parts))
+        ints = [P.x, P.y, P.z, P.w]
+        if P.w:
+            for v in (P.t(), *P.affine_xy()):
+                ints += v.as_integer_ratio()
+        if any(abs(v) >= _DIGITS_BOUND for v in ints):
+            raise ValueError(f"the seed's point or its affine (t, x, y) has an integer of more than "
+                             f"{MAX_DIGITS:,} digits, which cannot be printed")
+        return P
 
     def __str__(self) -> str:
         return f"[{self.x}:{self.y}:{self.z}:{self.w}]"
@@ -253,9 +269,9 @@ class Surface:
     ab_den and with no trailing zero, of α = a·u + b and β = c·u² + d·u + e;
     params_den is the lcm of the nine parameter denominators.
     A_t = α(f) and B_t = β(f) are the Weierstrass coefficients
-    as polynomials in t = z/w; A_s, B_s are their chart-at-infinity
-    counterparts in s = w/z (degree-4 and degree-6 reversals of the
-    homogeneous forms), built on each read.
+    as polynomials in t = z/w.  Their counterparts in the chart at infinity
+    s = w/z are the reversals of their numerators padded to degrees 4 and 6,
+    which ``singular_witnesses`` reads for a singular surface.
     """
 
     def __init__(self, params: SurfaceParams):
@@ -287,9 +303,6 @@ class Surface:
         # singular_witnesses' list
         self._smoothness = self._t_singular = self._witnesses = None
 
-    A_s = property(lambda self: self.A_t.reverse(4))
-    B_s = property(lambda self: self.B_t.reverse(6))
-
     # -- point operations --------------------------------------------
     def membership(self, P: WPoint) -> bool:
         """P on the surface: on its fiber when w != 0, else on the fiber at
@@ -310,26 +323,37 @@ class Surface:
     def discriminant_t(self) -> UniPoly:
         """Δ(t) = −16(4A(t)³ + 27B(t)²), the w=1 chart of the degree-12 form:
         the coefficient of t^i is that of z^i w^(12−i)."""
-        return ((self.A_t ** 3).scale(4) + (self.B_t ** 2).scale(27)).scale(-16)
+        A, B = self.A_t, self.B_t
+        _, _, mu, delta = _weierstrass_ints(A.cs, A.den, B.cs, B.den)
+        return UniPoly([-16 * c for c in delta], mu ** 6)
+
+
+def _weierstrass_ints(An: Sequence[int], Ad: int, Bn: Sequence[int], Bd: int):
+    """(a, b, μ, δ) for A = An/Ad and B = Bn/Bd: with μ = lcm(Ad, Bd), the
+    integer polynomials a = μ²A and b = μ³B, and δ = 4a³ + 27b², which is
+    μ⁶(4A³ + 27B²)."""
+    mu = math.lcm(Ad, Bd)
+    a = [c * (mu // Ad) * mu for c in An]
+    b = [c * (mu // Bd) * mu ** 2 for c in Bn]
+    return a, b, mu, poly.combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
 
 
 # -- smoothness of the branch sextic ----------------------------------
 
-def _chart_singular_witnesses(A: UniPoly, B: UniPoly) -> List[UniPoly]:
-    """Nontrivial witness factors for singular points of x³ + A(t)x + B(t).
+def _chart_singular_witnesses(An: Sequence[int], Ad: int, Bn: Sequence[int], Bd: int
+                              ) -> List[UniPoly]:
+    """Nontrivial witness factors for singular points of x³ + A(t)x + B(t),
+    for A = An/Ad and B = Bn/Bd with An and Bn trimmed.
 
     Eliminating x = −3B/(2A) reduces F = F_x = F_t = 0 over A ≠ 0 to
     Δ(t) = 0 and 2AB' − 3A'B = 0; over A = 0 the conditions are
     B = B' = 0 (forcing x = 0).
 
-    The weighted scaling (A, B) → (μ²A, μ³B) multiplies Δ by μ⁶ and
-    2AB' − 3A'B by μ⁵ and keeps the roots of A and gcd(B, B'), so with μ the
-    lcm of the two denominators it all runs in ℤ[t]; the witnesses are monic.
+    The weighted scaling (A, B) → (μ²A, μ³B) of ``_weierstrass_ints``
+    multiplies Δ by μ⁶ and 2AB' − 3A'B by μ⁵ and keeps the roots of A and
+    gcd(B, B'), so it all runs in ℤ[t]; the witnesses are monic.
     """
-    mu = math.lcm(A.den, B.den)
-    a = [c * (mu // A.den) * mu for c in A.cs]
-    b = [c * (mu // B.den) * mu ** 2 for c in B.cs]
-    delta = poly.combination(4, poly.int_mul(a, poly.int_mul(a, a)), 27, poly.int_mul(b, b))
+    a, b, _, delta = _weierstrass_ints(An, Ad, Bn, Bd)
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
     da, db = poly.deriv(a), poly.deriv(b)
@@ -351,8 +375,8 @@ def smoothness_check(S: Surface) -> str:
     "smooth" or "singular" (``singular_witnesses`` lists where).
 
     The u-line decides the t chart.  The s chart's points with s ≠ 0 are the
-    t chart's at t = 1/s, and at s = 0, A_s(0) = 0 and B_s(0) = c·f3² with
-    f3 ≠ 0, so the point at infinity is singular iff c = 0.  No chart
+    t chart's at t = 1/s, and at s = 0 the s chart's A is 0 and its B is
+    c·f3² with f3 ≠ 0, so the point at infinity is singular iff c = 0.  No chart
     algebra runs.  The decision is made once per Surface: later calls return
     the same verdict, or raise DegenerateSurfaceError again.
     """
@@ -425,13 +449,16 @@ def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
         return S._witnesses
     witnesses = []
     if smoothness_check(S) == "singular":
-        witnesses = [("t", w) for w in _chart_singular_witnesses(S.A_t, S.B_t)]
+        A, B = S.A_t, S.B_t
+        witnesses = [("t", w) for w in _chart_singular_witnesses(A.cs, A.den, B.cs, B.den)]
         if bool(witnesses) != S._t_singular:
             raise InvariantError(
                 f"the u-line calls the t chart {'singular' if S._t_singular else 'smooth'}, "
-                f"but its witnesses are {[w for _, w in witnesses]}"
+                f"but its witnesses are {[list(map(str, w.coeffs)) for _, w in witnesses]}"
             )
-        witnesses += [("s", w) for w in _chart_singular_witnesses(S.A_s, S.B_s)]
+        # the chart s = w/z: s⁴·A(1/s) and s⁶·B(1/s), over the same denominators
+        witnesses += [("s", w) for w in _chart_singular_witnesses(
+            _trimmed(_padded(A.cs, 5)[::-1]), A.den, _trimmed(_padded(B.cs, 7)[::-1]), B.den)]
     S._witnesses = tuple(witnesses)
     return S._witnesses
 
@@ -451,9 +478,10 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     α, β and f are reduced mod p once, and each fiber t ∈ F_p takes
     A(t) = α(f(t)) and B(t) = β(f(t)) from those residues; so do the
     t-derivatives of the rare Δ ≡ 0 fibers, A′ = a·f′(t) and
-    B′ = (d + 2c·u)·f′(t) with u = f(t).  At s = 0, A_s(0) = 0 and
-    B_s(0) = c·f3², as ``membership`` uses, so that point is singular (at
-    x = 0, where B_s′(0) = 2c·f2·f3 vanishes too) exactly when c·f3 ≡ 0.
+    B′ = (d + 2c·u)·f′(t) with u = f(t).  In the chart s = w/z the
+    coefficients are s⁴·A(1/s) and s⁶·B(1/s), which are 0 and c·f3² at s = 0,
+    as ``membership`` uses; so that point is singular (at x = 0, where the
+    s-derivative 2c·f2·f3 of s⁶·B(1/s) vanishes too) exactly when c·f3 ≡ 0.
     Independent of the symbolic criterion: no δ, γ, D or gcd of the u-line
     decision is used.
     """
@@ -525,8 +553,8 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     for p in primes:
         check_prime(p)
     verdict = smoothness_check(S)
-    # with c = 0, s = 0 is a rational singular point: s divides A_s, B_s and
-    # B_s′, since deg A, deg B ≤ 3
+    # with c = 0, s = 0 is a rational singular point: s divides s⁴·A(1/s),
+    # s⁶·B(1/s) and the latter's s-derivative, since deg A, deg B ≤ 3
     has_rational_witness = verdict == "singular" and (S.params.c == 0 or any(
         poly.rational_roots(wp) for _, wp in singular_witnesses(S)
     ))
@@ -565,6 +593,7 @@ class FiberFactor:
 class SingularFiberReport:
     factors: Tuple[FiberFactor, ...]
     multiplicity_at_infinity: int
+    z12_coefficient: Fraction  # of the degree-12 form: Δ's t¹² coefficient
 
     @property
     def total_multiplicity(self) -> int:
@@ -577,9 +606,9 @@ class SingularFiberReport:
 def singular_fiber_report(S: Surface) -> SingularFiberReport:
     """Squarefree factorization of Δ(t) with the multiplicity-12 budget.
 
-    The multiplicity at infinity is 12 − deg Δ(t).  Each factor is split by
-    whether A vanishes at its roots (additive reduction) or not
-    (multiplicative).
+    The multiplicity at infinity is 12 − deg Δ(t), and Δ is built once for
+    the report.  Each factor is split by whether A vanishes at its roots
+    (additive reduction) or not (multiplicative).
     """
     delta = S.discriminant_t()
     if delta.is_zero():
@@ -590,4 +619,5 @@ def singular_fiber_report(S: Surface) -> SingularFiberReport:
         for h, kind in ((shared, "additive"), (poly.int_exact_div(g.cs, shared), "multiplicative")):
             if len(h) > 1:
                 factors.append(FiberFactor(UniPoly(h).monic(), len(h) - 1, m, kind))
-    return SingularFiberReport(tuple(factors), 12 - delta.degree())
+    z12 = delta.coeffs[12] if delta.degree() == 12 else Fraction(0)
+    return SingularFiberReport(tuple(factors), 12 - delta.degree(), z12)

@@ -4,6 +4,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 import sympy as sp
@@ -25,10 +26,97 @@ def replaced(obj, **changes):
     return type(obj)(**{**obj._asdict(), **changes})
 
 
-def derivative(f: UniPoly) -> UniPoly:
+class RefPoly(UniPoly):
+    """A UniPoly with the algebra that the package does not run, the
+    reference of the tests: Fraction coefficients, equality and hashing by
+    value, indexing, +, −, scale, ** and reversal, each result a RefPoly.
+
+    A UniPoly of the package equals the RefPoly of the same polynomial:
+    ``==`` tries a subclass's method first, from either side.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=(), den: int = 1):
+        """Σ coeffs[i]·tⁱ / den for ints or Fractions coeffs, over the lcm of
+        their denominators."""
+        fs = [Fraction(c) for c in coeffs]
+        m = math.lcm(*(c.denominator for c in fs))
+        super().__init__([c.numerator * (m // c.denominator) for c in fs], den * m)
+
+    @classmethod
+    def of(cls, f: UniPoly) -> "RefPoly":
+        return cls(f.cs, f.den)
+
+    @staticmethod
+    def constant(c) -> "RefPoly":
+        return RefPoly((c,))
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.cs[i], self.den) if 0 <= i < len(self.cs) else Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UniPoly):
+            return self.cs == other.cs and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cs, self.den))
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "RefPoly(0)"
+        return "RefPoly(" + " + ".join(f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
+
+    def __add__(self, other: UniPoly) -> "RefPoly":
+        return self._combine(1, other)
+
+    def __sub__(self, other: UniPoly) -> "RefPoly":
+        return self._combine(-1, other)
+
+    def _combine(self, sign: int, other: UniPoly) -> "RefPoly":
+        """self + sign·other, over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        x, y = den // self.den, sign * (den // other.den)
+        return RefPoly(poly.combination(x, self.cs, y, other.cs), den)
+
+    def __mul__(self, other: UniPoly) -> "RefPoly":
+        return RefPoly.of(UniPoly.__mul__(self, other))
+
+    def scale(self, c) -> "RefPoly":
+        c = Fraction(c)
+        return RefPoly([a * c.numerator for a in self.cs], self.den * c.denominator)
+
+    def __pow__(self, n: int) -> "RefPoly":
+        """self**n by square-and-multiply."""
+        if n < 0:
+            raise ValueError("negative power")
+        result, base = RefPoly.constant(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def monic(self) -> "RefPoly":
+        return RefPoly.of(UniPoly.monic(self))
+
+    def reverse(self, n: Optional[int] = None) -> "RefPoly":
+        """Coefficient reversal t^n · f(1/t), n defaulting to deg f: the
+        move between the two affine charts of P¹."""
+        if n is None:
+            n = self.degree()
+        if n < self.degree():
+            raise ValueError("reversal order below degree")
+        return RefPoly([0] * (n - self.degree()) + list(reversed(self.cs)), self.den)
+
+
+def derivative(f: UniPoly) -> RefPoly:
     """f′, by ``poly.deriv`` on f's integer numerators over the same
     denominator."""
-    return UniPoly(poly.deriv(f.cs), f.den)
+    return RefPoly(poly.deriv(f.cs), f.den)
 
 
 def leading_coefficient(f: UniPoly) -> Fraction:
@@ -36,12 +124,12 @@ def leading_coefficient(f: UniPoly) -> Fraction:
     return Fraction(f.cs[-1], f.den)
 
 
-def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
+def compose(outer: UniPoly, inner: UniPoly) -> RefPoly:
     """Reference composition outer(inner(t)), by Horner evaluation in
-    UniPoly; the oracle for Surface's A_t = a·f + b and B_t = c·f² + d·f + e."""
-    result = UniPoly(())
+    RefPoly; the oracle for Surface's A_t = a·f + b and B_t = c·f² + d·f + e."""
+    result = RefPoly(())
     for c in reversed(outer.coeffs):
-        result = result * inner + UniPoly.constant(c)
+        result = result * inner + RefPoly.constant(c)
     return result
 
 
@@ -64,7 +152,7 @@ def poly_divmod(f: UniPoly, g: UniPoly):
         for i in range(gd + 1):
             rem[k + i] -= factor * g.coeffs[i]
         rem.pop()
-    return UniPoly(q), UniPoly(rem)
+    return RefPoly(q), RefPoly(rem)
 
 
 # -- Fraction-tuple arithmetic ------------------------------------------
@@ -172,7 +260,7 @@ def squarefree_factorization_by_fractions(f: UniPoly):
     while b.degree() > 0:
         g = gcd(b, d)
         if g.degree() > 0:
-            out.append((g.monic(), i))
+            out.append((RefPoly.of(g), i))
         b = poly_divmod(b, g)[0]
         c = poly_divmod(d, g)[0]
         d = c - derivative(b)
@@ -290,21 +378,34 @@ def off_curve_after(step, calls: int = 0):
     return broken
 
 
-def f_poly(params: SurfaceParams) -> UniPoly:
+def f_poly(params: SurfaceParams) -> RefPoly:
     """f = f0 + f1·t + f2·t² + f3·t³ from the Fraction parameters; the
     reference for Surface's f, read there as numerators over one lcm."""
-    return UniPoly((params.f0, params.f1, params.f2, params.f3))
+    return RefPoly((params.f0, params.f1, params.f2, params.f3))
 
 
-def chart_polys_by_unipoly(params: SurfaceParams):
+def chart_polys_by_refpoly(params: SurfaceParams):
     """Reference chart polynomials (A_t, B_t, A_s, B_s): A_t = a·f + b and
-    B_t = c·f² + d·f + e by UniPoly arithmetic, and their degree-4 and
+    B_t = c·f² + d·f + e by RefPoly arithmetic, and their degree-4 and
     degree-6 reversals; the oracle for Surface's build in ℤ[t]."""
     p = params
     f = f_poly(p)
-    A_t = f.scale(p.a) + UniPoly.constant(p.b)
-    B_t = (f * f).scale(p.c) + f.scale(p.d) + UniPoly.constant(p.e)
+    A_t = f.scale(p.a) + RefPoly.constant(p.b)
+    B_t = (f * f).scale(p.c) + f.scale(p.d) + RefPoly.constant(p.e)
     return A_t, B_t, A_t.reverse(4), B_t.reverse(6)
+
+
+def s_chart(S: Surface):
+    """Reference chart at infinity (A_s, B_s) in s = w/z: the degree-4 and
+    degree-6 reversals of S.A_t and S.B_t."""
+    return RefPoly.of(S.A_t).reverse(4), RefPoly.of(S.B_t).reverse(6)
+
+
+def discriminant_by_refpoly(S: Surface) -> RefPoly:
+    """Reference Δ(t) = −16(4A³ + 27B²) by RefPoly arithmetic on S.A_t and
+    S.B_t; the oracle for Surface.discriminant_t."""
+    A, B = RefPoly.of(S.A_t), RefPoly.of(S.B_t)
+    return ((A ** 3).scale(4) + (B ** 2).scale(27)).scale(-16)
 
 
 # -- the cubic model W and its tangent sections ----------------------------
@@ -348,7 +449,7 @@ def theta(S: Surface, P: WPoint):
     return pt
 
 
-def fiber_line_cubic(E: FiberCurve, line) -> UniPoly:
+def fiber_line_cubic(E: FiberCurve, line) -> RefPoly:
     """Eliminate y from αx + βy + c0 = 0 on E: β²(x³ + Ax + B) − (αx + c0)².
 
     Requires β ≠ 0; the result is a genuine cubic in x.  The line times the
@@ -359,7 +460,7 @@ def fiber_line_cubic(E: FiberCurve, line) -> UniPoly:
         raise ValueError("vertical line has no eliminated cubic")
     L = math.lcm(*(v.denominator for v in line))
     curve = elliptic._curve_ints(E)
-    return UniPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
+    return RefPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
                    L * L * curve[1] * curve[3])
 
 
@@ -377,11 +478,11 @@ class DegenerateRestrictionError(ValueError):
     """A plane restricts to the zero form on the requested fiber."""
 
 
-def squarefree_part(f: UniPoly) -> UniPoly:
+def squarefree_part(f: UniPoly) -> RefPoly:
     """The squarefree part f / gcd(f, f′), monic, from poly.squarefree_split."""
     if f.is_zero():
         raise ValueError("squarefree part of zero is undefined")
-    return UniPoly(poly.squarefree_split(f.cs)[1]).monic()
+    return RefPoly(poly.squarefree_split(f.cs)[1]).monic()
 
 
 def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
@@ -418,7 +519,7 @@ def cp_sweep_by_fractions(S: Surface, E0: FiberCurve, P: ECPoint, t_height_bound
         E = S.fiber_at(t)
         found = []
         if b != 0:
-            cub = UniPoly((E.B, E.A, 0, 1)).scale(b * b) - UniPoly((c0, a)) ** 2
+            cub = RefPoly((E.B, E.A, 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
             for x, _mult in poly.rational_roots(cub):
                 found.append(ECPoint(x, -(a * x + c0) / b))
         elif a != 0:
@@ -447,7 +548,7 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
     x0, y0 = Q.x, Q.y
     k = y0 * y0 - x0 ** 3
     u0 = S.f(t0)
-    u_quad = UniPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
+    u_quad = RefPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
     if u_quad(u0) != 0:
         raise InvariantError(f"the u-value {u0} of fiber t={t0} does not solve the hop equation")
     u_values = {u0}
@@ -455,7 +556,7 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
         u_values.add(-(p.a * x0 + p.d) / p.c - u0)
     out = []
     for u in sorted(u_values):
-        for t, _mult in poly.rational_roots(S.f - UniPoly.constant(u)):
+        for t, _mult in poly.rational_roots(RefPoly.of(S.f) - RefPoly.constant(u)):
             if t == t0:
                 continue
             E = S.fiber_at(t)

@@ -242,8 +242,9 @@ def test_criterion_7_discriminant_budget(capsys):
         ]
         for S in surfaces:
             p = S.params
-            assert S.discriminant_t()[12] == -432 * p.c ** 2 * p.f3 ** 4
-            assert singular_fiber_report(S).total_multiplicity == 12
+            report = singular_fiber_report(S)
+            assert report.z12_coefficient == -432 * p.c ** 2 * p.f3 ** 4
+            assert report.total_multiplicity == 12
 
 
 def test_criterion_8_transversality(capsys):

@@ -20,6 +20,14 @@ DEGENERATE = {"a": "0", "b": "0", "c": "0", "d": "0", "e": "0", "f": ["0", "0", 
 # from the seed [1:-2:0:1], the sweep finds (−1, 0), of order 2 on t = −2, and
 # it enters the frontier
 TWO_TORSION = {"a": "-2", "b": "-1", "c": "-1", "d": "1", "e": "4", "f": ["0", "-2", "2", "1"]}
+# witnesses in both charts; b = e = f0 = 0, so A and B have no constant term
+# and their reversals in the chart at infinity end in zeros
+TRIMMED_CHART = {"a": "-1", "b": "0", "c": "-1", "d": "0", "e": "0", "f": ["0", "1", "2", "-1"]}
+# c = 0: singular at t = ∞ only, whose witness is s
+C_ZERO = {"a": "1", "b": "-1", "c": "0", "d": "2", "e": "1", "f": ["1", "0", "-1", "2"]}
+# [-1:0:0:1] has y = 0 and a tangent plane with α ≠ 0, so its sweep meets each
+# fiber in the vertical line of x³ + A(t)x + B(t)
+VERTICAL_SWEEP = {"a": "1", "b": "2", "c": "1", "d": "1", "e": "3", "f": ["0", "-1", "-1", "1"]}
 
 
 @pytest.fixture
@@ -444,6 +452,22 @@ CLI_PINS = [
     # the seed (y = 2) is over the cap, skipped, and still expanded
     ("generate", WORKED_2, ["--seed", "[1:2:1:1]", "--bit-cap", "1", "--depth", "1"], 0,
      "eeb0d50321b8ad63405fbdc06b8901822ccafa413f45222bf900739ed24f58da"),
+    # recorded before the charts and Δ moved to integer numerators
+    ("smooth", TRIMMED_CHART, ["--primes", "7,11"], 1,
+     "3aff70c9822be4d380a0ab27ab1c1baacd373e2ce19ecb4b72395b0783e50cd8"),
+    ("fibers", TRIMMED_CHART, [], 0,
+     "de2553229d24958fd77ece715d001115f2a16b01e2316d0647a6ce52c2a84352"),
+    ("smooth", C_ZERO, [], 1,
+     "0e16a8390b7a64e42a26eff6b8323a79ce4d22a8927ccc921e5688ffaeccf1a1"),
+    # deg Δ = 9: multiplicity 3 at infinity and a zero z¹² coefficient
+    ("fibers", C_ZERO, [], 0,
+     "d84b7eb90df09c0121c12ddf9facca6f8c132144b98973843b63f0fccec0de1d"),
+    # β = 0 on every fiber: x from the line, y from x³ + A(t)x + B(t)
+    ("sweep", VERTICAL_SWEEP, ["--seed", "[-1:0:0:1]", "--t-height", "2"], 0,
+     "59a3b5c33f0def23052c0ce6777b59c671bd3e45347ca5bf877322cdd2fe5b3f"),
+    # the walk stops at [12]P, so [13]P is a checked addition
+    ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--n", "13", "--t-height", "1"], 0,
+     "19b06aa2f54756197acc90dee3881dfaa8adf4d450b32fc95f32dc4f44bbae39"),
 ]
 
 

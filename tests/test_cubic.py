@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RefPoly,
     X_SYMBOLS,
     cubic_gradient,
     cubic_value,
@@ -37,7 +38,6 @@ from dp1.cubic import (
     verify_normal_form,
 )
 from dp1.elliptic import ECPoint, FiberCurve
-from dp1.poly import UniPoly
 from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint
 
@@ -114,7 +114,7 @@ def test_affine_tangent_plane_matches_canonical_theta(seed, lam):
 
 
 # differential tests: the written-out F_W and ∇F_W against sympy's F_W and
-# its derivatives, and fiber_line_cubic against its UniPoly expression
+# its derivatives, and fiber_line_cubic against its RefPoly expression
 wide_rat = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
 nonzero_rat = wide_rat.filter(bool)
 
@@ -150,7 +150,7 @@ def test_closed_form_cubic_matches_multipoly_on_w(seed, lam, at_infinity):
 @given(wide_rat, wide_rat, wide_rat, nonzero_rat, wide_rat)
 def test_fiber_line_cubic_matches_unipoly_expression(A, B, a, b, c0):
     E = FiberCurve(Fraction(0), A, B)
-    expected = UniPoly((B, A, 0, 1)).scale(b * b) - UniPoly((c0, a)) ** 2
+    expected = RefPoly((B, A, 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
     cub = fiber_line_cubic(E, (a, b, c0))
     assert cub == expected and cub.degree() == 3
 
@@ -172,7 +172,7 @@ def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
 def test_restricted_cubic_worked(worked_surface, worked_seed):
     E = worked_surface.fiber_at(Fraction(-1))
     cub = fiber_line_cubic(E, (Fraction(3), Fraction(-2), Fraction(5)))
-    assert cub == UniPoly((-17, -30, -9, 4))
+    assert cub == RefPoly((-17, -30, -9, 4))
 
 
 def test_tangent_point_worked(worked_section):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RefPoly,
     bit_size,
     box_rationals,
     cp_sweep_by_fractions,
@@ -281,7 +282,7 @@ def sweep_case(rng: random.Random, height: int, kind: str):
 def separable_by_fractions(S: Surface, t0: Fraction) -> bool:
     """Reference separability of f − f(t0), on the cubic itself: g has no
     repeated root iff gcd(g, g′) is a constant."""
-    g = S.f - poly.UniPoly.constant(S.f(t0))
+    g = RefPoly.of(S.f) - RefPoly.constant(S.f(t0))
     return poly.gcd(g, derivative(g)).degree() == 0
 
 

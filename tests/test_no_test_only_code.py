@@ -2,14 +2,23 @@
 of its classes but the dunder ones, is used by the package: code that only
 the tests call belongs in the tests, as a reference.
 
-The check is by name: a definition counts as used when its name appears, as a
-name or an attribute, anywhere in ``src/dp1`` outside its own definition.  A
-recursive call is no use, and an import alone is none either.  Nor is an
-attribute of an imported standard-library module: ``math.gcd`` does not use
-``poly.gcd``.
+The first check is by name: a definition counts as used when its name
+appears, as a name or an attribute, anywhere in ``src/dp1`` outside its own
+definition.  A recursive call is no use, and an import alone is none either.
+Nor is an attribute of an imported standard-library module: ``math.gcd`` does
+not use ``poly.gcd``.
+
+The second check is by trace, and also sees dunder methods and what operators
+reach: the commands of ``tests/test_cli.py`` run under ``sys.settrace`` in a
+fresh interpreter, and every function of the package, nested ones and dunders
+included, must be entered, at import or by a command.  Class bodies and
+module-level code are no functions.  Both checks need only pytest.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,6 +31,9 @@ PACKAGE = ROOT / "src" / "dp1"
 # - cubic.tangent_point, which goes with ROADMAP item 7;
 # - poly.gcd, which goes with ROADMAP item 2's benchmark change.
 ALLOWED = {"cubic.tangent_point", "poly.gcd"}
+# Functions that no command of tests/test_cli.py enters: the two above and
+# UniPoly.__mul__, a tracer target that goes with ROADMAP item 2 as well.
+NOT_ENTERED = ALLOWED | {"poly.UniPoly.__mul__"}
 
 
 def stdlib_modules(tree: ast.AST) -> set:
@@ -132,9 +144,87 @@ def test_guard_sees_every_unused_definition():
     ]
 
 
-def test_every_allowed_definition_is_a_tracer_target():
-    # read with ast, so that the benchmark's own files stay as they are
+def tracer_targets() -> set:
+    """"module.attribute" for each entry of TARGETS in perfbench/tracer.py,
+    read with ast, so that the benchmark's own files stay as they are."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     targets = next(node.value for node in tree.body if isinstance(node, ast.AnnAssign)
                    and isinstance(node.target, ast.Name) and node.target.id == "TARGETS")
-    assert ALLOWED <= {entry.elts[0].value for entry in targets.elts}
+    return {f"{entry.elts[1].value}.{entry.elts[2].value}" for entry in targets.elts}
+
+
+def test_every_allowed_definition_is_a_tracer_target():
+    assert ALLOWED <= tracer_targets()
+    assert NOT_ENTERED <= tracer_targets()
+
+
+def functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, first line, name) for each function and lambda of the
+    tree, nested ones included; the first line is that of the first
+    decorator, as in the function's code object."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            yield f"{prefix}{name}", first, name
+            yield from functions(node, f"{prefix}{name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from functions(node, prefix)
+
+
+def test_guard_sees_every_function():
+    src = (
+        "def plain():\n"
+        "    def inner():\n"
+        "        return [x for x in ()]\n"
+        "    return inner\n"
+        "class C:\n"
+        "    VALUE = 1\n"
+        "    @property\n"
+        "    @staticmethod\n"
+        "    def read():\n"
+        "        pass\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    class Inner:\n"
+        "        async def run(self):\n"
+        "            pass\n"
+        "KEY = lambda v: v\n"
+    )
+    assert list(functions(ast.parse(src))) == [
+        ("plain", 1, "plain"), ("plain.inner", 2, "inner"), ("C.read", 7, "read"),
+        ("C.__eq__", 11, "__eq__"), ("C.Inner.run", 14, "run"), ("<lambda>", 16, "<lambda>"),
+    ]
+
+
+# Records the code object of every call from the start, dp1's imports
+# included, runs pytest with the arguments after the first, and writes
+# (file, first line, name) of each code object entered to the first.
+TRACED_RUN = """
+import json, sys
+entered = set()
+sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
+import pytest
+code = pytest.main(sys.argv[2:])
+sys.settrace(None)
+with open(sys.argv[1], "w") as fh:
+    json.dump([(c.co_filename, c.co_firstlineno, c.co_name) for c in entered], fh)
+sys.exit(code)
+"""
+
+
+def test_cli_tests_enter_every_function(tmp_path):
+    out = tmp_path / "entered.json"
+    argv = [sys.executable, "-c", TRACED_RUN, str(out), str(ROOT / "tests" / "test_cli.py"),
+            "-q", "-p", "no:cacheprovider", "--noconftest"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    entered = {(os.path.realpath(f), line, name) for f, line, name in json.loads(out.read_text())}
+    missed = [f"{path.stem}.{qualname}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualname, line, name in functions(ast.parse(path.read_text(encoding="utf-8")))
+              if (os.path.realpath(path), line, name) not in entered]
+    assert set(missed) == NOT_ENTERED

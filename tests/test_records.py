@@ -33,7 +33,7 @@ RECORDS = [
     PARAMS,
     WPoint(1, -2, 3, 4),
     FACTOR,
-    SingularFiberReport((FACTOR,), 10),
+    SingularFiberReport((FACTOR,), 10, F(-432)),
 ]
 IDS = [type(r).__name__ for r in RECORDS]
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,21 +10,25 @@ from hypothesis import strategies as st
 from sympy import nextprime
 
 from conftest import (
+    RefPoly,
     canonicalize_by_factoring,
-    chart_polys_by_unipoly,
+    chart_polys_by_refpoly,
     compose,
     derivative,
+    discriminant_by_refpoly,
     f_poly,
     from_fractions_by_factoring,
     poly_divmod,
     random_params,
     random_smooth_surface,
     replaced,
+    s_chart,
     squarefree_factorization_by_fractions,
     surface_through,
     time_limit,
 )
 from dp1 import poly, surface
+from dp1.cli import main
 from dp1.elliptic import ECPoint, FiberCurve, multiples
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
@@ -54,17 +59,17 @@ def test_params_require_cubic_f():
 def test_build_worked_forms(worked_surface):
     # A ≡ 0 and B(t) = t⁶ + 2t³ + 3
     assert worked_surface.A_t.is_zero()
-    assert worked_surface.B_t == UniPoly((3, 0, 0, 2, 0, 0, 1))
+    assert worked_surface.B_t == RefPoly((3, 0, 0, 2, 0, 0, 1))
 
 
 def test_build_second_surface(worked_surface_2):
-    assert worked_surface_2.B_t == UniPoly((2, 0, 0, 0, 0, 0, 1))
+    assert worked_surface_2.B_t == RefPoly((2, 0, 0, 0, 0, 0, 1))
 
 
 def test_dw_family_shape():
     # f = t³, a₄ = 0 gives B = c z⁶ + d z³w³ + e w⁶ in the chart
     S = Surface(SurfaceParams(0, 0, 5, -1, 7, 0, 0, 0, 1))
-    assert S.B_t == UniPoly((7, 0, 0, -1, 0, 0, 5))
+    assert S.B_t == RefPoly((7, 0, 0, -1, 0, 0, 5))
 
 
 def test_membership_base_point_always(worked_surface, worked_surface_2):
@@ -88,7 +93,8 @@ def on_surface_by_forms(S: Surface, P: WPoint) -> bool:
     if w != 0:
         A, B = S.A_t(z / w) * w ** 4, S.B_t(z / w) * w ** 6
     else:
-        A, B = S.A_s(w / z) * z ** 4, S.B_s(w / z) * z ** 6
+        A_s, B_s = s_chart(S)
+        A, B = A_s(w / z) * z ** 4, B_s(w / z) * z ** 6
     return y * y == x ** 3 + A * x + B
 
 
@@ -291,6 +297,55 @@ def test_lift_of_semiprime_content_is_immediate():
         assert WPoint.parse(f"[1/{N * N}:1/{N ** 3}:1/{N}:1]") == WPoint(1, 1, 1, N)
 
 
+PAST_DIGIT_LIMIT = ("error: the seed's point or its affine (t, x, y) has an integer of more than "
+                    "4,300 digits, which cannot be printed\n")
+
+
+@pytest.mark.parametrize("text", ["[1:1:1:{}]", "[1:1:1/{}:1]"], ids=["affine", "point"])
+def test_parse_refuses_integers_past_the_digit_limit(text):
+    # W³ has 4,300 digits for W = 2·10¹⁴³³ and 4,301 for W = 3·10¹⁴³³: it is
+    # the denominator of the affine y of [1:1:1:W], and the y of the point
+    # [W²:W³:1:W] that [1:1:1/W:1] lifts to, whose affine (t, x, y) is (1/W, 1, 1)
+    with time_limit(5):
+        P = WPoint.parse(text.format(2 * 10 ** 1433))
+        assert max(abs(P.y), P.affine_xy()[1].denominator) == 8 * 10 ** 4299
+        with pytest.raises(ValueError, match="more than 4,300 digits"):
+            WPoint.parse(text.format(3 * 10 ** 1433))
+
+
+@pytest.mark.parametrize("command", ["check", "generate", "sweep"])
+def test_seed_lifted_past_the_digit_limit_exit_two(tmp_path, capsys, worked_surface, command):
+    # [1:1:N:1/N] lifts to [N²:N³:N²:1], on the fiber t = N²: for N of 3,000
+    # digits no output could print it, so every command refuses the seed
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(worked_surface.params.to_json()))
+    N = "7" * 3000
+    with time_limit(5):
+        code = main([command, "--surface", str(path), "--seed", f"[1:1:{N}:1/{N}]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == PAST_DIGIT_LIMIT
+
+
+def test_seed_at_the_digit_limit_runs(tmp_path, capsys):
+    # f = 1 − W³t³ vanishes at t = 1/W, so [1:1:1:W], whose affine y = 1/W³
+    # has 4,300 digits, is on the cusp y² = x³ of y² = x³ + f(t)²: both
+    # commands decide its hypotheses, which fail (B = f² is singular)
+    W = 2 * 10 ** 1433
+    params = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "0", "f": ["1", "0", "0", str(-W ** 3)]}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(params))
+    argv = ["--surface", str(path), "--seed", f"[1:1:1:{W}]"]
+    with time_limit(5):
+        assert main(["check", *argv]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "smooth": False, "w0_nonzero": True, "slope_condition": True, "separable": True,
+            "non_torsion": False, "overall": False}
+        assert main(["generate", *argv]) == 1
+        captured = capsys.readouterr()
+    assert "fails hypotheses" in json.loads(captured.out)["error"] and captured.err == ""
+
+
 @pytest.mark.parametrize("seed", [
     # den x = 1009·1013 is below 1000³: p·q, its own part of λ
     "[1/1022117:1:1:1]",
@@ -420,8 +475,9 @@ def test_modp_scan_accepts_prime(worked_surface):
 
 
 def modp_singular_points(S: Surface, p: int) -> list:
-    """Reference mod-p scan: each Fraction coefficient of A_t, B_t, A_s and
-    B_s reduced with its own inverse, every (t, x) of both charts over F_p
+    """Reference mod-p scan: each Fraction coefficient of A_t, B_t and of
+    the chart at infinity reduced with its own inverse, every (t, x) of both
+    charts over F_p
     tried.  Returns the singular points as (chart, t, x), or None when
     Δ ≡ 0 at every point (a bad prime)."""
     def reduce(f: UniPoly) -> list:
@@ -434,7 +490,7 @@ def modp_singular_points(S: Surface, p: int) -> list:
         return sum(c * t ** i for i, c in enumerate(cs)) % p
 
     degenerate, points = True, []
-    for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s)):
+    for chart, A, B in (("t", S.A_t, S.B_t), ("s", *s_chart(S))):
         a, b = reduce(A), reduce(B)
         da, db = deriv(a), deriv(b)
         if any((4 * value(a, t) ** 3 + 27 * value(b, t) ** 2) % p for t in range(p)):
@@ -544,7 +600,7 @@ def test_modp_scan_matches_per_coefficient_reduction_examples(worked_surface, si
     # α(0) = −3, β(0) = 2 and f = t³ + 5t: x³ − 3x + 2 = (x − 1)²(x + 2) on
     # t = 0, where f′ ≡ 0 mod 5
     (SurfaceParams(0, -3, 1, 0, 2, 0, 5, 0, 1), 5, {"finite t"}, "singular"),
-    # 5 | c, so B_s(0) = c·f3² ≡ 0 and B_s′(0) = 2c·f2·f3 ≡ 0 at x = 0
+    # 5 | c, so at s = 0 the s chart's B = c·f3² ≡ 0 and B′ = 2c·f2·f3 ≡ 0 at x = 0
     (SurfaceParams(0, 0, 5, 2, 3, 0, 0, 0, 1), 5, {"s = 0"}, "singular"),
     # a ≡ c ≡ d ≡ 0, α ≡ −3 and β ≡ 2 mod 7: Δ ≡ 0 everywhere
     (SurfaceParams(7, -3, 14, -7, 2, 1, 1, 0, 1), 7, None, "bad_prime"),
@@ -608,13 +664,19 @@ def test_cross_check_refuses_invalid_primes_on_every_surface(f0):
                 smoothness_cross_check(Surface(params), primes)
 
 
+def chart_witnesses(A: UniPoly, B: UniPoly) -> list:
+    """``_chart_singular_witnesses`` on the numerators and denominators of A
+    and B, each witness a RefPoly."""
+    return [RefPoly.of(w) for w in _chart_singular_witnesses(A.cs, A.den, B.cs, B.den)]
+
+
 def uncached_verdict(S: Surface) -> tuple:
     """The two-chart decision, made afresh from the chart polynomials: the
     verdict and the witnesses."""
     witnesses = tuple(
         (chart, wpoly)
-        for chart, A, B in (("t", S.A_t, S.B_t), ("s", S.A_s, S.B_s))
-        for wpoly in _chart_singular_witnesses(A, B)
+        for chart, A, B in (("t", S.A_t, S.B_t), ("s", *s_chart(S)))
+        for wpoly in chart_witnesses(A, B)
     )
     return ("singular" if witnesses else "smooth"), witnesses
 
@@ -677,8 +739,9 @@ def test_memoized_verdict_matches_uncached_decision(monkeypatch, singular_fixtur
 
 
 def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
-    """Reference chart decision in Q[t]: UniPoly products and poly.gcd on
+    """Reference chart decision in Q[t]: RefPoly products and poly.gcd on
     A and B as they are, with no scaling."""
+    A, B = RefPoly.of(A), RefPoly.of(B)
     delta = (A ** 3).scale(4) + (B ** 2).scale(27)
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
@@ -692,7 +755,7 @@ def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
                 break
             common = poly_divmod(common, shared)[0]
         if common.degree() >= 1:
-            witnesses.append(common)
+            witnesses.append(RefPoly.of(common))
     if A.is_zero():
         cond = gcd(B, derivative(B))
     elif B.is_zero():
@@ -700,7 +763,7 @@ def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
     else:
         cond = gcd(gcd(B, derivative(B)), A)
     if cond.degree() >= 1:
-        witnesses.append(cond)
+        witnesses.append(RefPoly.of(cond))
     return witnesses
 
 
@@ -708,7 +771,7 @@ chart_rat = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
 def chart_poly(max_degree):
-    return st.lists(chart_rat, max_size=max_degree + 1).map(UniPoly)
+    return st.lists(chart_rat, max_size=max_degree + 1).map(RefPoly)
 
 
 @st.composite
@@ -719,11 +782,11 @@ def planted_chart(draw):
         return draw(chart_poly(4)), draw(chart_poly(6))
     nonzero = chart_poly(2).filter(lambda f: not f.is_zero())
     u, h = draw(nonzero), draw(nonzero)
-    root = UniPoly((-draw(chart_rat), 1))
+    root = RefPoly((-draw(chart_rat), 1))
     if kind == "A=0":  # singular where B has a repeated root
-        return UniPoly(()), root * root * h
+        return RefPoly(()), root * root * h
     if kind == "B=0":  # singular over every root of A
-        return root * u, UniPoly(())
+        return root * u, RefPoly(())
     if kind == "repeated":  # Δ = 27ε(4u³ + ε) with ε = (t − r)²h
         return (u * u).scale(-3), (u ** 3).scale(2) + root * root * h
     return root * u, root * h  # a common root of A and B
@@ -734,9 +797,9 @@ def assert_chart_matches_reference(A, B):
         expected = fraction_chart_witnesses(A, B)
     except DegenerateSurfaceError:
         with pytest.raises(DegenerateSurfaceError, match="vanishes identically"):
-            _chart_singular_witnesses(A, B)
+            chart_witnesses(A, B)
         return None
-    assert _chart_singular_witnesses(A, B) == expected
+    assert chart_witnesses(A, B) == expected
     return expected
 
 
@@ -752,10 +815,49 @@ def test_chart_witnesses_match_fraction_reference_on_surfaces(singular_fixture):
     surfaces += [Surface(random_params(rng, height=5)) for _ in range(150)]
     outcomes = set()
     for S in surfaces:
-        for A, B in ((S.A_t, S.B_t), (S.A_s, S.B_s)):
+        for A, B in ((S.A_t, S.B_t), s_chart(S)):
             witnesses = assert_chart_matches_reference(A, B)
             outcomes.add("degenerate" if witnesses is None else bool(witnesses))
     assert outcomes == {"degenerate", True, False}
+
+
+@st.composite
+def trimmed_chart_params(draw):
+    """scan_params, with b, e or both set to 0 together with f0 on purpose:
+    then A or B has no constant term, and its reversal in the chart at
+    infinity ends in zeros."""
+    zeros = draw(st.sampled_from([(), ("b", "f0"), ("e", "f0"), ("b", "e", "f0")]))
+    return replaced(draw(scan_params()), **{k: Fraction(0) for k in zeros})
+
+
+def assert_discriminant_and_witnesses_match_refpoly(params: SurfaceParams) -> set:
+    """Δ and both charts' witnesses against RefPoly and the Fraction chart
+    decision; returns the charts with witnesses, or {"degenerate"}."""
+    S = Surface(params)
+    assert S.discriminant_t() == discriminant_by_refpoly(S)
+    try:
+        expected = tuple((chart, w) for chart, (A, B) in (("t", (S.A_t, S.B_t)), ("s", s_chart(S)))
+                         for w in fraction_chart_witnesses(A, B))
+    except DegenerateSurfaceError:
+        with pytest.raises(DegenerateSurfaceError, match="vanishes identically"):
+            singular_witnesses(S)
+        return {"degenerate"}
+    assert singular_witnesses(S) == expected, params
+    return {chart for chart, _ in expected}
+
+
+@settings(max_examples=200, deadline=None)
+@given(trimmed_chart_params())
+def test_discriminant_and_witnesses_match_refpoly(params):
+    assert_discriminant_and_witnesses_match_refpoly(params)
+
+
+def test_discriminant_and_witnesses_match_refpoly_examples(singular_fixture):
+    # b = e = f0 = 0 with witnesses in both charts, then c = 0 with one at s = 0
+    params = [SurfaceParams(-1, 0, -1, 0, 0, 0, 1, 2, -1), SurfaceParams(1, -1, 0, 2, 1, 1, 0, -1, 2),
+              singular_fixture.params, SurfaceParams(0, 0, 0, 0, 0, 0, 0, 0, 1)]
+    found = [assert_discriminant_and_witnesses_match_refpoly(p) for p in params]
+    assert found == [{"t", "s"}, {"s"}, {"t", "s"}, {"degenerate"}]
 
 
 def test_degenerate_surface_raises_on_every_call():
@@ -799,7 +901,7 @@ def u_line_params(kind: str, vals, miss: Fraction, rho_at_u0: bool) -> SurfacePa
     elif kind == "A=0":
         a = b = 0
     elif kind != "random":
-        f = (UniPoly((-t1, 1)) ** 2 * UniPoly((-t2, 1))).scale(f3) + UniPoly.constant(u0)
+        f = (RefPoly((-t1, 1)) ** 2 * RefPoly((-t2, 1))).scale(f3) + RefPoly.constant(u0)
         f0, f1, f2, f3 = f.coeffs
         if kind == U_LINE_FAMILIES[0]:
             b = -3 * k * k - a * u0
@@ -835,7 +937,7 @@ def assert_u_line_matches_t_chart(params: SurfaceParams) -> str:
     singular or degenerate (the t chart's verdict)."""
     S = Surface(params)
     try:
-        expected = bool(_chart_singular_witnesses(S.A_t, S.B_t))
+        expected = bool(chart_witnesses(S.A_t, S.B_t))
     except DegenerateSurfaceError:
         with pytest.raises(DegenerateSurfaceError, match="^discriminant vanishes identically$"):
             _u_line_singular(S)
@@ -881,7 +983,7 @@ def test_u_line_refuses_a_degenerate_surface(k):
 @given(st.lists(scan_rat, min_size=3, max_size=3), scan_rat.filter(bool))
 def test_critical_value_poly_is_the_discriminant_of_f_minus_u(vals, f3):
     t, u = sp.symbols("t u")
-    f = UniPoly((*vals, f3))
+    f = RefPoly((*vals, f3))
     F, n = f.cs, f.den
     D = _critical_value_poly(F, n)
     expected = sp.Poly(sp.discriminant(sum(c * t ** i for i, c in enumerate(F)) - n * u, t), u)
@@ -898,11 +1000,14 @@ def chart_calls(monkeypatch, S: Surface, decide) -> list:
     calls = []
     real = surface._chart_singular_witnesses
 
-    def counted(A, B):
-        # A_s and B_s are built on each read, so they are told apart by value
-        calls.append("t" if A is S.A_t and B is S.B_t
-                     else "s" if (A, B) == (S.A_s, S.B_s) else "other")
-        return real(A, B)
+    def counted(An, Ad, Bn, Bd):
+        # the s chart's numerators are built for the call, so they are told
+        # apart by value
+        A_s, B_s = s_chart(S)
+        calls.append("t" if An is S.A_t.cs and Bn is S.B_t.cs
+                     else "s" if (An, Ad, Bn, Bd) == (A_s.cs, A_s.den, B_s.cs, B_s.den)
+                     else "other")
+        return real(An, Ad, Bn, Bd)
 
     with monkeypatch.context() as m:
         m.setattr(surface, "_chart_singular_witnesses", counted)
@@ -965,11 +1070,11 @@ def test_c_zero_surface_lists_a_witness_at_s_zero(params):
     except DegenerateSurfaceError:
         return
     assert smoothness_check(S) == "singular"
-    assert any(chart == "s" and wp[0] == 0 for chart, wp in witnesses), params
+    assert any(chart == "s" and wp.cs[0] == 0 for chart, wp in witnesses), params
 
 
 def test_c_zero_verdict_and_cross_check_run_no_chart_algebra(monkeypatch, worked_surface):
-    def refuse(A, B):
+    def refuse(*args):
         raise AssertionError("the chart algebra ran")
 
     monkeypatch.setattr(surface, "_chart_singular_witnesses", refuse)
@@ -985,19 +1090,21 @@ def test_c_zero_verdict_and_cross_check_run_no_chart_algebra(monkeypatch, worked
 
 
 def test_modp_scan_inverts_two_denominators_and_builds_no_reversal(monkeypatch):
-    # 1/ab_den and 1/f.den, once per scan; s = 0 read from the residues of β and f
-    def refuse(S):
+    # 1/ab_den and 1/f.den, once per scan; s = 0 read from the residues of β and
+    # f, with none of the padding and trimming that build the s chart
+    def refuse(*args):
         raise AssertionError("the scan built a reversal")
 
     rng = random.Random(101)
     params = [random_params(rng, height=5) for _ in range(10)]
     expected = [modp_scan_per_coefficient(Surface(p), 13) for p in params]
+    surfaces = [Surface(p) for p in params]  # Surface trims α and β
     calls = []
     monkeypatch.setattr(surface, "pow", lambda *args: calls.append(args) or pow(*args),
                         raising=False)
-    monkeypatch.setattr(Surface, "A_s", property(refuse))
-    monkeypatch.setattr(Surface, "B_s", property(refuse))
-    assert [modp_singular_scan(Surface(p), 13) for p in params] == expected
+    monkeypatch.setattr(surface, "_padded", refuse)
+    monkeypatch.setattr(surface, "_trimmed", refuse)
+    assert [modp_singular_scan(S, 13) for S in surfaces] == expected
     assert len(calls) == 2 * len(params)
 
 
@@ -1048,24 +1155,24 @@ surface_rat = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(surface_rat, min_size=8, max_size=8), surface_rat.filter(bool), surface_rat)
 def test_chart_polynomials_match_composition(vals, f3, t):
-    # A_t = a·f + b and B_t = c·f² + d·f + e against UniPoly composition, and
+    # A_t = a·f + b and B_t = c·f² + d·f + e against RefPoly composition, and
     # each fiber against evaluating them
     p = SurfaceParams(*vals, f3)
     S = Surface(p)
-    assert S.A_t == compose(UniPoly((p.b, p.a)), S.f)
-    assert S.B_t == compose(UniPoly((p.e, p.d, p.c)), S.f)
+    assert S.A_t == compose(RefPoly((p.b, p.a)), S.f)
+    assert S.B_t == compose(RefPoly((p.e, p.d, p.c)), S.f)
     assert S.fiber_at(t) == FiberCurve(t, S.A_t(t), S.B_t(t))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(surface_rat, min_size=8, max_size=8), surface_rat.filter(bool))
 def test_chart_build_matches_unipoly_reference(vals, f3):
-    # the ℤ[t] build from α, β over one denominator against UniPoly arithmetic
+    # the ℤ[t] build from α, β over one denominator against RefPoly arithmetic
     p = SurfaceParams(*vals, f3)
     S = Surface(p)
-    assert (S.A_t, S.B_t, S.A_s, S.B_s) == chart_polys_by_unipoly(p)
-    assert UniPoly(S.alpha, S.ab_den) == UniPoly((p.b, p.a))
-    assert UniPoly(S.beta, S.ab_den) == UniPoly((p.e, p.d, p.c))
+    assert (S.A_t, S.B_t, *s_chart(S)) == chart_polys_by_refpoly(p)
+    assert UniPoly(S.alpha, S.ab_den) == RefPoly((p.b, p.a))
+    assert UniPoly(S.beta, S.ab_den) == RefPoly((p.e, p.d, p.c))
     assert all(cs == () or cs[-1] != 0 for cs in (S.alpha, S.beta))
     # f's numerators over the lcm of f0..f3's denominators are in lowest terms
     assert S.f == f_poly(p)
@@ -1085,7 +1192,13 @@ def test_discriminant_form_z12_coefficient():
     rng = random.Random(41)
     for _ in range(15):
         p = random_params(rng, height=4)
-        assert Surface(p).discriminant_t()[12] == -432 * p.c ** 2 * p.f3 ** 4
+        S = Surface(p)
+        assert RefPoly.of(S.discriminant_t())[12] == -432 * p.c ** 2 * p.f3 ** 4
+        try:
+            report = singular_fiber_report(S)
+        except DegenerateSurfaceError:
+            continue
+        assert report.z12_coefficient == -432 * p.c ** 2 * p.f3 ** 4
 
 
 def test_singular_fiber_report_worked(worked_surface, worked_surface_2):
@@ -1102,7 +1215,7 @@ def test_singular_fiber_report_worked(worked_surface, worked_surface_2):
 def singular_fiber_report_by_fractions(S: Surface) -> SingularFiberReport:
     """Reference report in Q[t]: the Fraction Yun, monic gcds with A and
     Fraction long division."""
-    delta = S.discriminant_t()
+    delta = discriminant_by_refpoly(S)
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
     factors = []
@@ -1110,13 +1223,13 @@ def singular_fiber_report_by_fractions(S: Surface) -> SingularFiberReport:
         if S.A_t.is_zero():
             factors.append(FiberFactor(g, g.degree(), m, "additive"))
             continue
-        g_add = gcd(g, S.A_t)
+        g_add = RefPoly.of(gcd(g, S.A_t))
         if g_add.degree() >= 1:
             factors.append(FiberFactor(g_add, g_add.degree(), m, "additive"))
             g = poly_divmod(g, g_add)[0].monic()
         if g.degree() >= 1:
             factors.append(FiberFactor(g, g.degree(), m, "multiplicative"))
-    return SingularFiberReport(tuple(factors), 12 - delta.degree())
+    return SingularFiberReport(tuple(factors), 12 - delta.degree(), delta[12])
 
 
 fiber_rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
