@@ -89,8 +89,7 @@ def cmd_classify(args) -> int:
     if smoothness_check(S) != "smooth":
         _emit({"error": "surface is not smooth", "witnesses": _witness_json(S)}, args)
         return EXIT_NEGATIVE
-    report = cubic.classify_singularities(S)
-    _emit(report.to_json(), args)
+    _emit(cubic.classify_singularities(S), args)
     return EXIT_OK
 
 
@@ -275,23 +274,7 @@ def cmd_search_params(args) -> int:
 
 
 def cmd_fibers(args) -> int:
-    S = _load_surface(args.surface)
-    report = singular_fiber_report(S)
-    payload = {
-        "z12_coefficient": format_rational(report.z12_coefficient),
-        "multiplicity_at_infinity": report.multiplicity_at_infinity,
-        "total_multiplicity": report.total_multiplicity,
-        "factors": [
-            {
-                "coeffs": [format_rational(c) for c in f.factor.coeffs],
-                "degree": f.degree,
-                "multiplicity": f.multiplicity,
-                "reduction": f.reduction,
-            }
-            for f in report.factors
-        ],
-    }
-    _emit(payload, args)
+    _emit(singular_fiber_report(_load_surface(args.surface)), args)
     return EXIT_OK
 
 

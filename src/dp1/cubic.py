@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from . import elliptic
 from .elliptic import ECPoint, FiberCurve
-from .rational import InvariantError, is_square, record
+from .rational import InvariantError, is_square
 from .surface import Surface, _padded
 
 
@@ -111,22 +111,6 @@ def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Fraction, ECPo
 
 # -- singularity classification ---------------------------------------
 
-@record
-class SingularityReport:
-    locus: str
-    sqrt_c: str  # "rational" | "irrational"
-    singularity_type: str  # "2xA2" | "A5" | "E6"
-    identity_verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "locus": self.locus,
-            "sqrt_c": self.sqrt_c,
-            "type": self.singularity_type,
-            "identity_verified": self.identity_verified,
-        }
-
-
 def verify_normal_form(S: Surface) -> bool:
     """Whether W's singularity has the normal form of its (a, c) regime.
 
@@ -153,11 +137,21 @@ def verify_normal_form(S: Surface) -> bool:
     return p.c != 0 or p.a != 0 or p.d != 0
 
 
-def classify_singularities(S: Surface) -> SingularityReport:
-    """Singular locus {[0:±√c:1:0]} and ADE type from the (a, c) regime."""
+def classify_singularities(S: Surface) -> dict:
+    """W's singular points [0:±√c:1:0] and their ADE type from the (a, c)
+    regime, as ``dp1 classify`` prints them: ``locus``, ``sqrt_c``
+    ("rational" or "irrational"), ``type`` ("2xA2", "A5" or "E6") and
+    ``identity_verified``.
+
+    The locus is all of W's singular locus only when the u-line finds no
+    singular point of the t chart: W is also singular at each singular
+    point (x0, 0, u0, 1) of y² = x³ + α(u)x + β(u), which the report does
+    not list.  So where α, β and β′ share a root u0, as u0 = −1 does for
+    (a, b, c, d, e) = (1, 1, −1, −2, −1), W is singular at [0:0:u0:1] too;
+    ``dp1 classify`` refuses such a surface.
+    """
     p = S.params
     root_c = is_square(p.c)
-    sqrt_c = "rational" if root_c is not None else "irrational"
     if root_c is None:
         locus = f"[0:±√({p.c}):1:0]"
     elif root_c == 0:
@@ -170,4 +164,9 @@ def classify_singularities(S: Surface) -> SingularityReport:
         kind = "A5"
     else:
         kind = "E6"
-    return SingularityReport(locus, sqrt_c, kind, verify_normal_form(S))
+    return {
+        "locus": locus,
+        "sqrt_c": "irrational" if root_c is None else "rational",
+        "type": kind,
+        "identity_verified": verify_normal_form(S),
+    }

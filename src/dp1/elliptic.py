@@ -100,7 +100,7 @@ def on_curve(E: FiberCurve, P: ECPoint) -> bool:
 
 def _require_on_curve(E: FiberCurve, P: ECPoint) -> None:
     if not on_curve(E, P):
-        raise OffCurveError(f"{P} is not on y^2 = x^3 + {E.A}x + {E.B}")
+        raise OffCurveError(f"{P} is not an affine point of the fiber t={E.t}")
 
 
 def neg(P: ECPoint) -> ECPoint:
@@ -154,7 +154,7 @@ def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     _require_on_curve(E, Q)
     R = _chord(E, P, Q)
     if not on_curve(E, R):
-        raise InvariantError(f"{P} + {Q} = {R} is not on y^2 = x^3 + {E.A}x + {E.B}")
+        raise InvariantError(f"{P} + {Q} = {R} is not on the fiber t={E.t}")
     return R
 
 
@@ -178,7 +178,7 @@ def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
         if acc is None:
             walk.append(O)
         elif not _on_curve_ints(curve, acc):
-            raise InvariantError(f"[{k}]{P} = {_point(acc)} is not on y^2 = x^3 + {E.A}x + {E.B}")
+            raise InvariantError(f"[{k}]{P} = {_point(acc)} is not on the fiber t={E.t}")
         else:
             walk.append(_point(acc))
     return walk

@@ -62,26 +62,20 @@ def check_hypotheses(S: Surface, P: WPoint) -> HypothesisReport:
     return HypothesisReport(smoothness_check(S) == "smooth", False, False, False, False)
 
 
-def _not_on_fiber(E: FiberCurve, Q: ECPoint) -> ValueError:
-    return ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
-
-
 def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisReport:
     """Evaluate each seed condition at the affine point Q of the fiber E.
 
-    Q is checked on E once, by ``torsion_status``.  A singular fiber fails
-    non-torsion.  The slope condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as
-    3·t0·f3 + 2·f2 ≠ 0, the same condition divided by w0 ≠ 0, and read on
-    integers: times n·td, with t0 = tn/td and f = F/n, it is
-    3·tn·F3 + 2·F2·td ≠ 0.  Separability of f − f(t0) is decided on the
-    quadratic left by dividing out t0.
+    Q is checked on E once, by ``torsion_status``, whose OffCurveError names
+    the fiber by t.  A singular fiber fails non-torsion.  The slope
+    condition 3·z0·f3 + 2·f2·w0 ≠ 0 is checked as 3·t0·f3 + 2·f2 ≠ 0, the
+    same condition divided by w0 ≠ 0, and read on integers: times n·td,
+    with t0 = tn/td and f = F/n, it is 3·tn·F3 + 2·F2·td ≠ 0.  Separability
+    of f − f(t0) is decided on the quadratic left by dividing out t0.
     """
     if Q.is_infinity:
-        raise _not_on_fiber(E, Q)
+        raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
     try:
         non_torsion = elliptic.torsion_status(E, Q) is None
-    except elliptic.OffCurveError:
-        raise _not_on_fiber(E, Q) from None
     except elliptic.SingularFiberError:
         non_torsion = False
     smooth = smoothness_check(S) == "smooth"
@@ -163,8 +157,7 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoin
     pt = elliptic._ints(Q)
     # the hop equation at u0 = f(t0) is Q on the fiber t0
     if not elliptic._on_curve_ints(S.A_t.value_ints(tn0, td0) + S.B_t.value_ints(tn0, td0), pt):
-        raise InvariantError(
-            f"the u-value {S.f(t0)} of fiber t={t0} does not solve the hop equation")
+        raise InvariantError(f"the u-value of fiber t={t0} does not solve the hop equation of {Q}")
     ts = _quadratic_roots(_hop_quadratic(S, t0))
     if p.c != 0:
         # the second root is rational by Vieta

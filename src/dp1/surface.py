@@ -581,43 +581,30 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
 
 # -- discriminant form and singular fibers ----------------------------
 
-@record
-class FiberFactor:
-    factor: UniPoly
-    degree: int
-    multiplicity: int
-    reduction: str  # "additive" when A vanishes at the factor's roots
+def singular_fiber_report(S: Surface) -> dict:
+    """Squarefree factorization of Δ(t) with the multiplicity-12 budget, as
+    ``dp1 fibers`` prints it.
 
-
-@record
-class SingularFiberReport:
-    factors: Tuple[FiberFactor, ...]
-    multiplicity_at_infinity: int
-    z12_coefficient: Fraction  # of the degree-12 form: Δ's t¹² coefficient
-
-    @property
-    def total_multiplicity(self) -> int:
-        return (
-            sum(f.degree * f.multiplicity for f in self.factors)
-            + self.multiplicity_at_infinity
-        )
-
-
-def singular_fiber_report(S: Surface) -> SingularFiberReport:
-    """Squarefree factorization of Δ(t) with the multiplicity-12 budget.
-
-    The multiplicity at infinity is 12 − deg Δ(t), and Δ is built once for
-    the report.  Each factor is split by whether A vanishes at its roots
-    (additive reduction) or not (multiplicative).
+    Δ is built once.  The multiplicity at infinity is 12 − deg Δ(t), and the
+    total is Σ degree·multiplicity over the factors plus it.  Each factor is
+    split by whether A vanishes at its roots (additive reduction) or not
+    (multiplicative), and printed monic.
     """
     delta = S.discriminant_t()
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
-    factors: List[FiberFactor] = []
+    factors = []
     for g, m in poly.squarefree_factorization(delta):
         shared = poly.int_gcd(g.cs, S.A_t.cs)  # all of g when A ≡ 0
         for h, kind in ((shared, "additive"), (poly.int_exact_div(g.cs, shared), "multiplicative")):
             if len(h) > 1:
-                factors.append(FiberFactor(UniPoly(h).monic(), len(h) - 1, m, kind))
-    z12 = delta.coeffs[12] if delta.degree() == 12 else Fraction(0)
-    return SingularFiberReport(tuple(factors), 12 - delta.degree(), z12)
+                factors.append({"coeffs": [format_rational(c) for c in UniPoly(h).monic().coeffs],
+                                "degree": len(h) - 1, "multiplicity": m, "reduction": kind})
+    at_infinity = 12 - delta.degree()
+    return {
+        # of the degree-12 form: Δ's t¹² coefficient
+        "z12_coefficient": format_rational(delta.coeffs[12] if at_infinity == 0 else Fraction(0)),
+        "multiplicity_at_infinity": at_infinity,
+        "total_multiplicity": sum(f["degree"] * f["multiplicity"] for f in factors) + at_infinity,
+        "factors": factors,
+    }

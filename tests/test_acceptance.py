@@ -30,6 +30,7 @@ from dp1.cubic import (
 )
 from dp1.elliptic import ECPoint, FiberCurve, O, add, neg, torsion_status
 from dp1.engine import GenerationConfig, brute_force_oracle, check_hypotheses, generate
+from dp1.rational import format_rational
 from dp1.surface import (
     DegenerateSurfaceError,
     Surface,
@@ -59,16 +60,16 @@ def verdict_line(capsys, index, label):
 def test_criterion_1_singularity_classification(capsys):
     with verdict_line(capsys, 1, "singularity classification"):
         rep = classify_singularities(WORKED)
-        assert rep.singularity_type == "2xA2"
+        assert rep["type"] == "2xA2"
         # the locus is [0:1:1:0] and [0:-1:1:0], where the gradient of F_W vanishes
-        assert rep.locus == "[0:±1:1:0]"
+        assert rep["locus"] == "[0:±1:1:0]"
         for X in ((0, 1, 1, 0), (0, -1, 1, 0)):
             with pytest.raises(SingularImageError):
                 tangent_plane(WORKED, X)
         rep = classify_singularities(Surface(SurfaceParams(1, 0, 0, 1, 1, 0, 0, 0, 1)))
-        assert rep.singularity_type == "A5"
+        assert rep["type"] == "A5"
         rep = classify_singularities(Surface(SurfaceParams(0, 0, 0, 1, 1, 0, 0, 0, 1)))
-        assert rep.singularity_type == "E6"
+        assert rep["type"] == "E6"
 
         rng = random.Random(101)
         regimes = {"2xA2": 0, "A5": 0, "E6": 0}
@@ -87,11 +88,11 @@ def test_criterion_1_singularity_classification(capsys):
                     rng, height=3, a=0, c=0, d_nonzero=True, finite_only=True
                 )
             rep = classify_singularities(S)
-            assert rep.identity_verified, S.params
+            assert rep["identity_verified"], S.params
             assert verify_normal_form(S), S.params
             # the normal-form expansion itself, over Q(√c) or Q(√d)
             assert normal_form_by_sympy(S.params), S.params
-            regimes[rep.singularity_type] += 1
+            regimes[rep["type"]] += 1
         assert all(n >= 20 for n in regimes.values())
 
 
@@ -243,8 +244,8 @@ def test_criterion_7_discriminant_budget(capsys):
         for S in surfaces:
             p = S.params
             report = singular_fiber_report(S)
-            assert report.z12_coefficient == -432 * p.c ** 2 * p.f3 ** 4
-            assert report.total_multiplicity == 12
+            assert report["z12_coefficient"] == format_rational(-432 * p.c ** 2 * p.f3 ** 4)
+            assert report["total_multiplicity"] == 12
 
 
 def test_criterion_8_transversality(capsys):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,21 @@ def test_seed_off_its_fiber_exit_two(surface_file, capsys, command):
     assert captured.err == "error: (1, 1) is not an affine point of the fiber t=1\n"
 
 
+def test_seed_off_its_fiber_with_long_coefficients_exit_two(surface_file, capsys):
+    # (t, x, y) = (1/W, 1/W², 1/W³) prints, but B(1/W) = 1/W⁶ + 2/W³ + 3 has
+    # 8,600 digits: the refusal names the fiber by t, not by its A and B
+    W = 2 * 10 ** 1433
+    start = time.perf_counter()
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", f"[1:1:1:{W}]"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: (1/{W ** 2}, 1/{W ** 3}) is not an affine point "
+                            f"of the fiber t=1/{W}\n")
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("extra", [["--depth", "1", "--n", "200", "--t-height", "1"], ["--depth", "0"]],
                          ids=["depth-1", "depth-0"])
 def test_generate_refuses_bit_cap_that_cannot_print(surface_file, capsys, monkeypatch, extra):
@@ -471,7 +487,24 @@ CLI_PINS = [
 ]
 
 
-@pytest.mark.parametrize("command, params, extra, exit_code, digest", CLI_PINS)
+def pin_id(command, params, extra):
+    """The command, the name of the surface constant and the flags, as in
+    "sweep-WORKED-seed=-1:1:-1:1-t-height=4": no digest, so that re-recording
+    a pin keeps its name."""
+    name = next(k for k, v in globals().items() if v is params)
+    flags = [f"{k.lstrip('-')}={v.strip('[]')}" for k, v in zip(extra[::2], extra[1::2])]
+    return "-".join([command, name, *flags])
+
+
+PIN_IDS = [pin_id(*pin[:3]) for pin in CLI_PINS]
+
+
+def test_pin_ids_are_unique():
+    assert len(set(PIN_IDS)) == len(PIN_IDS) == len(CLI_PINS)
+    assert all(len(pin[2]) % 2 == 0 for pin in CLI_PINS)
+
+
+@pytest.mark.parametrize("command, params, extra, exit_code, digest", CLI_PINS, ids=PIN_IDS)
 def test_cli_output_pinned(surface_file, capsys, command, params, extra, exit_code, digest):
     code = main([command, "--surface", surface_file(params), *extra])
     out = capsys.readouterr().out

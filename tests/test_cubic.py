@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -29,6 +30,7 @@ from conftest import (
     transversality_check,
 )
 from dp1 import elliptic
+from dp1.cli import main
 from dp1.cubic import (
     SingularImageError,
     TwoTorsionSeedError,
@@ -39,7 +41,7 @@ from dp1.cubic import (
 )
 from dp1.elliptic import ECPoint, FiberCurve
 from dp1.rational import InvariantError
-from dp1.surface import Surface, SurfaceParams, WPoint
+from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
 
 def test_theta_base_point(worked_surface):
@@ -258,27 +260,46 @@ def test_tangent_point_random_pairs():
 
 def test_classification_regimes(worked_surface):
     rep = classify_singularities(worked_surface)
-    assert rep.singularity_type == "2xA2"
+    assert rep["type"] == "2xA2"
     # the locus is [0:1:1:0] and [0:-1:1:0], where the gradient of F_W vanishes
-    assert rep.locus == "[0:±1:1:0]"
+    assert rep["locus"] == "[0:±1:1:0]"
     for X in ((0, 1, 1, 0), (0, -1, 1, 0)):
         with pytest.raises(SingularImageError):
             tangent_plane(worked_surface, X)
-    assert rep.identity_verified
+    assert rep["identity_verified"]
 
     rep = classify_singularities(Surface(SurfaceParams(1, 1, 0, 1, 1, 0, 0, 0, 1)))
-    assert rep.singularity_type == "A5"
-    assert rep.identity_verified
+    assert rep["type"] == "A5"
+    assert rep["identity_verified"]
 
     rep = classify_singularities(Surface(SurfaceParams(0, 1, 0, 1, 1, 0, 0, 0, 1)))
-    assert rep.singularity_type == "E6"
-    assert rep.identity_verified
+    assert rep["type"] == "E6"
+    assert rep["identity_verified"]
 
 
 def test_classification_json_shape(worked_surface):
-    out = classify_singularities(worked_surface).to_json()
-    assert set(out) == {"locus", "sqrt_c", "type", "identity_verified"}
+    out = classify_singularities(worked_surface)
+    assert list(out) == ["locus", "sqrt_c", "type", "identity_verified"]
     assert out["sqrt_c"] == "rational"
+
+
+def test_classified_locus_misses_a_singular_point_of_the_t_chart(tmp_path, capsys):
+    # α = u + 1, β = −(u + 1)² and β′ all vanish at u = −1, so W is singular
+    # at [0:0:−1:1] as well as on the locus the report names, and S is
+    # singular there: dp1 classify refuses the surface
+    params = SurfaceParams(1, 1, -1, -2, -1, 0, 0, 0, 1)
+    S = Surface(params)
+    assert classify_singularities(S) == {
+        "locus": "[0:±√(-1):1:0]", "sqrt_c": "irrational", "type": "2xA2",
+        "identity_verified": True,
+    }
+    with pytest.raises(SingularImageError, match=r"\[0:0:-1:1\] is a singular point of W"):
+        tangent_plane(S, (0, 0, -1, 1))
+    assert smoothness_check(S) == "singular"
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(params.to_json()))
+    assert main(["classify", "--surface", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "surface is not smooth"
 
 
 def test_normal_form_irrational_sqrt():

@@ -7,33 +7,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import replaced
-from dp1.cubic import SingularityReport
 from dp1.elliptic import O, ECPoint, FiberCurve
 from dp1.engine import GenerationConfig, GenerationReport, HypothesisReport, PointRecord
-from dp1.poly import UniPoly
-from dp1.surface import (
-    FiberFactor,
-    SingularFiberReport,
-    SurfaceParams,
-    WPoint,
-)
+from dp1.surface import SurfaceParams, WPoint
 
 F = Fraction
 PARAMS = SurfaceParams(*(F(v) for v in (0, 0, 1, 0, 0, 1, 0, 0, 1)))
 POINT = ECPoint(F(1, 2), F(-3))
-FACTOR = FiberFactor(UniPoly((1, 1)), 1, 2, "additive")
 
 RECORDS = [
     FiberCurve(F(1, 2), F(0), F(-3)),
     POINT,
-    SingularityReport("X0 = X2 = X3 = 0", "rational", "2xA2", True),
     HypothesisReport(True, True, False, True, True),
     GenerationConfig(3, 4, 2, 10, 64),
     PointRecord(F(2), POINT, "seed"),
     PARAMS,
     WPoint(1, -2, 3, 4),
-    FACTOR,
-    SingularFiberReport((FACTOR,), 10, F(-432)),
 ]
 IDS = [type(r).__name__ for r in RECORDS]
 

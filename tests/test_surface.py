@@ -32,11 +32,9 @@ from dp1.cli import main
 from dp1.elliptic import ECPoint, FiberCurve, multiples
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
-from dp1.rational import InvariantError
+from dp1.rational import InvariantError, format_rational
 from dp1.surface import (
     DegenerateSurfaceError,
-    FiberFactor,
-    SingularFiberReport,
     Surface,
     SurfaceParams,
     WPoint,
@@ -1198,38 +1196,53 @@ def test_discriminant_form_z12_coefficient():
             report = singular_fiber_report(S)
         except DegenerateSurfaceError:
             continue
-        assert report.z12_coefficient == -432 * p.c ** 2 * p.f3 ** 4
+        assert report["z12_coefficient"] == format_rational(-432 * p.c ** 2 * p.f3 ** 4)
 
 
 def test_singular_fiber_report_worked(worked_surface, worked_surface_2):
     rep = singular_fiber_report(worked_surface)
-    assert rep.total_multiplicity == 12
-    assert rep.multiplicity_at_infinity == 0
+    assert list(rep) == ["z12_coefficient", "multiplicity_at_infinity", "total_multiplicity",
+                         "factors"]
+    assert rep["total_multiplicity"] == 12
+    assert rep["multiplicity_at_infinity"] == 0
     # Δ = −432(t⁶+2t³+3)², one squarefree factor of degree 6, multiplicity 2
-    assert [(f.degree, f.multiplicity) for f in rep.factors] == [(6, 2)]
+    assert rep["factors"] == [{"coeffs": ["3", "0", "0", "2", "0", "0", "1"], "degree": 6,
+                               "multiplicity": 2, "reduction": "additive"}]
     rep2 = singular_fiber_report(worked_surface_2)
-    assert rep2.total_multiplicity == 12
-    assert [(f.degree, f.multiplicity) for f in rep2.factors] == [(6, 2)]
+    assert rep2["total_multiplicity"] == 12
+    assert [(f["degree"], f["multiplicity"]) for f in rep2["factors"]] == [(6, 2)]
 
 
-def singular_fiber_report_by_fractions(S: Surface) -> SingularFiberReport:
+def singular_fiber_report_by_fractions(S: Surface) -> dict:
     """Reference report in Q[t]: the Fraction Yun, monic gcds with A and
     Fraction long division."""
     delta = discriminant_by_refpoly(S)
     if delta.is_zero():
         raise DegenerateSurfaceError("discriminant vanishes identically")
     factors = []
+
+    def factor(g, m, kind):
+        coeffs = [format_rational(c) for c in g.coeffs]
+        factors.append({"coeffs": coeffs, "degree": g.degree(), "multiplicity": m,
+                        "reduction": kind})
+
     for g, m in squarefree_factorization_by_fractions(delta):
         if S.A_t.is_zero():
-            factors.append(FiberFactor(g, g.degree(), m, "additive"))
+            factor(g, m, "additive")
             continue
         g_add = RefPoly.of(gcd(g, S.A_t))
         if g_add.degree() >= 1:
-            factors.append(FiberFactor(g_add, g_add.degree(), m, "additive"))
+            factor(g_add, m, "additive")
             g = poly_divmod(g, g_add)[0].monic()
         if g.degree() >= 1:
-            factors.append(FiberFactor(g, g.degree(), m, "multiplicative"))
-    return SingularFiberReport(tuple(factors), 12 - delta.degree(), delta[12])
+            factor(g, m, "multiplicative")
+    at_infinity = 12 - delta.degree()
+    return {
+        "z12_coefficient": format_rational(delta[12]),
+        "multiplicity_at_infinity": at_infinity,
+        "total_multiplicity": sum(f["degree"] * f["multiplicity"] for f in factors) + at_infinity,
+        "factors": factors,
+    }
 
 
 fiber_rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -1278,7 +1291,7 @@ def test_singular_fiber_report_matches_fraction_reference_examples(worked_surfac
     kinds = set()
     for p in params:
         report = assert_report_matches_reference(p)
-        kinds |= {"degenerate"} if report is None else {f.reduction for f in report.factors}
+        kinds |= {"degenerate"} if report is None else {f["reduction"] for f in report["factors"]}
     assert kinds == {"degenerate", "additive", "multiplicative"}
 
 
@@ -1286,4 +1299,4 @@ def test_singular_fiber_budget_random():
     rng = random.Random(43)
     for _ in range(10):
         S = random_smooth_surface(rng, height=3)
-        assert singular_fiber_report(S).total_multiplicity == 12
+        assert singular_fiber_report(S)["total_multiplicity"] == 12

@@ -21,6 +21,9 @@ def load_script():
 def test_worked_example_main(capsys):
     load_script().main()
     out = capsys.readouterr().out
+    assert ('cubic model singularities: {"locus": "[0:\\u00b11:1:0]", "sqrt_c": "rational", '
+            '"type": "2xA2", "identity_verified": true}') in out
+    assert 'singular fibers: {"z12_coefficient": "-432", "multiplicity_at_infinity": 0, ' in out
     assert "tangent plane: ('3', '-2', '0', '5')" in out
     assert "tangent point: (17/4, 71/8) on fiber t = -1" in out
 
@@ -31,4 +34,20 @@ def test_worked_example_names_a_wrong_tangent_point(monkeypatch):
     monkeypatch.setattr(module, "tangent_point",
                         lambda S, E, P: (Fraction(-1), ECPoint(Fraction(17, 4), Fraction(-71, 8))))
     with pytest.raises(SystemExit, match=r"tangent point mismatch: got \(17/4, -71/8\)"):
+        module.main()
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("classify_singularities", {"type": "A5"}, r"classify mismatch: got \{'locus'"),
+    ("classify_singularities", {"locus": "[0:±√(1):1:0]"}, "classify mismatch"),
+    ("classify_singularities", {"identity_verified": False}, "classify mismatch"),
+    ("singular_fiber_report", {"z12_coefficient": "432"}, r"fibers mismatch: got \{'z12_coefficient'"),
+    ("singular_fiber_report", {"total_multiplicity": 11}, "fibers mismatch"),
+    ("singular_fiber_report", {"factors": []}, "fibers mismatch"),
+], ids=["type", "locus", "identity", "z12", "total", "factors"])
+def test_worked_example_names_a_wrong_report(monkeypatch, name, change, message):
+    module = load_script()
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda S: dict(right(S), **change))
+    with pytest.raises(SystemExit, match=message):
         module.main()
