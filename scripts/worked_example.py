@@ -9,11 +9,10 @@ not the known one.
 """
 
 import json
-from fractions import Fraction
 
 from dp1.cubic import classify_singularities, tangent_plane, tangent_point
 from dp1.engine import GenerationConfig, check_hypotheses, generate
-from dp1.rational import format_rational
+from dp1.rational import format_pair
 from dp1.surface import Surface, SurfaceParams, WPoint, singular_fiber_report, smoothness_check
 
 
@@ -40,14 +39,13 @@ def main() -> None:
                          "of degree 6 and multiplicity 2, total 12")
 
     E, Q0 = S.fiber_point(P)
-    plane = tangent_plane(S, (Q0.x, Q0.y, S.f(E.t), Fraction(1)))
+    plane = tangent_plane(S, (Q0.x, Q0.y, S.f.value_ints(*E.t), (1, 1)))
     print("tangent plane:", tuple(str(c) for c in plane))
 
     t, Q = tangent_point(S, E, Q0)
-    print(f"tangent point: ({format_rational(Q.x)}, {format_rational(Q.y)}) "
-          f"on fiber t = {format_rational(t)}")
-    if (t, Q.x, Q.y) != (Fraction(-1), Fraction(17, 4), Fraction(71, 8)):
-        raise SystemExit(f"tangent point mismatch: got ({Q.x}, {Q.y}) on fiber t = {t}, "
+    print(f"tangent point: {Q} on fiber t = {format_pair(t)}")
+    if (t, Q.x, Q.y) != ((-1, 1), (17, 4), (71, 8)):
+        raise SystemExit(f"tangent point mismatch: got {Q} on fiber t = {format_pair(t)}, "
                          f"expected (17/4, 71/8) on fiber t = -1")
 
     hyp = check_hypotheses(S, P)
@@ -57,9 +55,7 @@ def main() -> None:
     print(f"generated {len(report.points)} verified points "
           f"on {len(report.fibers)} fibers:")
     for rec in report.points:
-        print(f"  t={format_rational(rec.t)}  "
-              f"({format_rational(rec.point.x)}, {format_rational(rec.point.y)})  "
-              f"[{rec.provenance}]")
+        print(f"  t={format_pair(rec.t)}  {rec.point}  [{rec.provenance}]")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cubic, engine, surface as surface_mod
 from .engine import GenerationConfig
-from .rational import InvariantError, format_rational
+from .rational import InvariantError, format_pair, format_rational
 from .surface import (
     SINGULAR_MOD_EVERY_PRIME,
     DegenerateSurfaceError,
@@ -149,7 +149,8 @@ def cmd_sweep(args) -> int:
     payload = {
         "surface": S.params.to_json(),
         "seed": str(P),
-        "points": [engine.PointRecord(E.t, q, f"sweep({E.t})").to_json() for E, q in found],
+        "points": [engine.PointRecord(E.t, q, f"sweep({format_pair(E.t)})").to_json()
+                   for E, q in found],
     }
     _emit(payload, args)
     return EXIT_OK

@@ -16,10 +16,10 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from . import elliptic
+from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
-from .rational import InvariantError, is_square
-from .surface import Surface, _padded
+from .rational import InvariantError, Pair, format_pair, is_square, reduced
+from .surface import Surface, padded
 
 
 class SingularImageError(ValueError):
@@ -30,20 +30,22 @@ class TwoTorsionSeedError(ValueError):
     """The tangent construction degenerates for 2-torsion seeds."""
 
 
-def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int]:
+def tangent_plane(S: Surface, X: Sequence[Tuple[int, int]]) -> Tuple[int, int, int, int]:
     """The tangent plane αX0 + βX1 + γX2 + δX3 = 0 to W at the point X, in
     any representative, as the primitive integer gradient (α, β, γ, δ).
 
-    The gradient is quadratic, so rescaling X by μ scales it by μ² > 0, and
-    dividing by the content leaves one plane per point.  It is computed in
-    integers: X times the lcm L of its denominators, and the parameters
-    a..e times the lcm M of theirs, give M·L²·∇F(X), over ℤ.  Euler's
-    relation X·∇F = 3F(X) makes the plane contain X exactly when X lies on W.
-    The numerators of a..e over M = ``S.ab_den`` are the surface's α and β.
+    Each coordinate of X is a rational (numerator, denominator > 0), in
+    lowest terms or not.  The gradient is quadratic, so rescaling X by μ
+    scales it by μ² > 0, and dividing by the content leaves one plane per
+    point.  It is computed in integers: X times the lcm L of its
+    denominators, and the parameters a..e times the lcm M of theirs, give
+    M·L²·∇F(X), over ℤ.  Euler's relation X·∇F = 3F(X) makes the plane
+    contain X exactly when X lies on W.  The numerators of a..e over
+    M = ``S.ab_den`` are the surface's α and β.
     """
-    L = math.lcm(*(v.denominator for v in X))
-    x0, x1, x2, x3 = (v.numerator * (L // v.denominator) for v in X)
-    M, (b, a), (e, d, c) = S.ab_den, _padded(S.alpha, 2), _padded(S.beta, 3)
+    L = math.lcm(*(d for _, d in X))
+    x0, x1, x2, x3 = (n * (L // d) for n, d in X)
+    M, (b, a), (e, d, c) = S.ab_den, padded(S.alpha, 2), padded(S.beta, 3)
     grads = (
         3 * M * x0 * x0 + (a * x2 + b * x3) * x3,
         -2 * M * x1 * x3,
@@ -52,26 +54,28 @@ def tangent_plane(S: Surface, X: Sequence[Fraction]) -> Tuple[int, int, int, int
         - M * x1 * x1,
     )
     content = math.gcd(*grads)
+    if content:
+        # divide by the content only; the gradient's own orientation is kept
+        alpha, beta, gamma, delta = (g // content for g in grads)
+        if alpha * x0 + beta * x1 + gamma * x2 + delta * x3 == 0:
+            return alpha, beta, gamma, delta
+    text = f"[{':'.join(str(Fraction(n, d)) for n, d in X)}]"
     if content == 0:
-        raise SingularImageError(f"[{':'.join(map(str, X))}] is a singular point of W")
-    # divide by the content only; the gradient's own orientation is kept
-    alpha, beta, gamma, delta = (g // content for g in grads)
-    if alpha * x0 + beta * x1 + gamma * x2 + delta * x3 != 0:
-        raise ValueError(f"[{':'.join(map(str, X))}] is not on the cubic model W")
-    return alpha, beta, gamma, delta
+        raise SingularImageError(f"{text} is a singular point of W")
+    raise ValueError(f"{text} is not on the cubic model W")
 
 
-def line_cubic_ints(line: Tuple[int, int, int], curve: elliptic.Quad) -> List[int]:
+def line_cubic_ints(line: Tuple[int, int, int], E: FiberCurve) -> List[int]:
     """β²(x³ + Ax + B) − (αx + c0)², times Ad·Bd, in ℤ[x], for the line
-    αx + βy + c0 = 0 given by integers (any common multiple of it) and
-    A = An/Ad, B = Bn/Bd given as ``curve`` = (An, Ad, Bn, Bd)."""
+    αx + βy + c0 = 0 given by integers (any common multiple of it) on the
+    fiber E, with A = An/Ad and B = Bn/Bd."""
     a, b, c = line
-    An, Ad, Bn, Bd = curve
+    (An, Ad), (Bn, Bd) = E.A, E.B
     b2, ABd = b * b, Ad * Bd
     return [b2 * Bn * Ad - c * c * ABd, b2 * An * Bd - 2 * a * c * ABd, -a * a * ABd, b2 * ABd]
 
 
-def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Fraction, ECPoint]:
+def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Pair, ECPoint]:
     """Third intersection of the tangent section at P with P's own fiber E.
 
     Geometrically this is the forced extra rational point of the tangent
@@ -79,34 +83,33 @@ def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Fraction, ECPo
     law, and both routes are checked against each other.  ``generate``
     takes −[2]P from its walk and leaves this route to the tests.
     """
-    t0, x0, y0 = E.t, P.x, P.y
-    if y0 == 0:
+    (p, q), (yn, _) = P.x, P.y
+    if yn == 0:
         raise TwoTorsionSeedError("seed is 2-torsion; the tangent line is vertical")
-    u0 = S.f(t0)
-    al, be, ga, de = tangent_plane(S, (x0, y0, u0, Fraction(1)))
+    fn, fd = S.f.value_ints(*E.t)
+    al, be, ga, de = tangent_plane(S, (P.x, P.y, (fn, fd), (1, 1)))
     # the tangent line αx + βy + γ·f(t0) + δ = 0 on E, times fd
-    fn, fd = u0.as_integer_ratio()
     a, b, c0 = al * fd, be * fd, ga * fn + de * fd
     if b == 0:  # b = -2*y0 up to scaling, nonzero off 2-torsion
         raise InvariantError(f"tangent line at {P} is vertical off 2-torsion")
-    # the tangency forces a double root at x0, and the x² coefficient −α²
-    # puts the third root at x3: the cubic is β²(x − x0)²(x − x3)
-    x3 = Fraction(a, b) ** 2 - 2 * x0
-    b2 = b * b
-    expected = (-b2 * x0 * x0 * x3, b2 * x0 * (x0 + 2 * x3), -b2 * (2 * x0 + x3), b2)
-    curve = elliptic._curve_ints(E)
-    if line_cubic_ints((a, b, c0), curve) != [curve[1] * curve[3] * v for v in expected]:
+    # the tangency forces a double root at x0 = p/q, and the x² coefficient
+    # −α² puts the third root at x3 = (α/β)² − 2·x0 = r/s: the cubic is
+    # β²(x − x0)²(x − x3), and q²·s times it is β²·(qx − p)²·(sx − r)
+    r, s = x3 = reduced(a * a * q - 2 * p * b * b, b * b * q)
+    (_, Ad), (_, Bd) = E.A, E.B
+    lhs = [q * q * s * v for v in line_cubic_ints((a, b, c0), E)]
+    if lhs != [b * b * Ad * Bd * v for v in poly.int_mul(poly.int_mul((-p, q), (-p, q)), (-r, s))]:
         raise InvariantError(
-            f"the tangent cubic at {P} is not β²(x − x0)²(x − x3) with x3 = {x3}"
+            f"the tangent cubic at {P} is not β²(x − x0)²(x − x3) with x3 = {format_pair(x3)}"
         )
-    Q = ECPoint(x3, -(a * x3 + c0) / b)
+    Q = ECPoint(x3, reduced(-(a * r + c0 * s), b * s))
     # the walk checked −[2]P on E, so Q equal to it is on E too
     group_law_route = elliptic.neg(elliptic.multiples(E, P, 2)[1])
     if Q != group_law_route:
         raise InvariantError(
             f"geometric and group-law routes disagree: {Q} != {group_law_route}"
         )
-    return t0, Q
+    return E.t, Q
 
 
 # -- singularity classification ---------------------------------------

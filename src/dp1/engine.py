@@ -13,11 +13,13 @@ is the one place where a candidate is dropped (over the bit cap),
 deduplicated on its affine (t, x, y), counted against max_points and
 admitted to the frontier.
 
-The sweep and the hop work on integer numerators, building Fractions only
-for the points they return, and divide out the roots they already know
-instead of searching for them: the double root x0 on the seed's own fiber,
-and t0 in f − f(t0), whose quadratic cofactor also decides separability.
-A known root that is not one makes the exact division raise InvariantError.
+Fibers and points hold their rationals as ``Pair``s, so the sweep, the
+hop, the oracle and ``emit``'s keys run on integers; a Fraction is built
+only to order the fibers of a report.  The sweep and the hop divide out the
+roots they already know instead of searching for them: the double root x0
+on the seed's own fiber, and t0 in f − f(t0), whose quadratic cofactor also
+decides separability.  A known root that is not one makes the exact
+division raise InvariantError.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
-from .rational import MAX_DIGITS, InvariantError, format_rational, is_square, record
-from .surface import Surface, WPoint, smoothness_check
+from .rational import MAX_DIGITS, InvariantError, Pair, format_pair, is_square, record, reduced
+from .surface import Surface, WPoint, padded, smoothness_check
 
 
 @record
@@ -73,36 +75,37 @@ def check_fiber_hypotheses(S: Surface, E: FiberCurve, Q: ECPoint) -> HypothesisR
     of f − f(t0) is decided on the quadratic left by dividing out t0.
     """
     if Q.is_infinity:
-        raise ValueError(f"{Q} is not an affine point of the fiber t={E.t}")
+        raise ValueError(f"{Q} is not an affine point of the fiber t={format_pair(E.t)}")
     try:
         non_torsion = elliptic.torsion_status(E, Q) is None
     except elliptic.SingularFiberError:
         non_torsion = False
     smooth = smoothness_check(S) == "smooth"
-    tn, td = E.t.as_integer_ratio()
+    tn, td = E.t
     F = S.f.cs
     slope = 3 * tn * F[3] + 2 * F[2] * td != 0
     # f − f(t0) = (t − t0)·q is separable iff q is and q(t0) ≠ 0
     q = _hop_quadratic(S, E.t)
-    separable = poly.is_separable(q) and poly._homogeneous_value(q, tn, td) != 0
+    separable = poly.is_separable(q) and poly.homogeneous_value(q, tn, td) != 0
     return HypothesisReport(smooth, True, slope, separable, non_torsion)
 
 
-def bounded_height_rationals(height: int) -> Iterator[Fraction]:
-    """All rationals p/q with max(|p|, q) ≤ height, each exactly once.
+def bounded_height_rationals(height: int) -> Iterator[Pair]:
+    """All rationals p/q with max(|p|, q) ≤ height, each exactly once, as
+    Pairs.
 
     Farey-style enumeration: coprime pairs in increasing denominator, both
     signs, zero and the integers included.
     """
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    yield Fraction(0)
+    yield 0, 1
     for q in range(1, height + 1):
         for p in range(1, height + 1):
             if math.gcd(p, q) != 1:
                 continue
-            yield Fraction(p, q)
-            yield Fraction(-p, q)
+            yield p, q
+            yield -p, q
 
 
 def _divide_out(cs: List[int], p: int, q: int, mult: int) -> List[int]:
@@ -114,13 +117,13 @@ def _divide_out(cs: List[int], p: int, q: int, mult: int) -> List[int]:
     return cs
 
 
-def _hop_quadratic(S: Surface, t0: Fraction) -> List[int]:
+def _hop_quadratic(S: Surface, t0: Pair) -> List[int]:
     """The integer quadratic q with f − f(t0) = (t − t0)·q up to a constant.
 
     With t0 = p/q0 and f = cs/den, q0³·cs − q0³·cs(t0) has integer
     coefficients and the root t0, which ``_divide_out`` divides out.
     """
-    p, q0 = t0.as_integer_ratio()
+    p, q0 = t0
     g = [q0 ** 3 * c for c in S.f.cs]
     g[0] -= S.f.value_ints(p, q0)[0]
     return _divide_out(g, p, q0, 1)
@@ -135,16 +138,17 @@ def _quadratic_roots(q: List[int]) -> List[Tuple[int, int]]:
     s = math.isqrt(max(disc, 0))
     if s * s != disc:
         return []
-    return sorted({elliptic._reduced(-b - s, 2 * a), elliptic._reduced(-b + s, 2 * a)})
+    return sorted({reduced(-b - s, 2 * a), reduced(-b + s, 2 * a)})
 
 
-def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoint]]:
-    """Hop a point to other fibers through the multisection structure.
+def u_hop(S: Surface, E: FiberCurve, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoint]]:
+    """Hop a point Q of the fiber E to other fibers through the multisection
+    structure.
 
     The surface equation sees z only through u = f(z/w), so a fixed (x0, y0)
     lies on every fiber t with c·u² + (a·x0 + d)·u + (b·x0 + e − k) = 0 and
     f(t) = u, where k = y0² − x0³.  Returns each hop with its fiber,
-    excluding t0 itself, for each u in increasing order.  The fibers are
+    excluding E's own t0, for each u in increasing order.  The fibers are
     found on integer numerators: for u0 = f(t0), the known root t0 is divided
     out of f − u0 and the quadratic left is solved with one ``math.isqrt``;
     the other u, when c ≠ 0, goes to ``poly.int_roots``.  Each hop is checked
@@ -152,32 +156,31 @@ def u_hop(S: Surface, t0: Fraction, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoin
     """
     if Q.is_infinity:
         raise ValueError("hop needs an affine point")
-    p = S.params
-    tn0, td0 = t0.as_integer_ratio()
-    pt = elliptic._ints(Q)
     # the hop equation at u0 = f(t0) is Q on the fiber t0
-    if not elliptic._on_curve_ints(S.A_t.value_ints(tn0, td0) + S.B_t.value_ints(tn0, td0), pt):
-        raise InvariantError(f"the u-value of fiber t={t0} does not solve the hop equation of {Q}")
-    ts = _quadratic_roots(_hop_quadratic(S, t0))
-    if p.c != 0:
-        # the second root is rational by Vieta
-        u0 = S.f(t0)
-        u1 = -(p.a * Q.x + p.d) / p.c - u0
-        if u1 != u0:
-            un, ud = u1.as_integer_ratio()
+    if not elliptic.on_curve(E, Q):
+        raise InvariantError(f"the u-value of fiber t={format_pair(E.t)} does not solve "
+                             f"the hop equation of {Q}")
+    ts = _quadratic_roots(_hop_quadratic(S, E.t))
+    if S.params.c != 0:
+        # the second root u1 = −(a·x0 + d)/c − u0 is rational by Vieta; with
+        # a, c, d = r1, s2, s1 over one denominator and u0 = fn/fd, it is
+        # −((r1·xn + s1·xd)·fd + s2·xd·fn)/(s2·xd·fd)
+        (_, r1), (_, s1, s2) = padded(S.alpha, 2), S.beta
+        (xn, xd), (fn, fd) = Q.x, S.f.value_ints(*E.t)
+        un, ud = reduced(-((r1 * xn + s1 * xd) * fd + s2 * xd * fn), s2 * xd * fd)
+        if un * fd != fn * ud:
             g = [ud * c for c in S.f.cs]
             g[0] -= un * S.f.den
             more = [(tn, td) for tn, td, _mult in poly.int_roots(g)]
-            ts = more + ts if u1 < u0 else ts + more
+            ts = more + ts if un * fd < fn * ud else ts + more
     out: List[Tuple[FiberCurve, ECPoint]] = []
-    for tn, td in ts:
-        if tn == tn0 and td == td0:
+    for t in ts:
+        if t == E.t:
             continue
-        t = Fraction(tn, td)
-        E = S.fiber_at(t)
-        if not elliptic._on_curve_ints(elliptic._curve_ints(E), pt):
-            raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
-        out.append((E, Q))
+        Et = S.fiber_at(t)
+        if not elliptic.on_curve(Et, Q):
+            raise InvariantError(f"hopped point {Q} fails the fiber t={format_pair(t)}")
+        out.append((Et, Q))
     return out
 
 
@@ -191,46 +194,45 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     integer cubic in x, solves it for rational points and excludes P itself.
     On P's own fiber the plane is tangent at P, so the double root x0 is
     divided out and the linear factor left gives the third point; elsewhere
-    ``poly.int_roots`` finds the roots.  Each point is checked on its fiber
-    in integers, and Fractions are built only for the points returned, each
-    with its fiber.
+    ``poly.int_roots`` finds the roots.  Where β = 0 the line is x = −c/α,
+    and y² = x³ + Ax + B = N/D, D > 0, has a rational root exactly when N·D
+    is a square r², y = ±r/D.  Each point is checked on its fiber and
+    returned with it.
     """
-    al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, S.f(E.t), Fraction(1)))
-    own, pt = E.t.as_integer_ratio(), elliptic._ints(P)
+    al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, S.f.value_ints(*E.t), (1, 1)))
     out: List[Tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
         Et = S.fiber_at(t)
-        curve = elliptic._curve_ints(Et)
-        tn, td = t.as_integer_ratio()
         # den·td³ times αx + βy + γ·f(t) + δ
-        fn, fd = S.f.value_ints(tn, td)
+        fn, fd = S.f.value_ints(*t)
         a, b, c = al * fd, be * fd, ga * fn + de * fd
         if b != 0:
-            cub = cubic.line_cubic_ints((a, b, c), curve)
-            if (tn, td) == own:
-                l0, l1 = _divide_out(cub, pt[0], pt[1], 2)
-                xs = [elliptic._reduced(-l0, l1)]
+            cub = cubic.line_cubic_ints((a, b, c), Et)
+            if t == E.t:
+                l0, l1 = _divide_out(cub, *P.x, 2)
+                xs = [reduced(-l0, l1)]
             else:
                 xs = [(xn, xd) for xn, xd, _mult in poly.int_roots(cub)]
-            found = [(xn, xd) + elliptic._reduced(-(a * xn + c * xd), b * xd) for xn, xd in xs]
+            found = [ECPoint((xn, xd), reduced(-(a * xn + c * xd), b * xd)) for xn, xd in xs]
         elif a != 0:
-            x = Fraction(-c, a)
-            root = is_square(Et.rhs(x))
-            if root is None:
+            x = xn, xd = reduced(-c, a)
+            (an, ad), (bn, bd) = Et.A, Et.B
+            D = xd ** 3 * ad * bd
+            r = is_square(((xn ** 3 * ad + an * xn * xd * xd) * bd + bn * ad * xd ** 3) * D)
+            if r is None:
                 continue
-            found = [elliptic._ints(ECPoint(x, root))]
-            if root != 0:
-                found.append(elliptic._ints(ECPoint(x, -root)))
+            yn, yd = reduced(r, D)
+            found = [ECPoint(x, (yn, yd))] + ([ECPoint(x, (-yn, yd))] if r else [])
         else:
             # α = β = 0 only at a singular point P of its fiber: the plane u = f(t0)
             # misses the fibers with f(t) ≠ f(t0) and contains the others, all singular
             continue
         for R in found:
-            if R == pt and (tn, td) == own:
+            if R == P and t == E.t:
                 continue
-            if not elliptic._on_curve_ints(curve, R):
-                raise InvariantError(f"swept point {elliptic._point(R)} fails the fiber t={t}")
-            out.append((Et, elliptic._point(R)))
+            if not elliptic.on_curve(Et, R):
+                raise InvariantError(f"swept point {R} fails the fiber t={format_pair(t)}")
+            out.append((Et, R))
     return out
 
 
@@ -261,15 +263,15 @@ class GenerationConfig:
 
 @record
 class PointRecord:
-    t: Fraction
+    t: Pair
     point: ECPoint
     provenance: str
 
     def to_json(self) -> dict:
         return {
-            "t": format_rational(self.t),
-            "x": format_rational(self.point.x),
-            "y": format_rational(self.point.y),
+            "t": format_pair(self.t),
+            "x": format_pair(self.point.x),
+            "y": format_pair(self.point.y),
             "provenance": self.provenance,
         }
 
@@ -277,7 +279,8 @@ class PointRecord:
 class GenerationReport:
     def __init__(self):
         self.points: List[PointRecord] = []
-        self.fibers: Dict[Fraction, int] = {}
+        # points kept per fiber, keyed on t
+        self.fibers: Dict[Pair, int] = {}
         self.all_verified = False
         self.truncated = False
         self.skipped: List[str] = []
@@ -287,7 +290,8 @@ class GenerationReport:
             "surface": S.params.to_json(),
             "seed": str(seed),
             "points": [r.to_json() for r in self.points],
-            "fibers": {format_rational(t): n for t, n in sorted(self.fibers.items())},
+            "fibers": {format_pair(t): self.fibers[t]
+                       for t in sorted(self.fibers, key=lambda t: Fraction(*t))},
             "all_verified": self.all_verified,
             "truncated": self.truncated,
             "skipped": self.skipped,
@@ -302,10 +306,10 @@ class _CapReached(Exception):
     """max_points points are kept: generation stops where it is."""
 
 
-def _point_key(t: Fraction, Q: ECPoint) -> Tuple[int, ...]:
+def _point_key(t: Pair, Q: ECPoint) -> Tuple[int, ...]:
     """(t, x, y) as the integers (tn, td, xn, xd, yn, yd): canonical, since
-    each Fraction is in lowest terms."""
-    return t.as_integer_ratio() + Q.x.as_integer_ratio() + Q.y.as_integer_ratio()
+    each Pair is in lowest terms."""
+    return t + Q.x + Q.y
 
 
 def _within_cap(key: Tuple[int, ...], cap: int) -> bool:
@@ -327,7 +331,7 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
     # and gives [2]P..[12]P; checked additions go on past it
     walk = elliptic.multiples(E, Q, max(elliptic.MAZUR_ORDERS))
     if elliptic.walk_order(walk) is not None:
-        skipped.append(f"torsion point on fiber t={t}")
+        skipped.append(f"torsion point on fiber t={format_pair(t)}")
     else:
         acc = Q
         for n in range(2, cfg.multiple_bound + 1):
@@ -337,12 +341,12 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
                 break
     # tangent-section point −[2]P, from the walk, then a bounded-height
     # sweep of the same section; y = 0 has order 2, skipped above
-    if Q.y != 0:
+    if Q.y[0] != 0:
         yield E, elliptic.neg(walk[1]), "tangent"
         for Es, Qs in _on_smooth_fibers(cp_sweep(S, E, Q, cfg.t_height_bound)):
-            yield Es, Qs, f"sweep({Es.t})"
+            yield Es, Qs, f"sweep({format_pair(Es.t)})"
     # multisection hops
-    for Eh, Qh in _on_smooth_fibers(u_hop(S, t, Q)):
+    for Eh, Qh in _on_smooth_fibers(u_hop(S, E, Q)):
         yield Eh, Qh, "hop"
 
 
@@ -372,13 +376,11 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
     E0, Q0 = S.fiber_point(seed)
     report = GenerationReport()
-    # affine (t, x, y) is canonical: one key per point of the w = 1 chart.
-    # Keys are integer (numerator, denominator) pairs, which hash faster than
-    # Fractions; so are the fiber counts, keyed on t.
+    # affine (t, x, y) is canonical: one key per point of the w = 1 chart
     seen: Set[Tuple[int, ...]] = set()
-    counts: Dict[Tuple[int, int], int] = {}
+    counts = report.fibers
     # the fibers counted when the level began, and the entries it admits
-    known_fibers: Set[Tuple[int, int]] = set()
+    known_fibers: Set[Pair] = set()
     next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
 
     def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> None:
@@ -396,11 +398,10 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
             return
         seen.add(key)
         report.points.append(PointRecord(E.t, Q, provenance))
-        tk = key[:2]
-        counts[tk] = counts.get(tk, 0) + 1
+        counts[E.t] = counts.get(E.t, 0) + 1
         if len(report.points) == cfg.max_points:
             raise _CapReached
-        if tk not in known_fibers:
+        if E.t not in known_fibers:
             next_frontier.append((E, Q))
 
     try:
@@ -415,7 +416,6 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
                     emit(*candidate)
     except _CapReached:
         report.truncated = report.truncated or cfg.depth > 0
-    report.fibers = {Fraction(*tk): n for tk, n in counts.items()}
     # each kept point was checked on its fiber where it was made
     report.all_verified = True
     return report
@@ -427,9 +427,9 @@ def brute_force_oracle(
     x_den: int,
     t_num: int,
     t_den: int,
-) -> List[Tuple[Fraction, ECPoint]]:
+) -> List[Tuple[Pair, ECPoint]]:
     """Exhaustive box search: every fiber t and abscissa x within the bounds,
-    keeping (x, ±y) whenever x³ + A(t)x + B(t) is a rational square.
+    keeping (t, (x, ±y)) whenever x³ + A(t)x + B(t) is a rational square.
 
     Ground truth for engine output; intended for small boxes only (the cost
     is O(t-box · x-box) exact square tests).  The box is walked as coprime
@@ -437,28 +437,25 @@ def brute_force_oracle(
     B(t) = bn/bd read by ``value_ints``, L any common multiple of ad and bd
     and x = p/q, x³ + Ax + B = N/(L·q³), where
     N = L·p³ + (L·A)·pq² + (L·B)·q³, is a square exactly when N·L·q is an
-    integer square r², and then y = r/(L·q²).  Fractions are built only for
-    the cells that hold a point.
+    integer square r², and then y = r/(L·q²).
     """
     check_box(x_num, x_den, t_num, t_den)
-    out: List[Tuple[Fraction, ECPoint]] = []
+    out: List[Tuple[Pair, ECPoint]] = []
     xs = [(p, q, p ** 3 * q, p * q ** 3, q ** 4) for p, q in _box_pairs(x_num, x_den)]
     for tn, td in _box_pairs(t_num, t_den):
         an, ad = S.A_t.value_ints(tn, td)
         bn, bd = S.B_t.value_ints(tn, td)
         L = math.lcm(ad, bd)
         LL, LLA, LLB = L * L, an * (L // ad) * L, bn * (L // bd) * L
-        t = None
+        t = tn, td
         for p, q, p3q, pq3, q4 in xs:
-            root = is_square(LL * p3q + LLA * pq3 + LLB * q4)
-            if root is None:
+            r = is_square(LL * p3q + LLA * pq3 + LLB * q4)
+            if r is None:
                 continue
-            if t is None:
-                t = Fraction(tn, td)
-            x, y = Fraction(p, q), root / (L * q * q)
-            out.append((t, ECPoint(x, y)))
-            if y != 0:
-                out.append((t, ECPoint(x, -y)))
+            yn, yd = reduced(r, L * q * q)
+            out.append((t, ECPoint((p, q), (yn, yd))))
+            if r:
+                out.append((t, ECPoint((p, q), (-yn, yd))))
     return out
 
 

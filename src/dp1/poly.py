@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rational import InvariantError
+from .rational import InvariantError, reduced
 
 
 class UniPoly:
@@ -58,16 +58,12 @@ class UniPoly:
         """Product by convolving the integer numerators."""
         return UniPoly(int_mul(self.cs, other.cs), self.den * other.den)
 
-    def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        """f(t), one Fraction built from ``value_ints``."""
-        return Fraction(*self.value_ints(t.numerator, t.denominator))
-
     def value_ints(self, p: int, q: int) -> Tuple[int, int]:
         """f(p/q), q > 0, for f of degree n: the integer qⁿ·cs(p/q), by
         homogeneous Horner, and den·qⁿ, not reduced."""
         if not self.cs:
             return 0, 1
-        return _homogeneous_value(self.cs, p, q), self.den * q ** (len(self.cs) - 1)
+        return homogeneous_value(self.cs, p, q), self.den * q ** (len(self.cs) - 1)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -220,7 +216,7 @@ def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
     return out
 
 
-def _homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
+def homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
     """qⁿ·f(p/q) for the integer polynomial f = Σ cs[i]·xⁱ of degree n,
     by homogeneous Horner."""
     acc = cs[-1]
@@ -274,6 +270,10 @@ def _simple_roots_mod(g: Sequence[int], ell: int) -> Optional[List[int]]:
     return roots
 
 
+# the primes at which int_roots looks for a residue root before it lifts
+SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
 def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
     """All rational roots p/q of the nonzero, trimmed integer polynomial cs, as
     (p, q, multiplicity) with q > 0 and gcd(p, q) = 1, sorted by (p, q); by
@@ -282,9 +282,11 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
     Powers of t give the root 0.  The rest is made a primitive polynomial of
     degree n with leading coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic:
     the rational roots of f are m/lc for the integer roots m of g, and
-    |m| ≤ B = 1 + max|gᵢ|.  The roots of g mod the first prime ℓ ≥ 5 at which
-    all of them are simple are Newton-lifted to a modulus past 2B; each
-    symmetric residue is a candidate, tested exactly by homogeneous Horner.
+    |m| ≤ B = 1 + max|gᵢ|.  When g has no root mod one of SIEVE_PRIMES it
+    has no integer root, and f no rational root but 0.  Otherwise the roots
+    of g mod the first prime ℓ ≥ 5 at which all of them are simple are
+    Newton-lifted to a modulus past 2B; each symmetric residue is a
+    candidate, tested exactly by homogeneous Horner.
     A multiple root mod the first prime makes g squarefree, once: a
     squarefree g has a nonzero discriminant, so some prime has only simple
     roots.  A root's multiplicity is found by repeated exact division by
@@ -303,6 +305,12 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
         return roots
     n, lc = len(ics) - 1, ics[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(ics[:-1])] + [1]
+    # an integer root of g is one mod every prime: a prime at which g has
+    # no root leaves f no root but 0, and nothing to lift
+    for ell in SIEVE_PRIMES:
+        gm = [c % ell for c in g]
+        if all(eval_mod(gm, r, ell) for r in range(ell)):
+            return roots
     bound = 1 + max(abs(c) for c in g[:-1])  # also bounds g's squarefree part's roots
     primes = filter(is_prime, itertools.count(5))
     ell = next(primes)
@@ -322,11 +330,10 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
             r = (r - eval_mod(g, r, m) * pow(eval_mod(dg, r, m), -1, m)) % m
         if 2 * r > m:
             r -= m
-        d = math.gcd(r, lc)
-        p, q = (r // d, lc // d) if lc > 0 else (-r // d, -lc // d)
+        p, q = reduced(r, lc)
         mult = 0
         h = ics
-        while _homogeneous_value(h, p, q) == 0:
+        while homogeneous_value(h, p, q) == 0:
             h = int_exact_div(h, (-p, q))
             mult += 1
         if mult:

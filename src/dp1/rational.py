@@ -1,9 +1,10 @@
 """Exact scalar arithmetic on rationals.
 
-Rationals are plain ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms with positive denominator, so the canonical-form invariants come
-for free).  This module parses and prints them, and decides which are
-squares.  It also holds ``record``, the package's value-class decorator.
+Parsed values are plain ``fractions.Fraction``s; the fibers and points of
+the group law are ``Pair``s, a rational n/d as the integers (n, d) in lowest
+terms with d > 0, which ``reduced`` builds.  This module parses and prints
+both, and decides which rationals are squares.  It also holds ``record``, the
+package's value-class decorator.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Tuple, Union
+
+# a rational n/d as (n, d) in lowest terms with d > 0
+Pair = Tuple[int, int]
 
 
 class InvariantError(RuntimeError):
@@ -106,15 +110,33 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-def is_square(x: Union[int, Fraction]) -> Optional[Fraction]:
+def reduced(n: int, d: int) -> Pair:
+    """n/d in lowest terms with d > 0, for d ≠ 0."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def format_pair(v: Pair) -> str:
+    """The Pair v as ``format_rational`` prints its Fraction: "n/d", or "n"
+    when d = 1."""
+    n, d = v
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
+def is_square(x: Union[int, Fraction]) -> Union[int, Fraction, None]:
     """Return the non-negative rational square root of x, or None.
 
-    x is an int or a Fraction, and the root is a Fraction either way.  A
-    fraction in lowest terms is a square iff numerator and denominator both
-    are (as integers); an int is one with denominator 1.
+    For an int x the root is an int; for a Fraction it is a Fraction, since
+    a fraction in lowest terms is a square iff numerator and denominator
+    both are (as integers).
     """
     if x < 0:
         return None
+    if isinstance(x, int):
+        r = math.isqrt(x)
+        return r if r * r == x else None
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:

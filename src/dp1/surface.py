@@ -29,7 +29,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
-from .rational import MAX_DIGITS, InvariantError, format_rational, parse_rational, record
+from .rational import (MAX_DIGITS, InvariantError, Pair, format_rational, parse_rational, record,
+                       reduced)
 
 
 class DegenerateSurfaceError(ValueError):
@@ -206,13 +207,14 @@ class WPoint:
                       Y.numerator * (lam ** 3 // Y.denominator), lam * P // g, lam * Q // g)
 
     @staticmethod
-    def from_affine(t: Fraction, x: Fraction, y: Fraction) -> "WPoint":
-        """Lift a Weierstrass point (x, y) on fiber t into P(2,3,1,1).
+    def from_affine(t: Pair, x: Pair, y: Pair) -> "WPoint":
+        """Lift a Weierstrass point (x, y) on fiber t, all Pairs, into
+        P(2,3,1,1).
 
         The affine model lives in the w = 1 chart, so the rational quadruple
         is (x, y, t, 1) before weighted scaling.
         """
-        return WPoint.from_fractions(Fraction(x), Fraction(y), Fraction(t), Fraction(1))
+        return WPoint.from_fractions(Fraction(*x), Fraction(*y), Fraction(*t), Fraction(1))
 
     @staticmethod
     def parse(s: str) -> "WPoint":
@@ -228,8 +230,8 @@ class WPoint:
         P = WPoint.from_fractions(*map(parse_rational, parts))
         ints = [P.x, P.y, P.z, P.w]
         if P.w:
-            for v in (P.t(), *P.affine_xy()):
-                ints += v.as_integer_ratio()
+            for v in P.affine():
+                ints += v
         if any(abs(v) >= _DIGITS_BOUND for v in ints):
             raise ValueError(f"the seed's point or its affine (t, x, y) has an integer of more than "
                              f"{MAX_DIGITS:,} digits, which cannot be printed")
@@ -238,15 +240,12 @@ class WPoint:
     def __str__(self) -> str:
         return f"[{self.x}:{self.y}:{self.z}:{self.w}]"
 
-    def t(self) -> Fraction:
-        if self.w == 0:
-            raise ValueError("fiber parameter undefined for w = 0")
-        return Fraction(self.z, self.w)
-
-    def affine_xy(self) -> Tuple[Fraction, Fraction]:
-        if self.w == 0:
+    def affine(self) -> Tuple[Pair, Pair, Pair]:
+        """(t, x, y) = (z/w, x/w², y/w³) as Pairs."""
+        w = self.w
+        if w == 0:
             raise ValueError("affine coordinates undefined for w = 0")
-        return Fraction(self.x, self.w ** 2), Fraction(self.y, self.w ** 3)
+        return reduced(self.z, w), reduced(self.x, w * w), reduced(self.y, w ** 3)
 
 
 def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
@@ -257,7 +256,7 @@ def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(cs[:k])
 
 
-def _padded(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+def padded(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     """cs padded with zeros to length n."""
     return cs + (0,) * (n - len(cs))
 
@@ -312,13 +311,16 @@ class Surface:
             return on_curve(*self.fiber_point(P))
         return P.y ** 2 == P.x ** 3 + self.params.c * self.params.f3 ** 2 * P.z ** 6
 
-    def fiber_at(self, t: Fraction) -> FiberCurve:
-        t = Fraction(t)
-        return FiberCurve(t, self.A_t(t), self.B_t(t))
+    def fiber_at(self, t: Pair) -> FiberCurve:
+        """The fiber at the Pair t, with A(t) and B(t) reduced."""
+        tn, td = t
+        return FiberCurve(t, reduced(*self.A_t.value_ints(tn, td)),
+                          reduced(*self.B_t.value_ints(tn, td)))
 
     def fiber_point(self, P: WPoint) -> Tuple[FiberCurve, ECPoint]:
         """The fiber through P (w != 0) and P as an affine point on it."""
-        return self.fiber_at(P.t()), ECPoint(*P.affine_xy())
+        t, x, y = P.affine()
+        return self.fiber_at(t), ECPoint(x, y)
 
     def discriminant_t(self) -> UniPoly:
         """Δ(t) = −16(4A(t)³ + 27B(t)²), the w=1 chart of the degree-12 form:
@@ -415,7 +417,7 @@ def _u_line_singular(S: Surface) -> bool:
     is rational when it has one.
     """
     r, s = S.alpha, S.beta
-    (r0, r1), (s0, s1, s2), m27 = _padded(r, 2), _padded(s, 3), 27 * S.ab_den
+    (r0, r1), (s0, s1, s2), m27 = padded(r, 2), padded(s, 3), 27 * S.ab_den
     delta = _trimmed((4 * r0 ** 3 + m27 * s0 * s0, 12 * r0 * r0 * r1 + 2 * m27 * s0 * s1,
                       12 * r0 * r1 * r1 + m27 * (s1 * s1 + 2 * s0 * s2),
                       4 * r1 ** 3 + 2 * m27 * s1 * s2, m27 * s2 * s2))
@@ -432,7 +434,7 @@ def _u_line_singular(S: Surface) -> bool:
     p, q = -r[0], r[1]
 
     def at_root(cs) -> bool:
-        return not cs or poly._homogeneous_value(cs, p, q) == 0
+        return not cs or poly.homogeneous_value(cs, p, q) == 0
 
     root = [c // math.gcd(*r) for c in r]
     while len(common) > 1 and at_root(common):  # strip α's root
@@ -458,7 +460,7 @@ def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
             )
         # the chart s = w/z: s⁴·A(1/s) and s⁶·B(1/s), over the same denominators
         witnesses += [("s", w) for w in _chart_singular_witnesses(
-            _trimmed(_padded(A.cs, 5)[::-1]), A.den, _trimmed(_padded(B.cs, 7)[::-1]), B.den)]
+            _trimmed(padded(A.cs, 5)[::-1]), A.den, _trimmed(padded(B.cs, 7)[::-1]), B.den)]
     S._witnesses = tuple(witnesses)
     return S._witnesses
 

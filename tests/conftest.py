@@ -4,19 +4,74 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import pytest
 import sympy as sp
 from sympy import factorint
 
-from dp1 import elliptic, poly
+from dp1 import poly
 from dp1.cubic import line_cubic_ints, tangent_plane
 from dp1.elliptic import O, ECPoint, FiberCurve, OffCurveError, add, neg, on_curve
 from dp1.engine import bounded_height_rationals
 from dp1.poly import UniPoly, gcd
 from dp1.rational import InvariantError, is_square
 from dp1.surface import Surface, SurfaceParams, WPoint, singular_witnesses, smoothness_check
+
+
+# -- fibers and points, whose rationals are Pairs ---------------------------
+# The package holds t, A, B, x and y as (numerator, denominator > 0) in
+# lowest terms; the tests build and read them as Fractions through these.
+
+def pair(v) -> Tuple[int, int]:
+    """The rational v (an int, a Fraction or a text) as a Pair."""
+    return Fraction(v).as_integer_ratio()
+
+
+def frac(v: Tuple[int, int]) -> Fraction:
+    """The Pair v as a Fraction."""
+    return Fraction(*v)
+
+
+def point(x, y) -> ECPoint:
+    """The affine point (x, y), for rationals x and y."""
+    return ECPoint(pair(x), pair(y))
+
+
+def xy(P: ECPoint) -> Optional[Tuple[Fraction, Fraction]]:
+    """P's (x, y) as Fractions, None for O."""
+    return None if P.is_infinity else (frac(P.x), frac(P.y))
+
+
+def curve(t, A, B) -> FiberCurve:
+    """The fiber y² = x³ + A·x + B at t, for rationals t, A and B."""
+    return FiberCurve(pair(t), pair(A), pair(B))
+
+
+def fiber(S: Surface, t) -> FiberCurve:
+    """S's fiber at the rational t."""
+    return S.fiber_at(pair(t))
+
+
+def affine(P: WPoint) -> Tuple[Fraction, Fraction, Fraction]:
+    """(t, x, y) of P, w ≠ 0, as Fractions."""
+    return tuple(map(frac, P.affine()))
+
+
+def value(f: UniPoly, t) -> Fraction:
+    """f(t) for the rational t, from ``value_ints``."""
+    return Fraction(*f.value_ints(*pair(t)))
+
+
+def rhs(E: FiberCurve, x) -> Fraction:
+    """x³ + A·x + B on the fiber E, in Fractions."""
+    x = Fraction(x)
+    return x ** 3 + frac(E.A) * x + frac(E.B)
+
+
+def plane_at(S: Surface, X):
+    """``tangent_plane`` at the point X of P³, given by rationals."""
+    return tangent_plane(S, [pair(v) for v in X])
 
 
 def replaced(obj, **changes):
@@ -51,6 +106,9 @@ class RefPoly(UniPoly):
     @staticmethod
     def constant(c) -> "RefPoly":
         return RefPoly((c,))
+
+    def __call__(self, t) -> Fraction:
+        return value(self, t)
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.cs[i], self.den) if 0 <= i < len(self.cs) else Fraction(0)
@@ -346,7 +404,7 @@ def mul(E: FiberCurve, n: int, P: ECPoint) -> ECPoint:
     """Reference scalar multiple [n]P by double-and-add of checked
     additions; negative n negates."""
     if not on_curve(E, P):
-        raise OffCurveError(f"{P} is not on y^2 = x^3 + {E.A}x + {E.B}")
+        raise OffCurveError(f"{P} is not on y^2 = x^3 + {frac(E.A)}x + {frac(E.B)}")
     if n < 0:
         return neg(mul(E, -n, P))
     result = O
@@ -368,12 +426,12 @@ def off_curve_after(step, calls: int = 0):
     can catch."""
     made = itertools.count(1)
 
-    def broken(an, ad, P, Q):
-        R = step(an, ad, P, Q)
-        if next(made) <= calls or R is None:
+    def broken(A, P, Q):
+        R = step(A, P, Q)
+        if next(made) <= calls or R.is_infinity:
             return R
-        xn, xd, yn, yd = R
-        return xn, xd, 2 * yn, yd
+        yn, yd = R.y
+        return ECPoint(R.x, (2 * yn, yd))
 
     return broken
 
@@ -441,7 +499,7 @@ def theta(S: Surface, P: WPoint):
     if not S.membership(P):
         raise ValueError(f"{P} is not on the surface")
     x, y, z, w = (Fraction(v) for v in (P.x, P.y, P.z, P.w))
-    f_hom = S.f(z / w) * w ** 3 if w else S.params.f3 * z ** 3
+    f_hom = value(S.f, z / w) * w ** 3 if w else S.params.f3 * z ** 3
     img = (x * w, y, f_hom, w ** 3)
     pt = _canonical_p3(img)
     if cubic_value(S, pt) != 0:
@@ -459,17 +517,16 @@ def fiber_line_cubic(E: FiberCurve, line) -> RefPoly:
     if line[1] == 0:
         raise ValueError("vertical line has no eliminated cubic")
     L = math.lcm(*(v.denominator for v in line))
-    curve = elliptic._curve_ints(E)
-    return RefPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], curve),
-                   L * L * curve[1] * curve[3])
+    return RefPoly(line_cubic_ints([v.numerator * (L // v.denominator) for v in line], E),
+                   L * L * E.A[1] * E.B[1])
 
 
 def fiber_line(S: Surface, E: FiberCurve, Q: ECPoint, t):
     """(α, β, γ·f(t) + δ): the tangent plane at the point Q of the fiber E,
     taken at (x, y, f(E.t), 1), restricted to the fiber t as the line
     αx + βy + c0 = 0, in Fractions."""
-    al, be, ga, de = tangent_plane(S, (Q.x, Q.y, S.f(E.t), Fraction(1)))
-    return Fraction(al), Fraction(be), ga * S.f(Fraction(t)) + de
+    al, be, ga, de = plane_at(S, (*xy(Q), value(S.f, frac(E.t)), 1))
+    return Fraction(al), Fraction(be), ga * value(S.f, t) + de
 
 
 # -- transversality of a tangent section ---------------------------------
@@ -490,17 +547,17 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
     tangent section at R, via the squarefree degree of the eliminated cubic."""
     if R.w == 0 or P.w == 0:
         raise ValueError("transversality check needs w != 0 for both points")
-    E = S.fiber_at(P.t())
+    E, _ = S.fiber_point(P)
     if E.is_singular():
         raise ValueError("fiber of P is singular")
-    a, b, c0 = fiber_line(S, *S.fiber_point(R), P.t())
+    a, b, c0 = fiber_line(S, *S.fiber_point(R), frac(E.t))
     if a == 0 and b == 0:
         if c0 == 0:
             raise DegenerateRestrictionError("plane restricts to zero on the fiber")
         return 1  # the section cuts 3·O
     if b == 0:
         x0 = -c0 / a
-        return 2 if E.rhs(x0) != 0 else 1
+        return 2 if rhs(E, x0) != 0 else 1
     return squarefree_part(fiber_line_cubic(E, (a, b, c0))).degree()
 
 
@@ -512,23 +569,23 @@ def cp_sweep_by_fractions(S: Surface, E0: FiberCurve, P: ECPoint, t_height_bound
     """Reference sweep: each fiber's line and cubic β²(x³ + Ax + B) − (αx + c0)²
     in Fractions, every root from ``poly.rational_roots``, y = −(αx + c0)/β,
     P itself left out and each point checked by ``on_curve``."""
-    p_t = E0.t
+    p_t = frac(E0.t)
     out = []
-    for t in bounded_height_rationals(t_height_bound):
+    for t in map(frac, bounded_height_rationals(t_height_bound)):
         a, b, c0 = fiber_line(S, E0, P, t)
-        E = S.fiber_at(t)
+        E = fiber(S, t)
         found = []
         if b != 0:
-            cub = RefPoly((E.B, E.A, 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
+            cub = RefPoly((frac(E.B), frac(E.A), 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
             for x, _mult in poly.rational_roots(cub):
-                found.append(ECPoint(x, -(a * x + c0) / b))
+                found.append(point(x, -(a * x + c0) / b))
         elif a != 0:
             x = -c0 / a
-            root = is_square(E.rhs(x))
+            root = is_square(rhs(E, x))
             if root is not None:
-                found.append(ECPoint(x, root))
+                found.append(point(x, root))
                 if root != 0:
-                    found.append(ECPoint(x, -root))
+                    found.append(point(x, -root))
         else:
             continue
         for Q in found:
@@ -545,9 +602,9 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
     = 0 with k = y0² − x0³, in increasing order, and for each the roots of
     f − u from ``poly.rational_roots``, t0 left out."""
     p = S.params
-    x0, y0 = Q.x, Q.y
+    x0, y0 = xy(Q)
     k = y0 * y0 - x0 ** 3
-    u0 = S.f(t0)
+    u0 = value(S.f, t0)
     u_quad = RefPoly((p.b * x0 + p.e - k, p.a * x0 + p.d, p.c))
     if u_quad(u0) != 0:
         raise InvariantError(f"the u-value {u0} of fiber t={t0} does not solve the hop equation")
@@ -559,7 +616,7 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
         for t, _mult in poly.rational_roots(RefPoly.of(S.f) - RefPoly.constant(u)):
             if t == t0:
                 continue
-            E = S.fiber_at(t)
+            E = fiber(S, t)
             if not on_curve(E, Q):
                 raise InvariantError(f"hopped point {Q} fails the fiber t={t}")
             out.append((E, Q))
@@ -587,13 +644,13 @@ def fraction_oracle(S: Surface, x_num: int, x_den: int, t_num: int, t_den: int):
     arithmetic, tested by is_square."""
     out = []
     for t in box_rationals(t_num, t_den):
-        E = S.fiber_at(t)
+        E = fiber(S, t)
         for x in box_rationals(x_num, x_den):
-            root = is_square(E.rhs(x))
+            root = is_square(rhs(E, x))
             if root is not None:
-                out.append((t, ECPoint(x, root)))
+                out.append((pair(t), point(x, root)))
                 if root != 0:
-                    out.append((t, ECPoint(x, -root)))
+                    out.append((pair(t), point(x, -root)))
     return out
 
 
@@ -817,7 +874,7 @@ def surface_through(rng: random.Random, height: int = 4):
         e = y0 * y0 - x0 ** 3 - (a * u0 + b) * x0 - c * u0 ** 2 - d * u0
         params = SurfaceParams(a, b, c, d, e, f0, f1, f2, f3)
         S = Surface(params)
-        P = WPoint.from_affine(t0, x0, y0)
+        P = WPoint.from_affine(pair(t0), pair(x0), pair(y0))
         if not S.membership(P):
             continue
         return S, P

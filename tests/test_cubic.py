@@ -21,13 +21,19 @@ from conftest import (
     cubic_value_and_gradient_sympy,
     fiber_line,
     fiber_line_cubic,
+    affine,
+    curve,
     mul,
     normal_form_by_sympy,
     normal_form_residue,
     random_smooth_surface,
+    pair,
+    plane_at,
+    point,
     surface_through,
     theta,
     transversality_check,
+    value,
 )
 from dp1 import elliptic
 from dp1.cli import main
@@ -39,7 +45,6 @@ from dp1.cubic import (
     tangent_point,
     verify_normal_form,
 )
-from dp1.elliptic import ECPoint, FiberCurve
 from dp1.rational import InvariantError
 from dp1.surface import Surface, SurfaceParams, WPoint, smoothness_check
 
@@ -79,14 +84,14 @@ def test_theta_lands_on_cubic_random():
 
 
 def test_tangent_plane_worked(worked_surface, worked_seed):
-    plane = tangent_plane(worked_surface, theta(worked_surface, worked_seed))
+    plane = plane_at(worked_surface, theta(worked_surface, worked_seed))
     assert plane == (3, -2, 0, 5)
     assert 3 * (-1) - 2 * 1 + 0 + 5 * 1 == 0
 
 
 def test_tangent_plane_at_base_point(worked_surface):
     # the gradient at [0:1:0:0] has last component −1 (scaled): nonzero
-    plane = tangent_plane(worked_surface, theta(worked_surface, WPoint(1, 1, 0, 0)))
+    plane = plane_at(worked_surface, theta(worked_surface, WPoint(1, 1, 0, 0)))
     assert plane[3] != 0
 
 
@@ -95,7 +100,7 @@ def test_euler_relation_random():
     for _ in range(10):
         S, P = surface_through(rng)
         pt = [Fraction(v) for v in theta(S, P)]
-        plane = tangent_plane(S, pt)
+        plane = plane_at(S, pt)
         assert sum(c * v for c, v in zip(plane, pt)) == 0
 
 
@@ -108,11 +113,11 @@ def test_affine_tangent_plane_matches_canonical_theta(seed, lam):
     # the plane at (x, y, f(t), 1) is the plane at the canonical θ(P), and
     # does not depend on the representative of the point
     S, P = surface_through(random.Random(seed))
-    t, (x, y) = P.t(), P.affine_xy()
-    X = (x, y, S.f(t), Fraction(1))
-    plane = tangent_plane(S, X)
-    assert plane == tangent_plane(S, theta(S, WPoint.from_affine(t, x, y)))
-    assert plane == tangent_plane(S, [lam * v for v in X])
+    t, x, y = affine(P)
+    X = (x, y, value(S.f, t), Fraction(1))
+    plane = plane_at(S, X)
+    assert plane == plane_at(S, theta(S, WPoint.from_affine(*P.affine())))
+    assert plane == plane_at(S, [lam * v for v in X])
 
 
 # differential tests: the written-out F_W and ∇F_W against sympy's F_W and
@@ -151,7 +156,7 @@ def test_closed_form_cubic_matches_multipoly_on_w(seed, lam, at_infinity):
 @settings(max_examples=150, deadline=None)
 @given(wide_rat, wide_rat, wide_rat, nonzero_rat, wide_rat)
 def test_fiber_line_cubic_matches_unipoly_expression(A, B, a, b, c0):
-    E = FiberCurve(Fraction(0), A, B)
+    E = curve(0, A, B)
     expected = RefPoly((B, A, 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
     cub = fiber_line_cubic(E, (a, b, c0))
     assert cub == expected and cub.degree() == 3
@@ -159,7 +164,7 @@ def test_fiber_line_cubic_matches_unipoly_expression(A, B, a, b, c0):
 
 def test_tangent_plane_rejects_point_off_cubic(worked_surface):
     with pytest.raises(ValueError):
-        tangent_plane(worked_surface, (1, 1, 1, 1))
+        plane_at(worked_surface, (1, 1, 1, 1))
 
 
 def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
@@ -167,26 +172,26 @@ def test_pullback_and_restriction(worked_surface, worked_seed, worked_section):
     assert fiber_line(S, E, P, Fraction(-1)) == (3, -2, 5)
     assert fiber_line(S, E, P, Fraction(0)) == (3, -2, 5)
     pt = theta(worked_surface, worked_seed)
-    plane = tangent_plane(S, (P.x, P.y, S.f(E.t), Fraction(1)))
+    plane = tangent_plane(S, (P.x, P.y, S.f.value_ints(*E.t), (1, 1)))
     assert sum(c * v for c, v in zip(plane, pt)) == 0
 
 
 def test_restricted_cubic_worked(worked_surface, worked_seed):
-    E = worked_surface.fiber_at(Fraction(-1))
+    E = worked_surface.fiber_at((-1, 1))
     cub = fiber_line_cubic(E, (Fraction(3), Fraction(-2), Fraction(5)))
     assert cub == RefPoly((-17, -30, -9, 4))
 
 
 def test_tangent_point_worked(worked_section):
     t, Q = tangent_point(*worked_section)
-    assert t == Fraction(-1)
-    assert (Q.x, Q.y) == (Fraction(17, 4), Fraction(71, 8))
+    assert t == (-1, 1)
+    assert (Q.x, Q.y) == ((17, 4), (71, 8))
 
 
 def test_tangent_point_is_minus_double(worked_surface, worked_section):
     t, Q = tangent_point(*worked_section)
     E = worked_surface.fiber_at(t)
-    assert Q == elliptic.neg(mul(E, 2, ECPoint(Fraction(-1), Fraction(1))))
+    assert Q == elliptic.neg(mul(E, 2, point(-1, 1)))
 
 
 def test_tangent_point_raises_when_routes_disagree(worked_section, monkeypatch):
@@ -236,7 +241,7 @@ def test_tangent_point_raises_when_routes_disagree_under_O():
 def test_tangent_point_rejects_two_torsion():
     # y0 = 0 seed: solve for a surface containing (x0, 0) on fiber 0
     S = Surface(SurfaceParams(0, 0, 1, 2, -8, 0, 0, 0, 1))  # B(0) = e = -8... x=2,y=0
-    P = WPoint.from_affine(Fraction(0), Fraction(2), Fraction(0))
+    P = WPoint.from_affine((0, 1), (2, 1), (0, 1))
     assert S.membership(P)
     with pytest.raises(TwoTorsionSeedError):
         tangent_point(S, *S.fiber_point(P))
@@ -247,11 +252,8 @@ def test_tangent_point_random_pairs():
     checked = 0
     while checked < 10:
         S, P = surface_through(rng)
-        E = S.fiber_at(P.t())
-        if E.is_singular():
-            continue
-        x0, y0 = P.affine_xy()
-        if y0 == 0:
+        E, P0 = S.fiber_point(P)
+        if E.is_singular() or P0.y[0] == 0:
             continue
         t, Q = tangent_point(S, *S.fiber_point(P))  # internal cross-checks assert the identity
         assert elliptic.on_curve(E, Q)
@@ -265,7 +267,7 @@ def test_classification_regimes(worked_surface):
     assert rep["locus"] == "[0:±1:1:0]"
     for X in ((0, 1, 1, 0), (0, -1, 1, 0)):
         with pytest.raises(SingularImageError):
-            tangent_plane(worked_surface, X)
+            plane_at(worked_surface, X)
     assert rep["identity_verified"]
 
     rep = classify_singularities(Surface(SurfaceParams(1, 1, 0, 1, 1, 0, 0, 0, 1)))
@@ -294,7 +296,7 @@ def test_classified_locus_misses_a_singular_point_of_the_t_chart(tmp_path, capsy
         "identity_verified": True,
     }
     with pytest.raises(SingularImageError, match=r"\[0:0:-1:1\] is a singular point of W"):
-        tangent_plane(S, (0, 0, -1, 1))
+        plane_at(S, (0, 0, -1, 1))
     assert smoothness_check(S) == "singular"
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(params.to_json()))
@@ -399,7 +401,7 @@ def test_transversality_generic_hits_three(worked_surface, worked_seed):
 
 def test_transversality_degree_three_generic(worked_surface, worked_seed):
     # β ≠ 0 restriction eliminates to an exact cubic
-    E = worked_surface.fiber_at(Fraction(-1))
+    E = worked_surface.fiber_at((-1, 1))
     cub = fiber_line_cubic(E, (Fraction(3), Fraction(-2), Fraction(5)))
     assert cub.degree() == 3
 
@@ -421,8 +423,8 @@ def test_tangent_plane_matches_fraction_gradient(seed, mu, where):
     rng = random.Random(seed)
     S, P = surface_through(rng)
     if where == "affine":
-        t, (x, y) = P.t(), P.affine_xy()
-        X = [x, y, S.f(t), Fraction(1)]
+        t, x, y = affine(P)
+        X = [x, y, value(S.f, t), Fraction(1)]
     elif where == "theta":
         X = [Fraction(v) for v in theta(S, P)]
     else:
@@ -432,18 +434,20 @@ def test_tangent_plane_matches_fraction_gradient(seed, mu, where):
     grads = cubic_gradient(S, X)
     if not any(grads):
         with pytest.raises(SingularImageError):
-            tangent_plane(S, X)
+            plane_at(S, X)
         return
-    plane = tangent_plane(S, X)
+    plane = plane_at(S, X)
     assert plane == plane_by_fractions(S, X)
     assert all(type(v) is int for v in plane)
-    assert plane == tangent_plane(S, [-v for v in X])
+    assert plane == plane_at(S, [-v for v in X])
+    # the coordinates need not be in lowest terms
+    assert plane == tangent_plane(S, [(3 * n, 3 * d) for n, d in map(pair, X)])
 
 
 def test_tangent_plane_refusals_keep_their_text():
     # c = 4: [0:±2:1:0] are the singular points of W; (1, 1, 1, 1) is off W
     S = Surface(SurfaceParams(0, 0, 4, 0, 1, 0, 0, 0, 1))
     with pytest.raises(SingularImageError, match=r"^\[0:-2:1:0\] is a singular point of W$"):
-        tangent_plane(S, (0, -2, 1, 0))
+        plane_at(S, (0, -2, 1, 0))
     with pytest.raises(ValueError, match=r"^\[1:1/2:1:1\] is not on the cubic model W$"):
-        tangent_plane(S, (1, Fraction(1, 2), 1, 1))
+        plane_at(S, (1, Fraction(1, 2), 1, 1))

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul, off_curve_after
+from conftest import curve, frac, mul, off_curve_after, pair, point, rhs, xy
 from dp1 import elliptic, poly
 from dp1.elliptic import (
-    ECPoint,
-    FiberCurve,
     O,
     OffCurveError,
     SingularFiberError,
@@ -23,8 +21,8 @@ from dp1.elliptic import (
 )
 from dp1.rational import InvariantError
 
-E2 = FiberCurve(Fraction(-1), Fraction(0), Fraction(2))   # y² = x³ + 2
-E4 = FiberCurve(Fraction(0), Fraction(0), Fraction(4))    # y² = x³ + 4
+E2 = curve(-1, 0, 2)   # y² = x³ + 2
+E4 = curve(0, 0, 4)    # y² = x³ + 4
 
 
 small_rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -37,57 +35,57 @@ def test_is_singular_matches_fraction_discriminant(A, B, k, singular):
     # singular as y² = (x − k)²(x + 2k), A = −3k², B = 2k³, and on others
     if singular:
         A, B = -3 * k * k, 2 * k ** 3
-    E = FiberCurve(Fraction(0), A, B)
+    E = curve(0, A, B)
     assert E.is_singular() == (4 * A ** 3 + 27 * B ** 2 == 0)
     assert E.is_singular() or not singular
 
 
 def test_identity():
-    P = ECPoint(Fraction(-1), Fraction(1))
+    P = point(-1, 1)
     assert add(E2, P, O) == P
     assert add(E2, O, P) == P
     assert multiples(E2, O, 3) == [O] * 3
 
 
 def test_doubling_worked_example():
-    P = ECPoint(Fraction(-1), Fraction(1))
+    P = point(-1, 1)
     D = add(E2, P, P)
-    assert D == ECPoint(Fraction(17, 4), Fraction(-71, 8))
+    assert D == point(Fraction(17, 4), Fraction(-71, 8))
     assert on_curve(E2, D)
 
 
 def test_order_three_point():
-    P = ECPoint(Fraction(0), Fraction(2))
-    assert add(E4, P, P) == ECPoint(Fraction(0), Fraction(-2))
+    P = point(0, 2)
+    assert add(E4, P, P) == point(0, -2)
     assert mul(E4, 3, P) == O
 
 
 def test_negative_multiple():
-    P = ECPoint(Fraction(-1), Fraction(1))
-    assert mul(E2, -2, P) == ECPoint(Fraction(17, 4), Fraction(71, 8))
+    P = point(-1, 1)
+    assert mul(E2, -2, P) == point(Fraction(17, 4), Fraction(71, 8))
     assert mul(E2, 1, P) == P
 
 
 def test_off_curve_rejected():
     with pytest.raises(OffCurveError):
-        add(E2, ECPoint(Fraction(0), Fraction(1)), O)
+        add(E2, point(0, 1), O)
 
 
 def test_torsion_status_examples():
     assert torsion_status(E4, O) == 1
-    assert torsion_status(E4, ECPoint(Fraction(0), Fraction(2))) == 3
-    assert torsion_status(E2, ECPoint(Fraction(-1), Fraction(1))) is None
+    assert torsion_status(E4, point(0, 2)) == 3
+    assert torsion_status(E2, point(-1, 1)) is None
 
 
 def test_torsion_status_stable_under_negation():
-    P = ECPoint(Fraction(0), Fraction(2))
+    P = point(0, 2)
     assert torsion_status(E4, P) == torsion_status(E4, neg(P))
-    Q = ECPoint(Fraction(-1), Fraction(1))
+    Q = point(-1, 1)
     assert torsion_status(E2, Q) == torsion_status(E2, neg(Q))
 
 
 def test_torsion_on_singular_fiber_rejected():
-    E = FiberCurve(Fraction(0), Fraction(0), Fraction(0))
+    E = curve(0, 0, 0)
     with pytest.raises(SingularFiberError):
         torsion_status(E, O)
 
@@ -99,9 +97,9 @@ def _random_curve_with_point(rng):
         y0 = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         A = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         B = y0 * y0 - x0 ** 3 - A * x0
-        E = FiberCurve(Fraction(0), A, B)
+        E = curve(0, A, B)
         if not E.is_singular():
-            return E, ECPoint(x0, y0)
+            return E, point(x0, y0)
 
 
 def test_group_axioms_random():
@@ -145,14 +143,15 @@ def fraction_chord(E, P, Q):
         return Q
     if Q.is_infinity:
         return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
+    (x1, y1), (x2, y2) = xy(P), xy(Q)
+    if x1 == x2:
+        if y1 == -y2:
             return O
-        lam = (3 * P.x * P.x + E.A) / (2 * P.y)
+        lam = (3 * x1 * x1 + frac(E.A)) / (2 * y1)
     else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    return ECPoint(x3, lam * (P.x - x3) - P.y)
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return point(x3, lam * (x1 - x3) - y1)
 
 
 def fraction_walk(E, P, n):
@@ -171,10 +170,10 @@ coord = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 @given(coord, coord, coord, st.integers(1, 14))
 def test_multiples_match_checked_walk(x0, y0, A, n):
     # B is solved so that (x0, y0) lies on the curve
-    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
+    E = curve(0, A, y0 * y0 - x0 ** 3 - A * x0)
     if E.is_singular():
         return
-    P = ECPoint(x0, y0)
+    P = point(x0, y0)
     assert multiples(E, P, n) == checked_walk(E, P, n) == fraction_walk(E, P, n)
 
 
@@ -187,14 +186,14 @@ def test_group_law_certifies_what_it_makes(monkeypatch, make):
     # off the curve must be caught by the function that took it
     monkeypatch.setattr(elliptic, "_chord_step", off_curve_after(elliptic._chord_step))
     with pytest.raises(InvariantError, match=r"is not on the fiber t=-1$"):
-        make(ECPoint(Fraction(-1), Fraction(1)))
+        make(point(-1, 1))
 
 
 def test_multiples_reject_off_curve_start():
     with pytest.raises(OffCurveError, match=r"^\(0, 1\) is not an affine point of the fiber t=-1$"):
-        multiples(E2, ECPoint(Fraction(0), Fraction(1)), 5)
+        multiples(E2, point(0, 1), 5)
     with pytest.raises(ValueError):
-        multiples(E2, ECPoint(Fraction(-1), Fraction(1)), 0)
+        multiples(E2, point(-1, 1), 0)
 
 
 # (A, B, x, y, order).  Orders 4-12: Kubert's Tate normal forms
@@ -216,8 +215,8 @@ KNOWN_TORSION = [
 
 @pytest.mark.parametrize("A, B, x, y, order", KNOWN_TORSION)
 def test_torsion_status_known_orders(A, B, x, y, order):
-    E = FiberCurve(Fraction(0), Fraction(A), Fraction(B))
-    P = ECPoint(Fraction(x), Fraction(y))
+    E = curve(0, Fraction(A), Fraction(B))
+    P = point(Fraction(x), Fraction(y))
     walk = checked_walk(E, P, order)
     assert walk[-1] == O and O not in walk[:-1]
     # the walk goes on past O: [order + k]P = [k]P, as in the Fraction walk
@@ -240,10 +239,10 @@ CERTIFICATE_PRIMES = (13, 17, 101, elliptic.REDUCTION_PRIME)
 @given(coord, coord, coord, st.sampled_from(CERTIFICATE_PRIMES))
 def test_torsion_status_matches_walk(x0, y0, A, p):
     # differential test: the certificate mod p against the exact walk
-    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
+    E = curve(0, A, y0 * y0 - x0 ** 3 - A * x0)
     if E.is_singular():
         return
-    for P in (ECPoint(x0, y0), ECPoint(x0, -y0)):
+    for P in (point(x0, y0), point(x0, -y0)):
         order = walk_order(multiples(E, P, 12))
         assert torsion_status(E, P) == order
         if elliptic._nontorsion_mod(E, P, p):
@@ -253,13 +252,13 @@ def test_torsion_status_matches_walk(x0, y0, A, p):
 # (curve, point, prime) at which reduction certifies nothing
 FALLBACKS = {
     "O": (E2, O, elliptic.REDUCTION_PRIME),
-    "p | den A": (FiberCurve(Fraction(0), Fraction(1, 13), Fraction(1)),
-                  ECPoint(Fraction(0), Fraction(1)), 13),
+    "p | den A": (curve(0, Fraction(1, 13), 1),
+                  point(0, 1), 13),
     # [4](−1, 1) has x = 66113/80656, and 80656 = 2⁴·71²
-    "p | den x": (E2, multiples(E2, ECPoint(Fraction(-1), Fraction(1)), 4)[3], 71),
+    "p | den x": (E2, multiples(E2, point(-1, 1), 4)[3], 71),
     # 4A³ + 27B² = 23, and mod 23 no [n]P̃ with n ≤ 12 is Õ
-    "p | disc": (FiberCurve(Fraction(0), Fraction(-1), Fraction(1)),
-                 ECPoint(Fraction(0), Fraction(1)), 23),
+    "p | disc": (curve(0, -1, 1),
+                 point(0, 1), 23),
 }
 
 
@@ -275,7 +274,7 @@ def test_torsion_status_falls_back_to_the_walk(monkeypatch, case):
 
 
 def test_torsion_status_certifies_without_the_walk(monkeypatch):
-    P = ECPoint(Fraction(-1), Fraction(1))
+    P = point(-1, 1)
     monkeypatch.setattr(elliptic, "multiples", None)  # any walk would raise
     assert torsion_status(E2, P) is None
     assert torsion_status(E2, neg(P)) is None
@@ -293,25 +292,25 @@ def test_on_curve_matches_fraction_equation(A, B, x, y, kind, eps_den):
         B = y * y - x ** 3 - A * x
     if kind == "near":
         B += Fraction(1, eps_den)
-    E, P = FiberCurve(Fraction(0), A, B), ECPoint(x, y)
-    assert on_curve(E, P) == (P.y * P.y == E.rhs(P.x))
+    E, P = curve(0, A, B), point(x, y)
+    assert on_curve(E, P) == (y * y == rhs(E, x))
     if kind != "random":
         assert on_curve(E, P) == (kind == "on")
 
 
 def test_on_curve_on_walks_and_their_negatives():
-    seeds = ((E2, ECPoint(Fraction(-1), Fraction(1))), (E4, ECPoint(Fraction(0), Fraction(2))))
+    seeds = ((E2, point(-1, 1)), (E4, point(0, 2)))
     for E, P in seeds:
         for R in multiples(E, P, 12):
             assert on_curve(E, R) and on_curve(E, neg(R))
             if not R.is_infinity:
-                assert not on_curve(E, ECPoint(R.x, R.y + 1))
+                assert not on_curve(E, point(frac(R.x), frac(R.y) + 1))
 
 
 # differential test: the integer chord step against the Fraction chord it
 # replaces
 def assert_lowest_terms(R):
-    xn, xd, yn, yd = R
+    (xn, xd), (yn, yd) = R
     assert xd > 0 and yd > 0
     assert math.gcd(xn, xd) == 1 and math.gcd(yn, yd) == 1
 
@@ -325,17 +324,15 @@ def test_chord_step_matches_fraction_chord(x0, y0, x1, y1, A, kind):
         if x1 == x0:
             return
         A = (y1 * y1 - x1 ** 3 - y0 * y0 + x0 ** 3) / (x1 - x0)
-    E = FiberCurve(Fraction(0), A, y0 * y0 - x0 ** 3 - A * x0)
-    P = ECPoint(x0, y0)
-    Q = {"chord": ECPoint(x1, y1), "double": P, "negation": neg(P)}[kind]
+    E = curve(0, A, y0 * y0 - x0 ** 3 - A * x0)
+    P = point(x0, y0)
+    Q = {"chord": point(x1, y1), "double": P, "negation": neg(P)}[kind]
     assert on_curve(E, P) and on_curve(E, Q)
     expected = fraction_chord(E, P, Q)
-    R = elliptic._chord_step(*A.as_integer_ratio(), elliptic._ints(P), elliptic._ints(Q))
-    if expected.is_infinity:
-        assert R is None
-    else:
+    R = elliptic._chord_step(pair(A), P, Q)
+    if not expected.is_infinity:
         assert_lowest_terms(R)
-        assert R == expected.x.as_integer_ratio() + expected.y.as_integer_ratio()
+    assert R == expected
     assert add(E, P, Q) == expected
 
 
@@ -347,5 +344,23 @@ def test_reduction_prime_is_the_one_of_int_gcd_and_torsion_status(monkeypatch):
     primes = []
     real = elliptic._nontorsion_mod
     monkeypatch.setattr(elliptic, "_nontorsion_mod", lambda E, P, q: primes.append(q) or real(E, P, q))
-    assert torsion_status(E2, ECPoint(Fraction(-1), Fraction(1))) is None
+    assert torsion_status(E2, point(-1, 1)) is None
     assert primes == [p]
+
+
+@pytest.mark.parametrize("x, y, t", [
+    (Fraction(-17, 4), Fraction(-71, 8), Fraction(-3, 2)),
+    (Fraction(5), Fraction(-3), Fraction(7)),
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(-1), Fraction(1, 9), Fraction(-1)),
+])
+def test_point_and_fiber_texts_match_fraction_text(x, y, t):
+    # a point prints as the Fractions of its coordinates did, and so does
+    # the fiber's t in the off-curve refusal
+    P = point(x, y)
+    assert repr(P) == str(P) == f"({x}, {y})"
+    E = curve(t, 1, y * y - x ** 3 - x + 1)  # x³ + x + B = y² + 1: P is off E
+    with pytest.raises(OffCurveError) as caught:
+        add(E, P, O)
+    assert str(caught.value) == f"({x}, {y}) is not an affine point of the fiber t={t}"
+    assert repr(O) == "O"

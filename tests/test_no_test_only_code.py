@@ -12,7 +12,11 @@ The second check is by trace, and also sees dunder methods and what operators
 reach: the commands of ``tests/test_cli.py`` run under ``sys.settrace`` in a
 fresh interpreter, and every function of the package, nested ones and dunders
 included, must be entered, at import or by a command.  Class bodies and
-module-level code are no functions.  Both checks need only pytest.
+module-level code are no functions.
+
+A third check, by name again, finds no module of the package reading another
+module's private name (``_name``): what one module uses of another is
+public.  All three checks need only pytest.
 """
 
 import ast
@@ -142,6 +146,79 @@ def test_guard_sees_every_unused_definition():
         "first.coroutine", "first.getcwd", "first.imported_only", "first.join",
         "first.recursive", "second.note",
     ]
+
+
+def package_modules(tree: ast.Module, package: set) -> dict:
+    """Name -> package module, for each name that an import of the tree binds
+    to a module of the package: ``from . import m``, ``from dp1 import m``
+    and ``import dp1.m as n``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.module and node.level == 1 \
+                or isinstance(node, ast.ImportFrom) and node.module == "dp1":
+            for alias in node.names:
+                if alias.name in package:
+                    bound[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.removeprefix("dp1.")
+                if alias.asname and module in package:
+                    bound[alias.asname] = module
+    return bound
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(trees: dict) -> list:
+    """"module: other._name" for each read of another package module's
+    private name (one starting with a single underscore), as an attribute of
+    a name bound to that module or through ``from .other import _name``."""
+    found = []
+    for module, tree in trees.items():
+        bound = package_modules(tree, set(trees))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "dp1"
+                                                     or (node.module or "").startswith("dp1.")):
+                other = (node.module or "").removeprefix("dp1.")
+                found += [f"{module}: {other}.{alias.name}"
+                          for alias in node.names if is_private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and is_private(node.attr)):
+                found.append(f"{module}: {bound[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_package_reads_no_private_name_of_another_module():
+    assert private_reads(package_trees()) == []
+
+
+def test_guard_sees_every_private_read():
+    first = (
+        "import os\n"
+        "def _helper():\n"
+        "    return os._exit, _helper\n"
+        "class Public:\n"
+        "    def __init__(self):\n"
+        "        self._own = __name__\n"
+    )
+    second = (
+        "from . import first, third as t\n"
+        "from .first import _helper, Public\n"
+        "from dp1.third import _other\n"
+        "import dp1.first as f\n"
+        "import os\n"
+        "VALUE = first._helper(), t._hidden, f._helper, first.Public, first.__name__\n"
+        "OTHER = os._exit, Public()._own, first.Public._attr\n"
+    )
+    third = "from .first import Public\n"
+    trees = {"first": ast.parse(first), "second": ast.parse(second), "third": ast.parse(third)}
+    assert private_reads(trees) == [
+        "second: first._helper", "second: first._helper", "second: first._helper",
+        "second: third._hidden", "second: third._other",
+    ]
+    assert private_reads({"first": ast.parse(first), "third": ast.parse(third)}) == []
 
 
 def tracer_targets() -> set:

@@ -452,6 +452,19 @@ def test_int_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
     assert rational_roots(UniPoly(cs)) == [(Fraction(p, q), m) for p, q, m in expected]
 
 
+def test_int_roots_lifts_nothing_without_residue_roots(monkeypatch):
+    # x² − 2 and x² + x + 1 have no root mod 5, and x³ − 2 (a root mod 5)
+    # none mod 7: each is decided with no lift; a root at 0 is kept
+    def refuse(*args):
+        raise AssertionError("int_roots looked for roots to lift")
+
+    monkeypatch.setattr(poly, "_simple_roots_mod", refuse)
+    assert int_roots([-2, 0, 1]) == int_roots([1, 1, 1]) == int_roots([-2, 0, 0, 1]) == []
+    assert int_roots([0, 0, -2, 0, 1]) == [(0, 1, 2)]
+    assert int_roots([0, 5, 0, 0, 7 * 13 ** 3]) == [(0, 1, 1)]
+    assert poly.SIEVE_PRIMES == (5, 7, 11, 13, 17, 19, 23)
+
+
 def test_int_roots_refuses_zero():
     with pytest.raises(ValueError, match="zero polynomial"):
         int_roots([])

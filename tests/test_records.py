@@ -13,14 +13,14 @@ from dp1.surface import SurfaceParams, WPoint
 
 F = Fraction
 PARAMS = SurfaceParams(*(F(v) for v in (0, 0, 1, 0, 0, 1, 0, 0, 1)))
-POINT = ECPoint(F(1, 2), F(-3))
+POINT = ECPoint((1, 2), (-3, 1))
 
 RECORDS = [
-    FiberCurve(F(1, 2), F(0), F(-3)),
+    FiberCurve((1, 2), (0, 1), (-3, 1)),
     POINT,
     HypothesisReport(True, True, False, True, True),
     GenerationConfig(3, 4, 2, 10, 64),
-    PointRecord(F(2), POINT, "seed"),
+    PointRecord((2, 1), POINT, "seed"),
     PARAMS,
     WPoint(1, -2, 3, 4),
 ]
@@ -44,7 +44,7 @@ def test_record_never_equals_a_plain_tuple(rec):
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
-    x, y = F(1, 2), F(-3)
+    x, y = (1, 2), (-3, 1)
     assert ECPoint(x, y) != (x, y)
     # equal as plain tuples, since True == 1
     assert HypothesisReport(*[True] * 5) != GenerationConfig(*[1] * 5)
@@ -78,9 +78,7 @@ def test_repr_and_str_kept():
         "GenerationConfig(t_height_bound=10, multiple_bound=10, depth=1, max_points=500, "
         "bit_cap=4096)"
     )
-    assert repr(FiberCurve(F(1, 2), F(0), F(-3))) == (
-        "FiberCurve(t=Fraction(1, 2), A=Fraction(0, 1), B=Fraction(-3, 1))"
-    )
+    assert repr(FiberCurve((1, 2), (0, 1), (-3, 1))) == "FiberCurve(t=(1, 2), A=(0, 1), B=(-3, 1))"
 
 
 def test_surface_params_coerce_to_fraction():
@@ -118,8 +116,8 @@ def test_generation_config_refuses_each_bad_bound(bad, message):
 
 def test_generation_report_starts_empty_each_time():
     first, second = GenerationReport(), GenerationReport()
-    first.points.append(PointRecord(F(2), POINT, "seed"))
-    first.fibers[F(2)] = 1
+    first.points.append(PointRecord((2, 1), POINT, "seed"))
+    first.fibers[2, 1] = 1
     first.skipped.append("skipped")
     assert (second.points, second.fibers, second.skipped) == ([], {}, [])
     assert not second.all_verified and not second.truncated

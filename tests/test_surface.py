@@ -11,13 +11,18 @@ from sympy import nextprime
 
 from conftest import (
     RefPoly,
+    affine,
     canonicalize_by_factoring,
     chart_polys_by_refpoly,
     compose,
+    curve,
     derivative,
     discriminant_by_refpoly,
     f_poly,
+    fiber,
+    frac,
     from_fractions_by_factoring,
+    point,
     poly_divmod,
     random_params,
     random_smooth_surface,
@@ -26,10 +31,12 @@ from conftest import (
     squarefree_factorization_by_fractions,
     surface_through,
     time_limit,
+    value,
+    xy,
 )
 from dp1 import poly, surface
 from dp1.cli import main
-from dp1.elliptic import ECPoint, FiberCurve, multiples
+from dp1.elliptic import multiples
 from dp1.engine import GenerationConfig, check_hypotheses, generate
 from dp1.poly import UniPoly, gcd
 from dp1.rational import InvariantError, format_rational
@@ -89,7 +96,7 @@ def on_surface_by_forms(S: Surface, P: WPoint) -> bool:
     if z == 0 and w == 0:
         return y * y == x ** 3
     if w != 0:
-        A, B = S.A_t(z / w) * w ** 4, S.B_t(z / w) * w ** 6
+        A, B = value(S.A_t, z / w) * w ** 4, value(S.B_t, z / w) * w ** 6
     else:
         A_s, B_s = s_chart(S)
         A, B = A_s(w / z) * z ** 4, B_s(w / z) * z ** 6
@@ -264,23 +271,22 @@ def test_lift_of_generated_points_matches_factoring(seed, height, xyz):
         S, P = surface_through(rng, height=height)
     rep = generate(S, P, GenerationConfig(t_height_bound=2, multiple_bound=6, depth=2, bit_cap=512))
     for r in rep.points:
-        t, x, y = r.t, r.point.x, r.point.y
-        Q = WPoint.from_affine(t, x, y)
+        Q = WPoint.from_affine(r.t, r.point.x, r.point.y)
         if Q.w.bit_length() <= ORACLE_BITS:
-            assert Q == from_fractions_by_factoring(x, y, t, Fraction(1))
+            assert Q == from_fractions_by_factoring(*xy(r.point), frac(r.t), Fraction(1))
         lifts_back_unchanged(Q)
     # w = 0: c solved so that [x:y:z:0] lies on the surface, and the
     # multiples of (x/z², y/z³) on its fiber at infinity y² = x³ + c·f3²
     z, x, y = xyz
     c = Fraction(y * y - x ** 3) / (S.params.f3 ** 2 * z ** 6)
     S0 = Surface(replaced(S.params, c=c))
-    E = FiberCurve(Fraction(0), Fraction(0), c * S.params.f3 ** 2)
-    for R in multiples(E, ECPoint(Fraction(x, z * z), Fraction(y, z ** 3)), 4):
+    E = curve(0, 0, c * S.params.f3 ** 2)
+    for R in multiples(E, point(Fraction(x, z * z), Fraction(y, z ** 3)), 4):
         if R.is_infinity:
             continue
-        Q = WPoint.from_fractions(R.x, R.y, Fraction(1), Fraction(0))
+        Q = WPoint.from_fractions(*xy(R), Fraction(1), Fraction(0))
         if Q.z.bit_length() <= ORACLE_BITS:
-            assert Q == from_fractions_by_factoring(R.x, R.y, Fraction(1), Fraction(0))
+            assert Q == from_fractions_by_factoring(*xy(R), Fraction(1), Fraction(0))
         assert S0.membership(Q)
         lifts_back_unchanged(Q)
 
@@ -306,7 +312,7 @@ def test_parse_refuses_integers_past_the_digit_limit(text):
     # [W²:W³:1:W] that [1:1:1/W:1] lifts to, whose affine (t, x, y) is (1/W, 1, 1)
     with time_limit(5):
         P = WPoint.parse(text.format(2 * 10 ** 1433))
-        assert max(abs(P.y), P.affine_xy()[1].denominator) == 8 * 10 ** 4299
+        assert max(abs(P.y), P.affine()[2][1]) == 8 * 10 ** 4299
         with pytest.raises(ValueError, match="more than 4,300 digits"):
             WPoint.parse(text.format(3 * 10 ** 1433))
 
@@ -440,9 +446,9 @@ def test_canonicalize_is_right_or_refuses_on_squarefree_cofactor(coords):
 
 
 def test_wpoint_affine_roundtrip():
-    P = WPoint.from_affine(Fraction(7, 4), Fraction(-53, 16), Fraction(-79, 32))
-    assert P.t() == Fraction(7, 4)
-    assert P.affine_xy() == (Fraction(-53, 16), Fraction(-79, 32))
+    P = WPoint.from_affine((7, 4), (-53, 16), (-79, 32))
+    assert P.affine() == ((7, 4), (-53, 16), (-79, 32))
+    assert affine(P) == (Fraction(7, 4), Fraction(-53, 16), Fraction(-79, 32))
 
 
 def test_smoothness_worked(worked_surface, worked_surface_2):
@@ -988,7 +994,7 @@ def test_critical_value_poly_is_the_discriminant_of_f_minus_u(vals, f3):
     assert D == [int(c) for c in reversed(expected.all_coeffs())]
     # f's critical values are roots of D
     for root, _ in poly.rational_roots(derivative(f)):
-        assert poly._homogeneous_value(D, *f(root).as_integer_ratio()) == 0
+        assert poly.homogeneous_value(D, *f(root).as_integer_ratio()) == 0
 
 
 def chart_calls(monkeypatch, S: Surface, decide) -> list:
@@ -1100,7 +1106,7 @@ def test_modp_scan_inverts_two_denominators_and_builds_no_reversal(monkeypatch):
     calls = []
     monkeypatch.setattr(surface, "pow", lambda *args: calls.append(args) or pow(*args),
                         raising=False)
-    monkeypatch.setattr(surface, "_padded", refuse)
+    monkeypatch.setattr(surface, "padded", refuse)
     monkeypatch.setattr(surface, "_trimmed", refuse)
     assert [modp_singular_scan(S, 13) for S in surfaces] == expected
     assert len(calls) == 2 * len(params)
@@ -1124,12 +1130,12 @@ def test_cross_check_random_tuples():
 
 
 def test_fiber_at_worked(worked_surface, worked_surface_2):
-    E = worked_surface.fiber_at(Fraction(-1))
-    assert (E.A, E.B) == (0, 2)
-    assert worked_surface.fiber_at(Fraction(0)).B == 3
-    Ea = worked_surface_2.fiber_at(Fraction(1))
-    Eb = worked_surface_2.fiber_at(Fraction(-1))
-    assert (Ea.A, Ea.B) == (Eb.A, Eb.B) == (0, 3)
+    E = worked_surface.fiber_at((-1, 1))
+    assert (E.t, E.A, E.B) == ((-1, 1), (0, 1), (2, 1))
+    assert worked_surface.fiber_at((0, 1)).B == (3, 1)
+    Ea = worked_surface_2.fiber_at((1, 1))
+    Eb = worked_surface_2.fiber_at((-1, 1))
+    assert (Ea.A, Ea.B) == (Eb.A, Eb.B) == ((0, 1), (3, 1))
 
 
 def test_fiber_matches_composed_polynomials():
@@ -1138,10 +1144,10 @@ def test_fiber_matches_composed_polynomials():
         S = Surface(random_params(rng, height=4))
         for tnum in (-2, 0, 1, 3):
             t = Fraction(tnum, 2)
-            E = S.fiber_at(t)
-            u = S.f(t)
-            assert E.A == S.params.a * u + S.params.b
-            assert E.B == S.params.c * u * u + S.params.d * u + S.params.e
+            E = fiber(S, t)
+            u = value(S.f, t)
+            assert frac(E.A) == S.params.a * u + S.params.b
+            assert frac(E.B) == S.params.c * u * u + S.params.d * u + S.params.e
 
 
 surface_rat = st.one_of(
@@ -1159,7 +1165,7 @@ def test_chart_polynomials_match_composition(vals, f3, t):
     S = Surface(p)
     assert S.A_t == compose(RefPoly((p.b, p.a)), S.f)
     assert S.B_t == compose(RefPoly((p.e, p.d, p.c)), S.f)
-    assert S.fiber_at(t) == FiberCurve(t, S.A_t(t), S.B_t(t))
+    assert fiber(S, t) == curve(t, value(S.A_t, t), value(S.B_t, t))
 
 
 @settings(max_examples=200, deadline=None)
