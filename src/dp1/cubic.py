@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
 from .rational import InvariantError, Pair, format_pair, is_square, reduced
-from .surface import Surface, padded
+from .surface import Surface
 
 
 class SingularImageError(ValueError):
@@ -45,7 +45,7 @@ def tangent_plane(S: Surface, X: Sequence[Tuple[int, int]]) -> Tuple[int, int, i
     """
     L = math.lcm(*(d for _, d in X))
     x0, x1, x2, x3 = (n * (L // d) for n, d in X)
-    M, (b, a), (e, d, c) = S.ab_den, padded(S.alpha, 2), padded(S.beta, 3)
+    M, (b, a), (e, d, c) = S.ab_den, S.alpha, S.beta
     grads = (
         3 * M * x0 * x0 + (a * x2 + b * x3) * x3,
         -2 * M * x1 * x3,

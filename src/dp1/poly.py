@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .rational import InvariantError, reduced
 
@@ -257,49 +257,33 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _simple_roots_mod(g: Sequence[int], ell: int) -> Optional[List[int]]:
-    """The roots of g mod the prime ell, or None when one of them is multiple."""
-    gm = [c % ell for c in g]
-    dm = deriv(gm)
-    roots = []
-    for r in range(ell):
-        if eval_mod(gm, r, ell) == 0:
-            if eval_mod(dm, r, ell) == 0:
-                return None
-            roots.append(r)
-    return roots
-
-
 # the primes at which int_roots looks for a residue root before it lifts
 SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 
-def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """All rational roots p/q of the nonzero, trimmed integer polynomial cs, as
-    (p, q, multiplicity) with q > 0 and gcd(p, q) = 1, sorted by (p, q); by
-    p-adic lifting (Loos).
+def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
+    """The distinct rational roots p/q of the nonzero, trimmed integer
+    polynomial cs, as (p, q) with q > 0 and gcd(p, q) = 1, sorted; by p-adic
+    lifting (Loos).
 
     Powers of t give the root 0.  The rest is made a primitive polynomial of
     degree n with leading coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic:
     the rational roots of f are m/lc for the integer roots m of g, and
     |m| ≤ B = 1 + max|gᵢ|.  When g has no root mod one of SIEVE_PRIMES it
-    has no integer root, and f no rational root but 0.  Otherwise the roots
-    of g mod the first prime ℓ ≥ 5 at which all of them are simple are
-    Newton-lifted to a modulus past 2B; each symmetric residue is a
-    candidate, tested exactly by homogeneous Horner.
-    A multiple root mod the first prime makes g squarefree, once: a
-    squarefree g has a nonzero discriminant, so some prime has only simple
-    roots.  A root's multiplicity is found by repeated exact division by
-    q·x − p.
+    has no integer root, and f no rational root but 0.  Otherwise g's
+    squarefree part h, which has g's roots and leading coefficient ±1, has
+    a nonzero discriminant, so some prime ℓ ≥ 5 has only simple roots of h;
+    those of the first such ℓ are Newton-lifted to a modulus past 2B, each
+    carrying h′(r)⁻¹ (inv ← inv·(2 − h′(r)·inv) mod m²), so the one inverse
+    taken is mod ℓ.  Each symmetric residue is a candidate, tested exactly
+    by homogeneous Horner.
     """
     if not cs:
         raise ValueError("rational roots of the zero polynomial")
-    roots: List[Tuple[int, int, int]] = []
     k = 0
     while cs[k] == 0:
         k += 1
-    if k:
-        roots.append((0, 1, k))
+    roots = [(0, 1)] if k else []
     ics = _primitive(cs[k:])
     if len(ics) < 2:
         return roots
@@ -311,38 +295,29 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
         gm = [c % ell for c in g]
         if all(eval_mod(gm, r, ell) for r in range(ell)):
             return roots
-    bound = 1 + max(abs(c) for c in g[:-1])  # also bounds g's squarefree part's roots
-    primes = filter(is_prime, itertools.count(5))
-    ell = next(primes)
-    squarefree = False
-    while (found := _simple_roots_mod(g, ell)) is None:
-        if squarefree:
-            ell = next(primes)
-            continue
-        g = squarefree_split(g)[1]  # g is monic, so g[-1] = ±1 here
-        g = [-c for c in g] if g[-1] < 0 else g
-        squarefree = True
-    dg = deriv(g)
+    bound = 1 + max(abs(c) for c in g[:-1])
+    h = squarefree_split(g)[1]
+    dh = deriv(h)
+    for ell in filter(is_prime, itertools.count(5)):
+        hm, dm = [c % ell for c in h], [c % ell for c in dh]
+        found = [r for r in range(ell) if eval_mod(hm, r, ell) == 0]
+        if all(eval_mod(dm, r, ell) for r in found):
+            break
     for r in found:
-        m = ell
+        m, inv = ell, pow(eval_mod(dm, r, ell), -1, ell)
         while m <= 2 * bound:  # Newton: a simple root mod m is one mod m²
+            if m > ell:  # h′(r)⁻¹ mod m from the inverse mod √m
+                inv = inv * (2 - eval_mod(dh, r, m) * inv) % m
             m *= m
-            r = (r - eval_mod(g, r, m) * pow(eval_mod(dg, r, m), -1, m)) % m
-        if 2 * r > m:
-            r -= m
-        p, q = reduced(r, lc)
-        mult = 0
-        h = ics
-        while homogeneous_value(h, p, q) == 0:
-            h = int_exact_div(h, (-p, q))
-            mult += 1
-        if mult:
-            roots.append((p, q, mult))
+            r = (r - eval_mod(h, r, m) * inv) % m
+        p, q = reduced(r - m if 2 * r > m else r, lc)
+        if homogeneous_value(ics, p, q) == 0:
+            roots.append((p, q))
     roots.sort()
     return roots
 
 
-def rational_roots(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of f with multiplicities, sorted by (numerator,
-    denominator): ``int_roots`` on f's numerators."""
-    return [(Fraction(p, q), m) for p, q, m in int_roots(f.cs)]
+def rational_roots(f: UniPoly) -> List[Fraction]:
+    """The distinct rational roots of f, sorted by (numerator, denominator):
+    ``int_roots`` on f's numerators."""
+    return [Fraction(p, q) for p, q in int_roots(f.cs)]

@@ -264,8 +264,8 @@ def padded(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
 class Surface:
     """An immutable member of the family, with its chart polynomials.
 
-    alpha and beta are the integer numerators, over the one denominator
-    ab_den and with no trailing zero, of α = a·u + b and β = c·u² + d·u + e;
+    alpha = (r0, r1) and beta = (s0, s1, s2) are the integer numerators,
+    over the one denominator ab_den, of α = a·u + b and β = c·u² + d·u + e;
     params_den is the lcm of the nine parameter denominators.
     A_t = α(f) and B_t = β(f) are the Weierstrass coefficients
     as polynomials in t = z/w.  Their counterparts in the chart at infinity
@@ -288,8 +288,7 @@ class Surface:
         # the lcm of all nine parameter denominators
         self.params_den = math.lcm(m, n)
         r0, r1, s0, s1, s2 = (v.numerator * (m // v.denominator) for v in (p.b, p.a, p.e, p.d, p.c))
-        self.alpha = _trimmed((r0, r1))
-        self.beta = _trimmed((s0, s1, s2))
+        self.alpha, self.beta = (r0, r1), (s0, s1, s2)
         self.A_t = UniPoly((r0 * n + r1 * F0, r1 * F1, r1 * F2, r1 * F3), m * n)
         # F² = (F0², 2F0F1, F1² + 2F0F2, 2F0F3 + 2F1F2, F2² + 2F1F3, 2F2F3, F3²);
         # k = s1·n + 2·s2·F0 collects the terms of B's t¹..t³ coefficients in Fi
@@ -416,27 +415,27 @@ def _u_line_singular(S: Surface) -> bool:
     r = r0 + r1·u and s = s0 + s1·u + s2·u².  α has degree ≤ 1, so its root
     is rational when it has one.
     """
-    r, s = S.alpha, S.beta
-    (r0, r1), (s0, s1, s2), m27 = padded(r, 2), padded(s, 3), 27 * S.ab_den
+    (r0, r1), (s0, s1, s2), m27 = S.alpha, S.beta, 27 * S.ab_den
     delta = _trimmed((4 * r0 ** 3 + m27 * s0 * s0, 12 * r0 * r0 * r1 + 2 * m27 * s0 * s1,
                       12 * r0 * r1 * r1 + m27 * (s1 * s1 + 2 * s0 * s2),
                       4 * r1 ** 3 + 2 * m27 * s1 * s2, m27 * s2 * s2))
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
     D = _critical_value_poly(S.f.cs, S.f.den)
+    s = _trimmed(S.beta)  # the gcds take trimmed polynomials
     ds = poly.deriv(s)
-    if not r:  # A ≡ 0
+    if not (r0 or r1):  # A ≡ 0
         return len(poly.int_gcd(s, poly.int_mul(ds, D))) > 1
     gamma = _trimmed((2 * r0 * s1 - 3 * r1 * s0, 4 * r0 * s2 - r1 * s1, r1 * s2))
     common = poly.int_gcd(delta, poly.int_mul(gamma, D))
-    if len(r) == 1:  # α is a nonzero constant
+    if not r1:  # α is a nonzero constant
         return len(common) > 1
-    p, q = -r[0], r[1]
+    p, q = -r0, r1
 
     def at_root(cs) -> bool:
         return not cs or poly.homogeneous_value(cs, p, q) == 0
 
-    root = [c // math.gcd(*r) for c in r]
+    root = [c // math.gcd(r0, r1) for c in (r0, r1)]
     while len(common) > 1 and at_root(common):  # strip α's root
         common = poly.int_exact_div(common, root)
     return len(common) > 1 or (at_root(s) and (at_root(ds) or at_root(D)))
@@ -492,9 +491,9 @@ def modp_singular_scan(S: Surface, p: int) -> str:
         raise ValueError(f"prime {p} divides a parameter denominator")
     # p ∤ params_den, so m and n are units mod p, inverted once each
     im, i_n = pow(S.ab_den, -1, p), pow(S.f.den, -1, p)
-    r0, r1 = _residues(S.alpha, im, p, 2)
-    s0, s1, s2 = _residues(S.beta, im, p, 3)
-    f0, f1, f2, f3 = _residues(S.f.cs, i_n, p, 4)
+    r0, r1 = _residues(S.alpha, im, p)
+    s0, s1, s2 = _residues(S.beta, im, p)
+    f0, f1, f2, f3 = _residues(S.f.cs, i_n, p)
     degenerate = singular = s2 * f3 % p == 0  # s = 0
     for t in range(p):
         u = (((f3 * t + f2) * t + f1) * t + f0) % p
@@ -510,10 +509,9 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     return "singular" if singular else "smooth"
 
 
-def _residues(cs: Sequence[int], inv: int, p: int, n: int) -> List[int]:
-    """The coefficients of cs·inv mod p, padded with zeros to length n."""
-    out = [c * inv % p for c in cs]
-    return out + [0] * (n - len(out))
+def _residues(cs: Sequence[int], inv: int, p: int) -> List[int]:
+    """The coefficients of cs·inv mod p."""
+    return [c * inv % p for c in cs]
 
 
 def _singular_on_fiber(a: int, b: int, da: int, db: int, p: int) -> bool:

@@ -577,7 +577,7 @@ def cp_sweep_by_fractions(S: Surface, E0: FiberCurve, P: ECPoint, t_height_bound
         found = []
         if b != 0:
             cub = RefPoly((frac(E.B), frac(E.A), 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
-            for x, _mult in poly.rational_roots(cub):
+            for x in poly.rational_roots(cub):
                 found.append(point(x, -(a * x + c0) / b))
         elif a != 0:
             x = -c0 / a
@@ -613,7 +613,7 @@ def u_hop_by_fractions(S: Surface, t0: Fraction, Q: ECPoint):
         u_values.add(-(p.a * x0 + p.d) / p.c - u0)
     out = []
     for u in sorted(u_values):
-        for t, _mult in poly.rational_roots(RefPoly.of(S.f) - RefPoly.constant(u)):
+        for t in poly.rational_roots(RefPoly.of(S.f) - RefPoly.constant(u)):
             if t == t0:
                 continue
             E = fiber(S, t)

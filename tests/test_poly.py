@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Iterable, List
 
 import pytest
 from hypothesis import assume, given, settings
@@ -157,14 +157,16 @@ def test_separability():
 
 
 def test_rational_roots_worked_examples():
+    # (x + 1)²(4x − 17): the double root −1 comes back once
     f = P(-17, -30, -9, 4)
-    assert rational_roots(f) == [(Fraction(-1), 2), (Fraction(17, 4), 1)]
-    assert rational_roots(P(1, 0, 0, 1)) == [(Fraction(-1), 1)]
+    assert rational_roots(f) == [Fraction(-1), Fraction(17, 4)]
+    assert rational_roots(P(1, 0, 0, 1)) == [Fraction(-1)]
     assert rational_roots(P(2, 0, 0, 1)) == []
 
 
 def test_rational_roots_zero_constant():
-    assert rational_roots(P(0, 0, -1, 1)) == [(Fraction(0), 2), (Fraction(1), 1)]
+    # t²(t − 1): the double root 0 comes back once
+    assert rational_roots(P(0, 0, -1, 1)) == [Fraction(0), Fraction(1)]
 
 
 def test_squarefree_part():
@@ -359,51 +361,36 @@ def test_resultant_vanishes_iff_common_root(f, g):
 def test_rational_roots_verify_by_substitution(f):
     if f.is_zero():
         return
-    for r, m in rational_roots(f):
+    roots = rational_roots(f)
+    assert len(set(roots)) == len(roots)
+    for r in roots:
         assert f(r) == 0
-        assert m >= 1
 
 
-def rational_roots_by_fractions(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    """Reference root finder: every divisor candidate ±p/q is evaluated in
-    Fraction, and a root's multiplicity found by repeated Fraction division."""
+def by_root_key(roots: Iterable[Fraction]) -> List[Fraction]:
+    """The distinct roots, sorted by (numerator, denominator)."""
+    return sorted(set(roots), key=lambda r: (r.numerator, r.denominator))
+
+
+def rational_roots_by_fractions(f: UniPoly) -> List[Fraction]:
+    """Reference root finder: 0 when t divides f, and every divisor
+    candidate ±p/q of what is left, evaluated in Fraction."""
     f = RefPoly.of(f)
-    roots: List[Tuple[Fraction, int]] = []
-    k = 0
+    roots = set()
     while f[0] == 0 and f.degree() >= 1:
         f = RefPoly(f.coeffs[1:])
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    if f.degree() < 1:
-        return roots
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    ics = [int(c * den) for c in f.coeffs]
-    seen = set()
-    for p in divisors(abs(ics[0])):
-        for q in divisors(abs(ics[-1])):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen or f(cand) != 0:
-                    continue
-                seen.add(cand)
-                mult, g = 0, f
-                while True:
-                    quo, rem = poly_divmod(g, RefPoly((-cand, 1)))
-                    if not rem.is_zero():
-                        break
-                    mult, g = mult + 1, quo
-                roots.append((cand, mult))
-    roots.sort(key=lambda rm: (rm[0].numerator, rm[0].denominator))
-    return roots
+        roots.add(Fraction(0))
+    if f.degree() >= 1:
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        ics = [int(c * den) for c in f.coeffs]
+        roots |= {cand for p in divisors(abs(ics[0])) for q in divisors(abs(ics[-1]))
+                  for cand in (Fraction(p, q), Fraction(-p, q)) if f(cand) == 0}
+    return by_root_key(roots)
 
 
 planted_root = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 wide_root = st.builds(Fraction, st.integers(-2 ** 32, 2 ** 32), st.integers(1, 2 ** 32))
 nonzero_scale = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
-
-
-def by_root_key(roots: Dict[Fraction, int]) -> List[Tuple[Fraction, int]]:
-    return sorted(roots.items(), key=lambda rm: (rm[0].numerator, rm[0].denominator))
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,15 +404,14 @@ def test_rational_roots_match_fraction_oracle(planted, zero_mult, cofactor, scal
     # planted simple and repeated roots, small or with numerator and
     # denominator up to 2³², a root at 0 of multiplicity zero_mult, and a
     # cofactor that may add roots of its own, up to degree 12.  The roots of f
-    # are the planted ones and the cofactor's, which has few divisor pairs.
+    # are the planted ones and the cofactor's, which has few divisor pairs;
+    # each comes back once.
     f = cofactor.scale(scale) * P(0, 1) ** zero_mult
     for r, m in planted:
         f = f * P(-r, 1) ** m
     assume(f.degree() <= 12)
-    expected = dict(rational_roots_by_fractions(cofactor))
-    for r, m in planted + [(Fraction(0), zero_mult)]:
-        expected[r] = expected.get(r, 0) + m
-    assert rational_roots(f) == by_root_key({r: m for r, m in expected.items() if m})
+    planted_roots = [r for r, _ in planted] + [Fraction(0)] * (zero_mult > 0)
+    assert rational_roots(f) == by_root_key(rational_roots_by_fractions(cofactor) + planted_roots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,7 +424,8 @@ def test_rational_roots_match_fraction_oracle(planted, zero_mult, cofactor, scal
 def test_int_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
     # the integer kernel on integer polynomials that need not be primitive:
     # planted roots p/q as factors (q·x − p)^m, a root at 0 of multiplicity
-    # zero_mult, and a cofactor that may add roots of its own
+    # zero_mult, and a cofactor that may add roots of its own; each distinct
+    # root comes back once
     cs = [scale * c for c in cofactor]
     while cs[-1] == 0:
         cs.pop()
@@ -447,22 +434,38 @@ def test_int_roots_match_fraction_oracle(planted, zero_mult, cofactor, scale):
             cs = int_mul(cs, [-r.numerator, r.denominator])
     cs = [0] * zero_mult + cs
     assume(len(cs) <= 13)
-    expected = [(r.numerator, r.denominator, m) for r, m in rational_roots_by_fractions(RefPoly(cs))]
-    assert int_roots(cs) == expected
-    assert rational_roots(UniPoly(cs)) == [(Fraction(p, q), m) for p, q, m in expected]
+    expected = rational_roots_by_fractions(RefPoly(cs))
+    assert int_roots(cs) == [(r.numerator, r.denominator) for r in expected]
+    assert rational_roots(UniPoly(cs)) == expected
 
 
 def test_int_roots_lifts_nothing_without_residue_roots(monkeypatch):
     # x² − 2 and x² + x + 1 have no root mod 5, and x³ − 2 (a root mod 5)
-    # none mod 7: each is decided with no lift; a root at 0 is kept
+    # none mod 7: each is decided with no lift, which begins by taking the
+    # squarefree part; a root at 0 is kept, once
     def refuse(*args):
         raise AssertionError("int_roots looked for roots to lift")
 
-    monkeypatch.setattr(poly, "_simple_roots_mod", refuse)
+    monkeypatch.setattr(poly, "squarefree_split", refuse)
     assert int_roots([-2, 0, 1]) == int_roots([1, 1, 1]) == int_roots([-2, 0, 0, 1]) == []
-    assert int_roots([0, 0, -2, 0, 1]) == [(0, 1, 2)]
-    assert int_roots([0, 5, 0, 0, 7 * 13 ** 3]) == [(0, 1, 1)]
+    assert int_roots([0, 0, -2, 0, 1]) == [(0, 1)]
+    assert int_roots([0, 5, 0, 0, 7 * 13 ** 3]) == [(0, 1)]
     assert poly.SIEVE_PRIMES == (5, 7, 11, 13, 17, 19, 23)
+
+
+def test_int_roots_inverts_once_per_root_mod_ell(monkeypatch):
+    # (x − 3)²(7x + 2)(x − 10³⁰ − 1): the lift starts at ℓ = 5, where the
+    # squarefree part has three simple roots, and squares the modulus past
+    # 2B, B > 10⁶⁰.  Each root carries h′(r)⁻¹ through the squarings, so the
+    # only inverses are one per root mod 5, besides the one mod
+    # REDUCTION_PRIME of the squarefree part's gcd.
+    big = 10 ** 30 + 1
+    cs = int_mul(int_mul([-3, 1], [-3, 1]), int_mul([2, 7], [-big, 1]))
+    moduli = []
+    monkeypatch.setattr(poly, "pow", lambda *args: moduli.append(args[2]) or pow(*args),
+                        raising=False)
+    assert int_roots(cs) == [(-2, 7), (3, 1), (big, 1)]
+    assert sorted(moduli) == [5, 5, 5] + [REDUCTION_PRIME] * (len(moduli) - 3)
 
 
 def test_int_roots_refuses_zero():
@@ -492,7 +495,7 @@ def test_rational_roots_semiprime_constant_term(p1, p2, middle, lc, den):
         f = RefPoly([p2] + middle + [lc]) * P(-p1, den)
     assert rational_roots(f) == rational_roots_by_fractions(f)
     if den is not None:
-        assert Fraction(p1, den) in dict(rational_roots(f))
+        assert Fraction(p1, den) in rational_roots(f)
 
 
 def test_rational_roots_match_fraction_oracle_examples():

@@ -9,7 +9,7 @@ import pytest
 from conftest import replaced
 from dp1.elliptic import O, ECPoint, FiberCurve
 from dp1.engine import GenerationConfig, GenerationReport, HypothesisReport, PointRecord
-from dp1.surface import SurfaceParams, WPoint
+from dp1.surface import Surface, SurfaceParams, WPoint
 
 F = Fraction
 PARAMS = SurfaceParams(*(F(v) for v in (0, 0, 1, 0, 0, 1, 0, 0, 1)))
@@ -120,4 +120,7 @@ def test_generation_report_starts_empty_each_time():
     first.fibers[2, 1] = 1
     first.skipped.append("skipped")
     assert (second.points, second.fibers, second.skipped) == ([], {}, [])
-    assert not second.all_verified and not second.truncated
+    # all_verified is printed as a constant: each kept point, none here, was
+    # checked where it was made
+    printed = second.to_json(Surface(PARAMS), WPoint(1, -2, 3, 4))
+    assert (printed["points"], printed["all_verified"], printed["truncated"]) == ([], True, False)
