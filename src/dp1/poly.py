@@ -84,9 +84,6 @@ def _int_prem(f: List[int], g: List[int]) -> List[int]:
     dg = len(g) - 1
     glc = g[-1]
     while len(f) - 1 >= dg:
-        if f[-1] == 0:
-            f.pop()
-            continue
         k = len(f) - 1 - dg
         flc = f[-1]
         f = [c * glc for c in f]

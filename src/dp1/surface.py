@@ -256,11 +256,6 @@ def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(cs[:k])
 
 
-def padded(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """cs padded with zeros to length n."""
-    return cs + (0,) * (n - len(cs))
-
-
 class Surface:
     """An immutable member of the family, with its chart polynomials.
 
@@ -297,9 +292,8 @@ class Surface:
                             F3 * k + 2 * s2 * F1 * F2, s2 * (F2 * F2 + 2 * F1 * F3), 2 * s2 * F2 * F3,
                             s2 * F3 * F3), m * n * n)
         # smoothness_check's verdict ("smooth", "singular" or "degenerate")
-        # once decided, and the u-line's answer for the t chart;
-        # singular_witnesses' list
-        self._smoothness = self._t_singular = self._witnesses = None
+        # once decided
+        self._smoothness = None
 
     # -- point operations --------------------------------------------
     def membership(self, P: WPoint) -> bool:
@@ -383,8 +377,7 @@ def smoothness_check(S: Surface) -> str:
     """
     if S._smoothness is None:
         try:
-            S._t_singular = _u_line_singular(S)
-            S._smoothness = "singular" if S._t_singular or S.params.c == 0 else "smooth"
+            S._smoothness = "singular" if _u_line_singular(S) or S.params.c == 0 else "smooth"
         except DegenerateSurfaceError:
             S._smoothness = "degenerate"
     if S._smoothness == "degenerate":
@@ -444,24 +437,27 @@ def _u_line_singular(S: Surface) -> bool:
 def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
     """The witnesses of a singular surface, () for a smooth one: (chart,
     monic factor) for each nontrivial gcd factor whose roots carry singular
-    points, the t chart's then the s chart's.  Listed once per Surface; the t
-    chart's must agree with the u-line (InvariantError otherwise)."""
-    if S._witnesses is not None:
-        return S._witnesses
-    witnesses = []
-    if smoothness_check(S) == "singular":
-        A, B = S.A_t, S.B_t
-        witnesses = [("t", w) for w in _chart_singular_witnesses(A.cs, A.den, B.cs, B.den)]
-        if bool(witnesses) != S._t_singular:
-            raise InvariantError(
-                f"the u-line calls the t chart {'singular' if S._t_singular else 'smooth'}, "
-                f"but its witnesses are {[list(map(str, w.coeffs)) for _, w in witnesses]}"
-            )
-        # the chart s = w/z: s⁴·A(1/s) and s⁶·B(1/s), over the same denominators
-        witnesses += [("s", w) for w in _chart_singular_witnesses(
-            _trimmed(padded(A.cs, 5)[::-1]), A.den, _trimmed(padded(B.cs, 7)[::-1]), B.den)]
-    S._witnesses = tuple(witnesses)
-    return S._witnesses
+    points, the t chart's then the s chart's.  The t chart's must agree with
+    the u-line (InvariantError otherwise)."""
+    if smoothness_check(S) != "singular":
+        return ()
+    A, B = S.A_t, S.B_t
+    witnesses = [("t", w) for w in _chart_singular_witnesses(A.cs, A.den, B.cs, B.den)]
+    t_singular = _u_line_singular(S)
+    if bool(witnesses) != t_singular:
+        raise InvariantError(
+            f"the u-line calls the t chart {'singular' if t_singular else 'smooth'}, "
+            f"but its witnesses are {[list(map(str, w.coeffs)) for _, w in witnesses]}"
+        )
+    # the chart s = w/z: s⁴·A(1/s) and s⁶·B(1/s), over the same denominators
+    witnesses += [("s", w) for w in _chart_singular_witnesses(
+        _reversal(A.cs, 5), A.den, _reversal(B.cs, 7), B.den)]
+    return tuple(witnesses)
+
+
+def _reversal(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """s^(n−1)·c(1/s) for c = cs of degree < n, trailing zeros trimmed."""
+    return _trimmed((cs + (0,) * (n - len(cs)))[::-1])
 
 
 # -- mod-p exhaustive oracle ------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dp1 import engine
+from dp1 import engine, surface
 from dp1.cli import main, sample_params, search_params
 from dp1.rational import InvariantError
 from dp1.surface import OracleDisagreementError, SurfaceParams
@@ -83,6 +83,31 @@ def test_smooth_with_primes(surface_file, capsys):
     )
     assert code == 0
     assert out["cross_check"]["7"] == "smooth" or out["cross_check"][7] == "smooth"
+
+
+def test_smooth_primes_skips_a_prime_dividing_a_denominator(surface_file, capsys):
+    params = dict(WORKED, a="1/5")
+    code, out = run(capsys, "smooth", "--surface", surface_file(params), "--primes", "5,7")
+    assert code == 0
+    assert out["verdict"] == "smooth"
+    assert out["cross_check"] == {"5": "skipped", "7": "smooth"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--primes", "7,11"],
+    ["search-params", "--samples", "1", "--primes", "7,11"],
+], ids=["smooth", "search-params"])
+def test_rational_witness_smooth_mod_p_exit_three(surface_file, capsys, monkeypatch, argv):
+    # SINGULAR's witness t³ + 1 has the rational root −1, so its singular
+    # point reduces mod every prime: a scan that answers "smooth" contradicts
+    # the symbolic verdict, and unlike the known false alarm the census does
+    # not record it in the row and go on
+    monkeypatch.setattr(surface, "modp_singular_scan", lambda S, p: "smooth")
+    code = main(argv + ["--surface", surface_file(SINGULAR)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "rational singular witness does not reduce mod [7, 11]" in captured.err
 
 
 def test_smooth_primes_records_false_alarm(surface_file, capsys):
@@ -389,6 +414,19 @@ def test_long_integer_in_seed_exit_two(surface_file, capsys):
     assert captured.err == "error: a rational text holds an integer of 5,000 digits, over the limit of 4,300\n"
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("[1:2:3]", "expected four coordinates, got '[1:2:3]'"),
+    ("1:2:3:4", "expected [x:y:z:w], got '1:2:3:4'"),
+    ("[1:2:1:0]", "[1:2:1:0] is not on the surface"),
+], ids=["three-coordinates", "no-brackets", "w-zero-off-surface"])
+def test_malformed_or_off_surface_seed_exit_two(surface_file, capsys, seed, message):
+    code = main(["check", "--surface", surface_file(WORKED), "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_zero_denominator_seed_exit_two(surface_file, capsys):
     code = main(["check", "--surface", surface_file(WORKED), "--seed", "[1/0:1:1:1]"])
     captured = capsys.readouterr()
@@ -403,10 +441,12 @@ def test_zero_denominator_seed_exit_two(surface_file, capsys):
     (["oracle", "--x-num", "-3"], "x-num -3"),
     (["search-params", "--samples", "3", "--x-den", "0"], "x-den 0"),
     (["search-params", "--samples", "3", "--height", "0"], "height must be >= 1"),
-], ids=["oracle-t-den", "oracle-x-den", "oracle-x-num", "search-x-den", "search-height"])
+    (["sweep", "--seed", "[-1:1:-1:1]", "--t-height", "0"], "height bound must be >= 1"),
+], ids=["oracle-t-den", "oracle-x-den", "oracle-x-num", "search-x-den", "search-height",
+        "sweep-t-height"])
 def test_empty_search_range_exit_two(surface_file, capsys, argv, message):
     # an empty box or height range would search nothing and still exit 0
-    if argv[0] == "oracle":
+    if argv[0] != "search-params":
         argv = argv + ["--surface", surface_file(WORKED)]
     code = main(argv)
     captured = capsys.readouterr()

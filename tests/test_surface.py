@@ -478,6 +478,12 @@ def test_modp_scan_accepts_prime(worked_surface):
     assert modp_singular_scan(worked_surface, 101) == "smooth"
 
 
+def test_modp_scan_refuses_a_prime_dividing_a_denominator(worked_surface):
+    S = Surface(replaced(worked_surface.params, a=Fraction(1, 5)))
+    with pytest.raises(ValueError, match="prime 5 divides a parameter denominator"):
+        modp_singular_scan(S, 5)
+
+
 def modp_singular_points(S: Surface, p: int) -> list:
     """Reference mod-p scan: each Fraction coefficient of A_t, B_t and of
     the chart at infinity reduced with its own inverse, every (t, x) of both
@@ -730,16 +736,18 @@ def test_memoized_verdict_matches_uncached_decision(monkeypatch, singular_fixtur
     kinds = set()
     for S in surfaces:
         expected = uncached_verdict(S)
-        first = smoothness_check(S), singular_witnesses(S)
-        assert first == expected
-        assert smoothness_check(S) == first[0] and singular_witnesses(S) is first[1]
+        n = len(decided)
+        assert smoothness_check(S) == smoothness_check(S) == expected[0]
+        assert decided[n:] == [S]
+        # the witness list runs the u-line again, for a singular surface only,
+        # to cross-check the t chart
+        assert singular_witnesses(S) == expected[1]
+        assert decided[n:] == [S] * (1 + (expected[0] == "singular"))
         # the memo is per instance: a new Surface decides afresh
         T = Surface(S.params)
-        again = smoothness_check(T), singular_witnesses(T)
-        assert again == expected and decided[-2:] == [S, T]
+        assert smoothness_check(T) == expected[0] and decided[-1] is T
         kinds.add(expected[0])
     assert kinds == {"smooth", "singular"}
-    assert len(decided) == 2 * len(surfaces)
 
 
 def fraction_chart_witnesses(A: UniPoly, B: UniPoly) -> list:
@@ -1041,16 +1049,17 @@ def test_chart_algebra_runs_for_singular_surfaces_only(monkeypatch, worked_surfa
         assert chart_calls(monkeypatch, S, singular_witnesses) == ["t", "s"]
 
 
-def test_u_line_runs_once_per_surface(monkeypatch):
-    # with c = 0 the verdict does not say what the u-line found, and the
-    # witness list reuses its answer instead of deciding it again
+def test_verdict_runs_the_u_line_once_per_surface(monkeypatch):
+    # with c = 0 the verdict does not say what the u-line found, so the
+    # witness list runs it once more, for its cross-check with the t chart
     calls = []
     real = surface._u_line_singular
     monkeypatch.setattr(surface, "_u_line_singular", lambda S: calls.append(S) or real(S))
     S = Surface(SurfaceParams(1, 2, 0, 3, 4, 1, 0, 0, 1))
-    assert smoothness_check(S) == "singular"
-    assert singular_witnesses(S)
+    assert smoothness_check(S) == smoothness_check(S) == "singular"
     assert len(calls) == 1
+    assert singular_witnesses(S)
+    assert len(calls) == 2
 
 
 def test_u_line_and_t_chart_must_agree(monkeypatch, worked_surface):
@@ -1106,7 +1115,7 @@ def test_modp_scan_inverts_two_denominators_and_builds_no_reversal(monkeypatch):
     calls = []
     monkeypatch.setattr(surface, "pow", lambda *args: calls.append(args) or pow(*args),
                         raising=False)
-    monkeypatch.setattr(surface, "padded", refuse)
+    monkeypatch.setattr(surface, "_reversal", refuse)
     monkeypatch.setattr(surface, "_trimmed", refuse)
     assert [modp_singular_scan(S, 13) for S in surfaces] == expected
     assert len(calls) == 2 * len(params)
