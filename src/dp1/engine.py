@@ -192,14 +192,17 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     Takes the tangent plane at (x0, y0, f(t0), 1), restricts it to each
     fiber t = tn/td as an integer line αx + βy + c = 0, eliminates y into an
     integer cubic in x, solves it for rational points and excludes P itself.
-    On P's own fiber the plane is tangent at P, so the double root x0 is
-    divided out and the linear factor left gives the third point; elsewhere
+    The line depends on t only through u = f(t), so on every fiber with
+    f(t) = f(t0) it is the line on P's own fiber, tangent at P: the double
+    root x0 is divided out, the linear factor left gives the third point,
+    and P is a swept point on each such fiber but t0.  Elsewhere
     ``poly.int_roots`` finds the roots.  Where β = 0 the line is x = −c/α,
     and y² = x³ + Ax + B = N/D, D > 0, has a rational root exactly when N·D
     is a square r², y = ±r/D.  Each point is checked on its fiber and
     returned with it.
     """
-    al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, S.f.value_ints(*E.t), (1, 1)))
+    u0 = un, ud = S.f.value_ints(*E.t)
+    al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, u0, (1, 1)))
     out: List[Tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
         Et = S.fiber_at(t)
@@ -208,9 +211,9 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
         a, b, c = al * fd, be * fd, ga * fn + de * fd
         if b != 0:
             cub = cubic.line_cubic_ints((a, b, c), Et)
-            if t == E.t:
+            if fn * ud == un * fd:
                 l0, l1 = _divide_out(cub, *P.x, 2)
-                xs = [reduced(-l0, l1)]
+                xs = sorted({P.x, reduced(-l0, l1)})
             else:
                 xs = poly.int_roots(cub)
             found = [ECPoint((xn, xd), reduced(-(a * xn + c * xd), b * xd)) for xn, xd in xs]

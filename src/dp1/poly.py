@@ -8,6 +8,7 @@ there is no floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -258,6 +259,19 @@ def is_prime(n: int) -> bool:
 SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 
+@functools.cache
+def _depressed_roots(ell: int) -> Tuple[List[int], int]:
+    """The roots mod ℓ of every y³ + p·y + q, and 3⁻¹ mod ℓ: at index
+    p·ℓ + q, the bitmask of its roots y, negated when 4p³ + 27q² ≡ 0 (a
+    multiple root, which a cubic mod ℓ can only have in F_ℓ)."""
+    masks = [0] * (ell * ell)
+    for y in range(ell):
+        for p in range(ell):
+            masks[p * ell + -(y ** 3 + p * y) % ell] |= 1 << y
+    return [m if (4 * (i // ell) ** 3 + 27 * (i % ell) ** 2) % ell else -m
+            for i, m in enumerate(masks)], pow(3, -1, ell)
+
+
 def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
     """The distinct rational roots p/q of the nonzero, trimmed integer
     polynomial cs, as (p, q) with q > 0 and gcd(p, q) = 1, sorted; by p-adic
@@ -267,13 +281,18 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
     degree n with leading coefficient lc, and g(X) = lcⁿ⁻¹·f(X/lc) is monic:
     the rational roots of f are m/lc for the integer roots m of g, and
     |m| ≤ B = 1 + max|gᵢ|.  When g has no root mod one of SIEVE_PRIMES it
-    has no integer root, and f no rational root but 0.  Otherwise g's
-    squarefree part h, which has g's roots and leading coefficient ±1, has
-    a nonzero discriminant, so some prime ℓ ≥ 5 has only simple roots of h;
-    those of the first such ℓ are Newton-lifted to a modulus past 2B, each
-    carrying h′(r)⁻¹ (inv ← inv·(2 − h′(r)·inv) mod m²), so the one inverse
-    taken is mod ℓ.  Each symmetric residue is a candidate, tested exactly
-    by homogeneous Horner.
+    has no integer root, and f no rational root but 0.  A cubic
+    g = x³ + g₂x² + g₁x + g₀ is sieved by table: with s = g₂/3 mod ℓ, its
+    roots are y − s for the roots y of y³ + p·y + q, p = g₁ − g₂·s and
+    q = g₀ − g₁·s + 2s³, looked up in ``_depressed_roots(ℓ)``; the first
+    sieve prime with only simple roots gives the lift its ℓ and residues.
+    Otherwise g's squarefree part h, which has g's roots and leading
+    coefficient ±1, has a nonzero discriminant, so some prime ℓ ≥ 5 has
+    only simple roots of h, found by trying every residue.  Those roots are
+    Newton-lifted to a modulus past 2B, each carrying h′(r)⁻¹
+    (inv ← inv·(2 − h′(r)·inv) mod m²), so the one inverse taken is mod ℓ.
+    Each symmetric residue is a candidate, tested exactly by homogeneous
+    Horner.
     """
     if not cs:
         raise ValueError("rational roots of the zero polynomial")
@@ -288,20 +307,34 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(ics[:-1])] + [1]
     # an integer root of g is one mod every prime: a prime at which g has
     # no root leaves f no root but 0, and nothing to lift
+    lift = None  # (ℓ, the polynomial lifted, its roots mod ℓ)
     for ell in SIEVE_PRIMES:
-        gm = [c % ell for c in g]
-        if all(eval_mod(gm, r, ell) for r in range(ell)):
-            return roots
+        if n == 3:
+            masks, third = _depressed_roots(ell)
+            g2, g1 = g[2] % ell, g[1] % ell
+            s = g2 * third % ell
+            mask = masks[(g1 - g2 * s) % ell * ell + (g[0] - g1 * s + 2 * s ** 3) % ell]
+            if not mask:
+                return roots
+            if mask > 0 and lift is None:
+                lift = ell, g, [(y - s) % ell for y in range(ell) if mask >> y & 1]
+        else:
+            gm = [c % ell for c in g]
+            if all(eval_mod(gm, r, ell) for r in range(ell)):
+                return roots
+    if lift is None:
+        h = squarefree_split(g)[1]
+        for ell in filter(is_prime, itertools.count(5)):
+            hm, dm = [c % ell for c in h], [c % ell for c in deriv(h)]
+            found = [r for r in range(ell) if eval_mod(hm, r, ell) == 0]
+            if all(eval_mod(dm, r, ell) for r in found):
+                lift = ell, h, found
+                break
+    ell, h, found = lift
     bound = 1 + max(abs(c) for c in g[:-1])
-    h = squarefree_split(g)[1]
     dh = deriv(h)
-    for ell in filter(is_prime, itertools.count(5)):
-        hm, dm = [c % ell for c in h], [c % ell for c in dh]
-        found = [r for r in range(ell) if eval_mod(hm, r, ell) == 0]
-        if all(eval_mod(dm, r, ell) for r in found):
-            break
     for r in found:
-        m, inv = ell, pow(eval_mod(dm, r, ell), -1, ell)
+        m, inv = ell, pow(eval_mod(dh, r, ell), -1, ell)
         while m <= 2 * bound:  # Newton: a simple root mod m is one mod m²
             if m > ell:  # h′(r)⁻¹ mod m from the inverse mod √m
                 inv = inv * (2 - eval_mod(dh, r, m) * inv) % m

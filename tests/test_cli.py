@@ -496,6 +496,11 @@ CLI_PINS = [
      "53ccf043d147c4e94b4e578b851fa104b6c2d80ee17ea5a6072fc31a1eb79c8b"),
     ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--depth", "2", "--t-height", "5"], 0,
      "4e041e769328da011ae601b8816df0cf9d009928dae17035b7f1e6f4cc3602cd"),
+    # 33 points on 3 fibers: of the reports here, the one whose time goes
+    # most to the sweep's cubic root search
+    ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--depth", "2", "--t-height", "40",
+                          "--n", "10"], 0,
+     "f599554a284728f0be5114a3045adc9251a8b1031cadc1d95b3b00cd5d953aab"),
     # skips "torsion point on fiber t=-2" once: its y = 0, so it has order 2
     ("generate", TWO_TORSION, ["--seed", "[1:-2:0:1]", "--depth", "2", "--t-height", "2",
                                "--n", "3"], 0,

@@ -339,6 +339,7 @@ def test_sweep_and_hop_match_fraction_references(rng_seed, kind, height, t_heigh
     ((0, 0, -1, 1, 2, 0, -1, -2, 2), "[1:1:1:1]"),  # on the cusp y² = x³ at t = 1
     ((-1, -1, -1, 1, 0, 0, -2, 0, 2), "[-1:0:-1:1]"),  # β = 0: a vertical section
     ((1, 0, 0, 1, 2, 0, -1, 0, 1), "[-1:1:0:1]"),  # c = 0, hops to t = ±1
+    ((1, 0, 1, 0, 2, 0, -2, 1, 1), "[-1:1:0:1]"),  # f(0) = f(1) = f(−2): one line on three
 ])
 @pytest.mark.parametrize("t_height", [1, 4])
 def test_sweep_and_hop_match_fraction_references_examples(params, seed, t_height):
@@ -425,14 +426,19 @@ def test_sweep_and_hop_certify_what_they_make(worked_section, worked_surface_2, 
                 u_hop(S, E, Q)
 
 
-def wrong_known_root(monkeypatch, mult: int) -> None:
+def wrong_known_root(monkeypatch, mult: int, nth: int = 0) -> None:
     """Make ``engine._divide_out`` divide by the known root plus one, for the
-    divisions of multiplicity ``mult``: 2 is the sweep's double root x0 on
-    P's own fiber, 1 is t0 in f − f(t0)."""
+    divisions of multiplicity ``mult``, or for only the nth of them when nth
+    is given: 2 is the sweep's double root x0 on each fiber with
+    f(t) = f(t0), 1 is t0 in f − f(t0)."""
     divide_out = engine._divide_out
+    calls = []
 
     def broken(cs, p, q, m):
-        return divide_out(cs, p + q if m == mult else p, q, m)
+        if m == mult:
+            calls.append(cs)
+        wrong = m == mult and nth in (0, len(calls))
+        return divide_out(cs, p + q if wrong else p, q, m)
 
     monkeypatch.setattr(engine, "_divide_out", broken)
 
@@ -453,6 +459,40 @@ def test_a_wrong_known_root_is_refused(worked_seed, worked_section, monkeypatch,
         make()
     with pytest.raises(InvariantError, match="does not divide"):
         generate(S, worked_seed, GenerationConfig(t_height_bound=1, multiple_bound=2))
+
+
+# f = t³ + t² − 2t, zero at t = 0, 1 and −2; the seed lies on t = 0
+EQUAL_U = SurfaceParams(1, 0, 1, 0, 2, 0, -2, 1, 1)
+
+
+def test_sweep_divides_the_double_root_on_every_fiber_of_equal_u(monkeypatch):
+    # the tangent plane meets each fiber in a line that depends on t only
+    # through u = f(t): on the fibers 1 and −2 it is the line tangent at the
+    # seed on t = 0, so x0 = −1 is divided out there too, the seed is a swept
+    # point of both, and int_roots runs on the other 4 fibers of t-height 2
+    S = Surface(EQUAL_U)
+    seed = WPoint.parse("[-1:1:0:1]")
+    assert smoothness_check(S) == "smooth"
+    assert check_hypotheses(S, seed) == HypothesisReport(True, True, True, True, True)
+    E, Q = S.fiber_point(seed)
+    assert [S.f.value_ints(t, 1)[0] for t in (0, 1, -2)] == [0, 0, 0]
+    int_roots, calls = poly.int_roots, []
+    monkeypatch.setattr(poly, "int_roots", lambda cs: calls.append(cs) or int_roots(cs))
+    found = cp_sweep(S, E, Q, 2)
+    assert len(calls) == 4
+    assert [(Es.t, Qs.x, Qs.y) for Es, Qs in found] == [
+        ((0, 1), (17, 4), (71, 8)),
+        ((1, 1), (-1, 1), (1, 1)),
+        ((1, 1), (17, 4), (71, 8)),
+        ((-1, 1), (1, 1), (3, 1)),
+        ((-2, 1), (-1, 1), (1, 1)),
+        ((-2, 1), (17, 4), (71, 8)),
+    ]
+    # the division on the fiber t = 1, the second of multiplicity 2, is
+    # checked as exactly as the one on the seed's own fiber
+    wrong_known_root(monkeypatch, 2, nth=2)
+    with pytest.raises(InvariantError, match="does not divide"):
+        cp_sweep(S, E, Q, 2)
 
 
 @pytest.mark.parametrize("maker, n, message", [

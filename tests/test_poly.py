@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, List
@@ -5,7 +6,7 @@ from typing import Iterable, List
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import divisors, nextprime
+from sympy import divisor_count, divisors, nextprime
 
 from conftest import (
     RefPoly,
@@ -451,6 +452,74 @@ def test_int_roots_lifts_nothing_without_residue_roots(monkeypatch):
     assert int_roots([0, 0, -2, 0, 1]) == [(0, 1)]
     assert int_roots([0, 5, 0, 0, 7 * 13 ** 3]) == [(0, 1)]
     assert poly.SIEVE_PRIMES == (5, 7, 11, 13, 17, 19, 23)
+
+
+def test_depressed_root_tables_match_every_monic_cubic():
+    # every monic cubic g = x³ + g₂x² + g₁x + g₀ mod every sieve prime
+    # (Σℓ³ = 27,935 cubics), read as int_roots reads it: with s = g₂/3, the
+    # entry of y³ + p·y + q, p = g₁ − g₂·s, q = g₀ − g₁·s + 2s³, holds the
+    # roots r + s of g, and it is negative exactly when some root is multiple
+    for ell in poly.SIEVE_PRIMES:
+        masks, third = poly._depressed_roots(ell)
+        assert len(masks) == ell * ell and 3 * third % ell == 1
+        for g2, g1, g0 in itertools.product(range(ell), repeat=3):
+            g = [g0, g1, g2, 1]
+            s = g2 * third % ell
+            mask = masks[(g1 - g2 * s) % ell * ell + (g0 - g1 * s + 2 * s ** 3) % ell]
+            roots = [r for r in range(ell) if poly.eval_mod(g, r, ell) == 0]
+            assert abs(mask) == sum(1 << (r + s) % ell for r in roots)
+            assert (mask >= 0) == all(poly.eval_mod(poly.deriv(g), r, ell) for r in roots)
+
+
+def test_int_roots_lifts_a_cubic_from_its_table_residues(monkeypatch):
+    # (x − 1)(x − 2)(x + 3) has a double root mod 5 and three simple roots
+    # mod 7, which the lift takes from the table; (x − 1)²(x + 2) has a
+    # double root mod every prime, so its squarefree part is lifted
+    splits = []
+    squarefree_split = poly.squarefree_split
+    monkeypatch.setattr(poly, "squarefree_split",
+                        lambda cs: splits.append(cs) or squarefree_split(cs))
+    assert int_roots(int_mul(int_mul([-1, 1], [-2, 1]), [3, 1])) == [(-3, 1), (1, 1), (2, 1)]
+    assert splits == []
+    assert int_roots(int_mul(int_mul([-1, 1], [-1, 1]), [2, 1])) == [(-2, 1), (1, 1)]
+    assert splits == [[2, -3, 0, 1]]
+
+
+wide = st.integers(-2 ** 64, 2 ** 64)
+small = st.integers(-2 ** 5, 2 ** 5)
+
+
+@st.composite
+def cubics(draw):
+    """Integer cubics with a leading coefficient other than ±1: four
+    coefficients drawn up to 2⁶⁴, the first of them 0 for a root at 0; or
+    a product of linear factors a·x + b, two with |a|, |b| ≤ 2⁵ and one with
+    |b| ≤ 2⁶⁴, where the first repeats as a planted double or triple root.
+    The oracle tries every divisor pair of the lowest and leading nonzero
+    coefficients, so cubics with more than 20,000 pairs are left out."""
+    shape = draw(st.sampled_from(["wide", "zero", "simple", "double", "triple"]))
+    if shape in ("wide", "zero"):
+        cs = [0 if shape == "zero" else draw(wide), draw(wide), draw(wide), draw(wide)]
+    else:
+        first = draw(st.tuples(small.filter(bool), small))
+        factors = [first, first if shape != "simple" else draw(st.tuples(small.filter(bool), small)),
+                   first if shape == "triple" else draw(st.tuples(small.filter(bool), wide))]
+        cs = [1]
+        for a, b in factors:
+            cs = int_mul(cs, [b, a])
+    assume(cs[-1] not in (0, 1, -1))
+    low = next(c for c in cs if c)
+    assume(divisor_count(abs(low)) * divisor_count(abs(cs[-1])) <= 20000)
+    return cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubics())
+def test_int_roots_of_cubics_match_fraction_oracle(cs):
+    # the cubics go through the residue tables: each distinct root comes
+    # back once, including a multiple root lifted from a squarefree part
+    expected = rational_roots_by_fractions(RefPoly(cs))
+    assert int_roots(cs) == [(r.numerator, r.denominator) for r in expected]
 
 
 def test_int_roots_inverts_once_per_root_mod_ell(monkeypatch):
