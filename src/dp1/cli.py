@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import random
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import cubic, engine, surface as surface_mod
 from .engine import GenerationConfig
@@ -93,7 +92,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_primes(text: str) -> List[int]:
+def _parse_primes(text: str) -> list[int]:
     primes = [int(p) for p in text.split(",")]
     for p in primes:
         surface_mod.check_prime(p)
@@ -167,8 +166,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def sample_params(rng: random.Random, height: int) -> SurfaceParams:
-    """One random parameter tuple with coefficient height ≤ height, f3 ≠ 0."""
+def sample_params(rng, height: int) -> SurfaceParams:
+    """One random parameter tuple with coefficient height ≤ height, f3 ≠ 0,
+    drawn from the ``random.Random`` rng."""
 
     def rand_rat(nonzero: bool = False) -> Fraction:
         while True:
@@ -199,7 +199,7 @@ def cross_check_result(S: Surface, primes: Sequence[int]):
         return f"OracleDisagreementError: {exc}"
 
 
-def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
+def census_row(S: Surface, seed_box: tuple[int, int, int, int]) -> dict:
     """Smoothness verdict plus a brute-force seed search for one tuple; a
     certified seed that the lift refuses gets its reason as "seed_error"."""
     row: dict = {"params": S.params.to_json(), "picard_rank": "not computed"}
@@ -226,8 +226,8 @@ def census_row(S: Surface, seed_box: Tuple[int, int, int, int]) -> dict:
 
 def search_params(
     tuples: Sequence[SurfaceParams],
-    seed_box: Tuple[int, int, int, int],
-    primes: Optional[Sequence[int]] = None,
+    seed_box: tuple[int, int, int, int],
+    primes: Sequence[int] | None = None,
 ) -> dict:
     """Census over explicit parameter tuples; certification is by finding a
     small seed passing every hypothesis.
@@ -261,6 +261,7 @@ def cmd_search_params(args) -> int:
         raise ValueError("height must be >= 1")
     # census_row searches the box only on smooth rows, so check it up front
     engine.check_box(args.x_num, args.x_den, args.t_num, args.t_den)
+    import random  # on first use: no other command needs it
     rng = random.Random(args.rng_seed)
     tuples = [sample_params(rng, args.height) for _ in range(args.samples)]
     if args.surface:
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bounded-height tangent-section sweep")
     common(p, seed=True, points=True)
-    p.add_argument("--t-height", type=int, default=10, dest="t_height")
+    p.add_argument("--t-height", type=int, default=defaults.t_height_bound, dest="t_height")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exhaustive box search for points")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import elliptic, poly
 from .elliptic import ECPoint, FiberCurve
@@ -30,7 +30,7 @@ class TwoTorsionSeedError(ValueError):
     """The tangent construction degenerates for 2-torsion seeds."""
 
 
-def tangent_plane(S: Surface, X: Sequence[Tuple[int, int]]) -> Tuple[int, int, int, int]:
+def tangent_plane(S: Surface, X: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     """The tangent plane αX0 + βX1 + γX2 + δX3 = 0 to W at the point X, in
     any representative, as the primitive integer gradient (α, β, γ, δ).
 
@@ -65,7 +65,7 @@ def tangent_plane(S: Surface, X: Sequence[Tuple[int, int]]) -> Tuple[int, int, i
     raise ValueError(f"{text} is not on the cubic model W")
 
 
-def line_cubic_ints(line: Tuple[int, int, int], E: FiberCurve) -> List[int]:
+def line_cubic_ints(line: tuple[int, int, int], E: FiberCurve) -> list[int]:
     """β²(x³ + Ax + B) − (αx + c0)², times Ad·Bd, in ℤ[x], for the line
     αx + βy + c0 = 0 given by integers (any common multiple of it) on the
     fiber E, with A = An/Ad and B = Bn/Bd."""
@@ -75,7 +75,7 @@ def line_cubic_ints(line: Tuple[int, int, int], E: FiberCurve) -> List[int]:
     return [b2 * Bn * Ad - c * c * ABd, b2 * An * Bd - 2 * a * c * ABd, -a * a * ABd, b2 * ABd]
 
 
-def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> Tuple[Pair, ECPoint]:
+def tangent_point(S: Surface, E: FiberCurve, P: ECPoint) -> tuple[Pair, ECPoint]:
     """Third intersection of the tangent section at P with P's own fiber E.
 
     Geometrically this is the forced extra rational point of the tangent

@@ -8,8 +8,6 @@ Fraction is built.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from .poly import REDUCTION_PRIME  # the prime of torsion_status's reduction test
 from .rational import InvariantError, Pair, format_pair, record, reduced
 
@@ -46,8 +44,8 @@ class FiberCurve:
 class ECPoint:
     """Affine point (x, y) as Pairs, or the point at infinity (x = y = None)."""
 
-    x: Optional[Pair] = None
-    y: Optional[Pair] = None
+    x: Pair | None = None
+    y: Pair | None = None
 
     @property
     def is_infinity(self) -> bool:
@@ -116,7 +114,7 @@ def add(E: FiberCurve, P: ECPoint, Q: ECPoint) -> ECPoint:
     return R
 
 
-def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
+def multiples(E: FiberCurve, P: ECPoint, n: int) -> list[ECPoint]:
     """[P, [2]P, ..., [n]P], one chord step each; after [k]P = O the walk
     starts again at [k + 1]P = P.
 
@@ -137,7 +135,7 @@ def multiples(E: FiberCurve, P: ECPoint, n: int) -> List[ECPoint]:
     return walk
 
 
-def walk_order(walk: List[ECPoint]) -> Optional[int]:
+def walk_order(walk: list[ECPoint]) -> int | None:
     """The first n with [n]P = O in the walk [P, [2]P, ...], else None."""
     return next((n for n, R in enumerate(walk, 1) if R.is_infinity), None)
 
@@ -174,7 +172,7 @@ def _nontorsion_mod(E: FiberCurve, P: ECPoint, p: int) -> bool:
     return True
 
 
-def torsion_status(E: FiberCurve, P: ECPoint) -> Optional[int]:
+def torsion_status(E: FiberCurve, P: ECPoint) -> int | None:
     """Exact order of P if torsion (in the Mazur set), else None.
 
     P is checked on E first, then E for singularity.  Reduction mod

@@ -9,9 +9,9 @@ yields the points its maker checked on their fibers, once: the seed by
 ``elliptic.multiples`` and ``elliptic.add``, swept points by ``cp_sweep``,
 hops by ``u_hop``; the tangent point is −[2]P from the walk.  Each frontier
 point, the seed included, is walked once to [12]P.  ``generate``'s ``emit``
-is the one place where a candidate is dropped (over the bit cap),
-deduplicated on its affine (t, x, y), counted against max_points and
-admitted to the frontier.
+is the one place where a candidate is dropped (over the bit cap) or
+deduplicated on its affine (t, x, y); its level loop counts each kept point
+against max_points and admits it to the next frontier.
 
 Fibers and points hold their rationals as ``Pair``s, so the sweep, the
 hop, the oracle and ``emit``'s keys run on integers; a Fraction is built
@@ -25,12 +25,13 @@ division raise InvariantError.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Dict, Iterator, List, Set, Tuple
 
 from . import cubic, elliptic, poly
 from .elliptic import ECPoint, FiberCurve
-from .rational import MAX_DIGITS, InvariantError, Pair, format_pair, is_square, record, reduced
+from .rational import (DIGITS_BOUND, MAX_DIGITS, InvariantError, Pair, format_pair, is_square,
+                       record, reduced)
 from .surface import Surface, WPoint, smoothness_check
 
 
@@ -108,7 +109,7 @@ def bounded_height_rationals(height: int) -> Iterator[Pair]:
             yield -p, q
 
 
-def _divide_out(cs: List[int], p: int, q: int, mult: int) -> List[int]:
+def _divide_out(cs: list[int], p: int, q: int, mult: int) -> list[int]:
     """cs / (q·x − p)^mult, for a root p/q of cs known to have multiplicity
     at least mult; ``poly.int_exact_div`` raises InvariantError when it has
     not."""
@@ -117,7 +118,7 @@ def _divide_out(cs: List[int], p: int, q: int, mult: int) -> List[int]:
     return cs
 
 
-def _hop_quadratic(S: Surface, t0: Pair) -> List[int]:
+def _hop_quadratic(S: Surface, t0: Pair) -> list[int]:
     """The integer quadratic q with f − f(t0) = (t − t0)·q up to a constant.
 
     With t0 = p/q0 and f = cs/den, q0³·cs − q0³·cs(t0) has integer
@@ -129,7 +130,7 @@ def _hop_quadratic(S: Surface, t0: Pair) -> List[int]:
     return _divide_out(g, p, q0, 1)
 
 
-def _quadratic_roots(q: List[int]) -> List[Tuple[int, int]]:
+def _quadratic_roots(q: list[int]) -> list[tuple[int, int]]:
     """The distinct rational roots (p, r) of q0 + q1·t + q2·t², q2 ≠ 0, in
     lowest terms with r > 0, sorted: (−q1 ± s)/(2·q2) where s = isqrt(Δ)
     squares to Δ = q1² − 4·q0·q2."""
@@ -141,7 +142,7 @@ def _quadratic_roots(q: List[int]) -> List[Tuple[int, int]]:
     return sorted({reduced(-b - s, 2 * a), reduced(-b + s, 2 * a)})
 
 
-def u_hop(S: Surface, E: FiberCurve, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoint]]:
+def u_hop(S: Surface, E: FiberCurve, Q: ECPoint) -> list[tuple[FiberCurve, ECPoint]]:
     """Hop a point Q of the fiber E to other fibers through the multisection
     structure.
 
@@ -173,7 +174,7 @@ def u_hop(S: Surface, E: FiberCurve, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoi
             g[0] -= un * S.f.den
             more = poly.int_roots(g)
             ts = more + ts if un * fd < fn * ud else ts + more
-    out: List[Tuple[FiberCurve, ECPoint]] = []
+    out: list[tuple[FiberCurve, ECPoint]] = []
     for t in ts:
         if t == E.t:
             continue
@@ -185,7 +186,7 @@ def u_hop(S: Surface, E: FiberCurve, Q: ECPoint) -> List[Tuple[FiberCurve, ECPoi
 
 
 def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
-             ) -> List[Tuple[FiberCurve, ECPoint]]:
+             ) -> list[tuple[FiberCurve, ECPoint]]:
     """Sweep the tangent section at P = (x0, y0) on the fiber E, t = t0,
     across bounded-height fibers.
 
@@ -203,7 +204,7 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     """
     u0 = un, ud = S.f.value_ints(*E.t)
     al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, u0, (1, 1)))
-    out: List[Tuple[FiberCurve, ECPoint]] = []
+    out: list[tuple[FiberCurve, ECPoint]] = []
     for t in bounded_height_rationals(t_height_bound):
         Et = S.fiber_at(t)
         # den·td³ times αx + βy + γ·f(t) + δ
@@ -239,9 +240,9 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     return out
 
 
-# The largest bit cap: an integer of at most 14,284 bits has at most
-# MAX_DIGITS digits (2**14284 < 10**4300), so every kept point prints.
-MAX_BIT_CAP = 14284
+# The largest bit cap, 14,284: an integer of at most that many bits is below
+# DIGITS_BOUND, so it has at most MAX_DIGITS digits and every kept point prints.
+MAX_BIT_CAP = DIGITS_BOUND.bit_length() - 1
 
 
 @record
@@ -281,11 +282,11 @@ class PointRecord:
 
 class GenerationReport:
     def __init__(self):
-        self.points: List[PointRecord] = []
+        self.points: list[PointRecord] = []
         # points kept per fiber, keyed on t
-        self.fibers: Dict[Pair, int] = {}
+        self.fibers: dict[Pair, int] = {}
         self.truncated = False
-        self.skipped: List[str] = []
+        self.skipped: list[str] = []
 
     def to_json(self, S: Surface, seed: WPoint) -> dict:
         return {
@@ -306,23 +307,13 @@ class HypothesisFailure(ValueError):
     """The seed does not satisfy all generation hypotheses."""
 
 
-class _CapReached(Exception):
-    """max_points points are kept: generation stops where it is."""
-
-
-def _point_key(t: Pair, Q: ECPoint) -> Tuple[int, ...]:
-    """(t, x, y) as the integers (tn, td, xn, xd, yn, yd): canonical, since
-    each Pair is in lowest terms."""
-    return t + Q.x + Q.y
-
-
-def _within_cap(key: Tuple[int, ...], cap: int) -> bool:
-    """Whether no integer of a point key is longer than cap bits."""
-    return max(map(int.bit_length, key)) <= cap
+def _within_cap(t: Pair, Q: ECPoint, cap: int) -> bool:
+    """Whether no integer of the affine (t, x, y) is longer than cap bits."""
+    return max(map(int.bit_length, t + Q.x + Q.y)) <= cap
 
 
 def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
-                skipped: List[str]) -> Iterator[Tuple[FiberCurve, ECPoint, str]]:
+                skipped: list[str]) -> Iterator[tuple[FiberCurve, ECPoint, str]]:
     """(fiber, point, provenance) for each point the four mechanisms make
     from Q on E, checked on its fiber by its maker.
 
@@ -341,7 +332,7 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
         for n in range(2, cfg.multiple_bound + 1):
             acc = walk[n - 1] if n <= len(walk) else elliptic.add(E, acc, Q)
             yield E, acc, f"multiple({n})"
-            if not _within_cap(_point_key(t, acc), cfg.bit_cap):
+            if not _within_cap(t, acc, cfg.bit_cap):
                 break
     # tangent-section point −[2]P, from the walk, then a bounded-height
     # sweep of the same section; y = 0 has order 2, skipped above
@@ -354,8 +345,8 @@ def _candidates(S: Surface, E: FiberCurve, Q: ECPoint, cfg: GenerationConfig,
         yield Eh, Qh, "hop"
 
 
-def _on_smooth_fibers(found: List[Tuple[FiberCurve, ECPoint]]
-                      ) -> Iterator[Tuple[FiberCurve, ECPoint]]:
+def _on_smooth_fibers(found: list[tuple[FiberCurve, ECPoint]]
+                      ) -> Iterator[tuple[FiberCurve, ECPoint]]:
     """The pairs of ``found`` whose fiber is smooth.  ``cp_sweep`` and
     ``u_hop`` return the points of a fiber next to each other, with one
     FiberCurve, so each fiber is decided once."""
@@ -371,55 +362,51 @@ def generate(S: Surface, seed: WPoint, cfg: GenerationConfig) -> GenerationRepor
     """Breadth-first point generation from a seed that ``check_hypotheses``
     certifies; any other seed is a HypothesisFailure.
 
-    Every candidate of every level passes through ``emit``.  Generation
-    stops as soon as max_points points are kept; ``truncated`` is then set
-    when the depth asked for any expansion.
+    Every candidate of every level passes through ``emit``.  The first level
+    expands the seed; each later one, the points that the level before it
+    kept on fibers with no point as that level began.  Generation stops as
+    soon as max_points points are kept; ``truncated`` is then set when the
+    depth asked for any expansion.
     """
     hyp = check_hypotheses(S, seed)
     if not hyp.overall:
         raise HypothesisFailure(f"seed {seed} fails hypotheses: {hyp.to_json()}")
-    E0, Q0 = S.fiber_point(seed)
     report = GenerationReport()
     # affine (t, x, y) is canonical: one key per point of the w = 1 chart
-    seen: Set[Tuple[int, ...]] = set()
-    counts = report.fibers
-    # the fibers counted when the level began, and the entries it admits
-    known_fibers: Set[Pair] = set()
-    next_frontier: List[Tuple[FiberCurve, ECPoint]] = []
+    seen: set[tuple[int, ...]] = set()
 
-    def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> None:
-        """Drop Q over the bit cap, else keep it once; a kept point whose
-        fiber was not counted as the level began joins the next frontier.
-
-        Raises _CapReached once the kept point is the max_points-th.
-        """
-        key = _point_key(E.t, Q)
-        if not _within_cap(key, cfg.bit_cap):
+    def emit(E: FiberCurve, Q: ECPoint, provenance: str) -> bool:
+        """Drop Q over the bit cap, else keep it once; whether Q was kept."""
+        if not _within_cap(E.t, Q, cfg.bit_cap):
             report.truncated = True
             report.skipped.append(f"bit cap exceeded ({provenance})")
-            return
+            return False
+        key = E.t + Q.x + Q.y
         if key in seen:
-            return
+            return False
         seen.add(key)
         report.points.append(PointRecord(E.t, Q, provenance))
-        counts[E.t] = counts.get(E.t, 0) + 1
-        if len(report.points) == cfg.max_points:
-            raise _CapReached
-        if E.t not in known_fibers:
-            next_frontier.append((E, Q))
+        report.fibers[E.t] = report.fibers.get(E.t, 0) + 1
+        return True
 
-    try:
-        emit(E0, Q0, "seed")
-        # the seed is expanded even when it is over the bit cap
-        next_frontier = [(E0, Q0)]
-        for _level in range(cfg.depth):
-            frontier, next_frontier = next_frontier, []
-            known_fibers = set(counts)
-            for E, Q in frontier:
-                for candidate in _candidates(S, E, Q, cfg, report.skipped):
-                    emit(*candidate)
-    except _CapReached:
-        report.truncated = report.truncated or cfg.depth > 0
+    # the seed is expanded even when it is over the bit cap
+    frontier = [S.fiber_point(seed)]
+    if emit(*frontier[0], "seed") and cfg.max_points == 1:
+        report.truncated = cfg.depth > 0
+        return report
+    for _level in range(cfg.depth):
+        known = set(report.fibers)
+        next_frontier: list[tuple[FiberCurve, ECPoint]] = []
+        for E, Q in frontier:
+            for Ec, Qc, provenance in _candidates(S, E, Q, cfg, report.skipped):
+                if not emit(Ec, Qc, provenance):
+                    continue
+                if len(report.points) == cfg.max_points:
+                    report.truncated = True
+                    return report
+                if Ec.t not in known:
+                    next_frontier.append((Ec, Qc))
+        frontier = next_frontier
     return report
 
 
@@ -429,7 +416,7 @@ def brute_force_oracle(
     x_den: int,
     t_num: int,
     t_den: int,
-) -> List[Tuple[Pair, ECPoint]]:
+) -> list[tuple[Pair, ECPoint]]:
     """Exhaustive box search: every fiber t and abscissa x within the bounds,
     keeping (t, (x, ±y)) whenever x³ + A(t)x + B(t) is a rational square.
 
@@ -442,7 +429,7 @@ def brute_force_oracle(
     integer square r², and then y = r/(L·q²).
     """
     check_box(x_num, x_den, t_num, t_den)
-    out: List[Tuple[Pair, ECPoint]] = []
+    out: list[tuple[Pair, ECPoint]] = []
     xs = [(p, q, p ** 3 * q, p * q ** 3, q ** 4) for p, q in _box_pairs(x_num, x_den)]
     for tn, td in _box_pairs(t_num, t_den):
         an, ad = S.A_t.value_ints(tn, td)
@@ -468,7 +455,7 @@ def check_box(x_num: int, x_den: int, t_num: int, t_den: int) -> None:
                          f"got x-num {x_num}, x-den {x_den}, t-num {t_num}, t-den {t_den}")
 
 
-def _box_pairs(num_bound: int, den_bound: int) -> Iterator[Tuple[int, int]]:
+def _box_pairs(num_bound: int, den_bound: int) -> Iterator[tuple[int, int]]:
     """The rationals p/q with |p| ≤ num_bound, 1 ≤ q ≤ den_bound, each once,
     as coprime pairs (p, q).
 

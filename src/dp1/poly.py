@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from .rational import InvariantError, reduced
 
@@ -42,11 +42,11 @@ class UniPoly:
         g = math.gcd(den, *cs)
         if g > 1:
             cs, den = [c // g for c in cs], den // g
-        self.cs: Tuple[int, ...] = tuple(cs)
+        self.cs: tuple[int, ...] = tuple(cs)
         self.den: int = den
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.cs)
 
     def degree(self) -> int:
@@ -59,7 +59,7 @@ class UniPoly:
         """Product by convolving the integer numerators."""
         return UniPoly(int_mul(self.cs, other.cs), self.den * other.den)
 
-    def value_ints(self, p: int, q: int) -> Tuple[int, int]:
+    def value_ints(self, p: int, q: int) -> tuple[int, int]:
         """f(p/q), q > 0, for f of degree n: the integer qⁿ·cs(p/q), by
         homogeneous Horner, and den·qⁿ, not reduced."""
         if not self.cs:
@@ -74,12 +74,12 @@ class UniPoly:
 
 # -- integer-polynomial helpers (gcd via primitive PRS) ----------------
 
-def _primitive(cs: Sequence[int]) -> List[int]:
+def _primitive(cs: Sequence[int]) -> list[int]:
     g = math.gcd(*cs) or 1
     return [c // g for c in cs]
 
 
-def _int_prem(f: List[int], g: List[int]) -> List[int]:
+def _int_prem(f: list[int], g: list[int]) -> list[int]:
     """Pseudo-remainder of integer polynomials (prem), trailing zeros trimmed."""
     f = list(f)
     dg = len(g) - 1
@@ -96,7 +96,7 @@ def _int_prem(f: List[int], g: List[int]) -> List[int]:
     return f
 
 
-def int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two integer polynomials, by convolution."""
     if not a or not b:
         return []
@@ -113,7 +113,7 @@ def deriv(cs: Sequence) -> List:
     return [i * cs[i] for i in range(1, len(cs))]
 
 
-def combination(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> List[int]:
+def combination(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> list[int]:
     """x·u + y·v for integer polynomials, trailing zeros trimmed."""
     out = [x * c for c in u] + [0] * (len(v) - len(u))
     for i, c in enumerate(v):
@@ -148,7 +148,7 @@ def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
     return len(f) == 1
 
 
-def int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+def int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd, up to sign, of trimmed integer polynomials (zero for two
     zeros).
 
@@ -186,20 +186,20 @@ def is_separable(q: Sequence[int]) -> bool:
     return b * b != 4 * a * c
 
 
-def squarefree_split(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
+def squarefree_split(cs: Sequence[int]) -> tuple[list[int], list[int]]:
     """(h, cs / h) for the integer polynomial cs and h = gcd(cs, cs′),
     primitive: cs / h is the squarefree part of cs, up to a constant."""
     h = int_gcd(cs, deriv(cs))
     return h, int_exact_div(cs, h)
 
 
-def squarefree_factorization(f: UniPoly) -> List[Tuple[UniPoly, int]]:
+def squarefree_factorization(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun's algorithm in ℤ[t]: return [(g_i, i)] with f = lc · ∏ g_i^i, g_i
     monic.  Each step divides b and c by the same primitive gcd, so they stay
     integral (Gauss's lemma) and d = c − b′ keeps its meaning."""
     if f.is_zero():
         raise ValueError("cannot factor zero")
-    out: List[Tuple[UniPoly, int]] = []
+    out: list[tuple[UniPoly, int]] = []
     cs = f.cs
     a, b = squarefree_split(cs)
     c = int_exact_div(deriv(cs), a)
@@ -225,7 +225,7 @@ def homogeneous_value(cs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def int_exact_div(f: Sequence[int], g: Sequence[int]) -> List[int]:
+def int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """f / g for integer polynomials, g primitive and dividing f over Q: by
     Gauss's lemma the quotient is integral, so long division is exact.  A
     remainder, which only a g not dividing f leaves, raises InvariantError."""
@@ -260,7 +260,7 @@ SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 
 @functools.cache
-def _depressed_roots(ell: int) -> Tuple[List[int], int]:
+def _depressed_roots(ell: int) -> tuple[list[int], int]:
     """The roots mod ℓ of every y³ + p·y + q, and 3⁻¹ mod ℓ: at index
     p·ℓ + q, the bitmask of its roots y, negated when 4p³ + 27q² ≡ 0 (a
     multiple root, which a cubic mod ℓ can only have in F_ℓ)."""
@@ -272,7 +272,7 @@ def _depressed_roots(ell: int) -> Tuple[List[int], int]:
             for i, m in enumerate(masks)], pow(3, -1, ell)
 
 
-def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
+def int_roots(cs: Sequence[int]) -> list[tuple[int, int]]:
     """The distinct rational roots p/q of the nonzero, trimmed integer
     polynomial cs, as (p, q) with q > 0 and gcd(p, q) = 1, sorted; by p-adic
     lifting (Loos).
@@ -347,7 +347,7 @@ def int_roots(cs: Sequence[int]) -> List[Tuple[int, int]]:
     return roots
 
 
-def rational_roots(f: UniPoly) -> List[Fraction]:
+def rational_roots(f: UniPoly) -> list[Fraction]:
     """The distinct rational roots of f, sorted by (numerator, denominator):
     ``int_roots`` on f's numerators."""
     return [Fraction(p, q) for p, q in int_roots(f.cs)]

@@ -13,10 +13,9 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Tuple, Union
 
 # a rational n/d as (n, d) in lowest terms with d > 0
-Pair = Tuple[int, int]
+Pair = tuple[int, int]
 
 
 class InvariantError(RuntimeError):
@@ -63,6 +62,8 @@ _EXPONENT = r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z"
 # string (sys.get_int_max_str_digits()), which guards against quadratic-time
 # conversion: parse_rational refuses longer integers with its own message.
 MAX_DIGITS = 4300
+# the least integer of more than MAX_DIGITS digits, which str() refuses
+DIGITS_BOUND = 10 ** MAX_DIGITS
 
 
 def _refuse_long_integers(s: str) -> None:
@@ -125,7 +126,7 @@ def format_pair(v: Pair) -> str:
     return f"{n}/{d}" if d != 1 else str(n)
 
 
-def is_square(x: Union[int, Fraction]) -> Union[int, Fraction, None]:
+def is_square(x: int | Fraction) -> int | Fraction | None:
     """Return the non-negative rational square root of x, or None.
 
     For an int x the root is an int; for a Fraction it is a Fraction, since

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import poly
 from .elliptic import ECPoint, FiberCurve, on_curve
 from .poly import UniPoly
-from .rational import (MAX_DIGITS, InvariantError, Pair, format_rational, parse_rational, record,
-                       reduced)
+from .rational import (DIGITS_BOUND, MAX_DIGITS, InvariantError, Pair, format_rational,
+                       parse_rational, record, reduced)
 
 
 class DegenerateSurfaceError(ValueError):
@@ -78,7 +78,7 @@ class SurfaceParams:
         return out
 
 
-def _primes_below(n: int) -> List[int]:
+def _primes_below(n: int) -> list[int]:
     """The primes below n ≥ 2, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
@@ -152,10 +152,6 @@ def _lift_scale(dx: int, dy: int, *near: int) -> int:
                          f"bound {TRIAL_BOUND}, exact roots do not decide the least scale for the "
                          f"scaled denominators {dx} of x and {dy} of y")
     return lam * c
-
-
-# the least integer of more than MAX_DIGITS digits, which str() refuses
-_DIGITS_BOUND = 10 ** MAX_DIGITS
 
 
 @record
@@ -232,7 +228,7 @@ class WPoint:
         if P.w:
             for v in P.affine():
                 ints += v
-        if any(abs(v) >= _DIGITS_BOUND for v in ints):
+        if any(abs(v) >= DIGITS_BOUND for v in ints):
             raise ValueError(f"the seed's point or its affine (t, x, y) has an integer of more than "
                              f"{MAX_DIGITS:,} digits, which cannot be printed")
         return P
@@ -240,7 +236,7 @@ class WPoint:
     def __str__(self) -> str:
         return f"[{self.x}:{self.y}:{self.z}:{self.w}]"
 
-    def affine(self) -> Tuple[Pair, Pair, Pair]:
+    def affine(self) -> tuple[Pair, Pair, Pair]:
         """(t, x, y) = (z/w, x/w², y/w³) as Pairs."""
         w = self.w
         if w == 0:
@@ -248,7 +244,7 @@ class WPoint:
         return reduced(self.z, w), reduced(self.x, w * w), reduced(self.y, w ** 3)
 
 
-def _trimmed(cs: Sequence[int]) -> Tuple[int, ...]:
+def _trimmed(cs: Sequence[int]) -> tuple[int, ...]:
     """cs without its trailing zeros."""
     k = len(cs)
     while k and cs[k - 1] == 0:
@@ -310,7 +306,7 @@ class Surface:
         return FiberCurve(t, reduced(*self.A_t.value_ints(tn, td)),
                           reduced(*self.B_t.value_ints(tn, td)))
 
-    def fiber_point(self, P: WPoint) -> Tuple[FiberCurve, ECPoint]:
+    def fiber_point(self, P: WPoint) -> tuple[FiberCurve, ECPoint]:
         """The fiber through P (w != 0) and P as an affine point on it."""
         t, x, y = P.affine()
         return self.fiber_at(t), ECPoint(x, y)
@@ -336,7 +332,7 @@ def _weierstrass_ints(An: Sequence[int], Ad: int, Bn: Sequence[int], Bd: int):
 # -- smoothness of the branch sextic ----------------------------------
 
 def _chart_singular_witnesses(An: Sequence[int], Ad: int, Bn: Sequence[int], Bd: int
-                              ) -> List[UniPoly]:
+                              ) -> list[UniPoly]:
     """Nontrivial witness factors for singular points of x³ + A(t)x + B(t),
     for A = An/Ad and B = Bn/Bd with An and Bn trimmed.
 
@@ -352,7 +348,7 @@ def _chart_singular_witnesses(An: Sequence[int], Ad: int, Bn: Sequence[int], Bd:
     if not delta:
         raise DegenerateSurfaceError("discriminant vanishes identically")
     da, db = poly.deriv(a), poly.deriv(b)
-    common: List[int] = []
+    common: list[int] = []
     if a:
         g = poly.combination(2, poly.int_mul(a, db), -3, poly.int_mul(da, b))
         common = poly.int_gcd(delta, g)
@@ -385,7 +381,7 @@ def smoothness_check(S: Surface) -> str:
     return S._smoothness
 
 
-def _critical_value_poly(F: Sequence[int], n: int) -> List[int]:
+def _critical_value_poly(F: Sequence[int], n: int) -> list[int]:
     """D(u) = disc_t(F(t) − n·u) for the integer cubic F, a quadratic in u
     whose roots are the critical values of f = F/n: the u over which f′ = 0."""
     f0, f1, f2, f3 = F
@@ -434,7 +430,7 @@ def _u_line_singular(S: Surface) -> bool:
     return len(common) > 1 or (at_root(s) and (at_root(ds) or at_root(D)))
 
 
-def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
+def singular_witnesses(S: Surface) -> tuple[tuple[str, UniPoly], ...]:
     """The witnesses of a singular surface, () for a smooth one: (chart,
     monic factor) for each nontrivial gcd factor whose roots carry singular
     points, the t chart's then the s chart's.  The t chart's must agree with
@@ -455,7 +451,7 @@ def singular_witnesses(S: Surface) -> Tuple[Tuple[str, UniPoly], ...]:
     return tuple(witnesses)
 
 
-def _reversal(cs: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+def _reversal(cs: tuple[int, ...], n: int) -> tuple[int, ...]:
     """s^(n−1)·c(1/s) for c = cs of degree < n, trailing zeros trimmed."""
     return _trimmed((cs + (0,) * (n - len(cs)))[::-1])
 
@@ -505,7 +501,7 @@ def modp_singular_scan(S: Surface, p: int) -> str:
     return "singular" if singular else "smooth"
 
 
-def _residues(cs: Sequence[int], inv: int, p: int) -> List[int]:
+def _residues(cs: Sequence[int], inv: int, p: int) -> list[int]:
     """The coefficients of cs·inv mod p."""
     return [c * inv % p for c in cs]
 
@@ -554,7 +550,7 @@ def smoothness_cross_check(S: Surface, primes: Sequence[int]) -> dict:
     has_rational_witness = verdict == "singular" and (S.params.c == 0 or any(
         poly.rational_roots(wp) for _, wp in singular_witnesses(S)
     ))
-    per_prime: Dict[int, str] = {}
+    per_prime: dict[int, str] = {}
     for p in primes:
         if S.params_den % p == 0:
             per_prime[p] = "skipped"

@@ -638,6 +638,11 @@ def test_search_params_refuses_invalid_primes():
         search_params([params], (5, 1, 2, 2), (2, 4))
 
 
+def test_search_params_refuses_no_tuples():
+    with pytest.raises(ValueError, match=r"^no parameter tuples to scan$"):
+        search_params([], (5, 1, 2, 2))
+
+
 def test_search_params_zero_samples_rejected(capsys):
     code = main(["search-params", "--samples", "0"])
     assert code == 2

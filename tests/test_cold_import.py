@@ -1,8 +1,10 @@
 """Every ``dp1 …`` command pays for what ``import dp1, dp1.cli`` loads, so
 the start-up path leaves out modules no command needs before it runs:
-``dataclasses`` (which loads ``inspect``) and ``csv``, which only
-``--format csv`` uses and imports on first use.  Nor does it build the root
-sieve's residue tables, which the first cubic root search builds."""
+``dataclasses`` (which loads ``inspect``); ``typing``, since annotations use
+builtin generics and ``collections.abc``; and ``csv`` and ``random``, which
+only ``--format csv`` and ``search-params`` use and import on first use.  Nor
+does it build the root sieve's residue tables, which the first cubic root
+search builds."""
 
 import os
 import subprocess
@@ -10,7 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-KEPT_OUT = ("dataclasses", "inspect", "csv")
+KEPT_OUT = ("dataclasses", "inspect", "typing", "csv", "random")
 
 
 def fresh(code: str) -> str:
@@ -33,7 +35,7 @@ def test_cold_import_leaves_out_unused_modules():
 
 
 def test_guard_sees_each_module():
-    assert set(KEPT_OUT) <= modules_after("import dp1, dp1.cli, dataclasses, csv")
+    assert set(KEPT_OUT) <= modules_after("import dp1, dp1.cli, dataclasses, typing, csv, random")
 
 
 def test_cold_import_builds_no_residue_table():

@@ -164,6 +164,12 @@ def test_u_hop_refuses_a_point_off_its_fiber(worked_surface):
         u_hop(worked_surface, fiber(worked_surface, 0), point(-1, 1))
 
 
+def test_u_hop_refuses_the_point_at_infinity(worked_section):
+    S, E, _ = worked_section
+    with pytest.raises(ValueError, match=r"^hop needs an affine point$"):
+        u_hop(S, E, ECPoint())
+
+
 def test_cp_sweep_finds_tangent_point(worked_section):
     found = _by_t(cp_sweep(*worked_section, 2))
     assert (Fraction(-1), point(Fraction(17, 4), Fraction(71, 8))) in found
@@ -631,6 +637,55 @@ def test_generate_stops_at_the_cap(worked_surface, worked_seed, monkeypatch, max
 def test_generate_depth_zero(worked_surface, worked_seed):
     rep = generate(worked_surface, worked_seed, GenerationConfig(depth=0, multiple_bound=1))
     assert [r.provenance for r in rep.points] == ["seed"]
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_generate_stops_at_a_kept_seed_when_max_points_is_one(worked_surface, worked_seed,
+                                                              monkeypatch, depth):
+    # the seed is the max_points-th point, so nothing is expanded; the run is
+    # truncated only when the depth asked for an expansion
+    sweeps = []
+    monkeypatch.setattr(engine, "cp_sweep", lambda *args: sweeps.append(args) or [])
+    rep = generate(worked_surface, worked_seed, GenerationConfig(depth=depth, max_points=1))
+    assert [r.provenance for r in rep.points] == ["seed"]
+    assert rep.truncated is (depth > 0)
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("params, seed, t_height, new_fibers", [
+    # the worked seed: one swept point on each of two new fibers
+    ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[-1:1:-1:1]", 40, [Fraction(7, 4), Fraction(-4, 21)]),
+    # two swept points on the new fiber t = −1, then a hop to t = 2
+    ((0, 0, 1, -1, 0, -1, 2, 1, -1), "[-1:-1:0:1]", 1, [-1, -1, 2]),
+], ids=["worked", "two-on-one-fiber"])
+def test_generate_expands_the_points_of_new_fibers(monkeypatch, params, seed, t_height,
+                                                   new_fibers):
+    # the second level expands, in order, exactly the first level's points
+    # whose fiber had no point when the first level began: every point off
+    # the seed's fiber, each of those that share a new fiber included
+    S, P = Surface(SurfaceParams(*params)), WPoint.parse(seed)
+    E0, Q0 = S.fiber_point(P)
+    cfg = GenerationConfig(t_height_bound=t_height, multiple_bound=2, depth=1)
+    level_1 = generate(S, P, cfg)
+    new = [(r.t, r.point) for r in level_1.points if r.t != E0.t]
+    assert [frac(t) for t, _ in new] == new_fibers
+    expanded = []
+    candidates = engine._candidates
+
+    def recording(S, E, Q, *rest):
+        expanded.append((E.t, Q))
+        return candidates(S, E, Q, *rest)
+
+    monkeypatch.setattr(engine, "_candidates", recording)
+    level_2 = generate(S, P, replaced(cfg, depth=2))
+    assert expanded == [(E0.t, Q0)] + new
+    assert level_2.points[:len(level_1.points)] == level_1.points
+    # the second level keeps points on known fibers only, so a third level
+    # has nothing to expand
+    assert set(level_2.fibers) == set(level_1.fibers)
+    expanded.clear()
+    assert generate(S, P, replaced(cfg, depth=3)).points == level_2.points
+    assert expanded == [(E0.t, Q0)] + new
 
 
 # seeds that fail the hypotheses, one cause each: (parameters, seed, report)

@@ -115,6 +115,16 @@ def test_zero_degree_sentinel():
     assert UniPoly(()).degree() == -1
 
 
+def test_unipoly_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError, match=r"^UniPoly with denominator 0$"):
+        UniPoly([1], 0)
+
+
+def test_squarefree_factorization_refuses_zero():
+    with pytest.raises(ValueError, match=r"^cannot factor zero$"):
+        squarefree_factorization(UniPoly())
+
+
 def test_gcd_examples():
     assert gcd(P(0, 0, 0, 1), P(0, 0, 3)) == P(0, 0, 1)
     assert gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)

@@ -164,6 +164,10 @@ def test_parse_rational_examples():
     for s in ("3/0", "-0/0"):
         with pytest.raises(ValueError, match=f"zero denominator in '{s}'"):
             parse_rational(s)
+    # a sign takes "+1/0" past the integer path to Fraction's own parser,
+    # whose ZeroDivisionError is refused with the same message
+    with pytest.raises(ValueError, match=r"^zero denominator in '\+1/0'$"):
+        parse_rational("+1/0")
     for s in ("", "/", "3/", "/4", "3/-4", "--3", "\u00b2"):
         with pytest.raises(ValueError, match="Invalid literal"):
             parse_rational(s)

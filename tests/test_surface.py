@@ -451,6 +451,11 @@ def test_wpoint_affine_roundtrip():
     assert affine(P) == (Fraction(7, 4), Fraction(-53, 16), Fraction(-79, 32))
 
 
+def test_wpoint_affine_refuses_w_zero():
+    with pytest.raises(ValueError, match=r"^affine coordinates undefined for w = 0$"):
+        WPoint(1, 1, 0, 0).affine()
+
+
 def test_smoothness_worked(worked_surface, worked_surface_2):
     assert smoothness_check(worked_surface) == "smooth"
     assert smoothness_check(worked_surface_2) == "smooth"
