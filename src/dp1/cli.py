@@ -1,9 +1,9 @@
 """Command-line interface: JSON reports over the library operations.
 
 Exit codes: 0 on success, 1 on a mathematical negative (hypotheses fail,
-surface singular, identity fails), 2 on input errors, 3 on an internal
-invariant failure (an ``InvariantError`` or an ``OracleDisagreementError``
-that no command records).
+surface singular), 2 on input errors, 3 on an internal invariant failure
+(an ``InvariantError`` or an ``OracleDisagreementError`` that no command
+records).
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ def cmd_smooth(args) -> int:
         payload["cross_check"] = cross_check_result(S, primes)
     _emit(payload, args)
     return EXIT_OK if verdict == "smooth" else EXIT_NEGATIVE
-
-
-def cmd_identities(args) -> int:
-    S = _load_surface(args.surface)
-    ok = cubic.verify_normal_form(S)
-    _emit({"identity_verified": ok}, args)
-    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_generate(args) -> int:
@@ -307,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--primes", help='cross-check primes, e.g. "7,11,13"')
     p.set_defaults(func=cmd_smooth)
-
-    p = sub.add_parser("identities", help="verify the normal-form identities")
-    common(p)
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("generate", help="generate rational points from a seed")
     common(p, seed=True, points=True)

@@ -190,18 +190,22 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
     """Sweep the tangent section at P = (x0, y0) on the fiber E, t = t0,
     across bounded-height fibers.
 
-    Takes the tangent plane at (x0, y0, f(t0), 1), restricts it to each
-    fiber t = tn/td as an integer line αx + βy + c = 0, eliminates y into an
-    integer cubic in x, solves it for rational points and excludes P itself.
-    The line depends on t only through u = f(t), so on every fiber with
+    P must have order > 2: with y0 = 0 its tangent line is vertical, and
+    TwoTorsionSeedError is raised.  Takes the tangent plane at
+    (x0, y0, f(t0), 1), restricts it to each fiber t = tn/td as an integer
+    line αx + βy + c = 0, β ≠ 0 since y0 ≠ 0, eliminates y into an integer
+    cubic in x, solves it for rational points and excludes P itself.  The
+    line depends on t only through u = f(t), so on every fiber with
     f(t) = f(t0) it is the line on P's own fiber, tangent at P: the double
     root x0 is divided out, the linear factor left gives the third point,
     and P is a swept point on each such fiber but t0.  Elsewhere
-    ``poly.int_roots`` finds the roots.  Where β = 0 the line is x = −c/α,
-    and y² = x³ + Ax + B = N/D, D > 0, has a rational root exactly when N·D
-    is a square r², y = ±r/D.  Each point is checked on its fiber and
-    returned with it.
+    ``poly.int_roots`` finds the roots.  Each point is checked on its fiber
+    and returned with it.
     """
+    if P.y[0] == 0:
+        raise cubic.TwoTorsionSeedError(
+            f"the sweep needs a point of order > 2; {P} on the fiber t={format_pair(E.t)} "
+            f"has y = 0, so order 2")
     u0 = un, ud = S.f.value_ints(*E.t)
     al, be, ga, de = cubic.tangent_plane(S, (P.x, P.y, u0, (1, 1)))
     out: list[tuple[FiberCurve, ECPoint]] = []
@@ -210,28 +214,14 @@ def cp_sweep(S: Surface, E: FiberCurve, P: ECPoint, t_height_bound: int
         # den·td³ times αx + βy + γ·f(t) + δ
         fn, fd = S.f.value_ints(*t)
         a, b, c = al * fd, be * fd, ga * fn + de * fd
-        if b != 0:
-            cub = cubic.line_cubic_ints((a, b, c), Et)
-            if fn * ud == un * fd:
-                l0, l1 = _divide_out(cub, *P.x, 2)
-                xs = sorted({P.x, reduced(-l0, l1)})
-            else:
-                xs = poly.int_roots(cub)
-            found = [ECPoint((xn, xd), reduced(-(a * xn + c * xd), b * xd)) for xn, xd in xs]
-        elif a != 0:
-            x = xn, xd = reduced(-c, a)
-            (an, ad), (bn, bd) = Et.A, Et.B
-            D = xd ** 3 * ad * bd
-            r = is_square(((xn ** 3 * ad + an * xn * xd * xd) * bd + bn * ad * xd ** 3) * D)
-            if r is None:
-                continue
-            yn, yd = reduced(r, D)
-            found = [ECPoint(x, (yn, yd))] + ([ECPoint(x, (-yn, yd))] if r else [])
+        cub = cubic.line_cubic_ints((a, b, c), Et)
+        if fn * ud == un * fd:
+            l0, l1 = _divide_out(cub, *P.x, 2)
+            xs = sorted({P.x, reduced(-l0, l1)})
         else:
-            # α = β = 0 only at a singular point P of its fiber: the plane u = f(t0)
-            # misses the fibers with f(t) ≠ f(t0) and contains the others, all singular
-            continue
-        for R in found:
+            xs = poly.int_roots(cub)
+        for xn, xd in xs:
+            R = ECPoint((xn, xd), reduced(-(a * xn + c * xd), b * xd))
             if R == P and t == E.t:
                 continue
             if not elliptic.on_curve(Et, R):

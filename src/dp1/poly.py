@@ -108,7 +108,7 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def deriv(cs: Sequence) -> List:
+def deriv(cs: Sequence) -> list:
     """The coefficients of the derivative of Σ cs[i]·tⁱ."""
     return [i * cs[i] for i in range(1, len(cs))]
 

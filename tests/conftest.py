@@ -566,29 +566,18 @@ def transversality_check(S: Surface, R: WPoint, P: WPoint) -> int:
 # same steps, one Fraction per coefficient, every root searched for.
 
 def cp_sweep_by_fractions(S: Surface, E0: FiberCurve, P: ECPoint, t_height_bound: int):
-    """Reference sweep: each fiber's line and cubic β²(x³ + Ax + B) − (αx + c0)²
-    in Fractions, every root from ``poly.rational_roots``, y = −(αx + c0)/β,
-    P itself left out and each point checked by ``on_curve``."""
+    """Reference sweep from a point P of order > 2, so β ≠ 0: each fiber's
+    line and cubic β²(x³ + Ax + B) − (αx + c0)² in Fractions, every root from
+    ``poly.rational_roots``, y = −(αx + c0)/β, P itself left out and each
+    point checked by ``on_curve``."""
     p_t = frac(E0.t)
     out = []
     for t in map(frac, bounded_height_rationals(t_height_bound)):
         a, b, c0 = fiber_line(S, E0, P, t)
         E = fiber(S, t)
-        found = []
-        if b != 0:
-            cub = RefPoly((frac(E.B), frac(E.A), 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
-            for x in poly.rational_roots(cub):
-                found.append(point(x, -(a * x + c0) / b))
-        elif a != 0:
-            x = -c0 / a
-            root = is_square(rhs(E, x))
-            if root is not None:
-                found.append(point(x, root))
-                if root != 0:
-                    found.append(point(x, -root))
-        else:
-            continue
-        for Q in found:
+        cub = RefPoly((frac(E.B), frac(E.A), 0, 1)).scale(b * b) - RefPoly((c0, a)) ** 2
+        for x in poly.rational_roots(cub):
+            Q = point(x, -(a * x + c0) / b)
             if t == p_t and Q == P:
                 continue
             if not on_curve(E, Q):

@@ -26,8 +26,8 @@ TWO_TORSION = {"a": "-2", "b": "-1", "c": "-1", "d": "1", "e": "4", "f": ["0", "
 TRIMMED_CHART = {"a": "-1", "b": "0", "c": "-1", "d": "0", "e": "0", "f": ["0", "1", "2", "-1"]}
 # c = 0: singular at t = ∞ only, whose witness is s
 C_ZERO = {"a": "1", "b": "-1", "c": "0", "d": "2", "e": "1", "f": ["1", "0", "-1", "2"]}
-# [-1:0:0:1] has y = 0 and a tangent plane with α ≠ 0, so its sweep meets each
-# fiber in the vertical line of x³ + A(t)x + B(t)
+# [-1:0:0:1] has y = 0, so order 2: its tangent line is vertical, and the
+# sweep refuses it
 VERTICAL_SWEEP = {"a": "1", "b": "2", "c": "1", "d": "1", "e": "3", "f": ["0", "-1", "-1", "1"]}
 
 
@@ -148,11 +148,6 @@ def test_degenerate_surface_exit_one(surface_file, capsys, command, extra):
     assert out == {"verdict": "degenerate", "detail": "discriminant vanishes identically"}
 
 
-def test_identities(surface_file, capsys):
-    code, out = run(capsys, "identities", "--surface", surface_file(WORKED_2))
-    assert code == 0 and out["identity_verified"] is True
-
-
 def test_generate_json_roundtrip(surface_file, capsys):
     code, out = run(
         capsys,
@@ -263,12 +258,12 @@ def test_sweep_rejects_seed_with_w_zero(surface_file, capsys):
 
 def test_sweep_from_a_singular_point_of_its_fiber(surface_file, capsys):
     # [0:0:1:1] is the cusp (0, 0) of the fiber t = 1 of y² = x³ + z⁶ − w⁶:
-    # α = β = 0, and the plane u = f(1) misses every fiber with f(t) ≠ 1 and
-    # contains the fiber t = 1, which is singular
+    # a singular point of a fiber has y = 0, so order 2, and the sweep refuses it
     params = {"a": "0", "b": "0", "c": "1", "d": "0", "e": "-1", "f": ["0", "0", "0", "1"]}
-    code, out = run(capsys, "sweep", "--surface", surface_file(params), "--seed", "[0:0:1:1]")
-    assert code == 0
-    assert out["points"] == []
+    code = main(["sweep", "--surface", surface_file(params), "--seed", "[0:0:1:1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "order 2" in captured.err
 
 
 def test_oracle_command(surface_file, capsys):
@@ -486,8 +481,6 @@ CLI_PINS = [
      "6d02e229e484acfe9ecc88fc33b4a0f52b1393b567b9c8bdf5bbff432eda59e8"),
     ("smooth", SINGULAR, ["--primes", "7,11"], 1,
      "7ca083bd67989feae3a36aba4b9a7e7f7b780165a7e73ce88fc1e974368e472d"),
-    ("identities", WORKED, [], 0,
-     "d1a098f2242d5947dd974769fccf52b14ca42fdd7b3c114f1cd94dc2bded8496"),
     ("fibers", WORKED, [], 0,
      "5cf958d46966a9dcb7b86b758092c4b98a19c7f6fc84c6eea277ec7ec2e7f781"),
     ("sweep", WORKED, ["--seed", "[-1:1:-1:1]", "--t-height", "4"], 0,
@@ -523,9 +516,9 @@ CLI_PINS = [
     # deg Δ = 9: multiplicity 3 at infinity and a zero z¹² coefficient
     ("fibers", C_ZERO, [], 0,
      "d84b7eb90df09c0121c12ddf9facca6f8c132144b98973843b63f0fccec0de1d"),
-    # β = 0 on every fiber: x from the line, y from x³ + A(t)x + B(t)
-    ("sweep", VERTICAL_SWEEP, ["--seed", "[-1:0:0:1]", "--t-height", "2"], 0,
-     "59a3b5c33f0def23052c0ce6777b59c671bd3e45347ca5bf877322cdd2fe5b3f"),
+    # refused: y = 0, so order 2, and stdout is empty
+    ("sweep", VERTICAL_SWEEP, ["--seed", "[-1:0:0:1]", "--t-height", "2"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # the walk stops at [12]P, so [13]P is a checked addition
     ("generate", WORKED, ["--seed", "[-1:1:-1:1]", "--n", "13", "--t-height", "1"], 0,
      "19b06aa2f54756197acc90dee3881dfaa8adf4d450b32fc95f32dc4f44bbae39"),

@@ -31,7 +31,7 @@ from conftest import (
     xy,
 )
 from dp1 import cli, elliptic, engine, poly
-from dp1.cubic import SingularImageError, tangent_point
+from dp1.cubic import SingularImageError, TwoTorsionSeedError, tangent_point
 from dp1.elliptic import ECPoint, FiberCurve
 from dp1.engine import (
     GenerationConfig,
@@ -187,30 +187,23 @@ def test_cp_sweep_no_root_at_zero(worked_section):
 
 
 def test_cp_sweep_vertical_section():
-    # the seed (−1, 0) on t = −1 has order 2, so its tangent line is x = −1
-    # and the section meets every fiber in a vertical line (β = 0): each hit
-    # is x = −c0/a with y = ±√(rhs), one point where the root is 0
+    # the seed (−1, 0) on t = −1 has order 2, so its tangent line is the
+    # vertical x = −1, and the sweep refuses it
     S = Surface(SurfaceParams(-1, -1, -1, 1, 0, 0, -2, 0, 2))
     E, Q = S.fiber_point(WPoint.parse("[-1:0:-1:1]"))
     assert Q.y == (0, 1)
-    found = cp_sweep(S, E, Q, 4)
-    assert _by_t(found) == [
-        (Fraction(0), point(Fraction(-1), Fraction(0))),
-        (Fraction(1), point(Fraction(-1), Fraction(0))),
-        (Fraction(-2), point(Fraction(11), Fraction(36))),
-        (Fraction(-2), point(Fraction(11), Fraction(-36))),
-    ]
-    for Es, Qs in found:
-        assert Es == S.fiber_at(Es.t) and elliptic.on_curve(Es, Qs)
+    with pytest.raises(TwoTorsionSeedError, match="order 2"):
+        cp_sweep(S, E, Q, 4)
 
 
 def test_cp_sweep_from_a_singular_point_of_its_fiber():
-    # the cusp (0, 0) of y² = x³ on t = 1: the tangent plane is u = f(1)
+    # the cusp (0, 0) of y² = x³ on t = 1: a singular point of a fiber has
+    # y = 0, so order 2, and the sweep refuses it
     S = Surface(SurfaceParams(0, 0, 1, 0, -1, 0, 0, 0, 1))
     E, Q = S.fiber_point(WPoint.parse("[0:0:1:1]"))
-    assert E.is_singular()
-    assert plane_at(S, (*xy(Q), value(S.f, frac(E.t)), 1)) == (0, 0, 1, -1)
-    assert cp_sweep(S, E, Q, 3) == []
+    assert E.is_singular() and Q.y == (0, 1)
+    with pytest.raises(TwoTorsionSeedError, match="order 2"):
+        cp_sweep(S, E, Q, 3)
 
 
 def test_generate_drops_points_on_singular_fibers(monkeypatch):
@@ -252,7 +245,7 @@ def sweep_case(rng: random.Random, height: int, kind: str):
     kind's own solving), smooth (for c = 0, over every finite fiber), with an
     affine point Q on its fiber E, whose tangent section exists, of one kind:
 
-    - "vertical": y0 = 0, so the section is a vertical line on every fiber;
+    - "vertical": y0 = 0, so Q has order 2 and the sweep refuses it;
     - "c=0": c = 0, so the hop has one u-value;
     - "singular": E is y² = (x − k)²(x + 2k), nodal or (k = 0) cuspidal,
       and Q = (s² − 2k, s(s² − 3k)) a smooth point on it;
@@ -303,9 +296,20 @@ def separable_by_fractions(S: Surface, t0: Fraction) -> bool:
     return poly.gcd(g, derivative(g)).degree() == 0
 
 
+def swept_or_refused(S, E, Q, t_height):
+    """cp_sweep's points, or none for a point of order 2 (y = 0), whose
+    refusal is checked."""
+    if Q.y[0] != 0:
+        return cp_sweep(S, E, Q, t_height)
+    with pytest.raises(TwoTorsionSeedError, match="order 2"):
+        cp_sweep(S, E, Q, t_height)
+    return []
+
+
 def assert_matches_fraction_sweep_and_hop(S, E, Q, t_height):
-    found = cp_sweep(S, E, Q, t_height)
-    assert found == cp_sweep_by_fractions(S, E, Q, t_height)
+    found = swept_or_refused(S, E, Q, t_height)
+    if Q.y[0] != 0:
+        assert found == cp_sweep_by_fractions(S, E, Q, t_height)
     assert u_hop(S, E, Q) == u_hop_by_fractions(S, frac(E.t), Q)
     assert engine.check_fiber_hypotheses(S, E, Q).separable == separable_by_fractions(S, frac(E.t))
     return found
@@ -343,7 +347,7 @@ def test_sweep_and_hop_match_fraction_references(rng_seed, kind, height, t_heigh
     ((0, 0, 1, -2, -2, 0, 0, 0, 1), "[0:1:-1:1]"),  # order 3: the tangent is a flex
     ((0, 0, 1, 2, 3, 0, 0, 0, 1), "[1:2:0:1]"),  # t0 = 0 a triple root of f − f(t0)
     ((0, 0, -1, 1, 2, 0, -1, -2, 2), "[1:1:1:1]"),  # on the cusp y² = x³ at t = 1
-    ((-1, -1, -1, 1, 0, 0, -2, 0, 2), "[-1:0:-1:1]"),  # β = 0: a vertical section
+    ((-1, -1, -1, 1, 0, 0, -2, 0, 2), "[-1:0:-1:1]"),  # order 2: the sweep refuses it
     ((1, 0, 0, 1, 2, 0, -1, 0, 1), "[-1:1:0:1]"),  # c = 0, hops to t = ±1
     ((1, 0, 1, 0, 2, 0, -2, 1, 1), "[-1:1:0:1]"),  # f(0) = f(1) = f(−2): one line on three
 ])
@@ -383,7 +387,7 @@ def test_fibers_and_points_are_reduced_pairs(rng_seed, kind, height, xyzw):
     assert_reduced(*S.fiber_point(WPoint.from_affine(E.t, Q.x, Q.y)))
     walk = elliptic.multiples(E, Q, 6)
     assert_reduced(*walk, elliptic.add(E, Q, walk[1]), elliptic.add(E, walk[2], elliptic.neg(Q)))
-    for Es, Qs in cp_sweep(S, E, Q, 2) + u_hop(S, E, Q):
+    for Es, Qs in swept_or_refused(S, E, Q, 2) + u_hop(S, E, Q):
         assert_reduced(Es, Qs)
     for t, R in brute_force_oracle(S, 4, 3, 2, 2):
         assert_reduced(t, R)
